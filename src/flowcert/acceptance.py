@@ -54,10 +54,9 @@ def crit_power_gap(seed: int) -> CheckResult:
     C = rng.uniform(1.0, 100.0, n)
     tau = 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - rng.random(n))
     valid = (b > 0.0) & (b < a)
-    hyp = b ** (1.0 + tau) <= C * (a - b)
-    gap = b ** (-tau) - a ** (-tau) > 1.0 / (12.0 * C)
-    violations = int(np.sum(valid & hyp & ~gap))
-    checked = int(np.sum(valid & hyp))
+    hyp, gap = sequences.check_power_gap(a[valid], b[valid], C[valid], tau[valid])
+    violations = int(np.sum(hyp & ~gap))
+    checked = int(np.sum(hyp))
     return CheckResult(1, "power-gap-implication", violations == 0,
                        f"{checked} hypothesis-true tuples of {n}, {violations} violations")
 
@@ -67,10 +66,7 @@ def crit_iterated_gap() -> CheckResult:
     worst_margin = math.inf
     for C, tau in CELLS:
         seq = sequences.extremal_sequence(C, tau, x1=1.0, n_steps=10_000)
-        x = seq.values
-        j = np.arange(1, x.size, dtype=float)
-        margin = float(np.min(x[1:] ** (-tau) - (x[0] ** (-tau) + j / (12.0 * C))))
-        worst_margin = min(worst_margin, margin)
+        worst_margin = min(worst_margin, sequences.iterated_gap_margin(seq, C, tau))
     return CheckResult(2, "iterated-gap-extremal", worst_margin > 0.0,
                        f"min margin {worst_margin:.6e} over {len(CELLS)} cells, N=10^4")
 
@@ -277,7 +273,7 @@ def crit_determinism(seed: int) -> CheckResult:
         rng = np.random.default_rng(seed + 4)
         seq = sequences.random_admissible_sequence(1.0, 0.5, rng, n_steps=30)
         rep = sequences.check_hypothesis(seq, 1.0, 0.5)
-        return json.dumps(harness.jsonable(rep.to_json_dict()), sort_keys=True).encode()
+        return json.dumps(harness.jsonable(rep), sort_keys=True).encode()
 
     same = build() == build()
     return CheckResult(11, "report-determinism", same,

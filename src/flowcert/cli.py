@@ -8,6 +8,7 @@ Exit codes: 0 pass, 1 suite failure, 2 certificate violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -105,13 +106,13 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
     else:
         seq = sequences.extremal_sequence(args.C, args.tau, x1=args.x1, n_steps=args.n)
     report = sequences.check_hypothesis(seq, args.C, args.tau)
-    harness.write_json(out / "report.json", report.to_json_dict())
+    harness.write_json(out / "report.json", report)
     code = EXIT_OK
     if report.ok:
         consts = sequences.constructive_bound(args.C, args.tau)
         cap = consts.cap(float(seq.values[0]))
         bound_ok = report.sqrt_diff_sum <= cap
-        payload = consts.to_json_dict()
+        payload = harness.jsonable(consts)
         payload.update({"x1": float(seq.values[0]), "cap": cap,
                         "sqrt_diff_sum": report.sqrt_diff_sum, "bound_ok": bound_ok})
         harness.write_json(out / "bound.json", payload)
@@ -147,7 +148,7 @@ def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
             row.append(repr(float(traj.F_values[i])))
             fh.write(",".join(row) + "\n")
     report = gf.effective_bound(problem, traj, epsilon=args.epsilon)
-    payload = report.to_json_dict()
+    payload = harness.jsonable(report)
     payload["problem"] = problem.name
     payload["exited_ball"] = bool(traj.exited_ball)
     if args.check_envelope:
@@ -185,7 +186,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
     if do_fit and code == EXIT_OK:
         try:
             fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
-            harness.write_json(out / "fit.json", fit.to_json_dict())
+            harness.write_json(out / "fit.json", fit)
             slack_ok = bool(np.min(fit.residuals) >= 0.0)
             checks.append({"name": "fit-slack", "passed": slack_ok,
                            "measured": f"tau_fit={fit.tau_fit}, C_fit={fit.C_fit:.6g}"})
@@ -196,7 +197,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
             code = EXIT_HYP
     if do_close:
         report = mcf.close_experiment(cfg, hist=hist)
-        harness.write_json(out / "close.json", report.to_json_dict())
+        harness.write_json(out / "close.json", report)
         ok = report.hypotheses_ok and report.certified and report.bound_holds
         checks.append({"name": "close-certified", "passed": bool(ok),
                        "measured": f"case={report.case_tag}, "
@@ -207,7 +208,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
         if not ok:
             code = EXIT_HYP
     manifest = harness.manifest_dict(command="mcf", seed=cfg.seed,
-                                     config=cfg.to_dict(), checks=checks)
+                                     config=dataclasses.asdict(cfg), checks=checks)
     harness.write_json(out / "manifest.json", manifest)
     log.say(f"outputs written to {out}")
     return code

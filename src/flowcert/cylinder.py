@@ -180,15 +180,6 @@ class DistanceReport:
     def dist(self) -> float:
         return max(self.c0, self.c1, self.c2)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "R": float(self.R),
-            "c0": float(self.c0),
-            "c1": float(self.c1),
-            "c2": float(self.c2),
-            "dist": float(self.dist),
-        }
-
 
 def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> DistanceReport:
     R_dom = float(z[-1])

@@ -29,20 +29,20 @@ class GeometryError(FlowcertError):
     """A surface left the embedded-graph regime (radius reached zero)."""
 
 
-class StiffnessError(FlowcertError):
-    """Time integration stalled; carries the last valid state."""
+class IntegrationError(FlowcertError):
+    """Time integration failed; carries the last valid state."""
 
     def __init__(self, message: str, last_state=None):
         super().__init__(message)
         self.last_state = last_state
 
 
-class BlowupError(FlowcertError):
-    """Discrete instability or NaN detected; carries the last valid state."""
+class StiffnessError(IntegrationError):
+    """Time integration stalled."""
 
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
+
+class BlowupError(IntegrationError):
+    """Discrete instability or NaN detected."""
 
 
 class InsufficientDataError(FlowcertError):

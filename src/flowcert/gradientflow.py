@@ -234,22 +234,6 @@ class EffectiveBoundReport:
     n_marks: int = 0
     marks_truncated: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case_tag": self.case_tag,
-            "length": float(self.length),
-            "sqrt_sum": float(self.sqrt_sum),
-            "bound_value": float(self.bound_value),
-            "holds": bool(self.holds),
-            "c": float(self.c),
-            "alpha": float(self.alpha),
-            "delta_F1": float(self.delta_F1),
-            "delta_F2": float(self.delta_F2),
-            "crossing_time": None if self.crossing_time is None else float(self.crossing_time),
-            "n_marks": int(self.n_marks),
-            "marks_truncated": bool(self.marks_truncated),
-        }
-
 
 def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float,
                      tol: float = 1e-12) -> float:

@@ -9,6 +9,7 @@ Wall-clock timing goes to a sidecar log instead.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -55,18 +56,22 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
     return out
 
 
-def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    data = parse_config_text(text, source=str(path))
+def _config_from_text(text: str, source: str, overrides: dict | None) -> RunConfig:
+    data = parse_config_text(text, source=source)
     if overrides:
         data.update(overrides)
     try:
         return RunConfig(**data)
     except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def load_run_config(path, overrides: dict | None = None) -> RunConfig:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return _config_from_text(text, str(path), overrides)
 
 
 def load_bundled_config(name: str, overrides: dict | None = None) -> RunConfig:
@@ -75,19 +80,28 @@ def load_bundled_config(name: str, overrides: dict | None = None) -> RunConfig:
         text = (resources.files("flowcert") / "configs" / name).read_text()
     except (FileNotFoundError, OSError) as exc:
         raise ConfigError(f"no bundled config named '{name}'") from exc
-    data = parse_config_text(text, source=f"configs/{name}")
-    if overrides:
-        data.update(overrides)
-    return RunConfig(**data)
+    return _config_from_text(text, f"configs/{name}", overrides)
 
 
 def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{key} = {value}" for key, value in cfg.to_dict().items()]
+    lines = [f"{key} = {value}" for key, value in dataclasses.asdict(cfg).items()]
     return "\n".join(lines) + "\n"
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and NaN to JSON-safe values."""
+    """Recursively convert reports, numpy scalars/arrays and NaN to JSON-safe values.
+
+    A dataclass instance becomes a dict of its fields plus the public
+    properties of its class; a field declared with metadata {"json": False}
+    is left out.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+               if f.metadata.get("json", True)}
+        for name, attr in inspect.getmembers(type(obj)):
+            if isinstance(attr, property) and not name.startswith("_"):
+                out[name] = getattr(obj, name)
+        return jsonable(out)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sequences
-from .cylinder import CylinderGraph, CylinderSpec, _profile_dist, dist_R, graph_F
+from .cylinder import CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F
 from .errors import (
     BlowupError,
     ConfigError,
@@ -79,27 +79,36 @@ class FlowState:
     t: float
 
 
-def _rhs_raw(z: np.ndarray, u: np.ndarray, h: float, s: float) -> np.ndarray:
-    if np.any(s + u <= 0.0):
-        raise GeometryError("flow left the graph regime: r <= 0")
-    u_z = (u[2:] - u[:-2]) / (2.0 * h)
-    u_zz = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    ui = u[1:-1]
-    radial = ui * (2.0 * s + ui) / (2.0 * (s + ui))
-    out = np.zeros_like(u)
-    out[1:-1] = u_zz / (1.0 + u_z**2) + radial - 0.5 * z[1:-1] * u_z
-    return out
+def _kernel(z: np.ndarray, h: float, s: float):
+    """Fused right-hand side and explicit midpoint step on one grid.
+
+    Returns (frhs, frk2) with the grid constants 0.5*z, 1/(2h) and 1/h^2
+    hoisted out of the calls.  The radial term is u (2s + u) / (2 (s + u)), so
+    frhs(0) == 0 exactly.  No geometry check happens here: callers validate
+    accepted profiles, and mid-stage blowups surface as non-finite values.
+    """
+    zhalf = 0.5 * z[1:-1]
+    inv2h = 1.0 / (2.0 * h)
+    invh2 = 1.0 / (h * h)
+
+    def frhs(w: np.ndarray) -> np.ndarray:
+        a, b, c = w[2:], w[:-2], w[1:-1]
+        w_z = (a - b) * inv2h
+        w_zz = (a - 2.0 * c + b) * invh2
+        out = np.zeros_like(w)
+        out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
+        return out
+
+    def frk2(w: np.ndarray, dt: float) -> np.ndarray:
+        return w + dt * frhs(w + (0.5 * dt) * frhs(w))
+
+    return frhs, frk2
 
 
 def rhs(g: CylinderGraph) -> np.ndarray:
     """Time derivative of the profile under the rescaled flow (zero at the ends)."""
-    return _rhs_raw(g.z, g.u, g.h, g.spec.radius)
-
-
-def _rk2_raw(z: np.ndarray, u: np.ndarray, h: float, s: float, dt: float) -> np.ndarray:
-    k1 = _rhs_raw(z, u, h, s)
-    k2 = _rhs_raw(z, u + 0.5 * dt * k1, h, s)
-    return u + dt * k2
+    frhs, _ = _kernel(g.z, g.h, g.spec.radius)
+    return frhs(g.u)
 
 
 def step(state: FlowState, dt: float) -> FlowState:
@@ -107,7 +116,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     if dt <= 0.0:
         raise InvalidInputError(f"need dt > 0, got {dt}")
     g = state.graph
-    u_new = _rk2_raw(g.z, g.u, g.h, g.spec.radius, dt)
+    _, frk2 = _kernel(g.z, g.h, g.spec.radius)
+    u_new = frk2(g.u, dt)
     if not np.all(np.isfinite(u_new)):
         raise BlowupError(f"non-finite profile after step at t={state.t}", last_state=state)
     return FlowState(graph=g.with_profile(u_new), t=state.t + dt)
@@ -156,21 +166,14 @@ class FlowHistory:
     def n_marks(self) -> int:
         return int(self.mark_times.size)
 
-    def graph_at_mark(self, t: float) -> CylinderGraph:
-        idx = int(np.flatnonzero(np.isclose(self.mark_times, t))[0]) \
-            if np.any(np.isclose(self.mark_times, t)) else None
-        if idx is None:
-            raise InvalidInputError(f"no stored mark at t={t}")
-        return CylinderGraph(self.spec, self.z, self.profiles[idx])
-
-    def state_at_mark(self, t: float) -> FlowState:
-        return FlowState(graph=self.graph_at_mark(t), t=float(t))
-
     def mark_index(self, t: float) -> int:
         hits = np.flatnonzero(np.isclose(self.mark_times, t))
         if hits.size == 0:
             raise InvalidInputError(f"no stored mark at t={t}")
         return int(hits[0])
+
+    def graph_at_mark(self, t: float) -> CylinderGraph:
+        return CylinderGraph(self.spec, self.z, self.profiles[self.mark_index(t)])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -186,6 +189,9 @@ class FlowHistory:
                 ])
 
 
+MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
+
+
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:
     """Advance the flow to t_end (or a stop condition) with adaptive stepping.
 
@@ -194,7 +200,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     controls.dt_max, and the distance to the next integer mark, so every
     integer time is hit exactly.  Starting time must be an integer.
     """
-    if abs(state.t - round(state.t)) > 1e-9:
+    if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
     if t_end <= state.t:
         raise InvalidInputError("t_end must exceed the starting time")
@@ -207,23 +213,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     dt_stab = controls.cfl * min(0.5 * h * h, 2.0 * h / max(R_dom, 1e-300))
     dt_cap = min(dt_stab, controls.dt_max)
 
-    # fused right-hand side for the hot loop (same arithmetic as _rhs_raw; the
-    # geometry check moves to accepted profiles, mid-stage blowups surface as
-    # non-finite error estimates)
-    zhalf = 0.5 * z[1:-1]
-    inv2h = 1.0 / (2.0 * h)
-    invh2 = 1.0 / (h * h)
-
-    def frhs(w: np.ndarray) -> np.ndarray:
-        a, b, c = w[2:], w[:-2], w[1:-1]
-        w_z = (a - b) * inv2h
-        w_zz = (a - 2.0 * c + b) * invh2
-        out = np.zeros_like(w)
-        out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
-        return out
-
-    def frk2(w: np.ndarray, dt: float) -> np.ndarray:
-        return w + dt * frhs(w + (0.5 * dt) * frhs(w))
+    _, frk2 = _kernel(z, h, s)
 
     mark_times, mark_F, mark_d1, mark_d2, mark_mu, profiles = [], [], [], [], [], []
     diag_t, diag_dt, diag_err, diag_mu, diag_cfl = [], [], [], [], []
@@ -248,10 +238,10 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         if n_steps >= controls.max_steps:
             raise BlowupError(f"exceeded max_steps={controls.max_steps}",
                               last_state=FlowState(CylinderGraph(spec, z, u), t))
-        next_mark = math.floor(t + 1e-9) + 1.0
+        next_mark = math.floor(t + MARK_TOL) + 1.0
         dt = min(dt_next, dt_cap, t_end - t)
         hit_mark = False
-        if t + dt >= next_mark - 1e-12:
+        if t + dt >= next_mark - MARK_TOL:
             dt = next_mark - t
             hit_mark = True
         big = frk2(u, dt)
@@ -340,18 +330,9 @@ class LojasiewiczFit:
     def tau_in_range(self) -> bool:
         return 1.0 / 3.0 < self.tau_fit < 1.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "C_fit": float(self.C_fit),
-            "tau_fit": float(self.tau_fit),
-            "tau_in_range": bool(self.tau_in_range),
-            "n_windows": int(self.n_windows),
-            "max_C": float(self.max_C),
-            "cap_reached": bool(self.cap_reached),
-            "window_times": [float(x) for x in self.window_times],
-            "residuals": [float(x) for x in self.residuals],
-            "min_residual": float(np.min(self.residuals)) if self.residuals.size else None,
-        }
+    @property
+    def min_residual(self) -> float | None:
+        return float(np.min(self.residuals)) if self.residuals.size else None
 
 
 ZERO_TOL = 1e-13  # absolute threshold below which F-gaps count as zero
@@ -369,9 +350,8 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     if tau_grid is None:
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
     F_cyl = hist.spec.F_value
-    dist_vals = np.array([
-        _profile_dist(hist.z, u, float(hist.z[1] - hist.z[0]), R).dist for u in hist.profiles
-    ])
+    dist_vals = np.array([dist_R(CylinderGraph(hist.spec, hist.z, u), R).dist
+                          for u in hist.profiles])
     ok = dist_vals < eps
     idx = [i for i in range(1, hist.n_marks - 1) if ok[i - 1] and ok[i] and ok[i + 1]]
     if len(idx) < min_windows:
@@ -477,17 +457,6 @@ class RunConfig:
             lambda z: initial_profile(self.profile_kind, self.amplitude, z, rng))
         return FlowState(graph=graph, t=0.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "R_dom": self.R_dom, "h": self.h, "dt_max": self.dt_max,
-            "amplitude": self.amplitude, "profile_kind": self.profile_kind,
-            "t1": self.t1, "t2": self.t2, "eps1": self.eps1, "eps2": self.eps2,
-            "R1": self.R1, "R2": self.R2, "seed": self.seed, "cfl": self.cfl,
-            "step_tol": self.step_tol, "stop_max_abs_u": self.stop_max_abs_u,
-            "max_C": self.max_C, "tau_grid_lo": self.tau_grid_lo,
-            "tau_grid_hi": self.tau_grid_hi,
-        }
-
 
 @dataclass(eq=False)
 class CloseReport:
@@ -518,38 +487,6 @@ class CloseReport:
     certified: bool
     dist_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dist_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def to_json_dict(self) -> dict:
-        def _f(x):
-            return None if x is None or (isinstance(x, float) and math.isnan(x)) else float(x)
-
-        return {
-            "config": self.config,
-            "hypotheses_ok": bool(self.hypotheses_ok),
-            "initial_dist_ok": bool(self.initial_dist_ok),
-            "endpoint_F_ok": bool(self.endpoint_F_ok),
-            "completed": bool(self.completed),
-            "stop_reason": self.stop_reason,
-            "failure_reason": self.failure_reason,
-            "t1": int(self.t1),
-            "t2_requested": int(self.t2_requested),
-            "t2_actual": float(self.t2_actual),
-            "F_cyl": float(self.F_cyl),
-            "delta_F1": _f(self.delta_F1),
-            "delta_F2": _f(self.delta_F2),
-            "case_tag": self.case_tag,
-            "fit": None if self.fit is None else self.fit.to_json_dict(),
-            "parts": self.parts,
-            "c": _f(self.c),
-            "alpha": _f(self.alpha),
-            "promotion_constant": float(self.promotion_constant),
-            "bound_value": _f(self.bound_value),
-            "max_dist_to_ref": float(self.max_dist_to_ref),
-            "bound_holds": bool(self.bound_holds),
-            "certified": bool(self.certified),
-            "dist_times": [float(x) for x in self.dist_times],
-            "dist_values": [float(x) for x in self.dist_values],
-        }
 
 
 def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseReport:
@@ -592,8 +529,10 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
     # hypothesis (2): endpoint F-gaps (requires the run to reach t2 at all).
     # Gaps below the quadrature resolution are snapped to zero so that a flat
     # run yields an exactly-zero bound instead of noise raised to a small power.
-    dF1 = float(hist.mark_F[hist.mark_index(float(cfg.t1))] - F_cyl) \
-        if np.any(np.isclose(hist.mark_times, cfg.t1)) else math.nan
+    try:
+        dF1 = float(hist.mark_F[hist.mark_index(float(cfg.t1))] - F_cyl)
+    except InvalidInputError:
+        dF1 = math.nan
     dF2 = float(hist.mark_F[-1] - F_cyl)
     if abs(dF1) <= ZERO_TOL:
         dF1 = 0.0
@@ -667,7 +606,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
         ref = hist.graph_at_mark(float(cfg.t1 + 1))
         for t in np.arange(cfg.t1 + 1, t2_actual + 1e-9, 1.0):
             gt = hist.graph_at_mark(float(t))
-            d = _profile_dist(hist.z, gt.u - ref.u, gt.h, cfg.R2).dist
+            d = graph_distance(gt, ref, cfg.R2).dist
             dist_times.append(float(t))
             dist_vals.append(float(d))
     else:
@@ -694,7 +633,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
     bound_holds = bool(np.all(dist_vals <= bound_value + 1e-12)) if not math.isnan(bound_value) else False
 
     return CloseReport(
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         hypotheses_ok=hypotheses_ok,
         initial_dist_ok=initial_dist_ok,
         endpoint_F_ok=endpoint_F_ok,

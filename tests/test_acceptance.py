@@ -42,16 +42,20 @@ def test_manifest_reports_every_criterion(suite):
 
 
 def test_verify_all_cli_is_byte_deterministic(tmp_path):
-    """Criterion 11, end to end: same seed, two processes, identical manifests."""
-    outs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowcert", "--quiet", "--out", str(out),
-             "verify-all", "--seed", "7"],
-            capture_output=True, text=True, timeout=1200)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        outs.append((out / "manifest.json").read_bytes())
+    """Criterion 11, end to end: same seed, two concurrent processes, identical manifests."""
+    subs = ("a", "b")
+    procs = [subprocess.Popen(
+        [sys.executable, "-m", "flowcert", "--quiet", "--out", str(tmp_path / sub),
+         "verify-all", "--seed", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for sub in subs]
+    try:
+        logs = [proc.communicate(timeout=1200) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # no-op for a process that has already exited
+    for proc, (stdout, stderr) in zip(procs, logs):
+        assert proc.returncode == 0, stdout + stderr
+    outs = [(tmp_path / sub / "manifest.json").read_bytes() for sub in subs]
     assert outs[0] == outs[1]
     manifest = json.loads(outs[0])
     assert manifest["all_passed"]

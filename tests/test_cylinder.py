@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from flowcert import cylinder as cyl
+from flowcert import harness
 from flowcert.errors import GeometryError, InvalidInputError, PreconditionError
 
 SPEC1 = cyl.CylinderSpec(1)
@@ -145,7 +146,7 @@ class TestDistance:
 
     def test_json_schema(self):
         rep = cyl.dist_R(bump_graph(), R=8.0)
-        assert set(rep.to_json_dict()) == {"R", "c0", "c1", "c2", "dist"}
+        assert set(harness.jsonable(rep)) == {"R", "c0", "c1", "c2", "dist"}
 
 
 class TestEntropyEstimate:

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from flowcert import acceptance, cli, harness
+from flowcert import acceptance, cli, harness, sequences
 from flowcert.errors import ConfigError
 
 COARSE_CFG = """\
@@ -34,7 +35,7 @@ class TestConfigParsing:
         text = harness.config_to_text(cfg)
         cfg2 = harness.load_run_config(path)  # original file unchanged
         assert "profile_kind = balanced_gauss" in text
-        assert cfg2.to_dict() == cfg.to_dict()
+        assert dataclasses.asdict(cfg2) == dataclasses.asdict(cfg)
 
     def test_comments_and_blank_lines(self):
         data = harness.parse_config_text("# full line comment\n\nk = 2  # trailing\n")
@@ -62,6 +63,10 @@ class TestConfigParsing:
             assert cfg.k == 1
         with pytest.raises(ConfigError):
             harness.load_bundled_config("missing.cfg")
+
+    def test_bad_override_of_bundled_config(self):
+        with pytest.raises(ConfigError):
+            harness.load_bundled_config("fit.cfg", overrides={"wibble": 3})
 
 
 class TestJsonable:
@@ -198,6 +203,18 @@ class TestMutationSensitivity:
         monkeypatch.setattr(cyl, "sphere_area", lambda k: real(k) * (1.0 + 1e-4))
         res = acceptance.crit_cylinder_area()
         assert not res.passed
+
+    def test_power_gap_violation_fails_criterion_1(self, monkeypatch):
+        # every tuple reported as satisfying the hypothesis without the gap
+        def broken(a, b, C, tau):
+            return np.ones_like(a, dtype=bool), np.zeros_like(a, dtype=bool)
+
+        monkeypatch.setattr(sequences, "check_power_gap", broken)
+        assert not acceptance.crit_power_gap(1234).passed
+
+    def test_iterated_gap_violation_fails_criterion_2(self, monkeypatch):
+        monkeypatch.setattr(sequences, "iterated_gap_margin", lambda seq, C, tau: -1.0)
+        assert not acceptance.crit_iterated_gap().passed
 
 
 def test_run_log_quiet(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcert import mcf
+from flowcert import harness, mcf
 from flowcert import sequences as sq
 from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, graph_F
 from flowcert.errors import ConfigError, InsufficientDataError, InvalidInputError
@@ -90,6 +90,16 @@ class TestStep:
         with pytest.raises(InvalidInputError):
             mcf.step(mcf.FlowState(smooth_graph(), 0.0), 0.0)
 
+    def test_replays_evolve_bit_for_bit(self):
+        # evolve accepts the two half steps of its step-doubling pair, so
+        # replaying them through the public step must give the same bits
+        cfg = coarse_config()
+        state = cfg.initial_state()
+        hist = mcf.evolve(state, t_end=1.0, controls=cfg.controls())
+        for dt in hist.diag_dt:
+            state = mcf.step(mcf.step(state, dt / 2.0), dt / 2.0)
+        assert np.array_equal(state.graph.u, hist.profiles[-1])
+
 
 class TestEvolve:
     def test_zero_data_constant_area(self):
@@ -104,6 +114,15 @@ class TestEvolve:
         cfg = coarse_config(t2=5)
         hist = mcf.evolve(cfg.initial_state(), t_end=5.0, controls=cfg.controls())
         assert np.array_equal(hist.mark_times, np.arange(6.0))
+
+    def test_marks_survive_time_drift(self):
+        # 1.6e-4 steps accumulate rounding in t, which ends a few 1e-12 short
+        # of t = 9; that step must still land on the mark
+        state = mcf.FlowState(CylinderGraph.zero(SPEC1, R_dom=2.0, h=0.05), 8.0)
+        hist = mcf.evolve(state, t_end=10.0,
+                          controls=mcf.FlowControls(dt_max=1.6e-4, R1=1.5, R2=1.0))
+        assert np.array_equal(hist.mark_times, [8.0, 9.0, 10.0])
+        assert hist.t_final == 10.0
 
     def test_small_bump_area_decreases_toward_limit(self):
         cfg = coarse_config(amplitude=0.01, t2=6)
@@ -259,7 +278,7 @@ class TestCloseExperiment:
         hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
         rep1 = mcf.close_experiment(cfg, hist=hist)
         rep2 = mcf.close_experiment(cfg)
-        assert rep1.to_json_dict() == rep2.to_json_dict()
+        assert harness.jsonable(rep1) == harness.jsonable(rep2)
 
 
 class TestRunConfig:

@@ -17,11 +17,12 @@ import numpy as np
 from . import __version__, acceptance, harness
 from . import gradientflow as gf
 from . import mcf, sequences
-from .cylinder import profile_to_csv
+from .cylinder import profile_to_csv, write_csv
 from .errors import (
     BlowupError,
     ConfigError,
     FlowcertError,
+    GeometryError,
     InsufficientDataError,
     InvalidInputError,
     ParameterError,
@@ -32,6 +33,11 @@ EXIT_SUITE = 1
 EXIT_CERT = 2
 EXIT_HYP = 3
 EXIT_USAGE = 64
+
+# Package errors that end a run with EXIT_USAGE or EXIT_HYP; any other
+# FlowcertError ends it with EXIT_SUITE.
+USAGE_ERRORS = (ConfigError, ParameterError, InvalidInputError)
+HYPOTHESIS_ERRORS = (BlowupError, GeometryError, InsufficientDataError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,13 +146,8 @@ def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
         log.say(f"error: cannot parse --x0 {args.x0!r}")
         return EXIT_USAGE
     traj = gf.integrate(problem, x0, t_end=args.t_end, tol=args.tol)
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        cols = ["t"] + [f"x_{i + 1}" for i in range(problem.dim)] + ["F"]
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [repr(float(t))] + [repr(float(v)) for v in traj.points[i]]
-            row.append(repr(float(traj.F_values[i])))
-            fh.write(",".join(row) + "\n")
+    write_csv(out / "trajectory.csv", ["t", *(f"x_{i + 1}" for i in range(problem.dim)), "F"],
+              [traj.times, *traj.points.T, traj.F_values])
     report = gf.effective_bound(problem, traj, epsilon=args.epsilon)
     payload = harness.jsonable(report)
     payload["problem"] = problem.name
@@ -242,10 +243,10 @@ def main(argv=None) -> int:
         if args.command == "verify-all":
             return _cmd_verify_all(args, out, log)
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, ParameterError, InvalidInputError) as exc:
+    except USAGE_ERRORS as exc:
         log.say(f"error: {exc}")
         return EXIT_USAGE
-    except (BlowupError, InsufficientDataError) as exc:
+    except HYPOTHESIS_ERRORS as exc:
         log.say(f"run aborted: {exc}")
         return EXIT_HYP
     except FlowcertError as exc:

@@ -223,12 +223,16 @@ def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
     return best
 
 
-def profile_to_csv(g: CylinderGraph, path) -> None:
+def write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length numeric columns under a header row, one repr(float) per cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["z", "u"])
-        for zi, ui in zip(g.z, g.u):
-            writer.writerow([repr(float(zi)), repr(float(ui))])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
+
+
+def profile_to_csv(g: CylinderGraph, path) -> None:
+    write_csv(path, ["z", "u"], [g.z, g.u])
 
 
 def profile_from_csv(spec: CylinderSpec, path) -> CylinderGraph:

@@ -34,6 +34,9 @@ from .errors import (
 )
 
 SMALL_BALL = 0.25  # endpoint ball for the effective length bound
+MAX_MARKS = 20_000  # unit marks per side of the effective length bound
+CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
+ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +138,12 @@ def integrate(problem: GradientProblem, x0, t_end: float, tol: float = 1e-9) -> 
     F-values are checked to be non-increasing up to 10*tol.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != problem.dim:
-        raise InvalidInputError(f"x0 has dimension {x0.size}, problem wants {problem.dim}")
+    if x0.size != problem.dim or not np.all(np.isfinite(x0)):
+        raise InvalidInputError(f"x0 must be finite of dimension {problem.dim}, got {x0}")
     if np.linalg.norm(x0) > problem.ball_radius:
         raise PreconditionError("x0 lies outside the validity ball")
-    if tol <= 0 or t_end <= 0:
-        raise ParameterError("need t_end > 0 and tol > 0")
+    if not (0 < tol < math.inf and 0 < t_end < math.inf):
+        raise ParameterError("need finite t_end > 0 and tol > 0")
 
     def rhs(t, x):
         return -np.asarray(problem.grad(x), dtype=float)
@@ -172,12 +175,12 @@ def integrate(problem: GradientProblem, x0, t_end: float, tol: float = 1e-9) -> 
     )
 
 
-def sqrt_segment_sum(traj: Trajectory, check_tol: float = 1e-8, max_marks: int = 200_000) -> float:
+def sqrt_segment_sum(traj: Trajectory, max_marks: int = 200_000) -> float:
     """Sum of sqrt(F-drop) over unit-time segments starting at the trajectory head.
 
     Also verifies the per-segment chord bound: the straight-line distance
     covered in one unit of time is at most sqrt of the F-drop over it (up to
-    check_tol).  Trajectories shorter than one time unit yield 0 with a warning.
+    CHORD_TOL).  Trajectories shorter than one time unit yield 0 with a warning.
     The number of marks is capped at max_marks; the sum is then a partial one
     (every term is nonnegative, so it is still a lower bound and is
     non-decreasing in the number of marks).
@@ -191,30 +194,29 @@ def sqrt_segment_sum(traj: Trajectory, check_tol: float = 1e-8, max_marks: int =
     pts = traj.at(marks)
     F_vals = np.asarray(traj.problem.F(pts), dtype=float)
     drops = F_vals[:-1] - F_vals[1:]
-    if np.min(drops, initial=0.0) < -10.0 * check_tol:
+    if np.min(drops, initial=0.0) < -10.0 * CHORD_TOL:
         raise NumericError("F increased across a unit mark; data is not a descent flow")
     drops = np.maximum(drops, 0.0)
     chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     slack = chords - np.sqrt(drops)
-    if np.max(slack, initial=0.0) > check_tol:
+    if np.max(slack, initial=0.0) > CHORD_TOL:
         raise NumericError(
             f"unit-segment chord exceeds sqrt(F-drop) by {np.max(slack):.3e}; "
             "integration tolerance too loose for this check")
     return float(np.sum(np.sqrt(drops)))
 
 
-def decay_envelope_check(traj: Trajectory, tau: float | None = None, tol: float = 1e-10) -> bool:
-    """Check f(t) <= (f(t0)^(-tau) + tau (t - t0))^(-1/tau) + tol at every stored sample,
-    where f = F - F0 must be strictly positive along the trajectory."""
-    tau = traj.problem.tau if tau is None else tau
-    if not 0.0 < tau <= 1.0:
-        raise ParameterError(f"need tau in (0, 1], got {tau}")
+def decay_envelope_check(traj: Trajectory) -> bool:
+    """Check f(t) <= (f(t0)^(-tau) + tau (t - t0))^(-1/tau) + ENVELOPE_TOL at every
+    stored sample, where f = F - F0 must be strictly positive along the
+    trajectory and tau is the problem's exponent."""
+    tau = traj.problem.tau
     f = np.asarray(traj.F_values, dtype=float) - traj.problem.F0
     if np.any(f <= 0.0):
         raise EnvelopeNotApplicableError("F - F0 is not strictly positive along the trajectory")
     t_rel = traj.times - traj.t_start
     envelope = (f[0] ** (-tau) + tau * t_rel) ** (-1.0 / tau)
-    return bool(np.all(f <= envelope + tol))
+    return bool(np.all(f <= envelope + ENVELOPE_TOL))
 
 
 @dataclass(frozen=True)
@@ -257,15 +259,16 @@ def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float,
     return 0.5 * (t_lo + t_hi)
 
 
-def _mark_values(traj: Trajectory, t_from: float, t_to: float, anchor: str,
-                 max_marks: int) -> tuple[np.ndarray, bool]:
+def _mark_values(traj: Trajectory, t_from: float, t_to: float,
+                 anchor: str) -> tuple[np.ndarray, bool]:
     """F-values at unit marks in [t_from, t_to], anchored at one end.
 
     anchor='start': marks t_from, t_from+1, ...; anchor='end': marks ...,
-    t_to-1, t_to.  Returned in increasing time order.
+    t_to-1, t_to.  Returned in increasing time order, at most MAX_MARKS of
+    them; the flag says whether the cap cut marks off.
     """
     span = t_to - t_from
-    n = min(int(math.floor(span)), max_marks - 1)
+    n = min(int(math.floor(span)), MAX_MARKS - 1)
     truncated = n < int(math.floor(span))
     if anchor == "start":
         marks = t_from + np.arange(n + 1, dtype=float)
@@ -274,25 +277,8 @@ def _mark_values(traj: Trajectory, t_from: float, t_to: float, anchor: str,
     return np.asarray(traj.problem.F(traj.at(marks)), dtype=float), truncated
 
 
-def _certify_part(values: np.ndarray, tau: float, zero_tol: float) -> tuple[float, bool]:
-    """Check the unit-mark drop law on one signed part and return its sqrt-drop sum.
-
-    `values` must be positive non-increasing after dropping entries at or below
-    zero_tol.  Returns (sqrt_drop_sum, hypothesis_ok); an empty or singleton
-    part certifies trivially.
-    """
-    vals = values[values > zero_tol]
-    if vals.size < 2:
-        return 0.0, True
-    # minimum.accumulate only irons out sub-tolerance integrator noise; real
-    # descent data is already non-increasing.
-    seq = sequences.MonotoneSequence(np.minimum.accumulate(vals))
-    report = sequences.check_hypothesis(seq, C=1.0, tau=tau)
-    return report.sqrt_diff_sum, report.ok
-
-
-def effective_bound(problem: GradientProblem, traj: Trajectory, epsilon: float,
-                    max_marks: int = 20_000, zero_tol: float = 1e-300) -> EffectiveBoundReport:
+def effective_bound(problem: GradientProblem, traj: Trajectory,
+                    epsilon: float) -> EffectiveBoundReport:
     """Endpoint-controlled bound for the length of a flow segment.
 
     Both endpoints must lie in the ball of radius 1/4 with |F - F0| < epsilon.
@@ -322,48 +308,33 @@ def effective_bound(problem: GradientProblem, traj: Trajectory, epsilon: float,
     consts = sequences.constructive_bound(1.0, problem.tau)
     bound_value = consts.cap(abs(dF1)) + consts.cap(abs(dF2))
 
+    # The part above F0 is read at marks anchored at t1 up to t_split, the part
+    # below at marks anchored at t2 back to t_split.  The leftover sub-unit
+    # segments next to t_split still obey the per-segment chord bound, so
+    # their sqrt-drops down to (or up from) `level`, the F-value at t_split,
+    # join the reported sum.
     t1, t2 = traj.t_start, traj.t_end
     crossing_time = None
-    truncated = False
     if dF2 >= 0.0:
-        case_tag = "above"
-        vals, truncated = _mark_values(traj, t1, t2, "start", max_marks)
-        sum_pos, ok_pos = _certify_part(vals - F0, problem.tau, zero_tol)
-        sum_neg, ok_neg = 0.0, True
-        parts = [vals]
+        case_tag, t_split, level = "above", t2, float(traj.F_values[-1])
     elif dF1 <= 0.0:
-        case_tag = "below"
-        vals, truncated = _mark_values(traj, t1, t2, "end", max_marks)
-        sum_neg, ok_neg = _certify_part((F0 - vals)[::-1], problem.tau, zero_tol)
-        sum_pos, ok_pos = 0.0, True
-        parts = [vals]
+        case_tag, t_split, level = "below", t1, float(traj.F_values[0])
     else:
-        case_tag = "crossing"
         crossing_time = _bisect_crossing(traj, F0, t1, t2)
-        vals_pos, trunc1 = _mark_values(traj, t1, crossing_time, "start", max_marks)
-        vals_neg, trunc2 = _mark_values(traj, crossing_time, t2, "end", max_marks)
-        truncated = trunc1 or trunc2
-        sum_pos, ok_pos = _certify_part(vals_pos - F0, problem.tau, zero_tol)
-        sum_neg, ok_neg = _certify_part((F0 - vals_neg)[::-1], problem.tau, zero_tol)
-        parts = [vals_pos, vals_neg]
-
-    # Leftover sub-unit segments at interval ends still obey the per-segment
-    # chord bound, so their sqrt-drops join the reported sum: the last mark to
-    # t2 (above), t1 to the first mark (below), or the two pieces flanking the
-    # crossing time, whose F-value is the critical level itself.
-    if case_tag == "above":
-        partial_sum = math.sqrt(max(float(vals[-1]) - float(traj.F_values[-1]), 0.0))
-    elif case_tag == "below":
-        partial_sum = math.sqrt(max(float(traj.F_values[0]) - float(vals[0]), 0.0))
-    else:
-        partial_sum = math.sqrt(max(float(vals_pos[-1]) - F0, 0.0))
-        partial_sum += math.sqrt(max(F0 - float(vals_neg[0]), 0.0))
-
-    sqrt_sum = sum_pos + sum_neg + partial_sum
-    hypothesis_ok = ok_pos and ok_neg
+        case_tag, t_split, level = "crossing", crossing_time, F0
+    sides = []  # (gap series to certify, leftover F-drop at t_split, marks, truncated)
+    if case_tag != "below":
+        vals, cut = _mark_values(traj, t1, t_split, "start")
+        sides.append((vals - F0, float(vals[-1]) - level, vals.size, cut))
+    if case_tag != "above":
+        vals, cut = _mark_values(traj, t_split, t2, "end")
+        sides.append(((F0 - vals)[::-1], level - float(vals[0]), vals.size, cut))
+    gaps, leftovers, sizes, cuts = zip(*sides)
+    parts = [sequences.certify_part(g, consts) for g in gaps]
+    sqrt_sum = sum(p.sqrt_diff_sum for p in parts) + sum(math.sqrt(max(d, 0.0)) for d in leftovers)
+    hypothesis_ok = all(p.hypothesis_ok for p in parts)
     length = traj.length
     holds = hypothesis_ok and length <= bound_value + 1e-12 and sqrt_sum <= bound_value + 1e-12
-    n_marks = sum(v.size for v in parts)
     return EffectiveBoundReport(
         case_tag=case_tag,
         length=length,
@@ -375,8 +346,8 @@ def effective_bound(problem: GradientProblem, traj: Trajectory, epsilon: float,
         delta_F1=dF1,
         delta_F2=dF2,
         crossing_time=crossing_time,
-        n_marks=n_marks,
-        marks_truncated=truncated,
+        n_marks=sum(sizes),
+        marks_truncated=any(cuts),
     )
 
 

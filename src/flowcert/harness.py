@@ -23,14 +23,11 @@ from . import __version__
 from .errors import ConfigError
 from .mcf import RunConfig
 
-_INT_KEYS = {"k", "t1", "t2", "seed"}
-_STR_KEYS = {"profile_kind"}
-
 
 def parse_config_text(text: str, source: str = "<string>") -> dict:
-    """Parse flat key = value lines with # comments into a typed dict."""
+    """Parse flat key = value lines with # comments into a dict typed like RunConfig."""
     out: dict = {}
-    known = {f.name for f in dataclasses.fields(RunConfig)}
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -39,20 +36,12 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
-        if key in _STR_KEYS:
-            out[key] = val
-        elif key in _INT_KEYS:
-            try:
-                out[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: '{key}' wants an integer") from exc
-        else:
-            try:
-                out[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: '{key}' wants a number") from exc
+        try:
+            out[key] = {"int": int, "str": str, "float": float}[types[key]](val)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: '{key}' wants a value of type {types[key]}") from exc
     return out
 
 

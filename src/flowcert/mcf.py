@@ -24,14 +24,13 @@ certificate used by the closeness experiment.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sequences
-from .cylinder import CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F
+from .cylinder import CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F, write_csv
 from .errors import (
     BlowupError,
     ConfigError,
@@ -176,17 +175,9 @@ class FlowHistory:
         return CylinderGraph(self.spec, self.z, self.profiles[self.mark_index(t)])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "F", "dist_R1", "dist_R2", "max_abs_u"])
-            for i in range(self.n_marks):
-                writer.writerow([
-                    repr(float(self.mark_times[i])),
-                    repr(float(self.mark_F[i])),
-                    repr(float(self.mark_dist_R1[i])),
-                    repr(float(self.mark_dist_R2[i])),
-                    repr(float(self.mark_max_u[i])),
-                ])
+        write_csv(path, ["t", "F", "dist_R1", "dist_R2", "max_abs_u"],
+                  [self.mark_times, self.mark_F, self.mark_dist_R1, self.mark_dist_R2,
+                   self.mark_max_u])
 
 
 MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
@@ -212,6 +203,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     R_dom = state.graph.R_dom
     dt_stab = controls.cfl * min(0.5 * h * h, 2.0 * h / max(R_dom, 1e-300))
     dt_cap = min(dt_stab, controls.dt_max)
+    if not dt_cap > 0.0:
+        raise InvalidInputError(f"time-step cap {dt_cap} is not positive; the run cannot advance")
 
     _, frk2 = _kernel(z, h, s)
 
@@ -336,11 +329,11 @@ class LojasiewiczFit:
 
 
 ZERO_TOL = 1e-13  # absolute threshold below which F-gaps count as zero
+MIN_WINDOWS = 5  # admissible unit-mark windows a fit needs
 
 
 def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
-                    tau_grid: np.ndarray | None = None, max_C: float = 100.0,
-                    min_windows: int = 5) -> LojasiewiczFit:
+                    tau_grid: np.ndarray | None = None, max_C: float = 100.0) -> LojasiewiczFit:
     """Fit (C, tau) certifying the window inequality on one run.
 
     A mark t is admissible when the marks t-1, t, t+1 all exist and the
@@ -354,9 +347,9 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
                           for u in hist.profiles])
     ok = dist_vals < eps
     idx = [i for i in range(1, hist.n_marks - 1) if ok[i - 1] and ok[i] and ok[i + 1]]
-    if len(idx) < min_windows:
+    if len(idx) < MIN_WINDOWS:
         raise InsufficientDataError(
-            f"only {len(idx)} admissible unit-mark windows; need >= {min_windows}")
+            f"only {len(idx)} admissible unit-mark windows; need >= {MIN_WINDOWS}")
     idx = np.asarray(idx)
     lhs = np.abs(hist.mark_F[idx] - F_cyl)
     drop = np.maximum(hist.mark_F[idx - 1] - hist.mark_F[idx + 1], 0.0)
@@ -409,6 +402,10 @@ def split_signed_series(series: np.ndarray, zero_tol: float = ZERO_TOL
         np.minimum.accumulate(-neg[::-1]) if neg.size else -neg[::-1]
 
 
+MAX_INTERVALS = 100_000  # grid cap, far above the finest bundled grid (2,000)
+MAX_K = 200  # the closed-form cylinder area overflows a float near k = 300
+
+
 @dataclass
 class RunConfig:
     """Parameters of one flow run (and of the closeness experiment on it)."""
@@ -436,14 +433,25 @@ class RunConfig:
     def __post_init__(self):
         if self.profile_kind not in PROFILE_KINDS:
             raise ConfigError(f"unknown profile_kind '{self.profile_kind}'")
+        for name in ("h", "R_dom", "dt_max", "cfl", "step_tol", "eps1", "eps2", "R1", "R2",
+                     "stop_max_abs_u", "max_C"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ConfigError(f"amplitude must be finite and non-negative, got {self.amplitude}")
+        if not (1 <= self.k <= MAX_K and self.seed >= 0):
+            raise ConfigError(f"need 1 <= k <= {MAX_K} and seed >= 0, got k={self.k}, seed={self.seed}")
+        if not 0 < self.tau_grid_lo < self.tau_grid_hi <= 1:
+            raise ConfigError("need 0 < tau_grid_lo < tau_grid_hi <= 1")
+        if 2.0 * self.R_dom / self.h > MAX_INTERVALS:
+            raise ConfigError(f"grid 2*R_dom/h exceeds {MAX_INTERVALS} intervals")
         if not (isinstance(self.t1, int) and isinstance(self.t2, int)):
             raise ConfigError("t1 and t2 must be integers (unit-mark bookkeeping)")
         if not 0 <= self.t1 <= self.t2 - 2:
             raise ConfigError("need 0 <= t1 <= t2 - 2")
         if self.R2 > self.R_dom - 2 * self.h or self.R1 > self.R_dom - 2 * self.h:
             raise ConfigError("measurement radii must fit inside the grid")
-        if not (0 < self.eps1 and 0 < self.eps2):
-            raise ConfigError("eps1 and eps2 must be positive")
 
     def controls(self) -> FlowControls:
         return FlowControls(dt_max=self.dt_max, cfl=self.cfl, step_tol=self.step_tol,
@@ -564,40 +572,11 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
 
     parts: list[dict] = []
     consts = None
-    certified = True
     if fit is not None:
         consts = sequences.constructive_bound(fit.C_fit, fit.tau_fit)
-        for name, part in (("positive", pos), ("negative", neg)):
-            entry = {"name": name, "n": int(part.size)}
-            if part.size >= 2 and part[0] <= 1.0:
-                seq = sequences.MonotoneSequence(part)
-                rep = sequences.check_hypothesis(seq, fit.C_fit, fit.tau_fit)
-                cap = consts.cap(float(part[0]))
-                entry.update({
-                    "x1": float(part[0]),
-                    "hypothesis_ok": bool(rep.ok),
-                    "first_violation": rep.first_violation,
-                    "sqrt_diff_sum": float(rep.sqrt_diff_sum),
-                    "cap": float(cap),
-                    "cap_ok": bool(rep.sqrt_diff_sum <= cap + 1e-12),
-                })
-                certified = certified and rep.ok and entry["cap_ok"]
-            elif part.size >= 2:  # gap above 1: outside the certificate's domain
-                entry.update({
-                    "x1": float(part[0]), "hypothesis_ok": False,
-                    "first_violation": None, "sqrt_diff_sum": 0.0,
-                    "cap": 0.0, "cap_ok": False,
-                })
-                certified = False
-            else:
-                entry.update({
-                    "x1": float(part[0]) if part.size else 0.0,
-                    "hypothesis_ok": True, "first_violation": None,
-                    "sqrt_diff_sum": 0.0, "cap": 0.0, "cap_ok": True,
-                })
-            parts.append(entry)
-    else:
-        certified = False
+        parts = [{"name": name, **asdict(sequences.certify_part(part, consts))}
+                 for name, part in (("positive", pos), ("negative", neg))]
+    certified = fit is not None and all(p["hypothesis_ok"] and p["cap_ok"] for p in parts)
 
     # measured distances to the reference state at t1 + 1 (absent if the run
     # stopped before reaching it)

@@ -115,11 +115,10 @@ class CertificateConstants:
         return self.c * x1**self.alpha
 
 
-def check_hypothesis(seq: MonotoneSequence, C: float, tau: float,
-                     rel_tol: float = REL_TOL) -> HypothesisReport:
+def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisReport:
     """Check x_{j+1}^(1+tau) <= C (x_j - x_{j+1}) at every step of seq.
 
-    Comparisons carry a relative slack of rel_tol so that data saturating the
+    Comparisons carry a relative slack of REL_TOL so that data saturating the
     inequality exactly (up to float rounding) still passes.
     """
     _require_params(C, tau)
@@ -129,7 +128,7 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float,
     diffs = x[:-1] - x[1:]
     lhs = x[1:] ** (1.0 + tau)
     rhs = C * diffs
-    ok = lhs <= rhs + rel_tol * np.maximum(lhs, rhs)
+    ok = lhs <= rhs + REL_TOL * np.maximum(lhs, rhs)
     bad = np.flatnonzero(~ok)
     first = int(bad[0]) + 1 if bad.size else None
     return HypothesisReport(
@@ -155,37 +154,76 @@ def tail_series_sum(C: float, delta: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _constructive_bound_cached(C: float, tau: float, certify: bool) -> CertificateConstants:
+def _constructive_bound_cached(C: float, tau: float) -> CertificateConstants:
     delta = (1.0 / tau - 1.0) / 3.0
     tail = tail_series_sum(C, delta)
     alpha = tau * delta / 2.0
     c = math.sqrt((2.0 / delta) * (1.0 + 2.0 * (12.0 * C) ** delta * tail))
     consts = CertificateConstants(C=C, tau=tau, c=c, alpha=alpha, delta=delta, tail_sum=tail)
-    if certify:
-        # Release gate: the equality-saturating sequence is the worst case the
-        # generator can produce; the certified cap must dominate its sum.
-        worst = extremal_sequence(C, tau, x1=1.0, n_steps=2000)
-        rep = check_hypothesis(worst, C, tau)
-        if not rep.ok or rep.sqrt_diff_sum > consts.cap(1.0):
-            raise NumericError(
-                f"certificate self-check failed for C={C}, tau={tau}: "
-                f"sum={rep.sqrt_diff_sum}, cap={consts.cap(1.0)}"
-            )
+    # Release gate: the equality-saturating sequence is the worst case the
+    # generator can produce; the certified cap must dominate its sum.
+    worst = extremal_sequence(C, tau, x1=1.0, n_steps=2000)
+    rep = check_hypothesis(worst, C, tau)
+    if not rep.ok or rep.sqrt_diff_sum > consts.cap(1.0):
+        raise NumericError(
+            f"certificate self-check failed for C={C}, tau={tau}: "
+            f"sum={rep.sqrt_diff_sum}, cap={consts.cap(1.0)}"
+        )
     return consts
 
 
-def constructive_bound(C: float, tau: float, certify: bool = True) -> CertificateConstants:
+def constructive_bound(C: float, tau: float) -> CertificateConstants:
     """Extract (c, alpha) such that every admissible sequence for (C, tau)
     satisfies sum_j |x_j - x_{j+1}|^(1/2) <= c * x_1^alpha.
 
     The constants trace the chain of inequalities behind the bound: a weighted
     Cauchy-Schwarz step contributes the 2/delta factor, the iterated gap lower
     bound x_{j+1}^(-tau) > x_1^(-tau) + j/(12C) feeds the tail series, and the
-    square root halves the exponent tau*delta.  With certify=True the returned
-    pair is checked against a long equality-saturating sequence before release.
+    square root halves the exponent tau*delta.  The returned pair is checked
+    against a long equality-saturating sequence before release.
     """
     _require_params(C, tau)
-    return _constructive_bound_cached(float(C), float(tau), bool(certify))
+    return _constructive_bound_cached(float(C), float(tau))
+
+
+# Entries at or below this count as zero when a part is certified.
+POSITIVE_FLOOR = 1e-300
+
+
+@dataclass(frozen=True)
+class PartCertificate:
+    """Drop-law check and capped square-root sum on one monotone part of a series."""
+
+    n: int
+    x1: float
+    hypothesis_ok: bool
+    first_violation: int | None
+    sqrt_diff_sum: float
+    cap: float
+    cap_ok: bool
+
+
+def certify_part(values, consts: CertificateConstants) -> PartCertificate:
+    """Check the drop law for (consts.C, consts.tau) on one positive part of a
+    gap series and compare its square-root increment sum with consts.cap(x1).
+
+    Entries at or below POSITIVE_FLOOR are dropped, and a running minimum irons
+    out sub-tolerance integrator noise (real descent data is already
+    non-increasing).  Fewer than two entries certify trivially; x1 > 1 lies
+    outside the certificate's domain and fails with cap 0.
+    """
+    vals = np.asarray(values, dtype=float)
+    vals = np.minimum.accumulate(vals[vals > POSITIVE_FLOOR])
+    n = int(vals.size)
+    x1 = float(vals[0]) if n else 0.0
+    if n < 2:
+        return PartCertificate(n, x1, True, None, 0.0, 0.0, True)
+    if x1 > 1.0:
+        return PartCertificate(n, x1, False, None, 0.0, 0.0, False)
+    rep = check_hypothesis(MonotoneSequence(vals), consts.C, consts.tau)
+    cap = consts.cap(x1)
+    return PartCertificate(n, x1, rep.ok, rep.first_violation, rep.sqrt_diff_sum,
+                           cap, rep.sqrt_diff_sum <= cap + 1e-12)
 
 
 def extremal_step(x: float, C: float, tau: float) -> float:

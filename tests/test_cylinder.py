@@ -183,6 +183,12 @@ def test_profile_csv_roundtrip(tmp_path):
     assert np.array_equal(back.u, g.u)
 
 
+def test_write_csv_cells_are_float_reprs_with_crlf(tmp_path):
+    path = tmp_path / "cols.csv"
+    cyl.write_csv(path, ["a", "b"], [np.array([0.1, 2.0]), [np.float64(1e-300), 3]])
+    assert path.read_bytes() == b"a,b\r\n0.1,1e-300\r\n2.0,3.0\r\n"
+
+
 def test_grid_validation():
     with pytest.raises(InvalidInputError):
         cyl.CylinderGraph(SPEC1, np.array([0.0, 0.1, 0.3, 0.4, 0.5]), np.zeros(5))

@@ -89,8 +89,12 @@ class TestIntegrate:
             gf.integrate(QUARTIC, [5.0], t_end=1.0)
         with pytest.raises(ParameterError):
             gf.integrate(QUARTIC, [0.1], t_end=-1.0)
+        with pytest.raises(ParameterError):
+            gf.integrate(QUARTIC, [0.1], t_end=np.nan)
         with pytest.raises(InvalidInputError):
             gf.integrate(QUARTIC, [0.1, 0.2], t_end=1.0)
+        with pytest.raises(InvalidInputError):
+            gf.integrate(QUARTIC, [np.nan], t_end=1.0)
 
 
 class TestSqrtSegmentSum:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowcert import acceptance, cli, harness, sequences
-from flowcert.errors import ConfigError
+from flowcert import acceptance, cli, harness, mcf, sequences
+from flowcert.errors import ConfigError, FlowcertError
 
 COARSE_CFG = """\
 # coarse run for fast tests
@@ -69,6 +72,25 @@ class TestConfigParsing:
             harness.load_bundled_config("fit.cfg", overrides={"wibble": 3})
 
 
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(mcf.RunConfig)] + ["wibble"]
+_CONFIG_VALUES = st.one_of(
+    st.floats().map(repr), st.floats(1e-3, 20.0).map(repr), st.integers().map(str),
+    st.integers(0, 12).map(str), st.sampled_from(mcf.PROFILE_KINDS), st.text())
+
+
+class TestConfigProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
+    def test_any_override_builds_or_maps_to_exit_3_or_64(self, overrides):
+        # overrides of a valid config reach initial_state often; whatever the
+        # text, the outcome is a state or a package error with a documented exit
+        text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
+        try:
+            harness._config_from_text(text, "<property>", None).initial_state()
+        except FlowcertError as exc:
+            assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
+
+
 class TestJsonable:
     def test_numpy_and_nan_handling(self):
         data = {"a": np.float64(1.5), "b": np.int32(2), "c": np.array([1.0, 2.0]),
@@ -102,6 +124,30 @@ class TestCliExitCodes:
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet",
                          "mcf", "--config", str(bad)])
         assert code == 64
+
+    @pytest.mark.parametrize("key, value", [
+        ("h", "nan"), ("h", "0"), ("R_dom", "1e9"), ("dt_max", "0"), ("cfl", "0"),
+        ("step_tol", "-1e-8"), ("eps1", "inf"), ("eps2", "0"), ("R1", "-6"), ("R2", "nan"),
+        ("stop_max_abs_u", "0"), ("max_C", "inf"), ("amplitude", "-0.01"), ("amplitude", "nan"),
+        ("k", "0"), ("k", "201"), ("seed", "-1"), ("tau_grid_lo", "0.96"),
+        ("tau_grid_hi", "1.5"), ("h", "1e-4"),
+    ])
+    def test_bad_config_value_is_64(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COARSE_CFG + f"{key} = {value}\n")  # the later line wins
+        start = time.perf_counter()
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 64
+        assert time.perf_counter() - start < 10.0
+        printed = capsys.readouterr()
+        assert "error:" in printed.out and "Traceback" not in printed.out + printed.err
+
+    def test_geometry_error_is_3(self, tmp_path):
+        cfgfile = tmp_path / "neck.cfg"
+        cfgfile.write_text(COARSE_CFG + "profile_kind = neck\namplitude = 2.0\n")
+        code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--config", str(cfgfile)])
+        assert code == 3
+        assert "r <= 0" in (tmp_path / "o" / "run.log").read_text()
 
     def test_violation_is_2(self, tmp_path):
         seq = tmp_path / "constant.txt"
@@ -215,6 +261,23 @@ class TestMutationSensitivity:
     def test_iterated_gap_violation_fails_criterion_2(self, monkeypatch):
         monkeypatch.setattr(sequences, "iterated_gap_margin", lambda seq, C, tau: -1.0)
         assert not acceptance.crit_iterated_gap().passed
+
+    def test_shrunken_constant_fails_criterion_3(self, monkeypatch):
+        # c/20 puts the worst sum/cap ratio (about 0.097) well above 1
+        real = sequences.constructive_bound
+
+        def shrunk(C, tau):
+            consts = real(C, tau)
+            return dataclasses.replace(consts, c=consts.c / 20.0)
+
+        monkeypatch.setattr(sequences, "constructive_bound", shrunk)
+        assert not acceptance.crit_summability_bound(1234).passed
+
+    def test_certifier_violation_fails_criterion_4(self, monkeypatch):
+        real = sequences.certify_part
+        monkeypatch.setattr(sequences, "certify_part", lambda values, consts: dataclasses.replace(
+            real(values, consts), hypothesis_ok=False))
+        assert not acceptance.crit_model_flow(1234).passed
 
 
 def test_run_log_quiet(tmp_path, capsys):

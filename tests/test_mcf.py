@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -158,6 +159,11 @@ class TestEvolve:
         order = math.log2(abs((vals[0.4] - vals[0.1]) / (vals[0.2] - vals[0.1])) - 1.0)
         assert order >= 1.8
 
+    @pytest.mark.parametrize("controls", [mcf.FlowControls(dt_max=0.0), mcf.FlowControls(cfl=0.0)])
+    def test_zero_step_cap_rejected(self, controls):
+        with pytest.raises(InvalidInputError):
+            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 2.0, controls)
+
     def test_non_integer_start_rejected(self):
         with pytest.raises(InvalidInputError):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.5), 2.0, mcf.FlowControls())
@@ -272,6 +278,15 @@ class TestCloseExperiment:
         assert not rep.completed
         assert rep.failure_reason is not None
         assert rep.stop_reason == "max_abs_u"
+
+    def test_certifier_violation_uncertifies(self, monkeypatch):
+        real = sq.certify_part
+        monkeypatch.setattr(sq, "certify_part", lambda values, consts: dataclasses.replace(
+            real(values, consts), hypothesis_ok=False))
+        rep = mcf.close_experiment(coarse_config(amplitude=0.01, t2=9))
+        assert rep.hypotheses_ok and rep.fit is not None
+        assert not rep.certified
+        assert [p["hypothesis_ok"] for p in rep.parts] == [False, False]
 
     def test_reuses_precomputed_history(self):
         cfg = coarse_config(amplitude=0.005, t2=9)

@@ -126,6 +126,35 @@ class TestConstructiveBound:
             sq.constructive_bound(1.0, 1.0)  # delta would be zero
 
 
+class TestCertifyPart:
+    CONSTS = sq.constructive_bound(1.0, 0.5)
+
+    def test_matches_check_hypothesis_and_cap(self):
+        seq = geometric()
+        rep = sq.check_hypothesis(seq, 1.0, 0.5)
+        part = sq.certify_part(seq.values, self.CONSTS)
+        assert part == sq.PartCertificate(n=40, x1=0.5, hypothesis_ok=True, first_violation=None,
+                                          sqrt_diff_sum=rep.sqrt_diff_sum,
+                                          cap=self.CONSTS.cap(0.5), cap_ok=True)
+
+    def test_drops_non_positive_entries_and_irons_noise(self):
+        part = sq.certify_part(np.array([0.5, 0.25, 0.2500001, 1e-301, 0.0, -0.3]), self.CONSTS)
+        assert part.n == 3 and part.x1 == 0.5
+        ironed = sq.check_hypothesis(sq.MonotoneSequence(np.array([0.5, 0.25, 0.25])), 1.0, 0.5)
+        assert part.sqrt_diff_sum == ironed.sqrt_diff_sum
+        assert part.first_violation == ironed.first_violation == 2
+
+    @pytest.mark.parametrize("values", [[], [0.0, -1.0], [3.0]])
+    def test_short_parts_certify_trivially(self, values):
+        part = sq.certify_part(np.array(values), self.CONSTS)
+        assert part.hypothesis_ok and part.cap_ok and part.sqrt_diff_sum == 0.0
+        assert part.n == len([v for v in values if v > 0.0])
+
+    def test_x1_above_one_fails_outside_domain(self):
+        part = sq.certify_part(np.array([2.0, 1.0, 0.5]), self.CONSTS)
+        assert (part.hypothesis_ok, part.cap, part.cap_ok, part.x1) == (False, 0.0, False, 2.0)
+
+
 class TestExtremalSequence:
     def test_quadratic_root(self):
         # tau = 1: x2 solves x^2 + x - 1 = 0

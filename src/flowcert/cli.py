@@ -26,6 +26,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     ParameterError,
+    PreconditionError,
 )
 
 EXIT_OK = 0
@@ -37,7 +38,7 @@ EXIT_USAGE = 64
 # Package errors that end a run with EXIT_USAGE or EXIT_HYP; any other
 # FlowcertError ends it with EXIT_SUITE.
 USAGE_ERRORS = (ConfigError, ParameterError, InvalidInputError)
-HYPOTHESIS_ERRORS = (BlowupError, GeometryError, InsufficientDataError)
+HYPOTHESIS_ERRORS = (BlowupError, GeometryError, InsufficientDataError, PreconditionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +167,8 @@ def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
 
 def _write_history(hist: mcf.FlowHistory, out: Path) -> None:
     hist.to_csv(out / "history.csv")
+    write_csv(out / "diagnostics.csv", ["t", "dt", "err", "max_abs_u", "cfl"],
+              [hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl])
     profdir = out / "profiles"
     profdir.mkdir(parents=True, exist_ok=True)
     for t in hist.mark_times:

@@ -37,6 +37,8 @@ SMALL_BALL = 0.25  # endpoint ball for the effective length bound
 MAX_MARKS = 20_000  # unit marks per side of the effective length bound
 CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
 ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
+SPOT_CHECK_SLACK = 1e-12  # absolute slack of the sampled decay inequality
+CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing bisection
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +69,15 @@ class GradientProblem:
     def F0(self) -> float:
         return float(self.F(np.zeros(self.dim)))
 
-    def decay_inequality_spot_check(self, rng: np.random.Generator, n_samples: int = 10_000,
-                                    slack: float = 1e-12) -> bool:
+    def decay_inequality_spot_check(self, rng: np.random.Generator,
+                                    n_samples: int = 10_000) -> bool:
         """Sample the ball and test |F - F0|^(1+tau) <= |grad F|^2 pointwise."""
         pts = rng.uniform(-1.0, 1.0, size=(n_samples, self.dim))
         pts *= self.ball_radius * rng.random(n_samples)[:, None] / np.maximum(
             np.linalg.norm(pts, axis=1)[:, None], 1e-300)
         lhs = np.abs(np.asarray(self.F(pts), dtype=float) - self.F0) ** (1.0 + self.tau)
         rhs = np.sum(np.asarray(self.grad(pts), dtype=float) ** 2, axis=-1)
-        return bool(np.all(lhs <= rhs + slack))
+        return bool(np.all(lhs <= rhs + SPOT_CHECK_SLACK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,18 +239,17 @@ class EffectiveBoundReport:
     marks_truncated: bool = False
 
 
-def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float,
-                     tol: float = 1e-12) -> float:
+def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float) -> float:
     """Locate the time where F along the trajectory crosses F0 (F is monotone).
 
-    Converges to the absolute tolerance or, for long horizons, to the float
+    Converges to CROSSING_TOL or, for long horizons, to the float
     spacing of the bracket, whichever is coarser.
     """
     g_lo = float(traj.F_at(t_lo)) - F0
     g_hi = float(traj.F_at(t_hi)) - F0
     if g_lo < 0 or g_hi > 0:
         raise NumericError("crossing bracket does not straddle the critical level")
-    while t_hi - t_lo > tol:
+    while t_hi - t_lo > CROSSING_TOL:
         mid = 0.5 * (t_lo + t_hi)
         if mid <= t_lo or mid >= t_hi:  # bracket already at float resolution
             break

@@ -15,7 +15,10 @@ the discrete scheme to the last bit.
 Discretization is method-of-lines: second-order central differences in z on a
 uniform grid with the profile pinned to the cylinder at both ends, an explicit
 midpoint (RK2) step in time with step-doubling error control, and the time
-step capped by a parabolic stability bound proportional to h^2.
+step capped by a parabolic stability bound proportional to h^2.  One in-place
+kernel evaluates the right-hand side; the full step and the two half steps of
+the step-doubling pair share their first stage, so a step costs 5 evaluations
+and allocates no array.
 
 Gaussian area is sampled at unit time marks; those marks feed the empirical
 decay-exponent fit and, at every second mark, the discrete summability
@@ -79,35 +82,61 @@ class FlowState:
 
 
 def _kernel(z: np.ndarray, h: float, s: float):
-    """Fused right-hand side and explicit midpoint step on one grid.
+    """In-place right-hand side on one grid.
 
-    Returns (frhs, frk2) with the grid constants 0.5*z, 1/(2h) and 1/h^2
-    hoisted out of the calls.  The radial term is u (2s + u) / (2 (s + u)), so
-    frhs(0) == 0 exactly.  No geometry check happens here: callers validate
-    accepted profiles, and mid-stage blowups surface as non-finite values.
+    Returns frhs(w, out), which writes the time derivative of w into out[1:-1]
+    and returns out; out must not be w.  The end rows of out are never
+    written, so a zeroed buffer keeps them at zero.  Grid constants and scratch
+    arrays are set up once per _kernel call, and every ufunc keeps the operand
+    grouping of
+
+        ((a - 2c) + b)/h^2 / (1 + w_z^2) + c (2s + c) / (2 (s + c)) - (z/2) w_z,
+
+    so the bits match evaluating it out of place.  The radial term is
+    u (2s + u) / (2 (s + u)), so frhs(0) == 0 exactly.  No geometry check
+    happens here: callers validate accepted profiles, and mid-stage blowups
+    surface as non-finite values.
     """
     zhalf = 0.5 * z[1:-1]
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
+    two_s = 2.0 * s
+    w_z, num, den = (np.empty(z.size - 2) for _ in range(3))
 
-    def frhs(w: np.ndarray) -> np.ndarray:
+    def frhs(w: np.ndarray, out: np.ndarray) -> np.ndarray:
         a, b, c = w[2:], w[:-2], w[1:-1]
-        w_z = (a - b) * inv2h
-        w_zz = (a - 2.0 * c + b) * invh2
-        out = np.zeros_like(w)
-        out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
+        o = out[1:-1]
+        np.subtract(a, b, out=w_z)
+        np.multiply(w_z, inv2h, out=w_z)
+        np.multiply(c, 2.0, out=o)
+        np.subtract(a, o, out=o)
+        np.add(o, b, out=o)
+        np.multiply(o, invh2, out=o)  # w_zz
+        np.multiply(w_z, w_z, out=den)
+        np.add(den, 1.0, out=den)
+        np.divide(o, den, out=o)  # diffusion term
+        np.add(c, two_s, out=num)
+        np.multiply(c, num, out=num)
+        np.add(c, s, out=den)
+        np.multiply(den, 2.0, out=den)
+        np.divide(num, den, out=num)  # radial term
+        np.add(o, num, out=o)
+        np.multiply(zhalf, w_z, out=num)
+        np.subtract(o, num, out=o)
         return out
 
-    def frk2(w: np.ndarray, dt: float) -> np.ndarray:
-        return w + dt * frhs(w + (0.5 * dt) * frhs(w))
+    return frhs
 
-    return frhs, frk2
+
+def _axpy(x: np.ndarray, a: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = x + a*k without temporaries (out may be k, not x)."""
+    np.multiply(k, a, out=out)
+    return np.add(x, out, out=out)
 
 
 def rhs(g: CylinderGraph) -> np.ndarray:
     """Time derivative of the profile under the rescaled flow (zero at the ends)."""
-    frhs, _ = _kernel(g.z, g.h, g.spec.radius)
-    return frhs(g.u)
+    return _kernel(g.z, g.h, g.spec.radius)(g.u, np.zeros_like(g.u))
 
 
 def step(state: FlowState, dt: float) -> FlowState:
@@ -115,8 +144,10 @@ def step(state: FlowState, dt: float) -> FlowState:
     if dt <= 0.0:
         raise InvalidInputError(f"need dt > 0, got {dt}")
     g = state.graph
-    _, frk2 = _kernel(g.z, g.h, g.spec.radius)
-    u_new = frk2(g.u, dt)
+    frhs = _kernel(g.z, g.h, g.spec.radius)
+    k = frhs(g.u, np.zeros_like(g.u))
+    frhs(g.u + (0.5 * dt) * k, k)
+    u_new = g.u + dt * k
     if not np.all(np.isfinite(u_new)):
         raise BlowupError(f"non-finite profile after step at t={state.t}", last_state=state)
     return FlowState(graph=g.with_profile(u_new), t=state.t + dt)
@@ -142,6 +173,8 @@ class FlowHistory:
 
     Profiles are stored at every integer time; diagnostics (accepted dt, local
     error estimate, max |u|, parabolic CFL number) at every accepted step.
+    n_rhs counts right-hand-side evaluations and n_rejected the steps the error
+    control refused; every attempted step costs 5 evaluations.
     """
 
     spec: CylinderSpec
@@ -160,6 +193,8 @@ class FlowHistory:
     diag_cfl: np.ndarray
     stop_reason: str
     t_final: float
+    n_rhs: int
+    n_rejected: int
 
     @property
     def n_marks(self) -> int:
@@ -190,6 +225,11 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     parabolic stability cap cfl*h^2/2, the advective cap cfl*2h/R_dom,
     controls.dt_max, and the distance to the next integer mark, so every
     integer time is hit exactly.  Starting time must be an integer.
+
+    Each attempted step costs 5 right-hand-side evaluations: the full midpoint
+    step and the first of the two half steps share their first stage frhs(u).
+    All stages are written into buffers allocated once per call, and an
+    accepted step swaps the profile buffer with the fine result.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
@@ -206,7 +246,18 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     if not dt_cap > 0.0:
         raise InvalidInputError(f"time-step cap {dt_cap} is not positive; the run cannot advance")
 
-    _, frk2 = _kernel(z, h, s)
+    kernel = _kernel(z, h, s)
+    n_rhs = 0
+    n_rejected = 0
+
+    def frhs(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        nonlocal n_rhs
+        n_rhs += 1
+        return kernel(w, out)
+
+    # k0 and k keep the zero end rows frhs never writes; _axpy fills the rest
+    k0, k = np.zeros_like(u), np.zeros_like(u)
+    stage, big, half, fine, scratch = (np.empty_like(u) for _ in range(5))
 
     mark_times, mark_F, mark_d1, mark_d2, mark_mu, profiles = [], [], [], [], [], []
     diag_t, diag_dt, diag_err, diag_mu, diag_cfl = [], [], [], [], []
@@ -221,6 +272,9 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         mark_mu.append(float(np.max(np.abs(u_now))))
         profiles.append(u_now.copy())
 
+    def last_state() -> FlowState:
+        return FlowState(CylinderGraph(spec, z, u), t)  # copies u
+
     t = float(round(state.t))
     record_mark(t, u)
     dt_next = dt_cap
@@ -229,34 +283,42 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     stop_reason = "completed"
     while t < t_end - 1e-12 and not stopped:
         if n_steps >= controls.max_steps:
-            raise BlowupError(f"exceeded max_steps={controls.max_steps}",
-                              last_state=FlowState(CylinderGraph(spec, z, u), t))
+            raise BlowupError(f"exceeded max_steps={controls.max_steps}", last_state=last_state())
         next_mark = math.floor(t + MARK_TOL) + 1.0
         dt = min(dt_next, dt_cap, t_end - t)
         hit_mark = False
         if t + dt >= next_mark - MARK_TOL:
             dt = next_mark - t
             hit_mark = True
-        big = frk2(u, dt)
-        fine = frk2(frk2(u, 0.5 * dt), 0.5 * dt)
-        err = float(np.max(np.abs(big - fine))) / 3.0
+        # step-doubling pair: big is one midpoint step of dt, fine two of dt/2;
+        # both start from k0 = frhs(u)
+        hdt = 0.5 * dt
+        frhs(u, k0)
+        frhs(_axpy(u, hdt, k0, stage), k)
+        _axpy(u, dt, k, big)
+        frhs(_axpy(u, 0.5 * hdt, k0, stage), k)
+        _axpy(u, hdt, k, half)
+        frhs(half, k)
+        frhs(_axpy(half, 0.5 * hdt, k, stage), k)
+        _axpy(half, hdt, k, fine)
+        err = float(np.max(np.abs(np.subtract(big, fine, out=scratch), out=scratch))) / 3.0
         if not math.isfinite(err):
-            raise BlowupError(f"non-finite profile at t={t}",
-                              last_state=FlowState(CylinderGraph(spec, z, u), t))
+            raise BlowupError(f"non-finite profile at t={t}", last_state=last_state())
         if err > controls.step_tol:
             if dt <= 1e-14:
                 raise BlowupError(f"step size underflow at t={t} (err={err:.3e})",
-                                  last_state=FlowState(CylinderGraph(spec, z, u), t))
+                                  last_state=last_state())
+            n_rejected += 1
             dt_next = dt * max(0.3, 0.9 * (controls.step_tol / err) ** (1.0 / 3.0))
             continue
         if np.min(fine) <= -s:
             raise GeometryError(f"flow left the graph regime at t={t}: r <= 0")
-        u = fine
+        u, fine = fine, u
         t = next_mark if hit_mark else t + dt
         n_steps += 1
         grow = 2.0 if err == 0.0 else min(2.0, max(0.3, 0.9 * (controls.step_tol / err) ** (1.0 / 3.0)))
         dt_next = min(dt_cap, dt * grow)
-        max_u = float(np.max(np.abs(u)))
+        max_u = float(np.max(np.abs(u, out=scratch)))
         diag_t.append(t)
         diag_dt.append(dt)
         diag_err.append(err)
@@ -266,9 +328,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         if len(recent_max_u) > 10:
             old = recent_max_u.pop(0)
             if max_u > 1e-8 and old > 0.0 and max_u > 2.0 * old:
-                raise BlowupError(
-                    f"max |u| doubled within 10 steps at t={t}; scheme unstable",
-                    last_state=FlowState(CylinderGraph(spec, z, u), t))
+                raise BlowupError(f"max |u| doubled within 10 steps at t={t}; scheme unstable",
+                                  last_state=last_state())
         if controls.stop_max_abs_u is not None and max_u > controls.stop_max_abs_u:
             stop_reason = "max_abs_u"
             stopped = True
@@ -294,6 +355,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         diag_cfl=np.asarray(diag_cfl),
         stop_reason=stop_reason,
         t_final=float(t),
+        n_rhs=n_rhs,
+        n_rejected=n_rejected,
     )
 
 
@@ -384,20 +447,19 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     )
 
 
-def split_signed_series(series: np.ndarray, zero_tol: float = ZERO_TOL
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def split_signed_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a non-increasing signed series into certifiable monotone parts.
 
     Returns (positive prefix, negative suffix reindexed backwards with its
     sign flipped); both results are positive and non-increasing.  Entries with
-    magnitude at or below zero_tol are dropped.  The sign-crossing difference
+    magnitude at or below ZERO_TOL are dropped.  The sign-crossing difference
     is the only one not reproduced inside a part.
     """
     v = np.asarray(series, dtype=float)
     if np.any(np.diff(v) > 1e-9 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
         raise InvalidInputError("series must be non-increasing")
-    pos = v[v > zero_tol]
-    neg = v[v < -zero_tol]
+    pos = v[v > ZERO_TOL]
+    neg = v[v < -ZERO_TOL]
     return np.minimum.accumulate(pos) if pos.size else pos, \
         np.minimum.accumulate(-neg[::-1]) if neg.size else -neg[::-1]
 

@@ -149,6 +149,16 @@ class TestCliExitCodes:
         assert code == 3
         assert "r <= 0" in (tmp_path / "o" / "run.log").read_text()
 
+    def test_precondition_error_is_3(self, tmp_path, capsys):
+        # x0 = 0.3 starts the segment outside the ball of radius 1/4, a
+        # hypothesis of the length bound
+        code = cli.main(["--out", str(tmp_path / "o"), "grad-flow", "--problem", "quartic1d",
+                         "--x0", "0.3", "--t-end", "1"])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert "run aborted: segment endpoints must lie in the ball" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
     def test_violation_is_2(self, tmp_path):
         seq = tmp_path / "constant.txt"
         seq.write_text("0.5\n0.5\n0.5\n0.5\n0.5\n")
@@ -214,6 +224,18 @@ class TestCliExitCodes:
         profiles = sorted((out / "profiles").glob("profile_t*.csv"))
         assert len(profiles) == 9  # marks 0..8
 
+    def test_mcf_writes_one_diagnostics_row_per_step(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COARSE_CFG)
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--quiet", "mcf", "--config", str(cfgfile)]) == 0
+        cfg = harness.load_run_config(cfgfile)
+        hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        assert lines[0] == "t,dt,err,max_abs_u,cfl"
+        assert len(lines) - 1 == hist.diag_t.size == 4000
+        assert lines[-1].split(",")[0] == repr(float(cfg.t2))
+
     def test_blowup_returns_3(self, tmp_path):
         cfgfile = tmp_path / "blow.cfg"
         cfgfile.write_text(COARSE_CFG.replace("amplitude = 0.01", "amplitude = 0.3")
@@ -278,6 +300,31 @@ class TestMutationSensitivity:
         monkeypatch.setattr(sequences, "certify_part", lambda values, consts: dataclasses.replace(
             real(values, consts), hypothesis_ok=False))
         assert not acceptance.crit_model_flow(1234).passed
+
+    def test_shifted_rhs_fails_criterion_7(self, monkeypatch):
+        # a constant 1e-6 source moves the zero profile off the cylinder.  The
+        # criterion reads zero.cfg, swapped for a coarse copy to keep the test
+        # fast: h = 0.1 and t2 = 2 (5,000 steps instead of 62,500).  dt_max =
+        # 4e-4 keeps |u| from doubling within 10 steps, which would end the
+        # run with evolve's BlowupError before the criterion reads it
+        real_kernel = mcf._kernel
+
+        def shifted_kernel(z, h, s):
+            frhs = real_kernel(z, h, s)
+
+            def shifted(w, out):
+                frhs(w, out)
+                out[1:-1] += 1e-6
+                return out
+            return shifted
+
+        real_load = harness.load_bundled_config
+        monkeypatch.setattr(harness, "load_bundled_config",
+                            lambda name: real_load(name, {"h": 0.1, "dt_max": 4e-4, "t2": 2}))
+        assert acceptance.crit_stationarity({}).passed  # the coarse copy passes unmutated
+        monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
+        res = acceptance.crit_stationarity({})
+        assert not res.passed, res.line()
 
 
 def test_run_log_quiet(tmp_path, capsys):

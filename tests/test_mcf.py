@@ -25,6 +25,72 @@ def smooth_graph(amplitude=0.05, h=0.1):
         SPEC1, 20.0, h, lambda z: amplitude * np.exp(-(z**2) / 2.0))
 
 
+def reference_kernel(z, h, s):
+    """The kernel as an out-of-place formula: fresh arrays, one expression."""
+    zhalf = 0.5 * z[1:-1]
+    inv2h = 1.0 / (2.0 * h)
+    invh2 = 1.0 / (h * h)
+
+    def frhs(w):
+        a, b, c = w[2:], w[:-2], w[1:-1]
+        w_z = (a - b) * inv2h
+        w_zz = (a - 2.0 * c + b) * invh2
+        out = np.zeros_like(w)
+        out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
+        return out
+
+    def frk2(w, dt):
+        return w + dt * frhs(w + (0.5 * dt) * frhs(w))
+
+    return frhs, frk2
+
+
+def random_graphs(n_points, count=2, R_dom=20.0, seed=7):
+    rng = np.random.default_rng(seed)
+    h = 2.0 * R_dom / (n_points - 1)
+    return [CylinderGraph.from_profile(SPEC1, R_dom, h,
+                                       lambda z: mcf.initial_profile("random", 0.05, z, rng))
+            for _ in range(count)]
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("n_points", [801, 2001])
+    def test_in_place_rhs_matches_reference(self, n_points):
+        g1, g2 = random_graphs(n_points)
+        assert g1.z.size == n_points
+        frhs = mcf._kernel(g1.z, g1.h, SPEC1.radius)
+        ref, _ = reference_kernel(g1.z, g1.h, SPEC1.radius)
+        out = np.zeros_like(g1.u)
+        for g in (g1, g2, g1):  # one out buffer, different inputs in turn
+            assert frhs(g.u, out) is out
+            assert out.tobytes() == ref(g.u).tobytes()
+            assert out[[0, -1]].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
+
+    @pytest.mark.parametrize("n_points", [801, 2001])
+    def test_rhs_returns_fresh_arrays(self, n_points):
+        g1, g2 = random_graphs(n_points)
+        first = mcf.rhs(g1)
+        kept = first.copy()
+        second = mcf.rhs(g2)
+        assert second is not first
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n_points, R_dom", [(801, 20.0), (2001, 50.0)])
+    def test_evolve_replays_reference_step_doubling(self, n_points, R_dom):
+        # h = 0.05 either way, so dt = dt_max = 1e-3 and one unit of time is
+        # 1000 steps; the larger domain gives N = 2001
+        (g,) = random_graphs(n_points, count=1, R_dom=R_dom)
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls())
+        assert hist.n_rejected == 0
+        _, frk2 = reference_kernel(g.z, g.h, SPEC1.radius)
+        u = g.u
+        for dt, err in zip(hist.diag_dt, hist.diag_err):
+            big = frk2(u, dt)
+            u = frk2(frk2(u, dt / 2.0), dt / 2.0)
+            assert float(np.max(np.abs(big - u))) / 3.0 == err
+        assert u.tobytes() == hist.profiles[-1].tobytes()
+
+
 class TestRhs:
     def test_cylinder_is_exact_fixed_point(self):
         g = CylinderGraph.zero(SPEC1, 20.0, 0.05)
@@ -167,6 +233,23 @@ class TestEvolve:
     def test_non_integer_start_rejected(self):
         with pytest.raises(InvalidInputError):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.5), 2.0, mcf.FlowControls())
+
+    def test_counts_five_rhs_per_attempted_step(self):
+        cfg = coarse_config()
+        hist = mcf.evolve(cfg.initial_state(), 8.0, cfg.controls())
+        assert hist.diag_t.size == 4000
+        assert hist.n_rhs == 5 * (hist.diag_t.size + hist.n_rejected)
+        # a tolerance below the error estimate makes the controller refuse steps
+        cfg = coarse_config(step_tol=1e-13, t2=2)
+        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        assert hist.n_rejected > 0
+        assert hist.n_rhs == 5 * (hist.diag_t.size + hist.n_rejected)
+
+    def test_fit_config_rejects_no_step(self):
+        cfg = harness.load_bundled_config("fit.cfg")
+        hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+        assert hist.n_rejected == 0
+        assert hist.n_rhs == 5 * hist.diag_t.size
 
     def test_history_csv(self, tmp_path):
         cfg = coarse_config(t2=3)

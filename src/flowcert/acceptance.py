@@ -19,9 +19,25 @@ import numpy as np
 from . import gradientflow as gf
 from . import harness, mcf, sequences
 from .cylinder import CylinderGraph, CylinderSpec, graph_F
+from .errors import FlowcertError
 
 CELLS = [(1.0, 0.4), (1.0, 0.5), (1.0, 0.9), (10.0, 0.4), (10.0, 0.5), (10.0, 0.9)]
 GEOMETRIC_SUM = 1.70711  # closed form 0.5 (1 - 2^(-39/2)) / (1 - 2^(-1/2)), 5 decimals
+
+# criterion number -> the name its CheckResult carries
+NAMES = {
+    1: "power-gap-implication",
+    2: "iterated-gap-extremal",
+    3: "summability-bound",
+    4: "model-flow",
+    5: "gradient-consistency",
+    6: "cylinder-area-closed-form",
+    7: "cylinder-stationarity",
+    8: "flow-area-monotonicity",
+    9: "decay-fit-feasibility",
+    10: "effective-closeness-trend",
+    11: "report-determinism",
+}
 
 
 @dataclass
@@ -57,7 +73,7 @@ def crit_power_gap(seed: int) -> CheckResult:
     hyp, gap = sequences.check_power_gap(a[valid], b[valid], C[valid], tau[valid])
     violations = int(np.sum(hyp & ~gap))
     checked = int(np.sum(hyp))
-    return CheckResult(1, "power-gap-implication", violations == 0,
+    return CheckResult(1, NAMES[1], violations == 0,
                        f"{checked} hypothesis-true tuples of {n}, {violations} violations")
 
 
@@ -67,7 +83,7 @@ def crit_iterated_gap() -> CheckResult:
     for C, tau in CELLS:
         seq = sequences.extremal_sequence(C, tau, x1=1.0, n_steps=10_000)
         worst_margin = min(worst_margin, sequences.iterated_gap_margin(seq, C, tau))
-    return CheckResult(2, "iterated-gap-extremal", worst_margin > 0.0,
+    return CheckResult(2, NAMES[2], worst_margin > 0.0,
                        f"min margin {worst_margin:.6e} over {len(CELLS)} cells, N=10^4")
 
 
@@ -80,12 +96,11 @@ def crit_summability_bound(seed: int) -> CheckResult:
     worst_ratio = 0.0
     for C, tau in CELLS:
         consts = sequences.constructive_bound(C, tau)
-        for _ in range(1000):
-            seq = sequences.random_admissible_sequence(C, tau, rng, n_steps=40)
-            cap = consts.cap(float(seq.values[0]))
-            ratio = seq.sqrt_diff_sum() / cap if cap > 0 else math.inf
-            worst_ratio = max(worst_ratio, ratio)
-            ok = ok and seq.sqrt_diff_sum() <= cap
+        vals = sequences.random_admissible_batch(C, tau, rng, n_seq=1000, n_steps=40)
+        sums = np.sum(np.sqrt(vals[:, :-1] - vals[:, 1:]), axis=1)
+        caps = consts.cap(vals[:, 0])
+        worst_ratio = max(worst_ratio, float(np.max(sums / caps)))
+        ok = ok and bool(np.all(sums <= caps))
         worst = sequences.extremal_sequence(C, tau, x1=1.0, n_steps=10_000)
         ok = ok and worst.sqrt_diff_sum() <= consts.cap(1.0)
     geo = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float))
@@ -94,7 +109,7 @@ def crit_summability_bound(seed: int) -> CheckResult:
     ok = ok and geo_ok
     notes.append(f"worst sum/cap ratio {worst_ratio:.4f}")
     notes.append(f"geometric sum {geo_rep.sqrt_diff_sum:.6f} (ref {GEOMETRIC_SUM})")
-    return CheckResult(3, "summability-bound", ok, "; ".join(notes))
+    return CheckResult(3, NAMES[3], ok, "; ".join(notes))
 
 
 def _classifier_sample(problem: gf.GradientProblem, rng: np.random.Generator, index: int):
@@ -142,7 +157,7 @@ def crit_model_flow(seed: int) -> CheckResult:
     measured = (f"length err {len_err:.2e} (tol 1e-6); envelope {envelope_ok}; "
                 f"certified {certified}/{total} (cases {cases['above']}/{cases['below']}/"
                 f"{cases['crossing']} above/below/crossing)")
-    return CheckResult(4, "model-flow", ok, measured)
+    return CheckResult(4, NAMES[4], ok, measured)
 
 
 def crit_gradient_consistency(seed: int) -> CheckResult:
@@ -163,7 +178,7 @@ def crit_gradient_consistency(seed: int) -> CheckResult:
                 fd[i] = (float(problem.F(x + e)) - float(problem.F(x - e))) / (2.0 * hstep)
             rel = float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
             worst = max(worst, rel)
-    return CheckResult(5, "gradient-consistency", worst <= 1e-6,
+    return CheckResult(5, NAMES[5], worst <= 1e-6,
                        f"max relative deviation {worst:.3e} over 10^3 points x "
                        f"{len(gf.builtin_problems())} problems")
 
@@ -176,7 +191,7 @@ def crit_cylinder_area() -> CheckResult:
         g = CylinderGraph.zero(CylinderSpec(k), R_dom=20.0, h=0.01)
         errs[k] = abs(graph_F(g).value - ref)
     ok = all(e <= 1e-6 for e in errs.values())
-    return CheckResult(6, "cylinder-area-closed-form", ok,
+    return CheckResult(6, NAMES[6], ok,
                        f"k=1 err {errs[1]:.2e}, k=2 err {errs[2]:.2e} (tol 1e-6)")
 
 
@@ -190,7 +205,7 @@ def crit_stationarity(ctx: dict) -> CheckResult:
     F_cyl = hist.spec.F_value
     F_dev = float(np.max(np.abs(hist.mark_F - F_cyl)))
     ok = sup_u < 1e-8 and F_dev <= 1e-8 and hist.stop_reason == "completed"
-    return CheckResult(7, "cylinder-stationarity", ok,
+    return CheckResult(7, NAMES[7], ok,
                        f"sup|u| {sup_u:.2e}, max|F - F_cyl| {F_dev:.2e} over t in [0, {cfg.t2}]")
 
 
@@ -203,7 +218,7 @@ def crit_monotone_F(ctx: dict) -> CheckResult:
             worst = max(worst, float(np.max(np.diff(hist.mark_F))))
             n_runs += 1
     ok = n_runs > 0 and worst <= 1e-8
-    return CheckResult(8, "flow-area-monotonicity", ok,
+    return CheckResult(8, NAMES[8], ok,
                        f"max unit-mark increase {worst:.2e} across {n_runs} runs")
 
 
@@ -232,7 +247,7 @@ def crit_fit_feasibility(ctx: dict) -> CheckResult:
                 f"C_fit {fit.C_fit:.4f}, min slack {min_slack:.2e}, "
                 f"windows {fit.n_windows}, dC(h/2) {100 * rel_h:.2f}%, "
                 f"dC(dt/2) {100 * rel_dt:.2f}%")
-    return CheckResult(9, "decay-fit-feasibility", ok, measured)
+    return CheckResult(9, NAMES[9], ok, measured)
 
 
 SWEEP_AMPLITUDES = (0.02, 0.01, 0.005)
@@ -261,7 +276,7 @@ def crit_close_trend(ctx: dict) -> CheckResult:
     trend_ok = bool(np.all(np.diff(np.asarray(peaks)[order]) <= 1e-12))
     amp_matches_gap = bool(np.all(np.diff(gaps) <= 0.0))  # amplitudes are given decreasing
     ok = all_ok and trend_ok and amp_matches_gap
-    return CheckResult(10, "effective-closeness-trend", ok, "; ".join(details) +
+    return CheckResult(10, NAMES[10], ok, "; ".join(details) +
                        f"; peak non-increasing with gap: {trend_ok}")
 
 
@@ -276,30 +291,38 @@ def crit_determinism(seed: int) -> CheckResult:
         return json.dumps(harness.jsonable(rep), sort_keys=True).encode()
 
     same = build() == build()
-    return CheckResult(11, "report-determinism", same,
+    return CheckResult(11, NAMES[11], same,
                        "same-seed report bytes identical" if same else "byte mismatch")
 
 
 def run_all(seed: int = 1234, log: harness.RunLog | None = None) -> tuple[list[CheckResult], dict]:
-    """Execute every criterion; returns results and the deterministic manifest."""
+    """Execute every criterion; returns results and the deterministic manifest.
+
+    A criterion that raises a FlowcertError fails with the exception as its
+    measured string, and the rest still run.
+    """
     ctx: dict = {}
     plan = [
-        lambda: crit_power_gap(seed),
-        crit_iterated_gap,
-        lambda: crit_summability_bound(seed),
-        lambda: crit_model_flow(seed),
-        lambda: crit_gradient_consistency(seed),
-        crit_cylinder_area,
-        lambda: crit_stationarity(ctx),
-        lambda: crit_fit_feasibility(ctx),
-        lambda: crit_close_trend(ctx),
-        lambda: crit_monotone_F(ctx),
-        lambda: crit_determinism(seed),
+        (1, lambda: crit_power_gap(seed)),
+        (2, crit_iterated_gap),
+        (3, lambda: crit_summability_bound(seed)),
+        (4, lambda: crit_model_flow(seed)),
+        (5, lambda: crit_gradient_consistency(seed)),
+        (6, crit_cylinder_area),
+        (7, lambda: crit_stationarity(ctx)),
+        (9, lambda: crit_fit_feasibility(ctx)),
+        (10, lambda: crit_close_trend(ctx)),
+        (8, lambda: crit_monotone_F(ctx)),
+        (11, lambda: crit_determinism(seed)),
     ]
     results: list[CheckResult] = []
-    for fn in plan:
+    for criterion, fn in plan:
         start = time.perf_counter()
-        res = fn()
+        try:
+            res = fn()
+        except FlowcertError as exc:  # one failing criterion must not stop the suite
+            res = CheckResult(criterion, NAMES[criterion], False,
+                              f"raised {type(exc).__name__}: {exc}")
         res.seconds = time.perf_counter() - start
         results.append(res)
         if log is not None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import zeta
 
 from .errors import InvalidInputError, NumericError, ParameterError
@@ -226,23 +225,49 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
                            cap, rep.sqrt_diff_sum <= cap + 1e-12)
 
 
-def extremal_step(x: float, C: float, tau: float) -> float:
+# Newton steps after which a root solve counts as failed.  For 0 < x <= 1, the
+# range every caller uses, the iterates settle within 6 steps for C in
+# [1, 1e8] and tau in (1/3, 1]; a far larger x converges slowly.
+NEWTON_MAX_ITER = 50
+
+
+def extremal_step(x, C: float, tau: float):
     """Unique positive root t of t^(1+tau) + C t = C x (the zero-slack successor).
 
-    The map t -> t^(1+tau) + C t is strictly increasing, so the root is unique
-    and lies in (0, x); it is bracketed and polished to relative 1e-14.
+    x is a float or an array of them (one root per entry).  The map
+    f(t) = t^(1+tau) + C (t - x) is strictly increasing and convex on t > 0,
+    with f(0) = -C x < 0 and f(x) = x^(1+tau) > 0, so the root is unique and
+    lies in (0, x).  Newton's method started at t = x stays above the root
+    (by convexity a tangent meets zero at or right of the root) and falls
+    monotonically onto it, so it needs no bracket or safeguard.  It stops as
+    soon as no entry decreases any more: the iterate has reached the root to
+    rounding.  An array freezes each converged entry and advances the rest.
+    A NaN never stops the iteration, and NumericError is raised after
+    NEWTON_MAX_ITER steps.  Floats stay in Python float arithmetic, which is
+    much cheaper than a numpy call per step on a long chain.
     """
-    if x <= 0.0:
-        raise InvalidInputError(f"need x > 0, got {x}")
-
-    def f(t: float) -> float:
-        return t ** (1.0 + tau) + C * t - C * x
-
-    try:
-        root = brentq(f, 0.0, x, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=200)
-    except Exception as exc:  # pragma: no cover - bracket is sign-definite
-        raise NumericError(f"root solve failed for x={x}, C={C}, tau={tau}: {exc}") from exc
-    return float(root)
+    array = isinstance(x, np.ndarray)
+    if array:
+        if not np.all((x > 0.0) & (x < math.inf)):
+            raise InvalidInputError("need finite x > 0 in every entry")
+    elif not 0.0 < x < math.inf:
+        raise InvalidInputError(f"need finite x > 0, got {x}")
+    p = 1.0 + tau
+    t = x
+    for _ in range(NEWTON_MAX_ITER):
+        t_tau = t**tau
+        nxt = t - (t * t_tau + C * (t - x)) / (p * t_tau + C)
+        if array:
+            stay = nxt >= t
+            if stay.all():
+                return t
+            t = np.where(stay, t, nxt)
+        else:
+            if nxt >= t:
+                return t
+            t = nxt
+    raise NumericError(f"root solve did not settle in {NEWTON_MAX_ITER} Newton steps "
+                       f"for C={C}, tau={tau}")
 
 
 def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> MonotoneSequence:
@@ -259,10 +284,52 @@ def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> Monotone
     if n_steps < 1:
         raise InvalidInputError(f"need n_steps >= 1, got {n_steps}")
     out = np.empty(n_steps + 1)
-    out[0] = x1
-    for j in range(n_steps):
-        out[j + 1] = extremal_step(out[j], C, tau)
+    x = out[0] = float(x1)
+    for j in range(1, n_steps + 1):
+        x = out[j] = extremal_step(x, C, tau)
     return MonotoneSequence(out)
+
+
+def _admissible_rows(x1: np.ndarray, draws: np.ndarray, C: float, tau: float) -> np.ndarray:
+    """Rows starting at x1 whose j-th successor is (1 - draws[:, j-1]) times the
+    zero-slack root of its predecessor, checked like MonotoneSequence.
+
+    A successor that underflows to zero ends its row: it and every later
+    entry are 0.0, so each row is positive up to its first zero.
+    """
+    vals = np.empty((x1.size, draws.shape[1] + 1))
+    vals[:, 0] = x1
+    for j in range(1, vals.shape[1]):
+        x = vals[:, j - 1]
+        live = x > 0.0
+        root = extremal_step(np.where(live, x, 1.0), C, tau)
+        vals[:, j] = np.where(live, (1.0 - draws[:, j - 1]) * root, 0.0)  # uniform on (0, root]
+    if not np.all(np.isfinite(vals)):
+        raise InvalidInputError("sequence contains non-finite entries")
+    if not np.all(vals[:, 0] > 0.0) or not np.all(vals >= 0.0):
+        raise InvalidInputError("sequence entries must be strictly positive")
+    if np.any(np.diff(vals, axis=1) > 0.0):
+        raise InvalidInputError("sequence must be non-increasing")
+    return vals
+
+
+def random_admissible_batch(C: float, tau: float, rng: np.random.Generator,
+                            n_seq: int, n_steps: int) -> np.ndarray:
+    """n_seq random sequences satisfying the drop law strictly, as the rows of
+    an (n_seq, n_steps + 1) array.
+
+    Each row is drawn like random_admissible_sequence with x1 uniform on
+    (0, 1]: one rng.random((n_seq, n_steps + 1)) call, whose row-major order is
+    the per-sequence order (x1, then one draw per successor), so the batch
+    consumes the stream exactly as n_seq sequences drawn one after another.
+    The rows are generated together, one array root solve per column.  An
+    entry that underflows to zero ends its row with zeros.
+    """
+    _require_params(C, tau, inclusive=True)
+    if n_seq < 1 or n_steps < 1:
+        raise InvalidInputError(f"need n_seq >= 1 and n_steps >= 1, got {n_seq}, {n_steps}")
+    draws = rng.random((n_seq, n_steps + 1))
+    return _admissible_rows(1.0 - draws[:, 0], draws[:, 1:], C, tau)  # x1 uniform on (0, 1]
 
 
 def random_admissible_sequence(C: float, tau: float, rng: np.random.Generator,
@@ -272,22 +339,22 @@ def random_admissible_sequence(C: float, tau: float, rng: np.random.Generator,
     At each step the admissible successors form the interval (0, t*], where t*
     is the zero-slack root; the successor is drawn uniformly from it, which
     spans the whole admissible set.  Underflow to zero truncates the sequence.
+    This is the one-row case of random_admissible_batch: one draw for x1
+    unless it is given, then one per successor.  All n_steps successors are
+    drawn even when one underflows, so only after an underflow, which needs a
+    product below 5e-324, can the stream differ from drawing successor by
+    successor and stopping there.
     """
-    _require_params(C, tau, inclusive=True)
-    if n_steps < 1:
-        raise InvalidInputError(f"need n_steps >= 1, got {n_steps}")
     if x1 is None:
-        x1 = 1.0 - rng.random()  # uniform on (0, 1]
-    elif not 0.0 < x1 <= 1.0:
-        raise InvalidInputError(f"need 0 < x1 <= 1, got {x1}")
-    vals = [float(x1)]
-    for _ in range(n_steps):
-        root = extremal_step(vals[-1], C, tau)
-        nxt = (1.0 - rng.random()) * root  # uniform on (0, root]
-        if nxt <= 0.0:
-            break
-        vals.append(nxt)
-    return MonotoneSequence(np.array(vals))
+        row = random_admissible_batch(C, tau, rng, 1, n_steps)[0]
+    else:
+        _require_params(C, tau, inclusive=True)
+        if n_steps < 1:
+            raise InvalidInputError(f"need n_steps >= 1, got {n_steps}")
+        if not 0.0 < x1 <= 1.0:
+            raise InvalidInputError(f"need 0 < x1 <= 1, got {x1}")
+        row = _admissible_rows(np.array([float(x1)]), rng.random((1, n_steps)), C, tau)[0]
+    return MonotoneSequence(row[row > 0.0])
 
 
 def check_power_gap(a, b, C, tau):

@@ -13,9 +13,14 @@ import sys
 
 import pytest
 
-from flowcert import acceptance
+from flowcert import acceptance, cli
+from flowcert.errors import NumericError
 
 SEED = 1234
+CRITERIA = {1: "crit_power_gap", 2: "crit_iterated_gap", 3: "crit_summability_bound",
+            4: "crit_model_flow", 5: "crit_gradient_consistency", 6: "crit_cylinder_area",
+            7: "crit_stationarity", 8: "crit_monotone_F", 9: "crit_fit_feasibility",
+            10: "crit_close_trend", 11: "crit_determinism"}
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +65,26 @@ def test_verify_all_cli_is_byte_deterministic(tmp_path):
     manifest = json.loads(outs[0])
     assert manifest["all_passed"]
     assert manifest["seed"] == 7
+
+
+def test_raising_criterion_fails_and_the_rest_still_run(monkeypatch, tmp_path):
+    """A criterion that raises becomes one FAIL entry; verify-all still writes
+    the whole manifest and exits 1."""
+    assert {name for name in dir(acceptance) if name.startswith("crit_")} == set(CRITERIA.values())
+    for criterion, name in CRITERIA.items():
+        monkeypatch.setattr(acceptance, name, lambda *args, n=criterion: acceptance.CheckResult(
+            n, acceptance.NAMES[n], True, "stub"))
+
+    def raising(seed):
+        raise NumericError("root solve did not settle")
+
+    monkeypatch.setattr(acceptance, "crit_summability_bound", raising)
+    results, manifest = acceptance.run_all(seed=SEED)
+    assert len(manifest["checks"]) == 11
+    assert [c for c in manifest["checks"] if not c["passed"]] == [
+        {"criterion": 3, "name": "summability-bound", "passed": False,
+         "measured": "raised NumericError: root solve did not settle"}]
+    assert not manifest["all_passed"]
+    assert cli.main(["--quiet", "--out", str(tmp_path), "verify-all"]) == 1
+    on_disk = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(on_disk["checks"]) == 11 and not on_disk["all_passed"]

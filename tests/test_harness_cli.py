@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import time
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcert import acceptance, cli, harness, mcf, sequences
+from flowcert import acceptance, cli, gradientflow, harness, mcf, sequences
 from flowcert.errors import ConfigError, FlowcertError
 
 COARSE_CFG = """\
@@ -300,6 +301,32 @@ class TestMutationSensitivity:
         monkeypatch.setattr(sequences, "certify_part", lambda values, consts: dataclasses.replace(
             real(values, consts), hypothesis_ok=False))
         assert not acceptance.crit_model_flow(1234).passed
+
+    def test_scaled_gradient_fails_criterion_5(self, monkeypatch):
+        # a relative gradient error of 1e-5 on one problem, ten times the tolerance
+        real = gradientflow.builtin_problems
+
+        def skewed():
+            problems = real()
+            first = problems[0]
+            problems[0] = dataclasses.replace(
+                first, grad=lambda x, grad=first.grad: grad(x) * (1.0 + 1e-5))
+            return problems
+
+        monkeypatch.setattr(gradientflow, "builtin_problems", skewed)
+        assert not acceptance.crit_gradient_consistency(1234).passed
+
+    def test_call_counter_fails_criterion_11(self, monkeypatch):
+        # the report folds in how often the check ran, so two builds differ
+        real = sequences.check_hypothesis
+        calls = itertools.count()
+
+        def counted(seq, C, tau):
+            rep = real(seq, C, tau)
+            return dataclasses.replace(rep, sqrt_diff_sum=rep.sqrt_diff_sum + next(calls))
+
+        monkeypatch.setattr(sequences, "check_hypothesis", counted)
+        assert not acceptance.crit_determinism(1234).passed
 
     def test_shifted_rhs_fails_criterion_7(self, monkeypatch):
         # a constant 1e-6 source moves the zero profile off the cylinder.  The

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from flowcert import harness
 from flowcert import sequences as sq
-from flowcert.errors import InvalidInputError, ParameterError
+from flowcert.errors import InvalidInputError, NumericError, ParameterError
+
+EPS = np.finfo(float).eps
 
 
 def geometric(n=40):
@@ -187,6 +190,103 @@ class TestExtremalSequence:
             sq.extremal_sequence(1.0, 0.5, x1=1.5, n_steps=3)
         with pytest.raises(InvalidInputError):
             sq.extremal_sequence(1.0, 0.5, x1=0.5, n_steps=0)
+
+
+def brentq_root(x, C, tau):
+    """Oracle: the zero-slack root by bracketing on [0, x]."""
+    return brentq(lambda t: t ** (1.0 + tau) + C * t - C * x, 0.0, x,
+                  xtol=1e-300, rtol=4 * EPS, maxiter=200)
+
+
+class TestExtremalStep:
+    XS = (1e-300, 1e-12, 1e-3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("tau", [0.34, 0.5, 0.9, 1.0])
+    def test_newton_matches_brentq_oracle(self, C, tau):
+        for x in self.XS:
+            t = sq.extremal_step(x, C, tau)
+            oracle = brentq_root(x, C, tau)
+            assert abs(t - oracle) <= 8 * EPS * oracle, x
+            residual = abs(math.fsum([t ** (1.0 + tau), C * t, -C * x]))
+            assert residual <= 8 * EPS * C * x, x
+
+    @pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("tau", [0.34, 0.5, 0.9, 1.0])
+    def test_array_path_matches_float_path(self, C, tau):
+        # numpy's array pow and libm's pow may differ by an ulp
+        roots = sq.extremal_step(np.array(self.XS), C, tau)
+        np.testing.assert_array_max_ulp(
+            roots, np.array([sq.extremal_step(x, C, tau) for x in self.XS]), maxulp=2)
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, math.nan, np.array([0.5, 0.0]),
+                                   np.array([-1e-3, 0.2])])
+    def test_nonpositive_x_rejected(self, x):
+        with pytest.raises(InvalidInputError):
+            sq.extremal_step(x, 1.0, 0.5)
+
+    def test_unsettled_iteration_raises(self):
+        # far outside the certificate's x <= 1, Newton from t = x shrinks t by
+        # about a third per step, so it exhausts its step cap
+        with pytest.raises(NumericError):
+            sq.extremal_step(1e100, 1.0, 0.5)
+        with pytest.raises(NumericError):
+            sq.extremal_step(np.array([0.5, 1e100]), 1.0, 0.5)
+
+
+def reference_sequence(C, tau, rng, n_steps, x1=None):
+    """The per-sequence generator loop the batch replaced: a brentq root, then a
+    uniform draw on (0, root], stopping at an underflow."""
+    vals = [1.0 - rng.random() if x1 is None else x1]
+    for _ in range(n_steps):
+        nxt = (1.0 - rng.random()) * brentq_root(vals[-1], C, tau)
+        if nxt <= 0.0:
+            break
+        vals.append(nxt)
+    return np.array(vals)
+
+
+class TestRandomAdmissibleBatch:
+    @pytest.mark.parametrize("seed", [3, 29])
+    @pytest.mark.parametrize("C, tau", [(1.0, 0.5), (10.0, 0.9)])
+    def test_matches_per_sequence_loop(self, seed, C, tau):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sq.random_admissible_batch(C, tau, rng, n_seq=50, n_steps=40)
+        ref = np.array([reference_sequence(C, tau, ref_rng, 40) for _ in range(50)])
+        assert batch.shape == (50, 41)
+        np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
+        assert rng.random() == ref_rng.random()  # the stream stays in sync
+        for row in batch:
+            assert sq.check_hypothesis(sq.MonotoneSequence(row), C, tau).ok
+
+    def test_given_x1_keeps_the_stream(self):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        seq = sq.random_admissible_sequence(3.0, 0.7, rng, n_steps=30, x1=0.8)
+        ref = reference_sequence(3.0, 0.7, ref_rng, 30, x1=0.8)
+        np.testing.assert_allclose(seq.values, ref, rtol=1e-13, atol=0.0)
+        assert rng.random() == ref_rng.random()
+
+    def test_underflow_ends_the_row(self):
+        class SmallestDraws:  # every uniform draw on (0, 1] at its minimum 2^-53
+            def random(self, shape):
+                return np.full(shape, 1.0 - 2.0**-53)
+
+        batch = sq.random_admissible_batch(1.0, 0.5, SmallestDraws(), n_seq=2, n_steps=30)
+        live = np.count_nonzero(batch[0])
+        assert 1 < live < 31
+        assert np.all(batch[:, :live] > 0.0) and np.all(batch[:, live:] == 0.0)
+        seq = sq.random_admissible_sequence(1.0, 0.5, SmallestDraws(), n_steps=30)
+        assert np.array_equal(seq.values, batch[0, :live])
+        assert sq.check_hypothesis(seq, 1.0, 0.5).ok
+
+    def test_argument_validation(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInputError):
+            sq.random_admissible_batch(1.0, 0.5, rng, n_seq=0, n_steps=5)
+        with pytest.raises(InvalidInputError):
+            sq.random_admissible_batch(1.0, 0.5, rng, n_seq=3, n_steps=0)
+        with pytest.raises(ParameterError):
+            sq.random_admissible_batch(0.5, 0.5, rng, n_seq=3, n_steps=5)
 
 
 class TestPowerGap:

@@ -37,7 +37,6 @@ SMALL_BALL = 0.25  # endpoint ball for the effective length bound
 MAX_MARKS = 20_000  # unit marks per side of the effective length bound
 CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
 ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
-SPOT_CHECK_SLACK = 1e-12  # absolute slack of the sampled decay inequality
 CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing bisection
 
 
@@ -68,16 +67,6 @@ class GradientProblem:
     @property
     def F0(self) -> float:
         return float(self.F(np.zeros(self.dim)))
-
-    def decay_inequality_spot_check(self, rng: np.random.Generator,
-                                    n_samples: int = 10_000) -> bool:
-        """Sample the ball and test |F - F0|^(1+tau) <= |grad F|^2 pointwise."""
-        pts = rng.uniform(-1.0, 1.0, size=(n_samples, self.dim))
-        pts *= self.ball_radius * rng.random(n_samples)[:, None] / np.maximum(
-            np.linalg.norm(pts, axis=1)[:, None], 1e-300)
-        lhs = np.abs(np.asarray(self.F(pts), dtype=float) - self.F0) ** (1.0 + self.tau)
-        rhs = np.sum(np.asarray(self.grad(pts), dtype=float) ** 2, axis=-1)
-        return bool(np.all(lhs <= rhs + SPOT_CHECK_SLACK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,49 +121,128 @@ class Trajectory:
         return np.asarray(self.problem.F(self.at(t)), dtype=float)
 
 
-def integrate(problem: GradientProblem, x0, t_end: float, tol: float = 1e-9) -> Trajectory:
+def _interpolant_arrays(sol) -> tuple[np.ndarray, ...]:
+    """The RK45 dense output of `sol` as arrays, one row per solver step:
+    step start times, widths, Q of shape (n_steps, n, 4) and the start states
+    (n_steps, n).  The one place that reads scipy's interpolant internals."""
+    pieces = sol.sol.interpolants
+    t_old = np.array([piece.t_old for piece in pieces])
+    width = np.array([piece.h for piece in pieces])
+    return (t_old, width, np.stack([piece.Q for piece in pieces]),
+            np.stack([piece.y_old for piece in pieces]))
+
+
+def _lane_dense(step_t: np.ndarray, arrays: tuple, rows: slice, speed: float) -> Callable:
+    """Dense output of one lane: its rows of the stacked interpolant at flow
+    times t (solver times t / speed), shape (dim, len(t)) like `OdeSolution`.
+
+    Each time picks its step as `OdeSolution` does (at a step boundary, the
+    step that ends there), and one einsum evaluates the step polynomial
+    y_old + h Q (x, x^2, x^3, x^4), x the fraction of the step, at every time.
+    """
+    t_old, width, Q, y_old = arrays
+    Q, y_old = Q[:, rows], y_old[:, rows]
+    last = width.size - 1
+
+    def dense(t):
+        s = np.asarray(t, dtype=float) / speed
+        step = np.clip(np.searchsorted(step_t, s, side="left") - 1, 0, last)
+        powers = np.cumprod(np.tile((s - t_old[step]) / width[step], (Q.shape[-1], 1)), axis=0)
+        return width[step] * np.einsum("tdk,kt->dt", Q[step], powers) + y_old[step].T
+
+    return dense
+
+
+def integrate(problem: GradientProblem, x0, t_end,
+              tol: float = 1e-9) -> Trajectory | list[Trajectory]:
     """Integrate x' = -grad F(x) from x0 with adaptive error control.
 
-    Local error per step is held at tol (relative) and the run stops early,
-    with a flag, if the flow exits the problem's validity ball.  The recorded
-    F-values are checked to be non-increasing up to 10*tol.
+    x0 is one start point of shape (dim,), which returns a Trajectory, or a
+    batch of m lanes of shape (m, dim) with t_end a scalar or of shape (m,),
+    which returns a list of m Trajectories.  A single start is the batch of
+    one.  All lanes share one RK45 run of the stacked system
+
+        y_i' = -k_i grad F(y_i),   k_i = t_end_i / max_j t_end_j,
+
+    on s in [0, max t_end]: lane i at solver time s is the flow at its own
+    time t = k_i s, so it ends exactly at its own horizon and never beyond.
+    For one lane k = 1 and the run is the plain flow.
+
+    Local error per step is held at tol (relative, and 1e-3 tol absolute) in
+    every lane.  The solver accepts a step when the RMS of error/scale over
+    all m*dim components is at most 1, and both tolerances are divided by
+    sqrt(m), which divides every scale by sqrt(m).  With scales at the
+    undivided tol the accepted step then has sum of (error/scale)^2 over all
+    components at most dim, so each lane's own sum is at most dim: its own
+    RMS is at most 1, as in a run of that lane alone.  Lane i's error over a
+    solver step is the plain flow's error over a step k_i times as long.
+
+    The run stops early, with a flag, if the flow exits the problem's
+    validity ball: the event is the largest |y_i|^2 - r^2.  A batch whose run
+    ends at an exit or a stall is integrated again one lane at a time, so
+    each lane stops at its own exit or raises its own StiffnessError.  The
+    recorded F-values of every lane are checked to be non-increasing up to
+    10*tol.  Each Trajectory's `dense` reads only its lane's rows of the
+    shared interpolant.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != problem.dim or not np.all(np.isfinite(x0)):
+    x0 = np.asarray(x0, dtype=float)
+    lanes = np.atleast_2d(x0)
+    if (x0.ndim > 2 or lanes.shape[1] != problem.dim or lanes.shape[0] == 0
+            or not np.all(np.isfinite(lanes))):
         raise InvalidInputError(f"x0 must be finite of dimension {problem.dim}, got {x0}")
-    if np.linalg.norm(x0) > problem.ball_radius:
+    if np.any(np.linalg.norm(lanes, axis=1) > problem.ball_radius):
         raise PreconditionError("x0 lies outside the validity ball")
-    if not (0 < tol < math.inf and 0 < t_end < math.inf):
+    m, dim = lanes.shape
+    try:
+        horizons = np.broadcast_to(np.asarray(t_end, dtype=float), (m,))
+    except ValueError:
+        raise ParameterError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
+    if not (0 < tol < math.inf and np.all((0 < horizons) & (horizons < math.inf))):
         raise ParameterError("need finite t_end > 0 and tol > 0")
+    s_end = float(np.max(horizons))
+    speed = horizons / s_end
+    neg_speed = -speed[:, None]
+    root_m = math.sqrt(m)
 
-    def rhs(t, x):
-        return -np.asarray(problem.grad(x), dtype=float)
+    def rhs(s, y):
+        return (neg_speed * np.asarray(problem.grad(y.reshape(m, dim)), dtype=float)).ravel()
 
-    def exit_ball(t, x):
-        return float(np.dot(x, x) - problem.ball_radius**2)
+    def exit_ball(s, y):
+        y = y.reshape(m, dim)
+        return float(np.max(np.einsum("ij,ij->i", y, y)) - problem.ball_radius**2)
 
     exit_ball.terminal = True
     exit_ball.direction = 1.0
 
-    sol = solve_ivp(rhs, (0.0, float(t_end)), x0, method="RK45", rtol=tol,
-                    atol=tol * 1e-3, dense_output=True, events=exit_ball)
+    sol = solve_ivp(rhs, (0.0, s_end), lanes.ravel(), method="RK45", rtol=tol / root_m,
+                    atol=tol * 1e-3 / root_m, dense_output=True, events=exit_ball)
+    if sol.status != 0 and m > 1:
+        return [integrate(problem, lane, horizon, tol) for lane, horizon in zip(lanes, horizons)]
     if sol.status == -1:
         raise StiffnessError(f"integration stalled at t={sol.t[-1]}: {sol.message}",
                              last_state=(float(sol.t[-1]), sol.y[:, -1].copy()))
-    pts = sol.y.T.copy()
-    F_vals = np.asarray(problem.F(pts), dtype=float)
-    if np.max(np.diff(F_vals), initial=-np.inf) > 10.0 * tol:
-        raise NumericError("F increased beyond tolerance along the flow; tighten tol")
-    steps = np.linalg.norm(np.diff(pts, axis=0), axis=1) if len(pts) > 1 else np.zeros(0)
-    return Trajectory(
-        times=sol.t.copy(),
-        points=pts,
-        F_values=F_vals,
-        step_lengths=steps,
-        problem=problem,
-        exited_ball=sol.status == 1,
-        dense=sol.sol,
-    )
+    arrays = _interpolant_arrays(sol)
+    runs = []
+    for i in range(m):
+        rows = slice(i * dim, (i + 1) * dim)
+        times = speed[i] * sol.t
+        if sol.status == 0:
+            times[-1] = horizons[i]
+        pts = sol.y[rows].T.copy()
+        F_vals = np.asarray(problem.F(pts), dtype=float)
+        if np.max(np.diff(F_vals), initial=-np.inf) > 10.0 * tol:
+            raise NumericError("F increased beyond tolerance along the flow; tighten tol")
+        steps = np.linalg.norm(np.diff(pts, axis=0), axis=1) if len(pts) > 1 else np.zeros(0)
+        runs.append(Trajectory(
+            times=times,
+            points=pts,
+            F_values=F_vals,
+            step_lengths=steps,
+            problem=problem,
+            exited_ball=sol.status == 1,
+            dense=_lane_dense(sol.t, arrays, rows, speed[i]),
+        ))
+    return runs[0] if x0.ndim < 2 else runs
 
 
 def sqrt_segment_sum(traj: Trajectory, max_marks: int = 200_000) -> float:

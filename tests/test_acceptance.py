@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from flowcert import acceptance, cli
+from flowcert import acceptance, cli, sequences
 from flowcert.errors import NumericError
 
 SEED = 1234
@@ -88,3 +88,24 @@ def test_raising_criterion_fails_and_the_rest_still_run(monkeypatch, tmp_path):
     assert cli.main(["--quiet", "--out", str(tmp_path), "verify-all"]) == 1
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert len(on_disk["checks"]) == 11 and not on_disk["all_passed"]
+
+
+def test_extremal_chains_are_built_once_and_read_only(monkeypatch):
+    """Criteria 2 and 3 share one 10^4-step chain per cell, which no caller can change."""
+    real = sequences.extremal_sequence
+    built = []
+
+    def counting(C, tau, x1, n_steps):
+        built.append((C, tau, n_steps))
+        return real(C, tau, x1=x1, n_steps=n_steps)
+
+    monkeypatch.setattr(sequences, "extremal_sequence", counting)
+    acceptance._extremal_chain.cache_clear()
+    assert acceptance.crit_iterated_gap().passed
+    assert acceptance.crit_summability_bound(SEED).passed
+    long_chains = [(C, tau) for C, tau, n_steps in built if n_steps == 10_000]
+    assert long_chains == acceptance.CELLS
+    chain = acceptance._extremal_chain(*acceptance.CELLS[0])
+    assert chain is acceptance._extremal_chain(*acceptance.CELLS[0])
+    with pytest.raises(ValueError):
+        chain.values[1] = 0.5

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from flowcert import acceptance
 from flowcert import gradientflow as gf
 from flowcert import sequences as sq
 from flowcert.errors import (
@@ -12,10 +14,40 @@ from flowcert.errors import (
 
 QUARTIC = gf.problem_by_name("quartic1d")
 SADDLE = gf.problem_by_name("saddle2d")
+SPOT_CHECK_SLACK = 1e-12  # absolute slack of the sampled decay inequality
 
 
 def quartic_exact(x0, t):
     return x0 / np.sqrt(1.0 + 8.0 * x0**2 * np.asarray(t, dtype=float))
+
+
+def saddle_crossing_time(x0, y0):
+    return (x0**2 - y0**2) / (16.0 * x0**2 * y0**2)
+
+
+def decay_inequality_spot_check(problem, rng, n_samples=10_000) -> bool:
+    """Sample the ball and test |F - F0|^(1+tau) <= |grad F|^2 pointwise."""
+    pts = rng.uniform(-1.0, 1.0, size=(n_samples, problem.dim))
+    pts *= problem.ball_radius * rng.random(n_samples)[:, None] / np.maximum(
+        np.linalg.norm(pts, axis=1)[:, None], 1e-300)
+    lhs = np.abs(np.asarray(problem.F(pts), dtype=float) - problem.F0) ** (1.0 + problem.tau)
+    rhs = np.sum(np.asarray(problem.grad(pts), dtype=float) ** 2, axis=-1)
+    return bool(np.all(lhs <= rhs + SPOT_CHECK_SLACK))
+
+
+def reference_run(problem, x0, t_end, tol):
+    """The plain one-start solve_ivp run, written out as the oracle."""
+
+    def rhs(t, x):
+        return -np.asarray(problem.grad(x), dtype=float)
+
+    def exit_ball(t, x):
+        return float(np.dot(x, x) - problem.ball_radius**2)
+
+    exit_ball.terminal = True
+    exit_ball.direction = 1.0
+    return solve_ivp(rhs, (0.0, float(t_end)), np.asarray(x0, dtype=float), method="RK45",
+                     rtol=tol, atol=tol * 1e-3, dense_output=True, events=exit_ball)
 
 
 class TestBuiltins:
@@ -32,7 +64,7 @@ class TestBuiltins:
     def test_decay_inequality_spot_check(self):
         rng = np.random.default_rng(5)
         for p in gf.builtin_problems():
-            assert p.decay_inequality_spot_check(rng, n_samples=10_000)
+            assert decay_inequality_spot_check(p, rng, n_samples=10_000)
 
     def test_critical_point(self):
         for p in gf.builtin_problems():
@@ -97,6 +129,101 @@ class TestIntegrate:
             gf.integrate(QUARTIC, [np.nan], t_end=1.0)
 
 
+class TestBatchedIntegrate:
+    def test_one_lane_is_the_plain_solve_ivp_run(self):
+        # above, crossing and ball-exit runs, each bit for bit
+        t_cross = saddle_crossing_time(0.15, 1e-3)
+        for prob, x0, t_end in ((QUARTIC, [0.2], 100.0), (SADDLE, [0.15, 1e-3], 1.3 * t_cross),
+                                (SADDLE, [0.0, 0.3], 50.0)):
+            sol = reference_run(prob, x0, t_end, 1e-9)
+            traj = gf.integrate(prob, x0, t_end, tol=1e-9)
+            assert np.array_equal(traj.times, sol.t)
+            assert np.array_equal(traj.points, sol.y.T)
+            assert traj.exited_ball == (sol.status == 1)
+            (lane,) = gf.integrate(prob, np.array([x0]), t_end, tol=1e-9)
+            assert np.array_equal(lane.times, traj.times)
+            assert np.array_equal(lane.points, traj.points)
+        assert traj.exited_ball
+
+    def test_batched_lanes_match_solo_runs(self):
+        rng = np.random.default_rng(41)
+        for prob in gf.builtin_problems():
+            starts, horizons, epsilons = zip(*(acceptance._classifier_sample(prob, rng, i)
+                                              for i in range(10)))
+            runs = gf.integrate(prob, np.array(starts), np.array(horizons), tol=1e-9)
+            assert len(runs) == 10
+            for run, x0, t_end, eps in zip(runs, starts, horizons, epsilons):
+                solo = gf.integrate(prob, x0, t_end, tol=1e-9)
+                assert run.t_start == 0.0 and run.t_end == t_end
+                assert not run.exited_ball
+                assert np.max(np.abs(run.points[-1] - solo.points[-1])) <= 1e-9
+                batched_rep = gf.effective_bound(prob, run, epsilon=eps)
+                solo_rep = gf.effective_bound(prob, solo, epsilon=eps)
+                assert batched_rep.case_tag == solo_rep.case_tag
+                assert batched_rep.sqrt_sum == pytest.approx(solo_rep.sqrt_sum, rel=1e-8)
+
+    def test_mixed_quartic_lanes_track_closed_form(self):
+        # at tol 3e-6 a solo run stays within 1e-6 of the closed form; 100
+        # lanes sharing one error norm do so only with tol / sqrt(100)
+        rng = np.random.default_rng(3)
+        radii = rng.uniform(0.05, 0.24, 100) * rng.choice([-1.0, 1.0], 100)
+        horizons = rng.uniform(20.0, 200.0, 100)
+        runs = gf.integrate(QUARTIC, radii[:, None], horizons, tol=3e-6)
+        for run, x0, t_end in zip(runs, radii, horizons):
+            assert run.t_end == t_end  # also where (t_end / max) * max rounds off it
+            ts = np.linspace(0.0, t_end, 801)
+            assert np.max(np.abs(run.at(ts)[:, 0] - quartic_exact(x0, ts))) < 1e-6
+
+    def test_exiting_lane_is_settled_alone(self):
+        t_cross = saddle_crossing_time(0.15, 1e-3)
+        starts = np.array([[0.15, 1e-3], [0.0, 0.3], [0.0, 0.01]])
+        horizons = np.array([1.3 * t_cross, 50.0, 60.0])
+        runs = gf.integrate(SADDLE, starts, horizons, tol=1e-9)
+        assert [run.exited_ball for run in runs] == [False, True, False]
+        assert np.linalg.norm(runs[1].points[-1]) == pytest.approx(SADDLE.ball_radius, abs=1e-6)
+        assert runs[1].t_end < 50.0
+        for run, x0, t_end in zip(runs, starts, horizons):
+            solo = gf.integrate(SADDLE, x0, t_end, tol=1e-9)
+            assert np.array_equal(run.times, solo.times)
+            assert np.array_equal(run.points, solo.points)
+
+    def test_lane_view_matches_stacked_interpolant(self, monkeypatch):
+        sols = []
+
+        def recording_solve_ivp(*args, **kwargs):
+            sols.append(solve_ivp(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(gf, "solve_ivp", recording_solve_ivp)
+        starts = np.array([[0.1, 0.15], [-0.2, 0.05], [0.02, -0.1]])
+        horizons = np.array([50.0, 20.0, 5.0])
+        runs = gf.integrate(gf.problem_by_name("quartic2d"), starts, horizons, tol=1e-9)
+        (sol,) = sols
+        rng = np.random.default_rng(8)
+        s = np.concatenate([sol.t, rng.uniform(0.0, sol.t[-1], 500)])  # step ends included
+        for i, run in enumerate(runs):
+            speed = horizons[i] / horizons.max()
+            t = speed * s
+            want = sol.sol(t / speed)[2 * i:2 * i + 2]
+            got = run.dense(t)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+            np.testing.assert_allclose(run.at(run.times), run.points, rtol=1e-13, atol=1e-16)
+
+    def test_batch_argument_validation(self):
+        starts = np.array([[0.1], [0.2]])
+        with pytest.raises(ParameterError):
+            gf.integrate(QUARTIC, starts, t_end=[1.0, 2.0, 3.0])
+        with pytest.raises(ParameterError):
+            gf.integrate(QUARTIC, starts, t_end=[1.0, 0.0])
+        with pytest.raises(PreconditionError):
+            gf.integrate(QUARTIC, np.array([[0.1], [5.0]]), t_end=1.0)
+        with pytest.raises(InvalidInputError):
+            gf.integrate(QUARTIC, np.zeros((2, 2)), t_end=1.0)
+        with pytest.raises(InvalidInputError):
+            gf.integrate(QUARTIC, np.zeros((0, 1)), t_end=1.0)
+
+
 class TestSqrtSegmentSum:
     def test_constant_trajectory_is_zero(self):
         traj = gf.integrate(QUARTIC, [0.0], t_end=5.0)
@@ -148,7 +275,7 @@ class TestDecayEnvelope:
 
             prob = gf.GradientProblem(name=f"qq{trial}", dim=2, F=F, grad=grad,
                                       tau=0.5, ball_radius=0.125)
-            assert prob.decay_inequality_spot_check(rng, n_samples=2000)
+            assert decay_inequality_spot_check(prob, rng, n_samples=2000)
             x0 = rng.uniform(-0.05, 0.05, size=2)
             traj = gf.integrate(prob, x0, t_end=30.0, tol=1e-10)
             assert gf.decay_envelope_check(traj)

@@ -331,9 +331,8 @@ class TestMutationSensitivity:
     def test_shifted_rhs_fails_criterion_7(self, monkeypatch):
         # a constant 1e-6 source moves the zero profile off the cylinder.  The
         # criterion reads zero.cfg, swapped for a coarse copy to keep the test
-        # fast: h = 0.1 and t2 = 2 (5,000 steps instead of 62,500).  dt_max =
-        # 4e-4 keeps |u| from doubling within 10 steps, which would end the
-        # run with evolve's BlowupError before the criterion reads it
+        # fast: h = 0.1, dt_max = 4e-4 and t2 = 2 (5,000 steps instead of
+        # 62,500); the next test runs the same source at dt_max = 1e-3
         real_kernel = mcf._kernel
 
         def shifted_kernel(z, h, s):
@@ -351,6 +350,59 @@ class TestMutationSensitivity:
         assert acceptance.crit_stationarity({}).passed  # the coarse copy passes unmutated
         monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
         res = acceptance.crit_stationarity({})
+        assert not res.passed, res.line()
+
+    def test_shifted_rhs_at_large_step_fails_on_sup_u(self, monkeypatch):
+        # a bounded drift from u = 0 more than doubles max|u| within 10 steps
+        # of dt = 1e-3; the run must go on and fail on its measured sup|u|,
+        # not stop with a BlowupError
+        real_kernel = mcf._kernel
+
+        def shifted_kernel(z, h, s):
+            frhs = real_kernel(z, h, s)
+
+            def shifted(w, out):
+                frhs(w, out)
+                out[1:-1] += 1e-6
+                return out
+            return shifted
+
+        real_load = harness.load_bundled_config
+        monkeypatch.setattr(harness, "load_bundled_config",
+                            lambda name: real_load(name, {"h": 0.1, "dt_max": 1e-3, "t2": 2}))
+        monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
+        res = acceptance.crit_stationarity({})
+        assert not res.passed
+        assert res.measured.startswith("sup|u| ")
+        sup_u = float(res.measured.split()[1].rstrip(","))
+        assert 1e-8 < sup_u < 1e-4
+
+    def test_tripled_reaction_fails_criterion_8(self, monkeypatch):
+        # the radial reaction term times 3 is no longer the area's gradient
+        # flow: on the coarse sweep runs the Gaussian area rises between marks
+        real_kernel = mcf._kernel
+
+        def tripled_kernel(z, h, s):
+            frhs = real_kernel(z, h, s)
+
+            def tripled(w, out):
+                frhs(w, out)
+                c = w[1:-1]
+                out[1:-1] += c * (2.0 * s + c) / (s + c)  # twice the radial term
+                return out
+            return tripled
+
+        real_load = harness.load_bundled_config
+        monkeypatch.setattr(harness, "load_bundled_config",
+                            lambda name: real_load(name, {"h": 0.1, "t2": 4}))
+        ctx = {}
+        acceptance.crit_close_trend(ctx)
+        assert acceptance.crit_monotone_F(ctx).passed  # the coarse runs pass unmutated
+        monkeypatch.setattr(mcf, "_kernel", tripled_kernel)
+        ctx = {}
+        acceptance.crit_close_trend(ctx)
+        assert len(ctx["histories"]) == 3
+        res = acceptance.crit_monotone_F(ctx)
         assert not res.passed, res.line()
 
 

@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
                      help="generate the equality-saturating sequence")
     p_seq.add_argument("--C", type=float, default=1.0)
     p_seq.add_argument("--tau", type=float, default=0.5)
-    p_seq.add_argument("--n", type=int, default=40, help="length (geometric) or steps (extremal)")
+    p_seq.add_argument("--n", type=int, default=40, help="geometric length or extremal steps, <= 10^6")
     p_seq.add_argument("--x1", type=float, default=1.0, help="extremal start value")
 
     p_flow = sub.add_parser("grad-flow", parents=[common],
@@ -109,6 +109,8 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
             return EXIT_USAGE
         seq = sequences.parse_sequence_text(text)
     elif args.geometric:
+        if args.n > sequences.MAX_SEQUENCE_STEPS:
+            raise InvalidInputError(f"need --n <= {sequences.MAX_SEQUENCE_STEPS}, got {args.n}")
         seq = sequences.MonotoneSequence(2.0 ** -np.arange(1, args.n + 1, dtype=float))
     else:
         seq = sequences.extremal_sequence(args.C, args.tau, x1=args.x1, n_steps=args.n)

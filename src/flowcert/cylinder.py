@@ -113,9 +113,6 @@ class CylinderGraph:
     def zero(cls, spec: CylinderSpec, R_dom: float = 20.0, h: float = 0.05) -> "CylinderGraph":
         return cls.from_profile(spec, R_dom, h, lambda z: np.zeros_like(z))
 
-    def with_profile(self, u: np.ndarray) -> "CylinderGraph":
-        return CylinderGraph(self.spec, self.z, u)
-
 
 @dataclass(frozen=True)
 class GraphArea:
@@ -139,10 +136,6 @@ def _flat_tail(spec: CylinderSpec, R_dom: float, center: float = 0.0, scale: flo
     return sphere * axial
 
 
-def _trapz(y: np.ndarray, dx: float) -> float:
-    return float(np.trapezoid(y, dx=dx))
-
-
 def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> GraphArea:
     """Gaussian area of the rotational graph, optionally translated along the
     axis by `center` and dilated by `scale` about the origin.
@@ -162,7 +155,7 @@ def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> GraphA
     rad = r * scale
     integrand = rad**spec.k * np.sqrt(1.0 + r_z**2) * np.exp(-(rad**2 + w**2) / 4.0)
     norm = (4.0 * math.pi) ** (-spec.n / 2.0) * sphere_area(spec.k)
-    interior = norm * scale * _trapz(integrand, h)
+    interior = norm * scale * float(np.trapezoid(integrand, dx=h))
     tail = _flat_tail(spec, g.R_dom, center=center, scale=scale)
     return GraphArea(value=interior + tail, interior=interior, tail=tail)
 
@@ -190,6 +183,8 @@ def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> Distance
     d1 = (du[2:] - du[:-2]) / (2.0 * h)
     d2 = (du[2:] - 2.0 * du[1:-1] + du[:-2]) / h**2
     win = np.abs(z) <= R + 1e-12
+    if not win.any():
+        raise PreconditionError(f"no grid point within |z| <= {R} (spacing h={h})")
     win_int = win[1:-1]
     c0 = float(np.max(np.abs(du[win])))
     c1 = float(np.max(np.abs(d1[win_int])))

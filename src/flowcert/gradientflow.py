@@ -420,7 +420,7 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     )
 
 
-def _radial_power(name: str, dim: int, p: int, ball_radius: float = 2.0) -> GradientProblem:
+def _radial_power(name: str, dim: int, p: int) -> GradientProblem:
     """|x|^(2p), written as (|x|^2)^p; tau = 1 - 1/p makes the decay inequality
     hold with constant 4 p^2 >= 1 on any ball."""
 
@@ -434,7 +434,7 @@ def _radial_power(name: str, dim: int, p: int, ball_radius: float = 2.0) -> Grad
         return 2.0 * p * s[..., None] ** (p - 1) * x
 
     return GradientProblem(name=name, dim=dim, F=F, grad=grad,
-                           tau=1.0 - 1.0 / p, ball_radius=ball_radius)
+                           tau=1.0 - 1.0 / p, ball_radius=2.0)
 
 
 def _quartic2d() -> GradientProblem:

@@ -45,48 +45,38 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
     return out
 
 
-def _config_from_text(text: str, source: str, overrides: dict | None) -> RunConfig:
-    data = parse_config_text(text, source=source)
-    if overrides:
-        data.update(overrides)
+def _config_from_text(text: str, source: str) -> RunConfig:
     try:
-        return RunConfig(**data)
+        return RunConfig(**parse_config_text(text, source=source))
     except TypeError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def load_run_config(path, overrides: dict | None = None) -> RunConfig:
+def load_run_config(path) -> RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _config_from_text(text, str(path), overrides)
+    return _config_from_text(text, str(path))
 
 
-def load_bundled_config(name: str, overrides: dict | None = None) -> RunConfig:
+def load_bundled_config(name: str) -> RunConfig:
     """Load one of the packaged default run configs (flowcert/configs/)."""
     try:
         text = (resources.files("flowcert") / "configs" / name).read_text()
     except (FileNotFoundError, OSError) as exc:
         raise ConfigError(f"no bundled config named '{name}'") from exc
-    return _config_from_text(text, f"configs/{name}", overrides)
-
-
-def config_to_text(cfg: RunConfig) -> str:
-    lines = [f"{key} = {value}" for key, value in dataclasses.asdict(cfg).items()]
-    return "\n".join(lines) + "\n"
+    return _config_from_text(text, f"configs/{name}")
 
 
 def jsonable(obj):
     """Recursively convert reports, numpy scalars/arrays and NaN to JSON-safe values.
 
     A dataclass instance becomes a dict of its fields plus the public
-    properties of its class; a field declared with metadata {"json": False}
-    is left out.
+    properties of its class.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
-               if f.metadata.get("json", True)}
+        out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
         for name, attr in inspect.getmembers(type(obj)):
             if isinstance(attr, property) and not name.startswith("_"):
                 out[name] = getattr(obj, name)

@@ -16,9 +16,10 @@ Discretization is method-of-lines: second-order central differences in z on a
 uniform grid with the profile pinned to the cylinder at both ends, an explicit
 midpoint (RK2) step in time with step-doubling error control, and the time
 step capped by a parabolic stability bound proportional to h^2.  One in-place
-kernel evaluates the right-hand side; the full step and the two half steps of
-the step-doubling pair share their first stage, so a step costs 5 evaluations
-and allocates no array.
+kernel evaluates the right-hand side and one helper, _midpoint, takes a
+midpoint step into a preallocated buffer; evolve's step-doubling pair is three
+such steps (the full step and two half steps) whose first two share the stage
+frhs(u), so a step costs 5 evaluations and allocates no array.
 
 Gaussian area is sampled at unit time marks; those marks feed the empirical
 decay-exponent fit and, at every second mark, the discrete summability
@@ -128,29 +129,14 @@ def _kernel(z: np.ndarray, h: float, s: float):
     return frhs
 
 
-def _axpy(x: np.ndarray, a: float, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = x + a*k without temporaries (out may be k, not x)."""
-    np.multiply(k, a, out=out)
-    return np.add(x, out, out=out)
-
-
-def rhs(g: CylinderGraph) -> np.ndarray:
-    """Time derivative of the profile under the rescaled flow (zero at the ends)."""
-    return _kernel(g.z, g.h, g.spec.radius)(g.u, np.zeros_like(g.u))
-
-
-def step(state: FlowState, dt: float) -> FlowState:
-    """One explicit midpoint step; boundary values stay pinned at zero."""
-    if dt <= 0.0:
-        raise InvalidInputError(f"need dt > 0, got {dt}")
-    g = state.graph
-    frhs = _kernel(g.z, g.h, g.spec.radius)
-    k = frhs(g.u, np.zeros_like(g.u))
-    frhs(g.u + (0.5 * dt) * k, k)
-    u_new = g.u + dt * k
-    if not np.all(np.isfinite(u_new)):
-        raise BlowupError(f"non-finite profile after step at t={state.t}", last_state=state)
-    return FlowState(graph=g.with_profile(u_new), t=state.t + dt)
+def _midpoint(frhs, u: np.ndarray, dt: float, k0: np.ndarray, k: np.ndarray,
+              stage: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Midpoint step out = u + dt*frhs(u + dt/2*k0) from k0 = frhs(u), with no
+    temporaries; k and stage are scratch, and k may be k0."""
+    np.multiply(k0, 0.5 * dt, out=stage)
+    frhs(np.add(u, stage, out=stage), k)
+    np.multiply(k, dt, out=out)
+    return np.add(u, out, out=out)
 
 
 @dataclass
@@ -164,7 +150,6 @@ class FlowControls:
     R2: float = 5.0
     stop_max_abs_u: float | None = 1.0
     stop_dist: float | None = None  # threshold on dist at radius R1, checked at unit marks
-    max_steps: int = 10_000_000
 
 
 @dataclass(eq=False)
@@ -216,6 +201,7 @@ class FlowHistory:
 
 
 MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
+MAX_STEPS = 10_000_000  # accepted steps after which evolve gives up
 
 
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:
@@ -255,7 +241,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         n_rhs += 1
         return kernel(w, out)
 
-    # k0 and k keep the zero end rows frhs never writes; _axpy fills the rest
+    # k0 and k keep the zero end rows frhs never writes; _midpoint fills the rest
     k0, k = np.zeros_like(u), np.zeros_like(u)
     stage, big, half, fine, scratch = (np.empty_like(u) for _ in range(5))
 
@@ -281,8 +267,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     stopped = False
     stop_reason = "completed"
     while t < t_end - 1e-12 and not stopped:
-        if n_steps >= controls.max_steps:
-            raise BlowupError(f"exceeded max_steps={controls.max_steps}", last_state=last_state())
+        if n_steps >= MAX_STEPS:
+            raise BlowupError(f"exceeded MAX_STEPS={MAX_STEPS}", last_state=last_state())
         next_mark = math.floor(t + MARK_TOL) + 1.0
         dt = min(dt_next, dt_cap, t_end - t)
         hit_mark = False
@@ -293,30 +279,27 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         # both start from k0 = frhs(u)
         hdt = 0.5 * dt
         frhs(u, k0)
-        frhs(_axpy(u, hdt, k0, stage), k)
-        _axpy(u, dt, k, big)
-        frhs(_axpy(u, 0.5 * hdt, k0, stage), k)
-        _axpy(u, hdt, k, half)
-        frhs(half, k)
-        frhs(_axpy(half, 0.5 * hdt, k, stage), k)
-        _axpy(half, hdt, k, fine)
+        _midpoint(frhs, u, dt, k0, k, stage, big)
+        _midpoint(frhs, u, hdt, k0, k, stage, half)
+        _midpoint(frhs, half, hdt, frhs(half, k), k, stage, fine)
         err = float(np.max(np.abs(np.subtract(big, fine, out=scratch), out=scratch))) / 3.0
         if not math.isfinite(err):
             raise BlowupError(f"non-finite profile at t={t}", last_state=last_state())
+        # step-size factor; below 0.9 whenever the step is rejected (err > step_tol)
+        scale = 2.0 if err == 0.0 else min(2.0, max(0.3, 0.9 * (controls.step_tol / err) ** (1.0 / 3.0)))
         if err > controls.step_tol:
             if dt <= 1e-14:
                 raise BlowupError(f"step size underflow at t={t} (err={err:.3e})",
                                   last_state=last_state())
             n_rejected += 1
-            dt_next = dt * max(0.3, 0.9 * (controls.step_tol / err) ** (1.0 / 3.0))
+            dt_next = dt * scale
             continue
         if np.min(fine) <= -s:
             raise GeometryError(f"flow left the graph regime at t={t}: r <= 0")
         u, fine = fine, u
         t = next_mark if hit_mark else t + dt
         n_steps += 1
-        grow = 2.0 if err == 0.0 else min(2.0, max(0.3, 0.9 * (controls.step_tol / err) ** (1.0 / 3.0)))
-        dt_next = min(dt_cap, dt * grow)
+        dt_next = min(dt_cap, dt * scale)
         max_u = float(np.max(np.abs(u, out=scratch)))
         diag_t.append(t)
         diag_dt.append(dt)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,14 +28,15 @@ from .errors import InvalidInputError, NumericError, ParameterError
 REL_TOL = 1e-12
 
 
-def _require_params(C, tau, tau_sup: float = 1.0, inclusive: bool = False) -> None:
-    """Validate scalar or array constants; every entry must be admissible."""
+def _require_params(C, tau, inclusive: bool = False) -> None:
+    """Validate scalar or array constants; every entry must be admissible:
+    C >= 1 and tau in (1/3, 1), or (1/3, 1] when inclusive."""
     if not np.all(np.isfinite(C) & (C >= 1.0)):
         raise ParameterError(f"need C >= 1, got C={C}")
-    hi_ok = tau <= tau_sup if inclusive else tau < tau_sup
+    hi_ok = tau <= 1.0 if inclusive else tau < 1.0
     if not np.all(np.isfinite(tau) & (tau > 1.0 / 3.0) & hi_ok):
         bracket = "]" if inclusive else ")"
-        raise ParameterError(f"need tau in (1/3, {tau_sup}{bracket}, got tau={tau}")
+        raise ParameterError(f"need tau in (1/3, 1.0{bracket}, got tau={tau}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +60,6 @@ class MonotoneSequence:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def truncated(self, n: int) -> "MonotoneSequence":
-        """Prefix of the first n entries (truncation preserves admissibility)."""
-        if not 1 <= n <= len(self):
-            raise InvalidInputError(f"cannot truncate length-{len(self)} sequence to {n}")
-        return MonotoneSequence(self.values[:n].copy())
-
     def diffs(self) -> np.ndarray:
         return self.values[:-1] - self.values[1:]
 
@@ -74,11 +69,10 @@ class MonotoneSequence:
 
 @dataclass(frozen=True, eq=False)
 class HypothesisReport:
-    """Per-index result of the drop-law check, plus the square-root increment sum."""
+    """Result of the drop-law check, plus the square-root increment sum."""
 
     C: float
     tau: float
-    per_index_ok: np.ndarray = field(metadata={"json": False})
     first_violation: int | None  # 1-based step index j, None if all pass
     sqrt_diff_sum: float
 
@@ -133,7 +127,6 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisR
     return HypothesisReport(
         C=C,
         tau=tau,
-        per_index_ok=ok,
         first_violation=first,
         sqrt_diff_sum=float(np.sum(np.sqrt(diffs))),
     )
@@ -270,6 +263,9 @@ def extremal_step(x, C: float, tau: float):
                        f"for C={C}, tau={tau}")
 
 
+MAX_SEQUENCE_STEPS = 1_000_000  # longest generated sequence (extremal: about 2 s, 8 MB)
+
+
 def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> MonotoneSequence:
     """Sequence saturating the drop law with equality at every step.
 
@@ -281,8 +277,8 @@ def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> Monotone
     _require_params(C, tau, inclusive=True)
     if not 0.0 < x1 <= 1.0:
         raise InvalidInputError(f"need 0 < x1 <= 1, got {x1}")
-    if n_steps < 1:
-        raise InvalidInputError(f"need n_steps >= 1, got {n_steps}")
+    if not 1 <= n_steps <= MAX_SEQUENCE_STEPS:
+        raise InvalidInputError(f"need 1 <= n_steps <= {MAX_SEQUENCE_STEPS}, got {n_steps}")
     out = np.empty(n_steps + 1)
     x = out[0] = float(x1)
     for j in range(1, n_steps + 1):
@@ -290,20 +286,32 @@ def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> Monotone
     return MonotoneSequence(out)
 
 
-def _admissible_rows(x1: np.ndarray, draws: np.ndarray, C: float, tau: float) -> np.ndarray:
-    """Rows starting at x1 whose j-th successor is (1 - draws[:, j-1]) times the
-    zero-slack root of its predecessor, checked like MonotoneSequence.
+def random_admissible_batch(C: float, tau: float, rng: np.random.Generator,
+                            n_seq: int, n_steps: int) -> np.ndarray:
+    """n_seq random sequences satisfying the drop law strictly, as the rows of
+    an (n_seq, n_steps + 1) array, checked like MonotoneSequence.
 
-    A successor that underflows to zero ends its row: it and every later
-    entry are 0.0, so each row is positive up to its first zero.
+    At each step the admissible successors form the interval (0, t*], where t*
+    is the zero-slack root; the successor is drawn uniformly from it, which
+    spans the whole admissible set, and x1 is uniform on (0, 1].  One
+    rng.random((n_seq, n_steps + 1)) call supplies the draws; its row-major
+    order is the per-sequence order (x1, then one draw per successor), so the
+    batch consumes the stream exactly as n_seq sequences drawn one after
+    another.  The rows are generated together, one array root solve per
+    column.  A successor that underflows to zero ends its row: it and every
+    later entry are 0.0, so each row is positive up to its first zero.
     """
-    vals = np.empty((x1.size, draws.shape[1] + 1))
-    vals[:, 0] = x1
-    for j in range(1, vals.shape[1]):
+    _require_params(C, tau, inclusive=True)
+    if n_seq < 1 or n_steps < 1:
+        raise InvalidInputError(f"need n_seq >= 1 and n_steps >= 1, got {n_seq}, {n_steps}")
+    draws = rng.random((n_seq, n_steps + 1))
+    vals = np.empty_like(draws)
+    vals[:, 0] = 1.0 - draws[:, 0]
+    for j in range(1, n_steps + 1):
         x = vals[:, j - 1]
         live = x > 0.0
         root = extremal_step(np.where(live, x, 1.0), C, tau)
-        vals[:, j] = np.where(live, (1.0 - draws[:, j - 1]) * root, 0.0)  # uniform on (0, root]
+        vals[:, j] = np.where(live, (1.0 - draws[:, j]) * root, 0.0)  # uniform on (0, root]
     if not np.all(np.isfinite(vals)):
         raise InvalidInputError("sequence contains non-finite entries")
     if not np.all(vals[:, 0] > 0.0) or not np.all(vals >= 0.0):
@@ -313,47 +321,16 @@ def _admissible_rows(x1: np.ndarray, draws: np.ndarray, C: float, tau: float) ->
     return vals
 
 
-def random_admissible_batch(C: float, tau: float, rng: np.random.Generator,
-                            n_seq: int, n_steps: int) -> np.ndarray:
-    """n_seq random sequences satisfying the drop law strictly, as the rows of
-    an (n_seq, n_steps + 1) array.
-
-    Each row is drawn like random_admissible_sequence with x1 uniform on
-    (0, 1]: one rng.random((n_seq, n_steps + 1)) call, whose row-major order is
-    the per-sequence order (x1, then one draw per successor), so the batch
-    consumes the stream exactly as n_seq sequences drawn one after another.
-    The rows are generated together, one array root solve per column.  An
-    entry that underflows to zero ends its row with zeros.
-    """
-    _require_params(C, tau, inclusive=True)
-    if n_seq < 1 or n_steps < 1:
-        raise InvalidInputError(f"need n_seq >= 1 and n_steps >= 1, got {n_seq}, {n_steps}")
-    draws = rng.random((n_seq, n_steps + 1))
-    return _admissible_rows(1.0 - draws[:, 0], draws[:, 1:], C, tau)  # x1 uniform on (0, 1]
-
-
 def random_admissible_sequence(C: float, tau: float, rng: np.random.Generator,
-                               n_steps: int, x1: float | None = None) -> MonotoneSequence:
-    """Random sequence satisfying the drop law strictly.
+                               n_steps: int) -> MonotoneSequence:
+    """Random sequence satisfying the drop law strictly: the one-row case of
+    random_admissible_batch, truncated where an entry underflows to zero.
 
-    At each step the admissible successors form the interval (0, t*], where t*
-    is the zero-slack root; the successor is drawn uniformly from it, which
-    spans the whole admissible set.  Underflow to zero truncates the sequence.
-    This is the one-row case of random_admissible_batch: one draw for x1
-    unless it is given, then one per successor.  All n_steps successors are
-    drawn even when one underflows, so only after an underflow, which needs a
-    product below 5e-324, can the stream differ from drawing successor by
-    successor and stopping there.
+    All n_steps successors are drawn even when one underflows, so only after
+    an underflow, which needs a product below 5e-324, can the stream differ
+    from drawing successor by successor and stopping there.
     """
-    if x1 is None:
-        row = random_admissible_batch(C, tau, rng, 1, n_steps)[0]
-    else:
-        _require_params(C, tau, inclusive=True)
-        if n_steps < 1:
-            raise InvalidInputError(f"need n_steps >= 1, got {n_steps}")
-        if not 0.0 < x1 <= 1.0:
-            raise InvalidInputError(f"need 0 < x1 <= 1, got {x1}")
-        row = _admissible_rows(np.array([float(x1)]), rng.random((1, n_steps)), C, tau)[0]
+    row = random_admissible_batch(C, tau, rng, 1, n_steps)[0]
     return MonotoneSequence(row[row > 0.0])
 
 
@@ -396,9 +373,11 @@ def parse_sequence_text(text: str) -> MonotoneSequence:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad JSON array: {exc}") from exc
-        if not isinstance(data, list):
-            raise InvalidInputError("JSON input must be an array of numbers")
-        return MonotoneSequence(np.asarray(data, dtype=float))
+        try:
+            vals = np.asarray(data, dtype=float)
+        except (TypeError, ValueError) as exc:  # a ragged or non-numeric array
+            raise InvalidInputError(f"JSON input must be an array of numbers: {exc}") from exc
+        return MonotoneSequence(vals)
     try:
         vals = [float(line) for line in stripped.splitlines() if line.strip()]
     except ValueError as exc:

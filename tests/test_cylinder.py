@@ -137,6 +137,13 @@ class TestDistance:
         with pytest.raises(PreconditionError):
             cyl.dist_R(g, R=-1.0)
 
+    def test_window_without_grid_point(self):
+        # 14 nodes on [-20, 20] put the two nearest the origin at +-1.54
+        g = cyl.CylinderGraph.zero(SPEC1, R_dom=20.0, h=3.0)
+        with pytest.raises(PreconditionError):
+            cyl.dist_R(g, R=1.0)
+        assert cyl.dist_R(g, R=1.6).dist == 0.0
+
     def test_graph_distance_is_difference_norm(self):
         g1 = bump_graph(0.02, h=0.05)
         g2 = bump_graph(0.005, h=0.05)

@@ -36,9 +36,7 @@ class TestConfigParsing:
         cfg = harness.load_run_config(path)
         assert cfg.k == 1 and cfg.t2 == 8 and cfg.profile_kind == "balanced_gauss"
         assert cfg.h == 0.1 and cfg.seed == 42
-        text = harness.config_to_text(cfg)
         cfg2 = harness.load_run_config(path)  # original file unchanged
-        assert "profile_kind = balanced_gauss" in text
         assert dataclasses.asdict(cfg2) == dataclasses.asdict(cfg)
 
     def test_comments_and_blank_lines(self):
@@ -68,10 +66,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             harness.load_bundled_config("missing.cfg")
 
-    def test_bad_override_of_bundled_config(self):
-        with pytest.raises(ConfigError):
-            harness.load_bundled_config("fit.cfg", overrides={"wibble": 3})
-
 
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(mcf.RunConfig)] + ["wibble"]
 _CONFIG_VALUES = st.one_of(
@@ -87,7 +81,23 @@ class TestConfigProperty:
         # text, the outcome is a state or a package error with a documented exit
         text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
         try:
-            harness._config_from_text(text, "<property>", None).initial_state()
+            harness._config_from_text(text, "<property>").initial_state()
+        except FlowcertError as exc:
+            assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
+    def test_any_override_evolves_or_maps_to_exit_3_or_64(self, overrides):
+        # the same overrides, then a tiny evolve: t_end is 20 step caps (at
+        # most 20 time units, since unit marks also cut steps), so ~20 steps
+        text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
+        try:
+            cfg = harness._config_from_text(text, "<property>")
+            state = cfg.initial_state()
+            g = state.graph
+            dt_cap = min(cfg.cfl * min(0.5 * g.h * g.h, 2.0 * g.h / g.R_dom), cfg.dt_max)
+            hist = mcf.evolve(state, min(20.0 * dt_cap, 20.0), cfg.controls())
+            assert isinstance(hist, mcf.FlowHistory)
         except FlowcertError as exc:
             assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
 
@@ -150,6 +160,16 @@ class TestCliExitCodes:
         assert code == 3
         assert "r <= 0" in (tmp_path / "o" / "run.log").read_text()
 
+    def test_window_without_grid_point_is_3(self, tmp_path, capsys):
+        # with h = 3 no grid node lies in |z| <= R2 = 1
+        cfgfile = tmp_path / "wide.cfg"
+        cfgfile.write_text(COARSE_CFG + "h = 3.0\ndt_max = 1.0\nR2 = 1.0\n")
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert "run aborted: no grid point" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
     def test_precondition_error_is_3(self, tmp_path, capsys):
         # x0 = 0.3 starts the segment outside the ball of radius 1/4, a
         # hypothesis of the length bound
@@ -190,6 +210,26 @@ class TestCliExitCodes:
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet",
                          "seq-check", "--file", str(seq), "--tau", "0.5"])
         assert code in (0, 2)  # parses; exit depends on the checked inequality
+
+    @pytest.mark.parametrize("payload", ['["a", 0.5]', '[[1, 0.5], [0.2]]'])
+    def test_bad_json_array_is_64(self, tmp_path, capsys, payload):
+        seq = tmp_path / "seq.json"
+        seq.write_text(payload)
+        code = cli.main(["--out", str(tmp_path / "o"), "seq-check", "--file", str(seq)])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert "error:" in printed.out and "Traceback" not in printed.out + printed.err
+
+    @pytest.mark.parametrize("n", [sequences.MAX_SEQUENCE_STEPS + 1, 10**11])
+    @pytest.mark.parametrize("kind", ["--geometric", "--extremal"])
+    def test_sequence_length_cap_is_64(self, tmp_path, capsys, kind, n):
+        start = time.perf_counter()
+        code = cli.main(["--out", str(tmp_path / "o"), "seq-check", kind, "--n", str(n)])
+        assert code == 64
+        assert time.perf_counter() - start < 5.0
+        printed = capsys.readouterr()
+        assert "error: need" in printed.out and f"<= 1000000, got {n}" in printed.out
+        assert "Traceback" not in printed.out + printed.err
 
     def test_grad_flow_outputs(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "--quiet", "grad-flow",
@@ -345,8 +385,8 @@ class TestMutationSensitivity:
             return shifted
 
         real_load = harness.load_bundled_config
-        monkeypatch.setattr(harness, "load_bundled_config",
-                            lambda name: real_load(name, {"h": 0.1, "dt_max": 4e-4, "t2": 2}))
+        monkeypatch.setattr(harness, "load_bundled_config", lambda name: dataclasses.replace(
+            real_load(name), h=0.1, dt_max=4e-4, t2=2))
         assert acceptance.crit_stationarity({}).passed  # the coarse copy passes unmutated
         monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
         res = acceptance.crit_stationarity({})
@@ -368,8 +408,8 @@ class TestMutationSensitivity:
             return shifted
 
         real_load = harness.load_bundled_config
-        monkeypatch.setattr(harness, "load_bundled_config",
-                            lambda name: real_load(name, {"h": 0.1, "dt_max": 1e-3, "t2": 2}))
+        monkeypatch.setattr(harness, "load_bundled_config", lambda name: dataclasses.replace(
+            real_load(name), h=0.1, dt_max=1e-3, t2=2))
         monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
         res = acceptance.crit_stationarity({})
         assert not res.passed
@@ -394,7 +434,7 @@ class TestMutationSensitivity:
 
         real_load = harness.load_bundled_config
         monkeypatch.setattr(harness, "load_bundled_config",
-                            lambda name: real_load(name, {"h": 0.1, "t2": 4}))
+                            lambda name: dataclasses.replace(real_load(name), h=0.1, t2=4))
         ctx = {}
         acceptance.crit_close_trend(ctx)
         assert acceptance.crit_monotone_F(ctx).passed  # the coarse runs pass unmutated

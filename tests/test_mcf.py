@@ -45,6 +45,19 @@ def reference_kernel(z, h, s):
     return frhs, frk2
 
 
+def kernel_rhs(g):
+    """Time derivative of the profile (zero at the ends), through mcf._kernel."""
+    return mcf._kernel(g.z, g.h, g.spec.radius)(g.u, np.zeros_like(g.u))
+
+
+def midpoint_step(g, dt):
+    """One explicit midpoint step of g's profile, through mcf._midpoint."""
+    frhs = mcf._kernel(g.z, g.h, g.spec.radius)
+    k = frhs(g.u, np.zeros_like(g.u))
+    u = mcf._midpoint(frhs, g.u, dt, k, k, np.empty_like(g.u), np.empty_like(g.u))
+    return CylinderGraph(g.spec, g.z, u)
+
+
 def random_graphs(n_points, count=2, R_dom=20.0, seed=7):
     rng = np.random.default_rng(seed)
     h = 2.0 * R_dom / (n_points - 1)
@@ -66,15 +79,6 @@ class TestKernelBits:
             assert out.tobytes() == ref(g.u).tobytes()
             assert out[[0, -1]].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
-    @pytest.mark.parametrize("n_points", [801, 2001])
-    def test_rhs_returns_fresh_arrays(self, n_points):
-        g1, g2 = random_graphs(n_points)
-        first = mcf.rhs(g1)
-        kept = first.copy()
-        second = mcf.rhs(g2)
-        assert second is not first
-        assert first.tobytes() == kept.tobytes()
-
     @pytest.mark.parametrize("n_points, R_dom", [(801, 20.0), (2001, 50.0)])
     def test_evolve_replays_reference_step_doubling(self, n_points, R_dom):
         # h = 0.05 either way, so dt = dt_max = 1e-3 and one unit of time is
@@ -94,12 +98,12 @@ class TestKernelBits:
 class TestRhs:
     def test_cylinder_is_exact_fixed_point(self):
         g = CylinderGraph.zero(SPEC1, 20.0, 0.05)
-        assert np.max(np.abs(mcf.rhs(g))) == 0.0
+        assert np.max(np.abs(kernel_rhs(g))) == 0.0
 
     def test_cylinder_fixed_point_all_k(self):
         for k in (1, 2, 3):
             g = CylinderGraph.zero(CylinderSpec(k), 20.0, 0.1)
-            assert np.max(np.abs(mcf.rhs(g))) == 0.0
+            assert np.max(np.abs(kernel_rhs(g))) == 0.0
 
     def test_tilt_mode_vanishes_at_center(self):
         # linear profile: second difference and the radial term vanish at z = 0,
@@ -111,61 +115,56 @@ class TestRhs:
         assert abs(g.z[center]) < 1e-13
         # grid nodes are not exact negatives of each other, and the second
         # difference amplifies that roundoff by 1/h^2
-        assert abs(mcf.rhs(g)[center]) < 1e-12
+        assert abs(kernel_rhs(g)[center]) < 1e-12
 
     def test_matches_one_step_difference_quotient(self):
         g = smooth_graph()
-        r = mcf.rhs(g)
+        r = kernel_rhs(g)
         errs = []
         for dt in (1e-4, 5e-5):
-            nxt = mcf.step(mcf.FlowState(g, 0.0), dt)
-            quotient = (nxt.graph.u - g.u) / dt
+            quotient = (midpoint_step(g, dt).u - g.u) / dt
             errs.append(np.max(np.abs(quotient - r)))
         assert errs[0] < 1e-3
         assert errs[1] < 0.75 * errs[0]  # first-order in dt
 
     def test_boundary_rows_are_zero(self):
-        r = mcf.rhs(smooth_graph())
+        r = kernel_rhs(smooth_graph())
         assert r[0] == 0.0 and r[-1] == 0.0
 
 
 class TestStep:
     def test_zero_profile_stays_zero(self):
-        state = mcf.FlowState(CylinderGraph.zero(SPEC1, 20.0, 0.1), 0.0)
+        g = CylinderGraph.zero(SPEC1, 20.0, 0.1)
         for _ in range(100):
-            state = mcf.step(state, 1e-3)
-        assert np.max(np.abs(state.graph.u)) < 1e-12
+            g = midpoint_step(g, 1e-3)
+        assert np.max(np.abs(g.u)) == 0.0
 
     def test_step_doubling_order(self):
-        g = smooth_graph()
-        state = mcf.FlowState(g, 0.0)
+        # evolve's error estimate is |one step of dt - two of dt/2| / 3; a
+        # second-order scheme shrinks it >= 4x when dt halves
         diffs = []
         for dt in (2e-3, 1e-3):
-            one = mcf.step(state, dt).graph.u
-            two = mcf.step(mcf.step(state, dt / 2.0), dt / 2.0).graph.u
-            diffs.append(np.max(np.abs(one - two)))
-        ratio = diffs[0] / diffs[1]
-        assert ratio > 4.0  # second-order scheme: halving dt shrinks the gap >= 4x
+            hist = mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), dt,
+                              mcf.FlowControls(dt_max=dt))
+            assert hist.diag_dt.tolist() == [dt]
+            diffs.append(hist.diag_err[0])
+        assert diffs[0] / diffs[1] > 4.0
 
     def test_area_does_not_increase(self):
         g = smooth_graph(0.02)
         before = graph_F(g).value
-        after = graph_F(mcf.step(mcf.FlowState(g, 0.0), 1e-3).graph).value
+        after = graph_F(midpoint_step(g, 1e-3)).value
         assert after <= before + 1e-8
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(InvalidInputError):
-            mcf.step(mcf.FlowState(smooth_graph(), 0.0), 0.0)
 
     def test_replays_evolve_bit_for_bit(self):
         # evolve accepts the two half steps of its step-doubling pair, so
-        # replaying them through the public step must give the same bits
+        # replaying them through the midpoint helper must give the same bits
         cfg = coarse_config()
-        state = cfg.initial_state()
-        hist = mcf.evolve(state, t_end=1.0, controls=cfg.controls())
+        g = cfg.initial_state().graph
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=1.0, controls=cfg.controls())
         for dt in hist.diag_dt:
-            state = mcf.step(mcf.step(state, dt / 2.0), dt / 2.0)
-        assert np.array_equal(state.graph.u, hist.profiles[-1])
+            g = midpoint_step(midpoint_step(g, dt / 2.0), dt / 2.0)
+        assert np.array_equal(g.u, hist.profiles[-1])
 
 
 class TestEvolve:

@@ -1,0 +1,110 @@
+"""Every function and method in src/flowcert has a caller outside the tests.
+
+A module-level function or a method counts as used when its name is read
+somewhere in src/flowcert or perfbench outside its own definition: as a name
+(not shadowed by a local of the same name), as an attribute, or as a string
+(perfbench's tracer looks functions up by name).  The package's __init__.py
+only re-exports, so its imports do not count.  Dunder methods run implicitly
+and properties are serialised by harness.jsonable, so both are exempt.  Paper
+API that only tests call today stays on PAPER_API.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "flowcert"
+PAPER_API = {"estimate_entropy", "profile_from_csv", "sqrt_segment_sum"}
+
+
+def _definitions(tree):
+    """(name, def node) of the module-level functions and the class methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                is_property = any(isinstance(d, ast.Name) and d.id == "property"
+                                  for d in item.decorator_list)
+                if not (is_property or item.name.startswith("__")):
+                    yield item.name, item
+
+
+def _locals(fn):
+    """Names a function binds: arguments, assignments, nested defs and
+    imports (nested scopes included)."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node is not fn:
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+    return names
+
+
+def _uses(tree):
+    """(name, enclosing top-level or method def) for every read of a name."""
+    out = []
+
+    def visit(node, owner, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if owner is None:
+                owner = node
+            shadowed = shadowed | _locals(node)
+        elif isinstance(node, ast.ClassDef) and owner is None:
+            for item in node.body:
+                visit(item, None, shadowed)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                out.append((node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, owner))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append((node.value, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, shadowed)
+
+    visit(tree, None, frozenset())
+    return out
+
+
+def unreferenced(package=PACKAGE, perfbench=ROOT / "perfbench"):
+    """Qualified names of the definitions that nothing live reads.  A read
+    from inside a dead definition does not count, so a helper whose only
+    caller is dead code is reported too."""
+    trees = {path: ast.parse(path.read_text()) for path in
+             sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))
+             if path.name != "__init__.py"}
+    uses = [use for tree in trees.values() for use in _uses(tree)]
+    candidates = {node: f"{path.stem}.{name}" for path, tree in trees.items()
+                  if path.parent == package
+                  for name, node in _definitions(tree) if name not in PAPER_API}
+    dead: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for node in candidates:
+            if node not in dead and not any(
+                    used == node.name and owner is not node and owner not in dead
+                    for used, owner in uses):
+                dead.add(node)
+                changed = True
+    return sorted(candidates[node] for node in dead)
+
+
+def test_every_function_has_a_non_test_caller():
+    assert unreferenced() == []
+
+
+def test_paper_api_still_defined():
+    defined = {name for path in PACKAGE.glob("*.py")
+               for name, _ in _definitions(ast.parse(path.read_text()))}
+    assert PAPER_API <= defined

@@ -169,8 +169,9 @@ def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
 
 def _write_history(hist: mcf.FlowHistory, out: Path) -> None:
     hist.to_csv(out / "history.csv")
-    write_csv(out / "diagnostics.csv", ["t", "dt", "err", "max_abs_u", "cfl"],
-              [hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl])
+    write_csv(out / "diagnostics.csv", ["t", "dt", "err", "max_abs_u", "cfl", "stages"],
+              [hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl,
+               hist.diag_stages])
     profdir = out / "profiles"
     profdir.mkdir(parents=True, exist_ok=True)
     for t in hist.mark_times:
@@ -181,6 +182,10 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
     cfg = harness.load_run_config(args.config)
     hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
     _write_history(hist, out)
+    log.say(f"evolve: {hist.diag_t.size} steps ({hist.n_rejected} rejected), "
+            f"{hist.n_rhs} RHS calls, stages {hist.diag_stages.min()}-{hist.diag_stages.max()}, "
+            f"dt {hist.diag_dt.min():.3g}-{hist.diag_dt.max():.3g} (dt_max {cfg.dt_max:g}), "
+            f"max err/step_tol {hist.diag_err.max() / cfg.step_tol:.2e}")
     checks = [{"name": "run-completed", "passed": hist.stop_reason == "completed",
                "measured": f"stop_reason={hist.stop_reason}, t_final={hist.t_final}"}]
     max_rise = float(np.max(np.diff(hist.mark_F))) if hist.mark_F.size >= 2 else 0.0

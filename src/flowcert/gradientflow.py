@@ -310,12 +310,21 @@ class EffectiveBoundReport:
 def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float) -> float:
     """Locate the time where F along the trajectory crosses F0 (F is monotone).
 
-    Converges to CROSSING_TOL or, for long horizons, to the float
-    spacing of the bracket, whichever is coarser.
+    The bisection starts from the two stored samples that bracket the
+    crossing (the last one above F0 and the first one at or below it), so it
+    runs inside one solver step; if the dense output does not confirm that
+    bracket, it starts from [t_lo, t_hi].  Converges to CROSSING_TOL or, for
+    long horizons, to the float spacing of the bracket, whichever is coarser.
     """
-    g_lo = float(traj.F_at(t_lo)) - F0
-    g_hi = float(traj.F_at(t_hi)) - F0
-    if g_lo < 0 or g_hi > 0:
+    first_below = int(np.argmax(traj.F_values <= F0))
+    brackets = [(t_lo, t_hi)]
+    if first_below > 0:
+        brackets.insert(0, (float(traj.times[first_below - 1]), float(traj.times[first_below])))
+    for t_a, t_b in brackets:
+        if float(traj.F_at(t_a)) >= F0 >= float(traj.F_at(t_b)):
+            t_lo, t_hi = t_a, t_b
+            break
+    else:
         raise NumericError("crossing bracket does not straddle the critical level")
     while t_hi - t_lo > CROSSING_TOL:
         mid = 0.5 * (t_lo + t_hi)

@@ -13,13 +13,11 @@ which vanishes identically at u = 0, so the round cylinder is a fixed point of
 the discrete scheme to the last bit.
 
 Discretization is method-of-lines: second-order central differences in z on a
-uniform grid with the profile pinned to the cylinder at both ends, an explicit
-midpoint (RK2) step in time with step-doubling error control, and the time
-step capped by a parabolic stability bound proportional to h^2.  One in-place
-kernel evaluates the right-hand side and one helper, _midpoint, takes a
-midpoint step into a preallocated buffer; evolve's step-doubling pair is three
-such steps (the full step and two half steps) whose first two share the stage
-frhs(u), so a step costs 5 evaluations and allocates no array.
+uniform grid with the profile pinned to the cylinder at both ends, and damped
+second-order Runge-Kutta-Chebyshev (RKC2) steps in time, each with the fewest
+stages whose stability interval covers it (see evolve).  Every stage is u plus
+a combination of earlier increments and dt times right-hand sides, so with
+frhs(0) == 0 the zero profile stays zero.
 
 Gaussian area is sampled at unit time marks; those marks feed the empirical
 decay-exponent fit and, at every second mark, the discrete summability
@@ -129,14 +127,47 @@ def _kernel(z: np.ndarray, h: float, s: float):
     return frhs
 
 
-def _midpoint(frhs, u: np.ndarray, dt: float, k0: np.ndarray, k: np.ndarray,
-              stage: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Midpoint step out = u + dt*frhs(u + dt/2*k0) from k0 = frhs(u), with no
-    temporaries; k and stage are scratch, and k may be k0."""
-    np.multiply(k0, 0.5 * dt, out=stage)
-    frhs(np.add(u, stage, out=stage), k)
-    np.multiply(k, dt, out=out)
-    return np.add(u, out, out=out)
+RKC_DAMPING = 2.0 / 13.0  # epsilon in w0 = 1 + epsilon/s^2
+MAX_STAGES = 50  # a step whose stability needs more stages is shortened instead
+
+
+def _rkc2_coefficients(s: int) -> tuple[float, float, tuple[tuple[float, float, float, float], ...]]:
+    """Damped RKC2 with s >= 2 stages: (beta, mu~_1, ((mu_j, nu_j, mu~_j, gamma~_j), j = 2..s)).
+
+    With w0 = 1 + epsilon/s^2, w1 = T_s'(w0)/T_s''(w0) and
+    b_j = T_j''(w0)/T_j'(w0)^2 (b_0 = b_1 = b_2), the step from u is
+
+        d_0 = 0,  d_1 = mu~_1 dt F(u),
+        d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt F(u + d_{j-1}) + gamma~_j dt F(u),
+
+    u_new = u + d_s, with mu~_1 = b_1 w1, mu_j = 2 b_j w0 / b_{j-1},
+    nu_j = -b_j / b_{j-2}, mu~_j = 2 b_j w1 / b_{j-1} and
+    gamma~_j = -(1 - b_{j-1} T_{j-1}(w0)) mu~_j: the stages Y_j = u + d_j of
+    Sommeijer, Shampine & Verwer (1998) written as increments, so the pinned
+    end rows, where F is zero, keep their bits.  Its stability polynomial is
+    1 - b_s T_s(w0) + b_s T_s(w0 + w1 z), bounded by 1 on
+    [-beta, 0] with beta = (1 + w0)/w1.  T_j and its derivatives at w0 come
+    from the Chebyshev three-term recurrence.
+    """
+    w0 = 1.0 + RKC_DAMPING / (s * s)
+    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        ddT.append(4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2])
+    w1 = dT[s] / ddT[s]
+    b = [ddT[j] / (dT[j] * dT[j]) for j in range(2, s + 1)]
+    b = [b[0], b[0], *b]
+    stages = []
+    for j in range(2, s + 1):
+        mu_t = 2.0 * b[j] * w1 / b[j - 1]
+        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t,
+                       -(1.0 - b[j - 1] * T[j - 1]) * mu_t))
+    return (1.0 + w0) / w1, b[1] * w1, tuple(stages)
+
+
+# coefficients of every stage count evolve may take, indexed by s
+_RKC2 = {s: _rkc2_coefficients(s) for s in range(2, MAX_STAGES + 1)}
 
 
 @dataclass
@@ -156,10 +187,13 @@ class FlowControls:
 class FlowHistory:
     """Unit-mark record of one run plus per-step diagnostics.
 
-    Profiles are stored at every integer time; diagnostics (accepted dt, local
-    error estimate, max |u|, parabolic CFL number) at every accepted step.
+    Profiles are stored at every integer time; diagnostics at every accepted
+    step: the time after it, dt, the local error estimate, max |u|, the
+    stability usage 4 dt / (h^2 beta(s)) (at most cfl) and the stage count s.
     n_rhs counts right-hand-side evaluations and n_rejected the steps the error
-    control refused; every attempted step costs 5 evaluations.
+    control refused; every attempted step of s stages costs s evaluations, and
+    the run one more for its first stage, so n_rhs = 1 + the stage counts of
+    the accepted and the rejected steps.
     """
 
     spec: CylinderSpec
@@ -176,6 +210,7 @@ class FlowHistory:
     diag_err: np.ndarray
     diag_max_u: np.ndarray
     diag_cfl: np.ndarray
+    diag_stages: np.ndarray
     stop_reason: str
     t_final: float
     n_rhs: int
@@ -207,15 +242,25 @@ MAX_STEPS = 10_000_000  # accepted steps after which evolve gives up
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:
     """Advance the flow to t_end (or a stop condition) with adaptive stepping.
 
-    The time step is the smallest of: the step-doubling suggestion, the
-    parabolic stability cap cfl*h^2/2, the advective cap cfl*2h/R_dom,
-    controls.dt_max, and the distance to the next integer mark, so every
-    integer time is hit exactly.  Starting time must be an integer.
+    The time step is the smallest of: the error controller's suggestion, the
+    stability cap of MAX_STAGES stages cfl*beta(MAX_STAGES)*h^2/4, the
+    advective cap cfl*2h/R_dom, controls.dt_max, and the distance to the next
+    integer mark, so every integer time is hit exactly.  Starting time must be
+    an integer, and a run that would need more than MAX_STEPS steps of the
+    largest allowed size is refused up front.
 
-    Each attempted step costs 5 right-hand-side evaluations: the full midpoint
-    step and the first of the two half steps share their first stage frhs(u).
-    All stages are written into buffers allocated once per call, and an
-    accepted step swaps the profile buffer with the fine result.
+    Each step is one damped RKC2 step (see _rkc2_coefficients) with the
+    fewest stages s >= 2 for which cfl*beta(s) >= 4 dt/h^2.  Its error
+    estimate is Verwer's
+
+        (12 (u_n - u_{n+1}) + 6 dt (F(u_n) + F(u_{n+1}))) / 15,
+
+    evaluated as 0.8 (dt/2 (F(u_n) + F(u_{n+1})) - d_s) with d_s = u_{n+1} - u_n
+    the step's increment; the controller scales dt by
+    0.9 (step_tol/err)^(1/3), clipped to [0.3, 2].  F(u_{n+1}) is the next
+    step's first stage, so a step costs s right-hand-side evaluations.  All
+    stages are written into buffers allocated once per call, and an accepted
+    step swaps the profile and first-stage buffers with the new ones.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
@@ -227,10 +272,14 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     h = state.graph.h
     s = spec.radius
     R_dom = state.graph.R_dom
-    dt_stab = controls.cfl * min(0.5 * h * h, 2.0 * h / max(R_dom, 1e-300))
+    stab = [controls.cfl * _RKC2[n][0] for n in range(2, MAX_STAGES + 1)]  # cfl*beta(s)
+    dt_stab = min(0.25 * stab[-1] * h * h, controls.cfl * 2.0 * h / max(R_dom, 1e-300))
     dt_cap = min(dt_stab, controls.dt_max)
     if not dt_cap > 0.0:
         raise InvalidInputError(f"time-step cap {dt_cap} is not positive; the run cannot advance")
+    if (t_end - state.t) / dt_cap > MAX_STEPS:
+        raise InvalidInputError(f"reaching t={t_end} takes more than MAX_STEPS={MAX_STEPS} "
+                                f"steps of at most {dt_cap:.3e}")
 
     kernel = _kernel(z, h, s)
     n_rhs = 0
@@ -241,12 +290,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         n_rhs += 1
         return kernel(w, out)
 
-    # k0 and k keep the zero end rows frhs never writes; _midpoint fills the rest
-    k0, k = np.zeros_like(u), np.zeros_like(u)
-    stage, big, half, fine, scratch = (np.empty_like(u) for _ in range(5))
+    # f0 = F(u), f1 = F(u_new) and k keep the zero end rows frhs never writes;
+    # d0, d1, d2 hold the stage increments d_j, d_{j-1}, d_{j-2} in rotation
+    f0, f1, k = (np.zeros_like(u) for _ in range(3))
+    y, d0, d1, d2, scratch = (np.empty_like(u) for _ in range(5))
 
     mark_times, mark_F, mark_d1, mark_d2, mark_mu, profiles = [], [], [], [], [], []
-    diag_t, diag_dt, diag_err, diag_mu, diag_cfl = [], [], [], [], []
+    diag_t, diag_dt, diag_err, diag_mu, diag_cfl, diag_stages = [], [], [], [], [], []
 
     def record_mark(t: float, u_now: np.ndarray) -> None:
         graph = CylinderGraph(spec, z, u_now)
@@ -262,6 +312,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
 
     t = float(round(state.t))
     record_mark(t, u)
+    frhs(u, f0)
     dt_next = dt_cap
     n_steps = 0
     stopped = False
@@ -275,14 +326,22 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         if t + dt >= next_mark - MARK_TOL:
             dt = next_mark - t
             hit_mark = True
-        # step-doubling pair: big is one midpoint step of dt, fine two of dt/2;
-        # both start from k0 = frhs(u)
-        hdt = 0.5 * dt
-        frhs(u, k0)
-        _midpoint(frhs, u, dt, k0, k, stage, big)
-        _midpoint(frhs, u, hdt, k0, k, stage, half)
-        _midpoint(frhs, half, hdt, frhs(half, k), k, stage, fine)
-        err = float(np.max(np.abs(np.subtract(big, fine, out=scratch), out=scratch))) / 3.0
+        need = 4.0 * dt / (h * h)
+        n_stages = next((n for n, bound in enumerate(stab, 2) if bound >= need), MAX_STAGES)
+        beta, mu1_t, stages = _RKC2[n_stages]
+        d2.fill(0.0)
+        np.multiply(f0, mu1_t * dt, out=d1)
+        for mu, nu, mu_t, gamma_t in stages:
+            frhs(np.add(u, d1, out=y), k)
+            np.multiply(d1, mu, out=d0)
+            np.add(d0, np.multiply(d2, nu, out=scratch), out=d0)
+            np.add(d0, np.multiply(k, mu_t * dt, out=scratch), out=d0)
+            np.add(d0, np.multiply(f0, gamma_t * dt, out=scratch), out=d0)
+            d0, d1, d2 = d2, d0, d1
+        frhs(np.add(u, d1, out=y), f1)
+        np.multiply(np.add(f0, f1, out=scratch), 0.5 * dt, out=scratch)
+        np.subtract(scratch, d1, out=scratch)
+        err = 0.8 * float(np.max(np.abs(scratch, out=scratch)))
         if not math.isfinite(err):
             raise BlowupError(f"non-finite profile at t={t}", last_state=last_state())
         # step-size factor; below 0.9 whenever the step is rejected (err > step_tol)
@@ -294,9 +353,10 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
             n_rejected += 1
             dt_next = dt * scale
             continue
-        if np.min(fine) <= -s:
+        if np.min(y) <= -s:
             raise GeometryError(f"flow left the graph regime at t={t}: r <= 0")
-        u, fine = fine, u
+        u, y = y, u
+        f0, f1 = f1, f0
         t = next_mark if hit_mark else t + dt
         n_steps += 1
         dt_next = min(dt_cap, dt * scale)
@@ -305,7 +365,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         diag_dt.append(dt)
         diag_err.append(err)
         diag_mu.append(max_u)
-        diag_cfl.append(2.0 * dt / (h * h))
+        diag_cfl.append(need / beta)
+        diag_stages.append(n_stages)
         if controls.stop_max_abs_u is not None and max_u > controls.stop_max_abs_u:
             stop_reason = "max_abs_u"
             stopped = True
@@ -329,6 +390,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         diag_err=np.asarray(diag_err),
         diag_max_u=np.asarray(diag_mu),
         diag_cfl=np.asarray(diag_cfl),
+        diag_stages=np.asarray(diag_stages, dtype=int),
         stop_reason=stop_reason,
         t_final=float(t),
         n_rhs=n_rhs,

@@ -88,8 +88,9 @@ class TestConfigProperty:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
     def test_any_override_evolves_or_maps_to_exit_3_or_64(self, overrides):
-        # the same overrides, then a tiny evolve: t_end is 20 step caps (at
-        # most 20 time units, since unit marks also cut steps), so ~20 steps
+        # the same overrides, then a tiny evolve: t_end is 20 midpoint-stable
+        # steps cfl*h^2/2 or advective caps (at most 20 time units), which
+        # RKC2 covers in at most about 20 steps
         text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
         try:
             cfg = harness._config_from_text(text, "<property>")
@@ -100,6 +101,20 @@ class TestConfigProperty:
             assert isinstance(hist, mcf.FlowHistory)
         except FlowcertError as exc:
             assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
+
+    def test_stage_cap_case_ends_at_once_with_exit_64(self, tmp_path, capsys):
+        # h = 1e-5 on R_dom = 0.5: a step of the advective cap would need
+        # about 1,500 stages; MAX_STAGES caps dt near 3e-8 instead, so t2 = 8
+        # lies beyond MAX_STEPS steps and the run is refused before stepping
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(COARSE_CFG + "R_dom = 0.5\nh = 1e-5\nR1 = 0.25\nR2 = 0.25\n")
+        start = time.perf_counter()
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 64
+        assert time.perf_counter() - start < 10.0
+        printed = capsys.readouterr()
+        assert "error: reaching t=8.0 takes more than MAX_STEPS" in printed.out
+        assert "Traceback" not in printed.out + printed.err
 
 
 class TestJsonable:
@@ -273,9 +288,14 @@ class TestCliExitCodes:
         cfg = harness.load_run_config(cfgfile)
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
         lines = (out / "diagnostics.csv").read_text().splitlines()
-        assert lines[0] == "t,dt,err,max_abs_u,cfl"
+        assert lines[0] == "t,dt,err,max_abs_u,cfl,stages"
         assert len(lines) - 1 == hist.diag_t.size == 4000
         assert lines[-1].split(",")[0] == repr(float(cfg.t2))
+        # h = 0.1, dt = 2e-3: 2 stages at stability usage 0.8/beta(2)
+        assert {line.split(",")[-1] for line in lines[1:]} == {"2.0"}
+        assert float(lines[1].split(",")[4]) == pytest.approx(0.8 / mcf._RKC2[2][0], rel=1e-12)
+        log = (out / "run.log").read_text()
+        assert "evolve: 4000 steps (0 rejected), 8001 RHS calls, stages 2-2" in log
 
     def test_blowup_returns_3(self, tmp_path):
         cfgfile = tmp_path / "blow.cfg"

@@ -39,10 +39,47 @@ def reference_kernel(z, h, s):
         out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
         return out
 
-    def frk2(w, dt):
-        return w + dt * frhs(w + (0.5 * dt) * frhs(w))
+    return frhs
 
-    return frhs, frk2
+
+def textbook_rkc2(s, eps=2.0 / 13.0):
+    """Damped RKC2 coefficients as Sommeijer, Shampine & Verwer (1998) state
+    them: w0 = 1 + eps/s^2, w1 = T_s'(w0)/T_s''(w0), b_j = T_j''(w0)/T_j'(w0)^2
+    with b_0 = b_1 = b_2, a_j = 1 - b_j T_j(w0), mu~_1 = b_1 w1 and, for
+    j = 2..s, mu_j = 2 b_j w0/b_{j-1}, nu_j = -b_j/b_{j-2},
+    mu~_j = 2 b_j w1/b_{j-1}, gamma~_j = -a_{j-1} mu~_j; T_j from
+    T_j = 2x T_{j-1} - T_{j-2} and its derivatives.  Returns (beta, mu~_1,
+    per-stage tuples) with beta = (1 + w0)/w1."""
+    x = 1.0 + eps / (s * s)
+    T = {0: 1.0, 1: x}
+    dT = {0: 0.0, 1: 1.0}
+    ddT = {0: 0.0, 1: 0.0}
+    for j in range(2, s + 1):
+        T[j] = 2.0 * x * T[j - 1] - T[j - 2]
+        dT[j] = 2.0 * T[j - 1] + 2.0 * x * dT[j - 1] - dT[j - 2]
+        ddT[j] = 4.0 * dT[j - 1] + 2.0 * x * ddT[j - 1] - ddT[j - 2]
+    w1 = dT[s] / ddT[s]
+    b = {j: ddT[j] / (dT[j] * dT[j]) for j in range(2, s + 1)}
+    b[0] = b[1] = b[2]
+    a = {j: 1.0 - b[j] * T[j] for j in range(s + 1)}
+    stages = tuple((2.0 * b[j] * x / b[j - 1], -b[j] / b[j - 2], 2.0 * b[j] * w1 / b[j - 1],
+                    -a[j - 1] * (2.0 * b[j] * w1 / b[j - 1])) for j in range(2, s + 1))
+    return (1.0 + x) / w1, b[1] * w1, stages
+
+
+def reference_rkc2_step(frhs, u, dt, s, f0):
+    """One damped RKC2 step of s stages from u with f0 = frhs(u), out of place,
+    in the increment form d_j = Y_j - u.  Returns (u_new, f1 = frhs(u_new),
+    err) with err Verwer's estimate in evolve's form 0.8 max|dt/2 (f0 + f1) - d_s|."""
+    _, mu1_t, stages = textbook_rkc2(s)
+    d2, d1 = np.zeros_like(u), f0 * (mu1_t * dt)
+    for mu, nu, mu_t, gamma_t in stages:
+        k = frhs(u + d1)
+        d2, d1 = d1, d1 * mu + d2 * nu + k * (mu_t * dt) + f0 * (gamma_t * dt)
+    u_new = u + d1
+    f1 = frhs(u_new)
+    err = 0.8 * float(np.max(np.abs((f0 + f1) * (0.5 * dt) - d1)))
+    return u_new, f1, err
 
 
 def kernel_rhs(g):
@@ -50,12 +87,29 @@ def kernel_rhs(g):
     return mcf._kernel(g.z, g.h, g.spec.radius)(g.u, np.zeros_like(g.u))
 
 
-def midpoint_step(g, dt):
-    """One explicit midpoint step of g's profile, through mcf._midpoint."""
-    frhs = mcf._kernel(g.z, g.h, g.spec.radius)
-    k = frhs(g.u, np.zeros_like(g.u))
-    u = mcf._midpoint(frhs, g.u, dt, k, k, np.empty_like(g.u), np.empty_like(g.u))
+def rkc2_step(g, dt):
+    """One reference RKC2 step of g's profile with 2 stages."""
+    frhs = reference_kernel(g.z, g.h, g.spec.radius)
+    u, _, _ = reference_rkc2_step(frhs, g.u, dt, 2, frhs(g.u))
     return CylinderGraph(g.spec, g.z, u)
+
+
+def replay(g, hist):
+    """Replay evolve's accepted steps (dt, stage count) from g with the
+    reference stepper; asserts every error estimate and returns the profiles
+    at the unit marks."""
+    frhs = reference_kernel(g.z, g.h, g.spec.radius)
+    u, f0 = g.u, frhs(g.u)
+    profiles = [u]
+    for t, dt, s, err in zip(hist.diag_t, hist.diag_dt, hist.diag_stages, hist.diag_err):
+        u_new, f1, ref_err = reference_rkc2_step(frhs, u, dt, int(s), f0)
+        assert ref_err == err
+        verwer = float(np.max(np.abs(12.0 * (u - u_new) + 6.0 * dt * (f0 + f1)))) / 15.0
+        assert verwer == pytest.approx(err, rel=1e-6, abs=1e-18)
+        u, f0 = u_new, f1
+        if t == round(t):
+            profiles.append(u)
+    return profiles
 
 
 def random_graphs(n_points, count=2, R_dom=20.0, seed=7):
@@ -72,7 +126,7 @@ class TestKernelBits:
         g1, g2 = random_graphs(n_points)
         assert g1.z.size == n_points
         frhs = mcf._kernel(g1.z, g1.h, SPEC1.radius)
-        ref, _ = reference_kernel(g1.z, g1.h, SPEC1.radius)
+        ref = reference_kernel(g1.z, g1.h, SPEC1.radius)
         out = np.zeros_like(g1.u)
         for g in (g1, g2, g1):  # one out buffer, different inputs in turn
             assert frhs(g.u, out) is out
@@ -80,19 +134,66 @@ class TestKernelBits:
             assert out[[0, -1]].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
     @pytest.mark.parametrize("n_points, R_dom", [(801, 20.0), (2001, 50.0)])
-    def test_evolve_replays_reference_step_doubling(self, n_points, R_dom):
-        # h = 0.05 either way, so dt = dt_max = 1e-3 and one unit of time is
-        # 1000 steps; the larger domain gives N = 2001
+    def test_evolve_replays_reference_rkc2(self, n_points, R_dom):
+        # h = 0.05 either way, so dt = dt_max = 1e-3 takes 3 stages and one
+        # unit of time is 1000 steps; the larger domain gives N = 2001
         (g,) = random_graphs(n_points, count=1, R_dom=R_dom)
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls())
         assert hist.n_rejected == 0
-        _, frk2 = reference_kernel(g.z, g.h, SPEC1.radius)
-        u = g.u
-        for dt, err in zip(hist.diag_dt, hist.diag_err):
-            big = frk2(u, dt)
-            u = frk2(frk2(u, dt / 2.0), dt / 2.0)
-            assert float(np.max(np.abs(big - u))) / 3.0 == err
-        assert u.tobytes() == hist.profiles[-1].tobytes()
+        assert set(hist.diag_stages.tolist()) == {3}
+        profiles = replay(g, hist)
+        assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
+
+
+class TestRkc2Coefficients:
+    def test_table_is_the_textbook_recurrence(self):
+        assert sorted(mcf._RKC2) == list(range(2, mcf.MAX_STAGES + 1))
+        for s, coefficients in mcf._RKC2.items():
+            assert coefficients == textbook_rkc2(s)
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 17, mcf.MAX_STAGES])
+    def test_against_closed_forms(self, s):
+        # T_j(cosh th) = cosh(j th), T_j' = j sinh(j th)/sinh(th) and
+        # T_j'' = j (j cosh(j th) sinh(th) - sinh(j th) cosh(th)) / sinh(th)^3
+        eps = mcf.RKC_DAMPING
+        th = math.acosh(1.0 + eps / s**2)
+
+        def T(j, d):
+            if d == 0:
+                return math.cosh(j * th)
+            if d == 1:
+                return j * math.sinh(j * th) / math.sinh(th)
+            return j * (j * math.cosh(j * th) * math.sinh(th)
+                        - math.sinh(j * th) * math.cosh(th)) / math.sinh(th) ** 3
+
+        w0, w1 = math.cosh(th), T(s, 1) / T(s, 2)
+        b = [T(max(j, 2), 2) / T(max(j, 2), 1) ** 2 for j in range(s + 1)]
+        beta, mu1_t, stages = mcf._RKC2[s]
+        assert beta == pytest.approx((1.0 + w0) / w1, rel=1e-9)
+        assert beta == pytest.approx(2.0 / 3.0 * (s * s - 1) * (1.0 - 2.0 / 15.0 * eps), rel=5e-3)
+        assert mu1_t == pytest.approx(b[1] * w1, rel=1e-9)
+        for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2):
+            assert mu == pytest.approx(2.0 * b[j] * w0 / b[j - 1], rel=1e-9)
+            assert nu == pytest.approx(-b[j] / b[j - 2], rel=1e-9)
+            assert mu_t == pytest.approx(2.0 * b[j] * w1 / b[j - 1], rel=1e-9)
+            assert gamma_t == pytest.approx(-(1.0 - b[j - 1] * T(j - 1, 0)) * mu_t, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 10, mcf.MAX_STAGES])
+    def test_stability_polynomial(self, s):
+        # the stage recurrence on y' = lambda y gives R(z), z = lambda dt:
+        # second order (R = 1 + z + z^2/2 + O(z^3)) and |R| <= 1 on [-beta, 0]
+        beta, mu1_t, stages = mcf._RKC2[s]
+
+        def R(z):
+            d2, d1 = np.zeros_like(z), mu1_t * z
+            for mu, nu, mu_t, gamma_t in stages:
+                d2, d1 = d1, mu * d1 + nu * d2 + mu_t * z * (1.0 + d1) + gamma_t * z
+            return 1.0 + d1
+
+        for z in (-1e-2, -5e-3):
+            assert abs(R(np.array(z)) - (1.0 + z + z * z / 2.0)) < 0.2 * abs(z) ** 3
+        z = np.linspace(-beta, 0.0, 20001)
+        assert np.max(np.abs(R(z))) <= 1.0 + 1e-12
 
 
 class TestRhs:
@@ -122,7 +223,7 @@ class TestRhs:
         r = kernel_rhs(g)
         errs = []
         for dt in (1e-4, 5e-5):
-            quotient = (midpoint_step(g, dt).u - g.u) / dt
+            quotient = (rkc2_step(g, dt).u - g.u) / dt
             errs.append(np.max(np.abs(quotient - r)))
         assert errs[0] < 1e-3
         assert errs[1] < 0.75 * errs[0]  # first-order in dt
@@ -134,37 +235,55 @@ class TestRhs:
 
 class TestStep:
     def test_zero_profile_stays_zero(self):
-        g = CylinderGraph.zero(SPEC1, 20.0, 0.1)
-        for _ in range(100):
-            g = midpoint_step(g, 1e-3)
-        assert np.max(np.abs(g.u)) == 0.0
+        # every stage count evolve can take: dt sits between the stability
+        # limits of s - 1 and s stages, on a domain small enough that the
+        # advective cap does not bind
+        g = CylinderGraph.zero(SPEC1, 0.3, 0.01)
+        controls = mcf.FlowControls(R1=0.1, R2=0.1)
+        limits = [0.25 * controls.cfl * mcf._RKC2[s][0] * g.h**2
+                  for s in range(2, mcf.MAX_STAGES + 1)]
+        for s, lo, hi in zip(range(2, mcf.MAX_STAGES + 1), [0.0, *limits], limits):
+            controls.dt_max = 0.5 * (lo + hi)
+            hist = mcf.evolve(mcf.FlowState(g, 0.0), 2.0 * controls.dt_max, controls)
+            assert hist.diag_stages.tolist() == [s, s]
+            assert hist.diag_max_u.tolist() == [0.0, 0.0]
+            assert hist.diag_err.tolist() == [0.0, 0.0]
 
-    def test_step_doubling_order(self):
-        # evolve's error estimate is |one step of dt - two of dt/2| / 3; a
-        # second-order scheme shrinks it >= 4x when dt halves
-        diffs = []
-        for dt in (2e-3, 1e-3):
-            hist = mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), dt,
-                              mcf.FlowControls(dt_max=dt))
-            assert hist.diag_dt.tolist() == [dt]
-            diffs.append(hist.diag_err[0])
-        assert diffs[0] / diffs[1] > 4.0
+    @pytest.mark.parametrize("h, s", [(0.1, 2), (0.05, 3)])
+    def test_temporal_order_at_fixed_stages(self, h, s):
+        # dt = 1/400 and 1/800 both take s stages; the error at t = 1 against
+        # a run at dt = 1/6400 falls 4x per halving for a second-order method
+        g = smooth_graph(h=h)
+
+        def final(dt):
+            hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0,
+                              mcf.FlowControls(dt_max=dt, step_tol=1.0))
+            return hist.profiles[-1], set(hist.diag_stages.tolist())
+
+        ref, _ = final(1.0 / 6400)
+        errs = []
+        for dt in (1.0 / 400, 1.0 / 800):
+            u, stages = final(dt)
+            assert stages == {s}
+            errs.append(float(np.max(np.abs(u - ref))))
+        assert math.log2(errs[0] / errs[1]) >= 1.9
 
     def test_area_does_not_increase(self):
         g = smooth_graph(0.02)
         before = graph_F(g).value
-        after = graph_F(midpoint_step(g, 1e-3)).value
+        after = graph_F(rkc2_step(g, 1e-3)).value
         assert after <= before + 1e-8
 
     def test_replays_evolve_bit_for_bit(self):
-        # evolve accepts the two half steps of its step-doubling pair, so
-        # replaying them through the midpoint helper must give the same bits
-        cfg = coarse_config()
+        # a tolerance below the error estimate makes the controller refuse and
+        # shrink steps; the accepted ones, at whatever dt and stage count,
+        # replay through the reference stepper to the same bits
+        cfg = coarse_config(step_tol=1e-12)
         g = cfg.initial_state().graph
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=1.0, controls=cfg.controls())
-        for dt in hist.diag_dt:
-            g = midpoint_step(midpoint_step(g, dt / 2.0), dt / 2.0)
-        assert np.array_equal(g.u, hist.profiles[-1])
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=2.0, controls=cfg.controls())
+        assert hist.n_rejected > 0 and len(set(hist.diag_dt.tolist())) > 10
+        profiles = replay(g, hist)
+        assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
 
 
 class TestEvolve:
@@ -233,22 +352,51 @@ class TestEvolve:
         with pytest.raises(InvalidInputError):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.5), 2.0, mcf.FlowControls())
 
-    def test_counts_five_rhs_per_attempted_step(self):
+    def test_counts_stage_rhs_per_attempted_step(self):
+        # h = 0.1: every dt up to dt_max = 2e-3 takes 2 stages, so a refused
+        # step costs 2 evaluations too; the first stage of the run costs 1
         cfg = coarse_config()
         hist = mcf.evolve(cfg.initial_state(), 8.0, cfg.controls())
-        assert hist.diag_t.size == 4000
-        assert hist.n_rhs == 5 * (hist.diag_t.size + hist.n_rejected)
-        # a tolerance below the error estimate makes the controller refuse steps
-        cfg = coarse_config(step_tol=1e-13, t2=2)
+        assert hist.diag_t.size == 4000 and hist.n_rejected == 0
+        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 1 + 2 * 4000
+        cfg = coarse_config(step_tol=1e-12, t2=2)
         hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         assert hist.n_rejected > 0
-        assert hist.n_rhs == 5 * (hist.diag_t.size + hist.n_rejected)
+        assert set(hist.diag_stages.tolist()) == {2}
+        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) + 2 * hist.n_rejected
 
     def test_fit_config_rejects_no_step(self):
         cfg = harness.load_bundled_config("fit.cfg")
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
         assert hist.n_rejected == 0
-        assert hist.n_rhs == 5 * hist.diag_t.size
+        assert np.allclose(hist.diag_dt, cfg.dt_max, rtol=1e-9, atol=0.0)
+        assert np.all(hist.diag_stages == 3)
+        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 24_001
+        assert np.max(hist.diag_err) < 1e-3 * cfg.step_tol
+
+    def test_fewest_stages_and_usage_at_most_cfl(self):
+        # R_dom = 0.5, h = 1e-3: the advective cap alone would need about 140
+        # stages, so the stage cap shortens dt to its own stability limit; the
+        # controller first refuses and then regrows dt, and s follows dt
+        g = CylinderGraph.from_profile(SPEC1, 0.5, 1e-3, lambda z: 1e-3 * np.cos(np.pi * z))
+        controls = mcf.FlowControls(R1=0.25, R2=0.25)
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), 0.01, controls)
+        beta = np.array([mcf._RKC2[s][0] for s in hist.diag_stages])
+        need = 4.0 * hist.diag_dt / g.h**2
+        assert hist.n_rejected > 0 and hist.diag_stages.min() < 20
+        assert hist.diag_stages.max() == mcf.MAX_STAGES
+        assert np.max(hist.diag_dt) == pytest.approx(
+            0.25 * controls.cfl * mcf._RKC2[mcf.MAX_STAGES][0] * g.h**2, rel=1e-15)
+        assert np.array_equal(hist.diag_cfl, need / beta)
+        assert np.all(hist.diag_cfl <= controls.cfl * (1.0 + 1e-15))
+        fewer = np.array([mcf._RKC2[max(s - 1, 2)][0] for s in hist.diag_stages])
+        assert np.all((hist.diag_stages == 2) | (controls.cfl * fewer < need))
+
+    def test_run_beyond_max_steps_refused_up_front(self):
+        # h = 1e-5 on R_dom = 0.5 caps dt near 3e-8, so t = 2 is out of reach
+        g = CylinderGraph.zero(SPEC1, 0.5, 1e-5)
+        with pytest.raises(InvalidInputError, match="MAX_STEPS"):
+            mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls(R1=0.25, R2=0.25))
 
     def test_history_csv(self, tmp_path):
         cfg = coarse_config(t2=3)
@@ -257,6 +405,37 @@ class TestEvolve:
         hist.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,F,dist_R1,dist_R2,max_abs_u"
+
+
+SWEEP_GATE = 5e-8  # max |u - u_ref| over the marks of sweep.cfg at a = 0.02
+
+
+@pytest.fixture(scope="module")
+def sweep_reference():
+    """sweep.cfg at a = 0.02 and the run's profiles at dt_max/4 (2 stages per
+    step, 2.0e-9 from a run at dt_max/20), the reference of SWEEP_GATE."""
+    cfg = dataclasses.replace(harness.load_bundled_config("sweep.cfg"), amplitude=0.02)
+    fine = dataclasses.replace(cfg, dt_max=cfg.dt_max / 4.0)
+    hist = mcf.evolve(fine.initial_state(), float(fine.t2), fine.controls())
+    return cfg, np.array(hist.profiles)
+
+
+def sweep_deviation(cfg, reference):
+    hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+    return float(np.max(np.abs(np.array(hist.profiles) - reference)))
+
+
+class TestSweepReference:
+    def test_marks_stay_near_fine_reference(self, sweep_reference):
+        # RKC2 at dt_max = 1e-3 (3 stages) is 2.1e-8 from the reference; the
+        # step-doubling pair it replaced was 8.3e-9
+        assert sweep_deviation(*sweep_reference) < SWEEP_GATE
+
+    def test_scaled_first_stage_coefficient_trips_gate(self, sweep_reference, monkeypatch):
+        # mu~_1 times 1.01 leaves the method first order: 8.7e-4 off
+        monkeypatch.setattr(mcf, "_RKC2", {s: (beta, 1.01 * mu1_t, stages)
+                                           for s, (beta, mu1_t, stages) in mcf._RKC2.items()})
+        assert sweep_deviation(*sweep_reference) > SWEEP_GATE
 
 
 class TestLojasiewiczFit:

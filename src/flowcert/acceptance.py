@@ -13,7 +13,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,20 +77,11 @@ def crit_power_gap(seed: int) -> CheckResult:
                        f"{checked} hypothesis-true tuples of {n}, {violations} violations")
 
 
-@lru_cache(maxsize=len(CELLS))
-def _extremal_chain(C: float, tau: float) -> sequences.MonotoneSequence:
-    """The 10^4-step equality-saturating chain from x1 = 1 of one cell, built
-    once per process for criteria 2 and 3; its values are read-only."""
-    seq = sequences.extremal_sequence(C, tau, x1=1.0, n_steps=10_000)
-    seq.values.flags.writeable = False
-    return seq
-
-
 def crit_iterated_gap() -> CheckResult:
     """Iterated gap bound, exact on equality-saturating sequences of length 10^4."""
     worst_margin = math.inf
     for C, tau in CELLS:
-        seq = _extremal_chain(C, tau)
+        seq = sequences.extremal_chain(C, tau, n_steps=10_000)
         worst_margin = min(worst_margin, sequences.iterated_gap_margin(seq, C, tau))
     return CheckResult(2, NAMES[2], worst_margin > 0.0,
                        f"min margin {worst_margin:.6e} over {len(CELLS)} cells, N=10^4")
@@ -111,7 +101,7 @@ def crit_summability_bound(seed: int) -> CheckResult:
         caps = consts.cap(vals[:, 0])
         worst_ratio = max(worst_ratio, float(np.max(sums / caps)))
         ok = ok and bool(np.all(sums <= caps))
-        worst = _extremal_chain(C, tau)
+        worst = sequences.extremal_chain(C, tau, n_steps=10_000)
         ok = ok and worst.sqrt_diff_sum() <= consts.cap(1.0)
     geo = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float))
     geo_rep = sequences.check_hypothesis(geo, C=1.0, tau=0.5)
@@ -172,23 +162,25 @@ def crit_model_flow(seed: int) -> CheckResult:
 
 
 def crit_gradient_consistency(seed: int) -> CheckResult:
-    """Analytic gradients against central differences, relative 1e-6."""
+    """Analytic gradients against central differences, relative 1e-6; each
+    problem's 1000 points are drawn one by one and checked as one batch."""
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
     for problem in gf.builtin_problems():
-        for _ in range(1000):
+        x = np.empty((1000, problem.dim))
+        for row in x:
             direction = rng.normal(size=problem.dim)
             direction /= np.linalg.norm(direction)
-            x = rng.uniform(0.1, 0.9) * problem.ball_radius * direction
-            g = np.asarray(problem.grad(x), dtype=float)
-            fd = np.empty_like(g)
-            hstep = 3e-6 * max(0.05, float(np.max(np.abs(x))))
-            for i in range(problem.dim):
-                e = np.zeros(problem.dim)
-                e[i] = hstep
-                fd[i] = (float(problem.F(x + e)) - float(problem.F(x - e))) / (2.0 * hstep)
-            rel = float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
-            worst = max(worst, rel)
+            row[:] = rng.uniform(0.1, 0.9) * problem.ball_radius * direction
+        g = np.asarray(problem.grad(x), dtype=float)
+        fd = np.empty_like(g)
+        hstep = 3e-6 * np.maximum(0.05, np.max(np.abs(x), axis=1))
+        for i in range(problem.dim):
+            e = np.zeros_like(x)
+            e[:, i] = hstep
+            fd[:, i] = (problem.F(x + e) - problem.F(x - e)) / (2.0 * hstep)
+        rel = np.linalg.norm(fd - g, axis=1) / np.maximum(np.linalg.norm(g, axis=1), 1e-12)
+        worst = max(worst, float(np.max(rel)))
     return CheckResult(5, NAMES[5], worst <= 1e-6,
                        f"max relative deviation {worst:.3e} over 10^3 points x "
                        f"{len(gf.builtin_problems())} problems")

@@ -219,11 +219,14 @@ def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length numeric columns under a header row, one repr(float) per cell."""
+    """Write equal-length numeric columns under a header row: str(int) per cell
+    of a column of integer dtype, repr(float) per cell of any other column."""
+    cells = [[str(int(v)) for v in col] if np.asarray(col).dtype.kind in "iu"
+             else [repr(float(v)) for v in col] for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
+        writer.writerows(zip(*cells))
 
 
 def profile_to_csv(g: CylinderGraph, path) -> None:

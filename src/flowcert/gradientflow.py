@@ -37,7 +37,8 @@ SMALL_BALL = 0.25  # endpoint ball for the effective length bound
 MAX_MARKS = 20_000  # unit marks per side of the effective length bound
 CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
 ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
-CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing bisection
+CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing search
+CROSSING_GRID = 64  # intervals per round of the crossing search (63 interior points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +140,8 @@ def _lane_dense(step_t: np.ndarray, arrays: tuple, rows: slice, speed: float) ->
     Each time picks its step as `OdeSolution` does (at a step boundary, the
     step that ends there), and one einsum evaluates the step polynomial
     y_old + h Q (x, x^2, x^3, x^4), x the fraction of the step, at every time.
+    The powers are running products written in place, as np.cumprod would
+    form them.
     """
     t_old, width, Q, y_old = arrays
     Q, y_old = Q[:, rows], y_old[:, rows]
@@ -147,7 +150,10 @@ def _lane_dense(step_t: np.ndarray, arrays: tuple, rows: slice, speed: float) ->
     def dense(t):
         s = np.asarray(t, dtype=float) / speed
         step = np.clip(np.searchsorted(step_t, s, side="left") - 1, 0, last)
-        powers = np.cumprod(np.tile((s - t_old[step]) / width[step], (Q.shape[-1], 1)), axis=0)
+        powers = np.empty((Q.shape[-1], *s.shape))
+        powers[0] = (s - t_old[step]) / width[step]
+        for k in range(1, len(powers)):
+            np.multiply(powers[k - 1], powers[0], out=powers[k])
         return width[step] * np.einsum("tdk,kt->dt", Q[step], powers) + y_old[step].T
 
     return dense
@@ -310,11 +316,15 @@ class EffectiveBoundReport:
 def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float) -> float:
     """Locate the time where F along the trajectory crosses F0 (F is monotone).
 
-    The bisection starts from the two stored samples that bracket the
-    crossing (the last one above F0 and the first one at or below it), so it
-    runs inside one solver step; if the dense output does not confirm that
-    bracket, it starts from [t_lo, t_hi].  Converges to CROSSING_TOL or, for
-    long horizons, to the float spacing of the bracket, whichever is coarser.
+    The search starts from the two stored samples that bracket the crossing
+    (the last one above F0 and the first one at or below it), so it runs
+    inside one solver step; if the dense output does not confirm that
+    bracket, it starts from [t_lo, t_hi].  Each round evaluates F at the
+    interior points of a CROSSING_GRID-interval grid on the bracket in one
+    F_at call and keeps the first point at or below F0 (t_hi if none is) and
+    the point before it.  Converges to CROSSING_TOL or, for long horizons, to
+    the float spacing of the bracket (no float strictly inside), whichever is
+    coarser.
     """
     first_below = int(np.argmax(traj.F_values <= F0))
     brackets = [(t_lo, t_hi)]
@@ -327,13 +337,12 @@ def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float) -> f
     else:
         raise NumericError("crossing bracket does not straddle the critical level")
     while t_hi - t_lo > CROSSING_TOL:
-        mid = 0.5 * (t_lo + t_hi)
-        if mid <= t_lo or mid >= t_hi:  # bracket already at float resolution
+        grid = np.unique(np.linspace(t_lo, t_hi, CROSSING_GRID + 1))  # sorted, no repeats
+        if grid.size < 3:  # bracket already at float resolution
             break
-        if float(traj.F_at(mid)) - F0 > 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
+        below = np.append(traj.F_at(grid[1:-1]) - F0 <= 0.0, True)
+        k = int(np.argmax(below))  # grid[k + 1] is the first point at or below F0
+        t_lo, t_hi = float(grid[k]), float(grid[k + 1])
     return 0.5 * (t_lo + t_hi)
 
 

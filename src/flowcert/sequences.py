@@ -154,7 +154,7 @@ def _constructive_bound_cached(C: float, tau: float) -> CertificateConstants:
     consts = CertificateConstants(C=C, tau=tau, c=c, alpha=alpha, delta=delta, tail_sum=tail)
     # Release gate: the equality-saturating sequence is the worst case the
     # generator can produce; the certified cap must dominate its sum.
-    worst = extremal_sequence(C, tau, x1=1.0, n_steps=2000)
+    worst = extremal_chain(C, tau, n_steps=2000)
     rep = check_hypothesis(worst, C, tau)
     if not rep.ok or rep.sqrt_diff_sum > consts.cap(1.0):
         raise NumericError(
@@ -284,6 +284,27 @@ def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> Monotone
     for j in range(1, n_steps + 1):
         x = out[j] = extremal_step(x, C, tau)
     return MonotoneSequence(out)
+
+
+@lru_cache(maxsize=256)
+def _chain_store(C: float, tau: float) -> list[np.ndarray]:
+    """One slot per (C, tau) holding the longest chain built so far."""
+    return [np.ones(1)]
+
+
+def extremal_chain(C: float, tau: float, n_steps: int) -> MonotoneSequence:
+    """extremal_sequence(C, tau, x1=1.0, n_steps), read from one read-only store
+    per (C, tau) that every caller shares.  A longer request extends the
+    stored chain by an extremal_sequence from its last entry, so every prefix
+    keeps the bits of a fresh extremal_sequence."""
+    if n_steps < 1:
+        raise InvalidInputError(f"need n_steps >= 1, got {n_steps}")
+    store = _chain_store(float(C), float(tau))
+    if store[0].size <= n_steps:
+        tail = extremal_sequence(C, tau, float(store[0][-1]), n_steps + 1 - store[0].size)
+        store[0] = np.concatenate([store[0], tail.values[1:]])
+        store[0].flags.writeable = False
+    return MonotoneSequence(store[0][:n_steps + 1])
 
 
 def random_admissible_batch(C: float, tau: float, rng: np.random.Generator,

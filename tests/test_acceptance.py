@@ -11,9 +11,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from flowcert import acceptance, cli, sequences
+from flowcert import acceptance, cli, gradientflow, sequences
 from flowcert.errors import NumericError
 
 SEED = 1234
@@ -91,21 +92,53 @@ def test_raising_criterion_fails_and_the_rest_still_run(monkeypatch, tmp_path):
 
 
 def test_extremal_chains_are_built_once_and_read_only(monkeypatch):
-    """Criteria 2 and 3 share one 10^4-step chain per cell, which no caller can change."""
-    real = sequences.extremal_sequence
-    built = []
+    """Criteria 2 and 3 and the release gates of constructive_bound share one
+    chain per cell: 10^4 root solves per cell in all, and no caller can
+    change a chain."""
+    real = sequences.extremal_step
+    scalar_solves = []
 
-    def counting(C, tau, x1, n_steps):
-        built.append((C, tau, n_steps))
-        return real(C, tau, x1=x1, n_steps=n_steps)
+    def counting(x, C, tau):
+        if not isinstance(x, np.ndarray):  # the random batches solve whole columns
+            scalar_solves.append((C, tau))
+        return real(x, C, tau)
 
-    monkeypatch.setattr(sequences, "extremal_sequence", counting)
-    acceptance._extremal_chain.cache_clear()
+    monkeypatch.setattr(sequences, "extremal_step", counting)
+    sequences._chain_store.cache_clear()
+    sequences._constructive_bound_cached.cache_clear()
     assert acceptance.crit_iterated_gap().passed
     assert acceptance.crit_summability_bound(SEED).passed
-    long_chains = [(C, tau) for C, tau, n_steps in built if n_steps == 10_000]
-    assert long_chains == acceptance.CELLS
-    chain = acceptance._extremal_chain(*acceptance.CELLS[0])
-    assert chain is acceptance._extremal_chain(*acceptance.CELLS[0])
+    assert sorted(set(scalar_solves)) == sorted(acceptance.CELLS)
+    assert len(scalar_solves) == 10_000 * len(acceptance.CELLS)
+    chain = sequences.extremal_chain(*acceptance.CELLS[0], n_steps=10_000)
+    assert len(chain) == 10_001
     with pytest.raises(ValueError):
         chain.values[1] = 0.5
+
+
+def reference_gradient_deviation(seed: int) -> float:
+    """Criterion 5's worst relative deviation, one point at a time."""
+    rng = np.random.default_rng(seed + 3)
+    worst = 0.0
+    for problem in gradientflow.builtin_problems():
+        for _ in range(1000):
+            direction = rng.normal(size=problem.dim)
+            direction /= np.linalg.norm(direction)
+            x = rng.uniform(0.1, 0.9) * problem.ball_radius * direction
+            g = np.asarray(problem.grad(x), dtype=float)
+            fd = np.empty_like(g)
+            hstep = 3e-6 * max(0.05, float(np.max(np.abs(x))))
+            for i in range(problem.dim):
+                e = np.zeros(problem.dim)
+                e[i] = hstep
+                fd[i] = (float(problem.F(x + e)) - float(problem.F(x - e))) / (2.0 * hstep)
+            worst = max(worst, float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_batched_gradient_check_matches_point_by_point(seed):
+    res = acceptance.crit_gradient_consistency(seed)
+    worst = reference_gradient_deviation(seed)
+    assert res.passed
+    assert res.measured.startswith(f"max relative deviation {worst:.3e} ")

@@ -196,6 +196,12 @@ def test_write_csv_cells_are_float_reprs_with_crlf(tmp_path):
     assert path.read_bytes() == b"a,b\r\n0.1,1e-300\r\n2.0,3.0\r\n"
 
 
+def test_write_csv_integer_columns_stay_integers(tmp_path):
+    path = tmp_path / "cols.csv"
+    cyl.write_csv(path, ["t", "stages"], [np.array([0.5, 1.0]), np.array([3, 12])])
+    assert path.read_bytes() == b"t,stages\r\n0.5,3\r\n1.0,12\r\n"
+
+
 def test_grid_validation():
     with pytest.raises(InvalidInputError):
         cyl.CylinderGraph(SPEC1, np.array([0.0, 0.1, 0.3, 0.4, 0.5]), np.zeros(5))

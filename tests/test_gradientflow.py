@@ -210,6 +210,22 @@ class TestBatchedIntegrate:
             assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
             np.testing.assert_allclose(run.at(run.times), run.points, rtol=1e-13, atol=1e-16)
 
+    def test_step_powers_are_the_cumprod_running_products(self, monkeypatch):
+        real_einsum = np.einsum
+        powers = []
+
+        def recording_einsum(spec, *operands, **kwargs):
+            powers.append(operands[1].copy())
+            return real_einsum(spec, *operands, **kwargs)
+
+        run = gf.integrate(gf.problem_by_name("quartic2d"), [0.1, 0.15], t_end=50.0, tol=1e-9)
+        t = np.random.default_rng(3).uniform(0.0, 50.0, 2000)
+        monkeypatch.setattr(np, "einsum", recording_einsum)
+        run.dense(t)
+        (got,) = powers
+        assert got.shape == (4, t.size)
+        assert np.array_equal(got, np.cumprod(np.tile(got[0], (4, 1)), axis=0))
+
     def test_batch_argument_validation(self):
         starts = np.array([[0.1], [0.2]])
         with pytest.raises(ParameterError):
@@ -296,6 +312,58 @@ class TestDecayEnvelope:
                 d /= np.linalg.norm(d)
                 traj = gf.integrate(p, rng.uniform(0.05, 0.3) * d, t_end=100.0, tol=1e-10)
                 assert gf.decay_envelope_check(traj)
+
+
+def scalar_bisection(traj, F0, t_lo, t_hi):
+    """The one-time-per-step bisection the crossing search replaced."""
+    first_below = int(np.argmax(traj.F_values <= F0))
+    brackets = [(t_lo, t_hi)]
+    if first_below > 0:
+        brackets.insert(0, (float(traj.times[first_below - 1]), float(traj.times[first_below])))
+    for t_a, t_b in brackets:
+        if float(traj.F_at(t_a)) >= F0 >= float(traj.F_at(t_b)):
+            t_lo, t_hi = t_a, t_b
+            break
+    while t_hi - t_lo > gf.CROSSING_TOL:
+        mid = 0.5 * (t_lo + t_hi)
+        if mid <= t_lo or mid >= t_hi:
+            break
+        if float(traj.F_at(mid)) - F0 > 0.0:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return 0.5 * (t_lo + t_hi)
+
+
+def criterion_4_saddle_runs(seed):
+    """Criterion 4's saddle lanes at a seed, integrated as it integrates them."""
+    rng = np.random.default_rng(seed + 2)
+    for problem in gf.builtin_problems():  # earlier problems draw from the same stream
+        samples = [acceptance._classifier_sample(problem, rng, i) for i in range(100)]
+    starts, horizons, _ = zip(*samples)
+    return gf.integrate(SADDLE, np.array(starts), t_end=np.array(horizons), tol=1e-9)
+
+
+def test_crossing_search_matches_scalar_bisection(monkeypatch):
+    """On criterion 4's 50 crossing lanes the grid search lands within one float
+    spacing of the scalar bisection, with at most 15 F_at calls per lane."""
+    crossing = [run for run in criterion_4_saddle_runs(1234)
+                if run.F_values[0] > SADDLE.F0 > run.F_values[-1]]
+    assert len(crossing) == 50
+    calls = []
+    real_F_at = gf.Trajectory.F_at
+
+    def counting(self, t):
+        calls.append(t)
+        return real_F_at(self, t)
+
+    monkeypatch.setattr(gf.Trajectory, "F_at", counting)
+    for run in crossing:
+        want = scalar_bisection(run, SADDLE.F0, run.t_start, run.t_end)
+        before = len(calls)
+        got = gf._bisect_crossing(run, SADDLE.F0, run.t_start, run.t_end)
+        assert abs(got - want) <= np.spacing(want)
+        assert len(calls) - before <= 15
 
 
 class TestEffectiveBound:

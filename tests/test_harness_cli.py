@@ -292,7 +292,7 @@ class TestCliExitCodes:
         assert len(lines) - 1 == hist.diag_t.size == 4000
         assert lines[-1].split(",")[0] == repr(float(cfg.t2))
         # h = 0.1, dt = 2e-3: 2 stages at stability usage 0.8/beta(2)
-        assert {line.split(",")[-1] for line in lines[1:]} == {"2.0"}
+        assert {line.split(",")[-1] for line in lines[1:]} == {"2"}
         assert float(lines[1].split(",")[4]) == pytest.approx(0.8 / mcf._RKC2[2][0], rel=1e-12)
         log = (out / "run.log").read_text()
         assert "evolve: 4000 steps (0 rejected), 8001 RHS calls, stages 2-2" in log

@@ -185,6 +185,22 @@ class TestExtremalSequence:
         with pytest.raises(InvalidInputError):
             sq.extremal_sequence(1.0, 0.5, x1=0.5, n_steps=0)
 
+    def test_shared_chain_prefixes_keep_fresh_bits(self):
+        C, tau = 3.0, 0.45
+        sq._chain_store.cache_clear()
+        short = sq.extremal_chain(C, tau, n_steps=50)
+        long = sq.extremal_chain(C, tau, n_steps=300)  # extends the stored 50 steps
+        again = sq.extremal_chain(C, tau, n_steps=120)
+        fresh = sq.extremal_sequence(C, tau, x1=1.0, n_steps=300).values
+        assert np.array_equal(short.values, fresh[:51])
+        assert np.array_equal(long.values, fresh)
+        assert np.array_equal(again.values, fresh[:121])
+        for seq in (short, long, again):
+            with pytest.raises(ValueError):
+                seq.values[0] = 0.5
+        with pytest.raises(InvalidInputError):
+            sq.extremal_chain(C, tau, n_steps=0)
+
 
 def brentq_root(x, C, tau):
     """Oracle: the zero-slack root by bracketing on [0, x]."""

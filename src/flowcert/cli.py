@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,10 @@ def _write_history(hist: mcf.FlowHistory, out: Path) -> None:
 
 def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool) -> int:
     cfg = harness.load_run_config(args.config)
+    start = time.perf_counter()
     hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
+    timings = {"evolve_s": time.perf_counter() - start}
+    timings["evolve_us_per_step"] = 1e6 * timings["evolve_s"] / hist.diag_t.size
     _write_history(hist, out)
     log.say(f"evolve: {hist.diag_t.size} steps ({hist.n_rejected} rejected), "
             f"{hist.n_rhs} RHS calls, stages {hist.diag_stages.min()}-{hist.diag_stages.max()}, "
@@ -195,6 +199,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
     if hist.stop_reason != "completed":
         code = EXIT_HYP
     if do_fit and code == EXIT_OK:
+        start = time.perf_counter()
         try:
             fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
             harness.write_json(out / "fit.json", fit)
@@ -206,8 +211,11 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
             checks.append({"name": "fit-slack", "passed": False, "measured": str(exc)})
             log.say(f"fit unavailable: {exc}")
             code = EXIT_HYP
+        timings["fit_s"] = time.perf_counter() - start
     if do_close:
+        start = time.perf_counter()
         report = mcf.close_experiment(cfg, hist=hist)
+        timings["close_s"] = time.perf_counter() - start
         harness.write_json(out / "close.json", report)
         ok = report.hypotheses_ok and report.certified and report.bound_holds
         checks.append({"name": "close-certified", "passed": bool(ok),
@@ -221,6 +229,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
     manifest = harness.manifest_dict(command="mcf", seed=cfg.seed,
                                      config=dataclasses.asdict(cfg), checks=checks)
     harness.write_json(out / "manifest.json", manifest)
+    harness.write_json(out / "timings.json", timings)
     log.say(f"outputs written to {out}")
     return code
 
@@ -228,6 +237,8 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
 def _cmd_verify_all(args, out: Path, log: harness.RunLog) -> int:
     results, manifest = acceptance.run_all(seed=args.seed, log=log)
     harness.write_json(out / "manifest.json", manifest)
+    harness.write_json(out / "timings.json", {"criteria": [
+        {"criterion": r.criterion, "name": r.name, "seconds": r.seconds} for r in results]})
     n_pass = sum(r.passed for r in results)
     log.say(f"{n_pass}/{len(results)} criteria passed; manifest at {out / 'manifest.json'}")
     return EXIT_OK if manifest["all_passed"] else EXIT_SUITE

@@ -3,7 +3,7 @@
 Config files are flat `key = value` text with `#` comments.  Reports are JSON
 (sorted keys, fixed layout) and time series are CSV; manifest files carry no
 wall-clock data, so identical configs and seeds reproduce them byte for byte.
-Wall-clock timing goes to a sidecar log instead.
+Wall-clock timing goes to sidecar files instead: the run log and timings.json.
 """
 
 from __future__ import annotations

@@ -97,32 +97,37 @@ def _kernel(z: np.ndarray, h: float, s: float):
     u (2s + u) / (2 (s + u)), so frhs(0) == 0 exactly.  No geometry check
     happens here: callers validate accepted profiles, and mid-stage blowups
     surface as non-finite values.
+
+    The loop pays numpy's per-call dispatch, not arithmetic, so each of the
+    16 ufuncs takes its output positionally and its scalar operands
+    (1/(2h), 1/h^2, 2s, 2 and 1) as float64 0-d arrays built here, which
+    dispatch faster than the out= keyword and Python floats and round alike.
     """
     zhalf = 0.5 * z[1:-1]
-    inv2h = 1.0 / (2.0 * h)
-    invh2 = 1.0 / (h * h)
-    two_s = 2.0 * s
+    inv2h, invh2, two_s, two, one = (np.array(v) for v in (1.0 / (2.0 * h), 1.0 / (h * h),
+                                                           2.0 * s, 2.0, 1.0))
     w_z, num, den = (np.empty(z.size - 2) for _ in range(3))
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
 
     def frhs(w: np.ndarray, out: np.ndarray) -> np.ndarray:
         a, b, c = w[2:], w[:-2], w[1:-1]
         o = out[1:-1]
-        np.subtract(a, b, out=w_z)
-        np.multiply(w_z, inv2h, out=w_z)
-        np.multiply(c, 2.0, out=o)
-        np.add(o, two_s, out=den)  # 2 (s + c)
-        np.add(c, two_s, out=num)
-        np.multiply(c, num, out=num)
-        np.divide(num, den, out=num)  # radial term
-        np.subtract(a, o, out=o)
-        np.add(o, b, out=o)
-        np.multiply(o, invh2, out=o)  # w_zz
-        np.multiply(w_z, w_z, out=den)
-        np.add(den, 1.0, out=den)
-        np.divide(o, den, out=o)  # diffusion term
-        np.add(o, num, out=o)
-        np.multiply(zhalf, w_z, out=num)
-        np.subtract(o, num, out=o)
+        sub(a, b, w_z)
+        mul(w_z, inv2h, w_z)
+        mul(c, two, o)
+        add(o, two_s, den)  # 2 (s + c)
+        add(c, two_s, num)
+        mul(c, num, num)
+        div(num, den, num)  # radial term
+        sub(a, o, o)
+        add(o, b, o)
+        mul(o, invh2, o)  # w_zz
+        mul(w_z, w_z, den)
+        add(den, one, den)
+        div(o, den, o)  # diffusion term
+        add(o, num, o)
+        mul(zhalf, w_z, num)
+        sub(o, num, o)
         return out
 
     return frhs
@@ -262,6 +267,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     step's first stage, so a step costs s right-hand-side evaluations.  All
     stages are written into buffers allocated once per call, and an accepted
     step swaps the profile and first-stage buffers with the new ones.
+
+    As in _kernel, every ufunc takes its output positionally and its scalars
+    as float64 0-d arrays: mu~_1 dt, dt/2 and each stage's (mu_j, nu_j,
+    mu~_j dt, gamma~_j dt) are built only when dt changes.  The j = 2 stage
+    leaves out nu_2 d_0: with d_0 = 0 and nu_2 < 0 it is -0.0, and
+    x + (-0.0) == x bit for bit.  max|u| is max(max u, -min u), reusing the
+    minimum of the geometry check.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
@@ -283,6 +295,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
                                 f"steps of at most {dt_cap:.3e}")
 
     frhs = _kernel(z, h, s)
+    add, sub, mul = np.add, np.subtract, np.multiply
     n_rhs = 1  # the first stage of the first step; each attempted step adds its stages
     n_rejected = 0
 
@@ -310,7 +323,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     record_mark(t, u)
     frhs(u, f0)
     dt_next = dt_cap
-    dt_staged = math.nan  # the dt the stage count below was chosen for
+    dt_staged = math.nan  # the dt the coefficients below were built for
     n_steps = 0
     stopped = False
     stop_reason = "completed"
@@ -328,20 +341,25 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
             need = 4.0 * dt / (h * h)
             n_stages = next((n for n, bound in enumerate(stab, 2) if bound >= need), MAX_STAGES)
             beta, mu1_t, stages = _RKC2[n_stages]
+            mu1_dt, half_dt = np.array(mu1_t * dt), np.array(0.5 * dt)
+            # (mu_j, nu_j, mu~_j dt, gamma~_j dt); nu_2 is None: nu_2 d_0 is -0.0
+            coefs = [(np.array(mu), None if j == 2 else np.array(nu), np.array(mu_t * dt),
+                      np.array(gamma_t * dt))
+                     for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2)]
         n_rhs += n_stages
-        d2.fill(0.0)
-        np.multiply(f0, mu1_t * dt, out=d1)
-        for mu, nu, mu_t, gamma_t in stages:
-            frhs(np.add(u, d1, out=y), k)
-            np.multiply(d1, mu, out=d0)
-            np.add(d0, np.multiply(d2, nu, out=scratch), out=d0)
-            np.add(d0, np.multiply(k, mu_t * dt, out=scratch), out=d0)
-            np.add(d0, np.multiply(f0, gamma_t * dt, out=scratch), out=d0)
+        mul(f0, mu1_dt, d1)
+        for mu, nu, mu_dt, gamma_dt in coefs:
+            frhs(add(u, d1, y), k)
+            mul(d1, mu, d0)
+            if nu is not None:
+                add(d0, mul(d2, nu, scratch), d0)
+            add(d0, mul(k, mu_dt, scratch), d0)
+            add(d0, mul(f0, gamma_dt, scratch), d0)
             d0, d1, d2 = d2, d0, d1
-        frhs(np.add(u, d1, out=y), f1)
-        np.multiply(np.add(f0, f1, out=scratch), 0.5 * dt, out=scratch)
-        np.subtract(scratch, d1, out=scratch)
-        err = 0.8 * float(np.abs(scratch, out=scratch).max())
+        frhs(add(u, d1, y), f1)
+        mul(add(f0, f1, scratch), half_dt, scratch)
+        sub(scratch, d1, scratch)
+        err = 0.8 * float(np.abs(scratch, scratch).max())
         if not math.isfinite(err):
             raise BlowupError(f"non-finite profile at t={t}", last_state=last_state())
         # step-size factor; below 0.9 whenever the step is rejected (err > step_tol)
@@ -353,14 +371,16 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
             n_rejected += 1
             dt_next = dt * scale
             continue
-        if y.min() <= -s:
+        y_min = float(y.min())
+        if y_min <= -s:
             raise GeometryError(f"flow left the graph regime at t={t}: r <= 0")
         u, y = y, u
         f0, f1 = f1, f0
         t = next_mark if hit_mark else t + dt
         n_steps += 1
         dt_next = min(dt_cap, dt * scale)
-        max_u = float(np.abs(u, out=scratch).max())
+        # max|u| from the minimum just taken; abs() only turns a -0.0 into +0.0
+        max_u = abs(max(float(u.max()), -y_min))
         diag_t.append(t)
         diag_dt.append(dt)
         diag_err.append(err)

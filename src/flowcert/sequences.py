@@ -26,6 +26,9 @@ from .errors import InvalidInputError, NumericError, ParameterError
 
 # Relative slack absorbing float rounding when data sits on the equality case.
 REL_TOL = 1e-12
+# Slack for the rounding of a stored successor, in ulps of x_{j+1} times C
+# (see check_hypothesis).
+ROOT_ULPS = 2.0
 
 
 def _require_params(C, tau, inclusive: bool = False) -> None:
@@ -111,8 +114,23 @@ class CertificateConstants:
 def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisReport:
     """Check x_{j+1}^(1+tau) <= C (x_j - x_{j+1}) at every step of seq.
 
-    Comparisons carry a relative slack of REL_TOL so that data saturating the
-    inequality exactly (up to float rounding) still passes.
+    Comparisons carry two slacks, so that data saturating the inequality
+    exactly (up to float rounding) still passes:
+
+    - REL_TOL, relative to the larger side, covers the rounding of the power,
+      the difference and the product (a few eps each).
+    - ROOT_ULPS * C * ulp(x_{j+1}) covers the rounding of the stored
+      successor.  Let t be the exact root of t^(1+tau) = C (x_j - t) and
+      x_{j+1} = t + e the stored value, with |e| <= ulp(x_{j+1}), because
+      extremal_step stops within rounding of the root.  The left side then
+      moves by the relative amount (1 + tau) e / t, inside REL_TOL, but the
+      right side is C (x_j - t) - C e: an absolute shift of up to
+      C ulp(x_{j+1}), which is eps x_{j+1} / (x_j - x_{j+1}) relative to the
+      drop.  Along a long chain the drops shrink faster than the values
+      (x_j ~ j^(-1/tau), drops ~ x_j^(1+tau)), so this term outgrows REL_TOL:
+      at C = 1, tau = 0.5 from step 21,528 on.  ROOT_ULPS = 2 is twice the
+      one-ulp bound; on 200,000-step chains at five (C, tau) cells the left
+      side exceeds the right by at most 0.63 C ulp(x_{j+1}).
     """
     _require_params(C, tau)
     x = seq.values
@@ -121,7 +139,7 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisR
     diffs = x[:-1] - x[1:]
     lhs = x[1:] ** (1.0 + tau)
     rhs = C * diffs
-    ok = lhs <= rhs + REL_TOL * np.maximum(lhs, rhs)
+    ok = lhs <= rhs + REL_TOL * np.maximum(lhs, rhs) + ROOT_ULPS * C * np.spacing(x[1:])
     bad = np.flatnonzero(~ok)
     first = int(bad[0]) + 1 if bad.size else None
     return HypothesisReport(

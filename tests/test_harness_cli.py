@@ -471,3 +471,40 @@ def test_run_log_quiet(tmp_path, capsys):
     log.say("hello")
     assert capsys.readouterr().out == ""
     assert "hello" in (tmp_path / "run.log").read_text()
+
+
+def _keys(obj, floats_only=False) -> set:
+    """Keys at any depth of parsed JSON; with floats_only, those of float leaves."""
+    if isinstance(obj, list):
+        return set().union(*(_keys(v, floats_only) for v in obj))
+    if not isinstance(obj, dict):
+        return set()
+    own = {k for k, v in obj.items() if isinstance(v, float) or not floats_only}
+    return own.union(*(_keys(v, floats_only) for v in obj.values()))
+
+
+@pytest.mark.parametrize("command", [["mcf", "--fit", "--close"], ["verify-all"]])
+def test_timings_stay_out_of_the_manifest(tmp_path, monkeypatch, command):
+    """A skewed clock changes timings.json and leaves manifest.json byte-identical."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(COARSE_CFG)
+    if command[0] == "mcf":
+        command = [*command, "--config", str(cfgfile)]
+    else:  # stub criteria, so the two runs stay cheap
+        names = sorted(name for name in dir(acceptance) if name.startswith("crit_"))
+        for n, name in enumerate(names, 1):
+            monkeypatch.setattr(acceptance, name, lambda *args, n=n: acceptance.CheckResult(
+                n, acceptance.NAMES[n], True, "stub"))
+    real = time.perf_counter
+    outs = []
+    for skew in (1.0, 1000.0):
+        monkeypatch.setattr(time, "perf_counter", lambda skew=skew: skew * real())
+        out = tmp_path / f"skew{skew:g}"
+        assert cli.main(["--out", str(out), "--quiet", *command]) == 0
+        outs.append(((out / "manifest.json").read_bytes(),
+                     json.loads((out / "timings.json").read_text())))
+    (manifest, timings), (skewed_manifest, skewed_timings) = outs
+    assert skewed_manifest == manifest
+    assert skewed_timings != timings
+    timing_keys = _keys(timings, floats_only=True)
+    assert timing_keys and not timing_keys & _keys(json.loads(manifest))

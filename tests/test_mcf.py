@@ -96,18 +96,21 @@ def rkc2_step(g, dt):
 
 def replay(g, hist):
     """Replay evolve's accepted steps (dt, stage count) from g with the
-    reference stepper; asserts every error estimate and returns the profiles
-    at the unit marks."""
+    reference stepper; asserts every error estimate and, at each unit mark,
+    the max |u| of the step ending there, and returns the profiles at the
+    unit marks."""
     frhs = reference_kernel(g.z, g.h, g.spec.radius)
     u, f0 = g.u, frhs(g.u)
     profiles = [u]
-    for t, dt, s, err in zip(hist.diag_t, hist.diag_dt, hist.diag_stages, hist.diag_err):
+    for t, dt, s, err, max_u in zip(hist.diag_t, hist.diag_dt, hist.diag_stages, hist.diag_err,
+                                    hist.diag_max_u):
         u_new, f1, ref_err = reference_rkc2_step(frhs, u, dt, int(s), f0)
         assert ref_err == err
         verwer = float(np.max(np.abs(12.0 * (u - u_new) + 6.0 * dt * (f0 + f1)))) / 15.0
         assert verwer == pytest.approx(err, rel=1e-6, abs=1e-18)
         u, f0 = u_new, f1
         if t == round(t):
+            assert np.float64(max_u).tobytes() == np.abs(u).max().tobytes()
             profiles.append(u)
     return profiles
 
@@ -133,14 +136,21 @@ class TestKernelBits:
             assert out.tobytes() == ref(g.u).tobytes()
             assert out[[0, -1]].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
-    @pytest.mark.parametrize("n_points, R_dom", [(801, 20.0), (2001, 50.0)])
-    def test_evolve_replays_reference_rkc2(self, n_points, R_dom):
-        # h = 0.05 either way, so dt = dt_max = 1e-3 takes 3 stages and one
-        # unit of time is 1000 steps; the larger domain gives N = 2001
+    @pytest.mark.parametrize("n_points, R_dom, dt_max, stages", [
+        pytest.param(801, 20.0, 1e-3, 3, id="801-20.0"),
+        pytest.param(2001, 50.0, 1e-3, 3, id="2001-50.0"),
+        pytest.param(801, 20.0, 5e-4, 2, id="801-20.0-s2"),
+        pytest.param(2001, 20.0, 1e-3, 5, id="2001-20.0-s5"),
+    ])
+    def test_evolve_replays_reference_rkc2(self, n_points, R_dom, dt_max, stages):
+        # h = 0.05 at dt = 1e-3 takes 3 stages, and one unit of time is 1000
+        # steps (the larger domain gives N = 2001); at dt = 5e-4 it takes 2, so
+        # each step is the j = 2 stage alone, where evolve drops the zero
+        # nu_2 d_0 term; h = 0.02 at dt = 1e-3 takes 5
         (g,) = random_graphs(n_points, count=1, R_dom=R_dom)
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls())
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=dt_max))
         assert hist.n_rejected == 0
-        assert set(hist.diag_stages.tolist()) == {3}
+        assert set(hist.diag_stages.tolist()) == {stages}
         profiles = replay(g, hist)
         assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
 

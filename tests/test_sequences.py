@@ -70,6 +70,19 @@ class TestCheckHypothesis:
         with pytest.raises(InvalidInputError):
             sq.check_hypothesis(s, C=1.0, tau=0.5)
 
+    def test_long_extremal_chain_passes(self):
+        # from step 21,528 on the rounding of the stored successor outgrows the
+        # relative slack alone; the ulp slack keeps the saturating chain valid
+        rep = sq.check_hypothesis(sq.extremal_sequence(1.0, 0.5, 1.0, 30_000), C=1.0, tau=0.5)
+        assert rep.ok
+
+    def test_late_drop_shrunk_by_1e9_still_fails(self):
+        x = sq.extremal_sequence(1.0, 0.5, 1.0, 30_000).values.copy()
+        j = 29_000  # 1-based step: x_j -> x_{j+1}
+        x[j] = x[j - 1] - (x[j - 1] - x[j]) * (1.0 - 1e-9)
+        rep = sq.check_hypothesis(sq.MonotoneSequence(x), C=1.0, tau=0.5)
+        assert rep.first_violation == j
+
     def test_json_schema(self):
         rep = sq.check_hypothesis(geometric(5), C=1.0, tau=0.5)
         assert set(harness.jsonable(rep)) == {"C", "tau", "ok", "first_violation",

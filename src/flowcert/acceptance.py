@@ -274,7 +274,6 @@ def crit_close_trend(ctx: dict) -> CheckResult:
         peaks.append(report.max_dist_to_ref)
         details.append(f"a={amp}: |dF1|={abs(report.delta_F1):.3e} "
                        f"peak={report.max_dist_to_ref:.3e} ok={run_ok}")
-        ctx.setdefault("close_reports", {})[amp] = report
     order = np.argsort(gaps)[::-1]  # decreasing area gap
     trend_ok = bool(np.all(np.diff(np.asarray(peaks)[order]) <= 1e-12))
     amp_matches_gap = bool(np.all(np.diff(gaps) <= 0.0))  # amplitudes are given decreasing

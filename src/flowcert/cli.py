@@ -168,8 +168,8 @@ def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
     return code
 
 
-def _write_history(hist: mcf.FlowHistory, out: Path) -> None:
-    hist.to_csv(out / "history.csv")
+def _write_history(hist: mcf.FlowHistory, cfg: mcf.RunConfig, out: Path) -> None:
+    hist.to_csv(out / "history.csv", cfg.R1, cfg.R2)
     write_csv(out / "diagnostics.csv", ["t", "dt", "err", "max_abs_u", "cfl", "stages"],
               [hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl,
                hist.diag_stages])
@@ -181,15 +181,16 @@ def _write_history(hist: mcf.FlowHistory, out: Path) -> None:
 
 def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool) -> int:
     cfg = harness.load_run_config(args.config)
+    controls = cfg.controls()
     start = time.perf_counter()
-    hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
+    hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=controls)
     timings = {"evolve_s": time.perf_counter() - start}
     timings["evolve_us_per_step"] = 1e6 * timings["evolve_s"] / hist.diag_t.size
-    _write_history(hist, out)
+    _write_history(hist, cfg, out)
     log.say(f"evolve: {hist.diag_t.size} steps ({hist.n_rejected} rejected), "
             f"{hist.n_rhs} RHS calls, stages {hist.diag_stages.min()}-{hist.diag_stages.max()}, "
             f"dt {hist.diag_dt.min():.3g}-{hist.diag_dt.max():.3g} (dt_max {cfg.dt_max:g}), "
-            f"max err/step_tol {hist.diag_err.max() / cfg.step_tol:.2e}")
+            f"max err/step_tol {hist.diag_err.max() / controls.step_tol:.2e}")
     checks = [{"name": "run-completed", "passed": hist.stop_reason == "completed",
                "measured": f"stop_reason={hist.stop_reason}, t_final={hist.t_final}"}]
     max_rise = float(np.max(np.diff(hist.mark_F))) if hist.mark_F.size >= 2 else 0.0

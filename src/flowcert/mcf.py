@@ -183,17 +183,16 @@ class FlowControls:
     dt_max: float = 1e-3
     cfl: float = 0.8
     step_tol: float = 1e-8
-    R1: float = 6.0
-    R2: float = 5.0
-    stop_max_abs_u: float | None = 1.0
-    stop_dist: float | None = None  # threshold on dist at radius R1, checked at unit marks
+    stop_max_abs_u: float = 1.0  # the run stops once max |u| exceeds this
 
 
 @dataclass(eq=False)
 class FlowHistory:
     """Unit-mark record of one run plus per-step diagnostics.
 
-    Profiles are stored at every integer time; diagnostics at every accepted
+    Profiles, the Gaussian area F and max |u| are stored at every integer
+    time; dist(R) measures the distance to the cylinder of each stored
+    profile, at whatever radius the caller asks.  Diagnostics at every accepted
     step: the time after it, dt, the local error estimate, max |u|, the
     stability usage 4 dt / (h^2 beta(s)) (at most cfl) and the stage count s.
     n_rhs counts right-hand-side evaluations and n_rejected the steps the error
@@ -204,11 +203,8 @@ class FlowHistory:
 
     spec: CylinderSpec
     z: np.ndarray
-    controls: FlowControls
     mark_times: np.ndarray
     mark_F: np.ndarray
-    mark_dist_R1: np.ndarray
-    mark_dist_R2: np.ndarray
     mark_max_u: np.ndarray
     profiles: list[np.ndarray]
     diag_t: np.ndarray
@@ -235,14 +231,18 @@ class FlowHistory:
     def graph_at_mark(self, t: float) -> CylinderGraph:
         return CylinderGraph(self.spec, self.z, self.profiles[self.mark_index(t)])
 
-    def to_csv(self, path) -> None:
+    def dist(self, R: float) -> np.ndarray:
+        """dist_R of each stored profile, in mark order."""
+        return np.array([dist_R(CylinderGraph(self.spec, self.z, u), R).dist for u in self.profiles])
+
+    def to_csv(self, path, R1: float, R2: float) -> None:
         write_csv(path, ["t", "F", "dist_R1", "dist_R2", "max_abs_u"],
-                  [self.mark_times, self.mark_F, self.mark_dist_R1, self.mark_dist_R2,
-                   self.mark_max_u])
+                  [self.mark_times, self.mark_F, self.dist(R1), self.dist(R2), self.mark_max_u])
 
 
 MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
-MAX_STEPS = 10_000_000  # accepted steps after which evolve gives up
+MAX_STEPS = 10_000_000  # most steps a run may take
+STEP_BUDGET = 100  # attempted steps allowed per step of the largest allowed size
 
 
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:
@@ -253,7 +253,10 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     advective cap cfl*2h/R_dom, controls.dt_max, and the distance to the next
     integer mark, so every integer time is hit exactly.  Starting time must be
     an integer, and a run that would need more than MAX_STEPS steps of the
-    largest allowed size is refused up front.
+    largest allowed size is refused up front.  A run that attempts more than
+    STEP_BUDGET times that many steps (and at most MAX_STEPS) raises
+    BlowupError: a step size collapsed far below the cap means the scheme,
+    not the flow, is in trouble.
 
     Each step is one damped RKC2 step (see _rkc2_coefficients) with the
     fewest stages s >= 2 for which cfl*beta(s) >= 4 dt/h^2.  Its error
@@ -293,6 +296,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     if (t_end - state.t) / dt_cap > MAX_STEPS:
         raise InvalidInputError(f"reaching t={t_end} takes more than MAX_STEPS={MAX_STEPS} "
                                 f"steps of at most {dt_cap:.3e}")
+    budget = min(MAX_STEPS, STEP_BUDGET * math.ceil((t_end - state.t) / dt_cap))
 
     frhs = _kernel(z, h, s)
     add, sub, mul = np.add, np.subtract, np.multiply
@@ -304,15 +308,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     f0, f1, k = (np.zeros_like(u) for _ in range(3))
     y, d0, d1, d2, scratch = (np.empty_like(u) for _ in range(5))
 
-    mark_times, mark_F, mark_d1, mark_d2, mark_mu, profiles = [], [], [], [], [], []
+    mark_times, mark_F, mark_mu, profiles = [], [], [], []
     diag_t, diag_dt, diag_err, diag_mu, diag_cfl, diag_stages = [], [], [], [], [], []
 
     def record_mark(t: float, u_now: np.ndarray) -> None:
         graph = CylinderGraph(spec, z, u_now)
         mark_times.append(float(round(t)))
         mark_F.append(graph_F(graph).value)
-        mark_d1.append(dist_R(graph, controls.R1).dist)
-        mark_d2.append(dist_R(graph, controls.R2).dist)
         mark_mu.append(float(np.max(np.abs(u_now))))
         profiles.append(u_now.copy())
 
@@ -324,12 +326,11 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     frhs(u, f0)
     dt_next = dt_cap
     dt_staged = math.nan  # the dt the coefficients below were built for
-    n_steps = 0
-    stopped = False
     stop_reason = "completed"
-    while t < t_end - 1e-12 and not stopped:
-        if n_steps >= MAX_STEPS:
-            raise BlowupError(f"exceeded MAX_STEPS={MAX_STEPS}", last_state=last_state())
+    while t < t_end - 1e-12 and stop_reason == "completed":
+        if len(diag_t) + n_rejected >= budget:
+            raise BlowupError(f"gave up at t={t} after {budget} attempted steps "
+                              f"(last dt {dt_next:.3e}, cap {dt_cap:.3e})", last_state=last_state())
         next_mark = math.floor(t + MARK_TOL) + 1.0
         dt = min(dt_next, dt_cap, t_end - t)
         hit_mark = False
@@ -377,7 +378,6 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         u, y = y, u
         f0, f1 = f1, f0
         t = next_mark if hit_mark else t + dt
-        n_steps += 1
         dt_next = min(dt_cap, dt * scale)
         # max|u| from the minimum just taken; abs() only turns a -0.0 into +0.0
         max_u = abs(max(float(u.max()), -y_min))
@@ -387,22 +387,15 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         diag_mu.append(max_u)
         diag_cfl.append(need / beta)
         diag_stages.append(n_stages)
-        if controls.stop_max_abs_u is not None and max_u > controls.stop_max_abs_u:
+        if max_u > controls.stop_max_abs_u:
             stop_reason = "max_abs_u"
-            stopped = True
         if hit_mark:
             record_mark(t, u)
-            if controls.stop_dist is not None and mark_d1[-1] > controls.stop_dist:
-                stop_reason = "dist"
-                stopped = True
     return FlowHistory(
         spec=spec,
         z=z,
-        controls=controls,
         mark_times=np.asarray(mark_times),
         mark_F=np.asarray(mark_F),
-        mark_dist_R1=np.asarray(mark_d1),
-        mark_dist_R2=np.asarray(mark_d2),
         mark_max_u=np.asarray(mark_mu),
         profiles=profiles,
         diag_t=np.asarray(diag_t),
@@ -464,9 +457,7 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     if tau_grid is None:
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
     F_cyl = hist.spec.F_value
-    dist_vals = np.array([dist_R(CylinderGraph(hist.spec, hist.z, u), R).dist
-                          for u in hist.profiles])
-    ok = dist_vals < eps
+    ok = hist.dist(R) < eps
     idx = [i for i in range(1, hist.n_marks - 1) if ok[i - 1] and ok[i] and ok[i + 1]]
     if len(idx) < MIN_WINDOWS:
         raise InsufficientDataError(
@@ -543,18 +534,11 @@ class RunConfig:
     R1: float = 6.0
     R2: float = 5.0
     seed: int = 1234
-    cfl: float = 0.8
-    step_tol: float = 1e-8
-    stop_max_abs_u: float = 1.0
-    max_C: float = 100.0
-    tau_grid_lo: float = 0.35
-    tau_grid_hi: float = 0.96
 
     def __post_init__(self):
         if self.profile_kind not in PROFILE_KINDS:
             raise ConfigError(f"unknown profile_kind '{self.profile_kind}'")
-        for name in ("h", "R_dom", "dt_max", "cfl", "step_tol", "eps1", "eps2", "R1", "R2",
-                     "stop_max_abs_u", "max_C"):
+        for name in ("h", "R_dom", "dt_max", "eps1", "eps2", "R1", "R2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
@@ -562,8 +546,6 @@ class RunConfig:
             raise ConfigError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not (1 <= self.k <= MAX_K and self.seed >= 0):
             raise ConfigError(f"need 1 <= k <= {MAX_K} and seed >= 0, got k={self.k}, seed={self.seed}")
-        if not 0 < self.tau_grid_lo < self.tau_grid_hi <= 1:
-            raise ConfigError("need 0 < tau_grid_lo < tau_grid_hi <= 1")
         if 2.0 * self.R_dom / self.h > MAX_INTERVALS:
             raise ConfigError(f"grid 2*R_dom/h exceeds {MAX_INTERVALS} intervals")
         if not (isinstance(self.t1, int) and isinstance(self.t2, int)):
@@ -574,8 +556,7 @@ class RunConfig:
             raise ConfigError("measurement radii must fit inside the grid")
 
     def controls(self) -> FlowControls:
-        return FlowControls(dt_max=self.dt_max, cfl=self.cfl, step_tol=self.step_tol,
-                            R1=self.R1, R2=self.R2, stop_max_abs_u=self.stop_max_abs_u)
+        return FlowControls(dt_max=self.dt_max)
 
     def initial_state(self) -> FlowState:
         spec = CylinderSpec(self.k)
@@ -617,8 +598,11 @@ class CloseReport:
     dist_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseReport:
-    """Run the flow and certify the endpoint-controlled closeness bound.
+TAU_GRID = np.round(np.arange(0.35, 0.96, 0.01), 10)  # the closeness experiment's tau grid
+
+
+def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
+    """Certify the endpoint-controlled closeness bound on the run hist of cfg.
 
     Checks the two hypotheses (initial closeness over [t1, t1+2]; endpoint
     F-gaps below eps2), extracts the F-series at the marks t1 + 2j - 1, splits
@@ -631,11 +615,8 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
     where Ctilde is the promotion constant fitted on this run as the largest
     ratio of measured distance to the running certificate partial sum.
 
-    A hypothesis violation is reported, not raised.  Pass a precomputed
-    history to skip re-running the flow (it must match cfg).
+    The fit searches TAU_GRID.  A hypothesis violation is reported, not raised.
     """
-    if hist is None:
-        hist = evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
     spec = CylinderSpec(cfg.k)
     F_cyl = spec.F_value
     completed = hist.t_final >= cfg.t2 - 1e-9
@@ -644,13 +625,14 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
 
     # hypothesis (1): closeness to the cylinder at the marks of [t1, t1+2]
     initial_dist_ok = True
+    dist1 = hist.dist(cfg.R1)
     for t in (cfg.t1, cfg.t1 + 1, cfg.t1 + 2):
         try:
             i = hist.mark_index(float(t))
         except InvalidInputError:
             initial_dist_ok = False
             break
-        if hist.mark_dist_R1[i] >= cfg.eps1:
+        if dist1[i] >= cfg.eps1:
             initial_dist_ok = False
             break
 
@@ -673,8 +655,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory | None = None) -> CloseRe
 
     fit = None
     try:
-        tau_grid = np.round(np.arange(cfg.tau_grid_lo, cfg.tau_grid_hi, 0.01), 10)
-        fit = lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=tau_grid, max_C=cfg.max_C)
+        fit = lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=TAU_GRID)
     except InsufficientDataError as exc:
         failure = failure or f"decay fit unavailable: {exc}"
 

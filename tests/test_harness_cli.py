@@ -88,16 +88,18 @@ class TestConfigProperty:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
     def test_any_override_evolves_or_maps_to_exit_3_or_64(self, overrides):
-        # the same overrides, then a tiny evolve: t_end is 20 midpoint-stable
-        # steps cfl*h^2/2 or advective caps (at most 20 time units), which
-        # RKC2 covers in at most about 20 steps
+        # the same overrides, then a tiny evolve: t_end is 20 steps of the
+        # smaller of cfl*h^2/2 (about what one two-stage RKC2 step covers) and
+        # the advective cap, at most 20 time units, which RKC2 covers in at
+        # most about 20 steps
         text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
         try:
             cfg = harness._config_from_text(text, "<property>")
+            controls = cfg.controls()
             state = cfg.initial_state()
             g = state.graph
-            dt_cap = min(cfg.cfl * min(0.5 * g.h * g.h, 2.0 * g.h / g.R_dom), cfg.dt_max)
-            hist = mcf.evolve(state, min(20.0 * dt_cap, 20.0), cfg.controls())
+            dt_cap = min(controls.cfl * min(0.5 * g.h * g.h, 2.0 * g.h / g.R_dom), cfg.dt_max)
+            hist = mcf.evolve(state, min(20.0 * dt_cap, 20.0), controls)
             assert isinstance(hist, mcf.FlowHistory)
         except FlowcertError as exc:
             assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
@@ -151,6 +153,9 @@ class TestCliExitCodes:
                          "mcf", "--config", str(bad)])
         assert code == 64
 
+    # cfl, step_tol, stop_max_abs_u, max_C, tau_grid_lo and tau_grid_hi were
+    # config keys once; a config that still sets one is refused as naming an
+    # unknown key rather than run with the setting silently dropped
     @pytest.mark.parametrize("key, value", [
         ("h", "nan"), ("h", "0"), ("R_dom", "1e9"), ("dt_max", "0"), ("cfl", "0"),
         ("step_tol", "-1e-8"), ("eps1", "inf"), ("eps2", "0"), ("R1", "-6"), ("R2", "nan"),
@@ -167,6 +172,28 @@ class TestCliExitCodes:
         assert time.perf_counter() - start < 10.0
         printed = capsys.readouterr()
         assert "error:" in printed.out and "Traceback" not in printed.out + printed.err
+        known = {f.name for f in dataclasses.fields(mcf.RunConfig)}
+        assert (f"unknown key '{key}'" in printed.out) == (key not in known)
+
+    def test_collapsing_step_size_is_3(self, tmp_path, capsys, monkeypatch):
+        # gamma~_2 of the two-stage step times 1.1 breaks the method's
+        # consistency: the error control holds err below step_tol only by
+        # shrinking dt several hundredfold, so the run spends its budget of
+        # 100 attempted steps per step of dt_max (100,000 here) and stops
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COARSE_CFG + "t2 = 2\namplitude = 0.05\n")
+        assert cli.main(["--out", str(tmp_path / "ok"), "--quiet", "mcf",
+                         "--config", str(cfgfile)]) == 0
+        beta, mu1_t, ((mu, nu, mu_t, gamma_t),) = mcf._RKC2[2]
+        monkeypatch.setitem(mcf._RKC2, 2, (beta, mu1_t, ((mu, nu, mu_t, 1.1 * gamma_t),)))
+        start = time.perf_counter()
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 3
+        assert time.perf_counter() - start < 10.0
+        printed = capsys.readouterr()
+        assert "run aborted: gave up at t=" in printed.out
+        assert "after 100000 attempted steps" in printed.out
+        assert "Traceback" not in printed.out + printed.err
 
     def test_geometry_error_is_3(self, tmp_path):
         cfgfile = tmp_path / "neck.cfg"

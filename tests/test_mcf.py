@@ -20,6 +20,12 @@ def coarse_config(**overrides):
     return mcf.RunConfig(**base)
 
 
+def evolve_and_close(cfg, controls=None):
+    """The closeness report of cfg on a fresh run (controls default to cfg's)."""
+    hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), controls or cfg.controls())
+    return mcf.close_experiment(cfg, hist)
+
+
 def smooth_graph(amplitude=0.05, h=0.1):
     return CylinderGraph.from_profile(
         SPEC1, 20.0, h, lambda z: amplitude * np.exp(-(z**2) / 2.0))
@@ -243,13 +249,52 @@ class TestRhs:
         assert r[0] == 0.0 and r[-1] == 0.0
 
 
+class TestKernelLinearisation:
+    @staticmethod
+    def jacobian(k, h=0.1, R_dom=20.0, eps=1e-9):
+        """d frhs / du at u = 0 on the interior rows, column by column from
+        central differences; the cubic term of the diffusion part moves the
+        entries by about eps^2/h^4, 1e-14 here."""
+        g = CylinderGraph.zero(CylinderSpec(k), R_dom, h)
+        frhs = mcf._kernel(g.z, g.h, g.spec.radius)
+        w, plus, minus = (np.zeros(g.z.size) for _ in range(3))
+        J = np.empty((g.z.size - 2, g.z.size - 2))
+        for i in range(1, g.z.size - 1):
+            w[i] = eps
+            frhs(w, plus)
+            w[i] = -eps
+            frhs(w, minus)
+            w[i] = 0.0
+            J[:, i - 1] = (plus[1:-1] - minus[1:-1]) / (2.0 * eps)
+        return J
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_top_eigenvalues_are_the_hermite_modes(self, k):
+        # at u = 0 the flow linearises to w_zz - (z/2) w_z + w (the radial
+        # term -k/r + r/2 has slope k/s^2 + 1/2 = 1 at r = s for every k),
+        # whose Hermite eigenfunctions H_n have eigenvalues 1 - n/2; central
+        # differences keep a polynomial's degree and leading coefficient, so
+        # the grid operator has the same top eigenvalues up to the far ends.
+        # A tridiagonal matrix whose off-diagonal pairs have positive products
+        # is similar to the symmetric one with their geometric means, which
+        # eigvalsh solves without the nonsymmetric solver's e^(z^2/8) scaling
+        J = self.jacobian(k)
+        lower, upper = np.diag(J, -1), np.diag(J, 1)
+        assert np.array_equal(np.triu(J, 2), np.zeros_like(J))
+        assert np.array_equal(np.tril(J, -2), np.zeros_like(J))
+        assert np.all(lower * upper > 0.0)
+        off = np.sqrt(lower * upper)
+        top = np.linalg.eigvalsh(np.diag(np.diag(J)) + np.diag(off, 1) + np.diag(off, -1))[::-1][:5]
+        assert np.max(np.abs(top - [1.0, 0.5, 0.0, -0.5, -1.0])) < 1e-8
+
+
 class TestStep:
     def test_zero_profile_stays_zero(self):
         # every stage count evolve can take: dt sits between the stability
         # limits of s - 1 and s stages, on a domain small enough that the
         # advective cap does not bind
         g = CylinderGraph.zero(SPEC1, 0.3, 0.01)
-        controls = mcf.FlowControls(R1=0.1, R2=0.1)
+        controls = mcf.FlowControls()
         limits = [0.25 * controls.cfl * mcf._RKC2[s][0] * g.h**2
                   for s in range(2, mcf.MAX_STAGES + 1)]
         for s, lo, hi in zip(range(2, mcf.MAX_STAGES + 1), [0.0, *limits], limits):
@@ -288,9 +333,10 @@ class TestStep:
         # a tolerance below the error estimate makes the controller refuse and
         # shrink steps; the accepted ones, at whatever dt and stage count,
         # replay through the reference stepper to the same bits
-        cfg = coarse_config(step_tol=1e-12)
+        cfg = coarse_config()
         g = cfg.initial_state().graph
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=2.0, controls=cfg.controls())
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=2.0,
+                          controls=mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
         assert hist.n_rejected > 0 and len(set(hist.diag_dt.tolist())) > 10
         profiles = replay(g, hist)
         assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
@@ -315,7 +361,7 @@ class TestEvolve:
         # of t = 9; that step must still land on the mark
         state = mcf.FlowState(CylinderGraph.zero(SPEC1, R_dom=2.0, h=0.05), 8.0)
         hist = mcf.evolve(state, t_end=10.0,
-                          controls=mcf.FlowControls(dt_max=1.6e-4, R1=1.5, R2=1.0))
+                          controls=mcf.FlowControls(dt_max=1.6e-4))
         assert np.array_equal(hist.mark_times, [8.0, 9.0, 10.0])
         assert hist.t_final == 10.0
 
@@ -330,19 +376,11 @@ class TestEvolve:
         assert np.all(np.diff(gaps[positive]) < 0.0)
 
     def test_large_amplitude_trips_stop_condition(self):
-        cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8,
-                            stop_max_abs_u=0.5)
-        hist = mcf.evolve(cfg.initial_state(), t_end=8.0, controls=cfg.controls())
+        cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8)
+        hist = mcf.evolve(cfg.initial_state(), t_end=8.0,
+                          controls=mcf.FlowControls(dt_max=cfg.dt_max, stop_max_abs_u=0.5))
         assert hist.stop_reason == "max_abs_u"
         assert hist.t_final < 8.0
-
-    def test_dist_stop_condition(self):
-        cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8)
-        controls = cfg.controls()
-        controls.stop_max_abs_u = None
-        controls.stop_dist = 0.4
-        hist = mcf.evolve(cfg.initial_state(), t_end=8.0, controls=controls)
-        assert hist.stop_reason == "dist"
 
     def test_spatial_convergence_order(self):
         vals = {}
@@ -369,8 +407,9 @@ class TestEvolve:
         hist = mcf.evolve(cfg.initial_state(), 8.0, cfg.controls())
         assert hist.diag_t.size == 4000 and hist.n_rejected == 0
         assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 1 + 2 * 4000
-        cfg = coarse_config(step_tol=1e-12, t2=2)
-        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        cfg = coarse_config(t2=2)
+        hist = mcf.evolve(cfg.initial_state(), 2.0,
+                          mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
         assert hist.n_rejected > 0
         assert set(hist.diag_stages.tolist()) == {2}
         assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) + 2 * hist.n_rejected
@@ -382,14 +421,14 @@ class TestEvolve:
         assert np.allclose(hist.diag_dt, cfg.dt_max, rtol=1e-9, atol=0.0)
         assert np.all(hist.diag_stages == 3)
         assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 24_001
-        assert np.max(hist.diag_err) < 1e-3 * cfg.step_tol
+        assert np.max(hist.diag_err) < 1e-3 * cfg.controls().step_tol
 
     def test_fewest_stages_and_usage_at_most_cfl(self):
         # R_dom = 0.5, h = 1e-3: the advective cap alone would need about 140
         # stages, so the stage cap shortens dt to its own stability limit; the
         # controller first refuses and then regrows dt, and s follows dt
         g = CylinderGraph.from_profile(SPEC1, 0.5, 1e-3, lambda z: 1e-3 * np.cos(np.pi * z))
-        controls = mcf.FlowControls(R1=0.25, R2=0.25)
+        controls = mcf.FlowControls()
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 0.01, controls)
         beta = np.array([mcf._RKC2[s][0] for s in hist.diag_stages])
         need = 4.0 * hist.diag_dt / g.h**2
@@ -406,15 +445,19 @@ class TestEvolve:
         # h = 1e-5 on R_dom = 0.5 caps dt near 3e-8, so t = 2 is out of reach
         g = CylinderGraph.zero(SPEC1, 0.5, 1e-5)
         with pytest.raises(InvalidInputError, match="MAX_STEPS"):
-            mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls(R1=0.25, R2=0.25))
+            mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls())
 
     def test_history_csv(self, tmp_path):
         cfg = coarse_config(t2=3)
         hist = mcf.evolve(cfg.initial_state(), t_end=3.0, controls=cfg.controls())
         path = tmp_path / "history.csv"
-        hist.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,F,dist_R1,dist_R2,max_abs_u"
+        hist.to_csv(path, 6.0, 5.0)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,F,dist_R1,dist_R2,max_abs_u"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 2], hist.dist(6.0))
+        assert np.array_equal(rows[:, 3], hist.dist(5.0))
+        assert np.all(hist.dist(6.0) >= hist.dist(5.0))  # the wider window sees more
 
 
 SWEEP_GATE = 5e-8  # max |u - u_ref| over the marks of sweep.cfg at a = 0.02
@@ -515,7 +558,7 @@ class TestSplitSignedSeries:
 class TestCloseExperiment:
     def test_zero_data_trivial_bound(self):
         cfg = coarse_config(amplitude=0.0, profile_kind="zero", t2=8)
-        rep = mcf.close_experiment(cfg)
+        rep = evolve_and_close(cfg)
         assert rep.hypotheses_ok
         assert rep.delta_F1 == pytest.approx(0.0, abs=1e-12)
         assert rep.max_dist_to_ref == 0.0
@@ -524,7 +567,7 @@ class TestCloseExperiment:
 
     def test_small_bump_certifies(self):
         cfg = coarse_config(amplitude=0.01, t2=9)
-        rep = mcf.close_experiment(cfg)
+        rep = evolve_and_close(cfg)
         assert rep.hypotheses_ok
         assert rep.certified
         assert rep.bound_holds
@@ -534,7 +577,7 @@ class TestCloseExperiment:
     def test_amplitude_sweep_trend(self):
         peaks, gaps = [], []
         for amp in (0.02, 0.01, 0.005):
-            rep = mcf.close_experiment(coarse_config(amplitude=amp, t2=9))
+            rep = evolve_and_close(coarse_config(amplitude=amp, t2=9))
             assert rep.bound_holds and rep.certified
             peaks.append(rep.max_dist_to_ref)
             gaps.append(abs(rep.delta_F1))
@@ -542,9 +585,8 @@ class TestCloseExperiment:
         assert peaks[0] >= peaks[1] >= peaks[2]
 
     def test_large_amplitude_reports_hypothesis_failure(self):
-        cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8,
-                            stop_max_abs_u=0.5)
-        rep = mcf.close_experiment(cfg)
+        cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8)
+        rep = evolve_and_close(cfg, mcf.FlowControls(dt_max=cfg.dt_max, stop_max_abs_u=0.5))
         assert not rep.hypotheses_ok
         assert not rep.completed
         assert rep.failure_reason is not None
@@ -554,17 +596,18 @@ class TestCloseExperiment:
         real = sq.certify_part
         monkeypatch.setattr(sq, "certify_part", lambda values, consts: dataclasses.replace(
             real(values, consts), hypothesis_ok=False))
-        rep = mcf.close_experiment(coarse_config(amplitude=0.01, t2=9))
+        rep = evolve_and_close(coarse_config(amplitude=0.01, t2=9))
         assert rep.hypotheses_ok and rep.fit is not None
         assert not rep.certified
         assert [p["hypothesis_ok"] for p in rep.parts] == [False, False]
 
     def test_reuses_precomputed_history(self):
+        # the report is a function of the config and the history alone: a
+        # second run of the same config gives the same report
         cfg = coarse_config(amplitude=0.005, t2=9)
         hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
         rep1 = mcf.close_experiment(cfg, hist=hist)
-        rep2 = mcf.close_experiment(cfg)
-        assert harness.jsonable(rep1) == harness.jsonable(rep2)
+        assert harness.jsonable(evolve_and_close(cfg)) == harness.jsonable(rep1)
 
 
 class TestRunConfig:

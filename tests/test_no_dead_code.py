@@ -7,10 +7,16 @@ somewhere in src/flowcert or perfbench outside its own definition: as a name
 only re-exports, so its imports do not count.  Dunder methods run implicitly
 and properties are serialised by harness.jsonable, so both are exempt.  Paper
 API that only tests call today stays on PAPER_API.
+
+Likewise every run-config key is set by at least one bundled config: a key
+that no shipped run sets is a constant with a parser in front of it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from flowcert import harness, mcf
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowcert"
@@ -108,3 +114,12 @@ def test_paper_api_still_defined():
     defined = {name for path in PACKAGE.glob("*.py")
                for name, _ in _definitions(ast.parse(path.read_text()))}
     assert PAPER_API <= defined
+
+
+def test_every_config_key_is_set_by_a_bundled_config():
+    keys = {f.name for f in dataclasses.fields(mcf.RunConfig)}
+    configs = sorted((PACKAGE / "configs").glob("*.cfg"))
+    assert configs
+    set_somewhere = set().union(*(harness.parse_config_text(path.read_text(), str(path))
+                                  for path in configs))
+    assert sorted(keys - set_somewhere) == []

@@ -60,6 +60,19 @@ def cylinder_F(spec: CylinderSpec) -> float:
     return (4.0 * math.pi) ** (-k / 2.0) * sphere_area(k) * (2.0 * k) ** (k / 2.0) * math.exp(-k / 2.0)
 
 
+def uniform_grid(R_dom: float, h: float) -> np.ndarray:
+    """The uniform grid covering [-R_dom, R_dom] with spacing closest to h."""
+    n = int(round(2.0 * R_dom / h))
+    if n < 4:
+        raise InvalidInputError("domain too small for the requested spacing")
+    return np.linspace(-R_dom, R_dom, n + 1)
+
+
+def window(z: np.ndarray, R: float) -> np.ndarray:
+    """Mask of the grid nodes in the measurement window |z| <= R."""
+    return np.abs(z) <= R + 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class CylinderGraph:
     """Radial graph r(z) = sqrt(2k) + u(z) on a uniform grid, pinned at the ends.
@@ -102,11 +115,8 @@ class CylinderGraph:
 
     @classmethod
     def from_profile(cls, spec: CylinderSpec, R_dom: float, h: float, fn) -> "CylinderGraph":
-        """Sample u = fn(z) on the uniform grid covering [-R_dom, R_dom]."""
-        n = int(round(2.0 * R_dom / h))
-        if n < 4:
-            raise InvalidInputError("domain too small for the requested spacing")
-        z = np.linspace(-R_dom, R_dom, n + 1)
+        """Sample u = fn(z) on uniform_grid(R_dom, h)."""
+        z = uniform_grid(R_dom, h)
         return cls(spec, z, np.asarray(fn(z), dtype=float))
 
     @classmethod
@@ -182,7 +192,7 @@ def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> Distance
         raise PreconditionError(f"need R > 0, got R={R}")
     d1 = (du[2:] - du[:-2]) / (2.0 * h)
     d2 = (du[2:] - 2.0 * du[1:-1] + du[:-2]) / h**2
-    win = np.abs(z) <= R + 1e-12
+    win = window(z, R)
     if not win.any():
         raise PreconditionError(f"no grid point within |z| <= {R} (spacing h={h})")
     win_int = win[1:-1]

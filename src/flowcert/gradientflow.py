@@ -122,39 +122,50 @@ class Trajectory:
         return np.asarray(self.problem.F(self.at(t)), dtype=float)
 
 
-def _interpolant_arrays(sol) -> tuple[np.ndarray, ...]:
-    """The RK45 dense output of `sol` as arrays, one row per solver step:
-    step start times, widths, Q of shape (n_steps, n, 4) and the start states
-    (n_steps, n).  The one place that reads scipy's interpolant internals."""
+def _interpolant_arrays(sol, m: int) -> tuple[np.ndarray, ...]:
+    """The RK45 dense output of `sol`, a run of m stacked lanes, as arrays:
+    step start times and widths, one row per solver step, and per lane its
+    coefficients Q, (m, n_steps, dim, 4), and start states, (m, n_steps, dim),
+    laid out once so that each lane's block is contiguous.  The one place that
+    reads scipy's interpolant internals."""
     pieces = sol.sol.interpolants
     t_old = np.array([piece.t_old for piece in pieces])
     width = np.array([piece.h for piece in pieces])
-    return (t_old, width, np.stack([piece.Q for piece in pieces]),
-            np.stack([piece.y_old for piece in pieces]))
+    Q = np.stack([piece.Q for piece in pieces]).reshape(width.size, m, -1, 4)
+    y_old = np.stack([piece.y_old for piece in pieces]).reshape(width.size, m, -1)
+    return (t_old, width, np.ascontiguousarray(Q.swapaxes(0, 1)),
+            np.ascontiguousarray(y_old.swapaxes(0, 1)))
 
 
-def _lane_dense(step_t: np.ndarray, arrays: tuple, rows: slice, speed: float) -> Callable:
-    """Dense output of one lane: its rows of the stacked interpolant at flow
-    times t (solver times t / speed), shape (dim, len(t)) like `OdeSolution`.
+def _lane_dense(bounds: np.ndarray, t_old: np.ndarray, width: np.ndarray,
+                Q: np.ndarray, y_old: np.ndarray, speed: float) -> Callable:
+    """Dense output of one lane at flow times t (solver times t / speed),
+    shape (dim, len(t)) like `OdeSolution`; Q and y_old are the lane's own
+    (n_steps, dim, 4) and (n_steps, dim) blocks.
 
     Each time picks its step as `OdeSolution` does (at a step boundary, the
-    step that ends there), and one einsum evaluates the step polynomial
-    y_old + h Q (x, x^2, x^3, x^4), x the fraction of the step, at every time.
-    The powers are running products written in place, as np.cumprod would
-    form them.
+    step that ends there): one searchsorted over the interior boundaries
+    `bounds` = step_t[1:-1], so a time before the first step reads the first
+    and one after the last step reads the last.  The step polynomial
+    y_old + h (Q_1 x + Q_2 x^2 + Q_3 x^3 + Q_4 x^4), x the fraction of the
+    step, is summed in k order over the running-product powers x^k = x^(k-1) x
+    (as np.cumprod forms them), with every per-step array read by `take`.
     """
-    t_old, width, Q, y_old = arrays
-    Q, y_old = Q[:, rows], y_old[:, rows]
-    last = width.size - 1
 
     def dense(t):
         s = np.asarray(t, dtype=float) / speed
-        step = np.clip(np.searchsorted(step_t, s, side="left") - 1, 0, last)
-        powers = np.empty((Q.shape[-1], *s.shape))
-        powers[0] = (s - t_old[step]) / width[step]
-        for k in range(1, len(powers)):
-            np.multiply(powers[k - 1], powers[0], out=powers[k])
-        return width[step] * np.einsum("tdk,kt->dt", Q[step], powers) + y_old[step].T
+        step = np.searchsorted(bounds, s)
+        h = width.take(step)
+        x = ((s - t_old.take(step)) / h)[:, None]
+        coef = Q.take(step, axis=0)
+        power = x
+        out = coef[..., 0] * power
+        for k in range(1, coef.shape[-1]):
+            power = power * x
+            out += coef[..., k] * power
+        out *= h[:, None]
+        out += y_old.take(step, axis=0)
+        return out.T
 
     return dense
 
@@ -188,8 +199,8 @@ def integrate(problem: GradientProblem, x0, t_end,
     ends at an exit or a stall is integrated again one lane at a time, so
     each lane stops at its own exit or raises its own StiffnessError.  The
     recorded F-values of every lane are checked to be non-increasing up to
-    10*tol.  Each Trajectory's `dense` reads only its lane's rows of the
-    shared interpolant.
+    10*tol.  The shared interpolant is laid out once per batch, lane by lane,
+    and each Trajectory's `dense` reads only its own lane's contiguous block.
     """
     x0 = np.asarray(x0, dtype=float)
     lanes = np.atleast_2d(x0)
@@ -227,7 +238,8 @@ def integrate(problem: GradientProblem, x0, t_end,
     if sol.status == -1:
         raise StiffnessError(f"integration stalled at t={sol.t[-1]}: {sol.message}",
                              last_state=(float(sol.t[-1]), sol.y[:, -1].copy()))
-    arrays = _interpolant_arrays(sol)
+    t_old, width, Q, y_old = _interpolant_arrays(sol, m)
+    bounds = sol.t[1:-1]
     runs = []
     for i in range(m):
         rows = slice(i * dim, (i + 1) * dim)
@@ -246,7 +258,7 @@ def integrate(problem: GradientProblem, x0, t_end,
             step_lengths=steps,
             problem=problem,
             exited_ball=sol.status == 1,
-            dense=_lane_dense(sol.t, arrays, rows, speed[i]),
+            dense=_lane_dense(bounds, t_old, width, Q[i], y_old[i], speed[i]),
         ))
     return runs[0] if x0.ndim < 2 else runs
 

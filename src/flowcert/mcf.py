@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sequences
-from .cylinder import CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F, write_csv
+from .cylinder import (CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F,
+                       uniform_grid, window, write_csv)
 from .errors import (
     BlowupError,
     ConfigError,
@@ -444,10 +445,11 @@ class LojasiewiczFit:
 
 ZERO_TOL = 1e-13  # absolute threshold below which F-gaps count as zero
 MIN_WINDOWS = 5  # admissible unit-mark windows a fit needs
+MAX_C = 100.0  # the default cap on the fitted C
 
 
 def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
-                    tau_grid: np.ndarray | None = None, max_C: float = 100.0) -> LojasiewiczFit:
+                    tau_grid: np.ndarray | None = None, max_C: float = MAX_C) -> LojasiewiczFit:
     """Fit (C, tau) certifying the window inequality on one run.
 
     A mark t is admissible when the marks t-1, t, t+1 all exist and the
@@ -456,8 +458,14 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     """
     if tau_grid is None:
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
+    return _window_fit(hist, hist.dist(R) < eps, tau_grid, max_C)
+
+
+def _window_fit(hist: FlowHistory, ok: np.ndarray, tau_grid: np.ndarray,
+                max_C: float) -> LojasiewiczFit:
+    """lojasiewicz_fit on the marks flagged close to the cylinder by ok, for
+    callers that have measured the distances already."""
     F_cyl = hist.spec.F_value
-    ok = hist.dist(R) < eps
     idx = [i for i in range(1, hist.n_marks - 1) if ok[i - 1] and ok[i] and ok[i + 1]]
     if len(idx) < MIN_WINDOWS:
         raise InsufficientDataError(
@@ -554,6 +562,11 @@ class RunConfig:
             raise ConfigError("need 0 <= t1 <= t2 - 2")
         if self.R2 > self.R_dom - 2 * self.h or self.R1 > self.R_dom - 2 * self.h:
             raise ConfigError("measurement radii must fit inside the grid")
+        z = uniform_grid(self.R_dom, self.h)
+        for name in ("R1", "R2"):
+            R = getattr(self, name)
+            if not window(z, R).any():
+                raise ConfigError(f"{name}: no grid point within |z| <= {R} (spacing h={self.h})")
 
     def controls(self) -> FlowControls:
         return FlowControls(dt_max=self.dt_max)
@@ -615,7 +628,9 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     where Ctilde is the promotion constant fitted on this run as the largest
     ratio of measured distance to the running certificate partial sum.
 
-    The fit searches TAU_GRID.  A hypothesis violation is reported, not raised.
+    The fit is lojasiewicz_fit at (R1, eps1) over TAU_GRID, read off the R1
+    distances measured for hypothesis (1).  A hypothesis violation is
+    reported, not raised.
     """
     spec = CylinderSpec(cfg.k)
     F_cyl = spec.F_value
@@ -655,7 +670,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
 
     fit = None
     try:
-        fit = lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=TAU_GRID)
+        fit = _window_fit(hist, dist1 < cfg.eps1, TAU_GRID, MAX_C)
     except InsufficientDataError as exc:
         failure = failure or f"decay fit unavailable: {exc}"
 

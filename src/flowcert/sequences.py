@@ -33,11 +33,20 @@ ROOT_ULPS = 2.0
 
 def _require_params(C, tau, inclusive: bool = False) -> None:
     """Validate scalar or array constants; every entry must be admissible:
-    C >= 1 and tau in (1/3, 1), or (1/3, 1] when inclusive."""
-    if not np.all(np.isfinite(C) & (C >= 1.0)):
+    C >= 1 and tau in (1/3, 1), or (1/3, 1] when inclusive.  Python scalars
+    are checked with math, anything else element-wise with numpy."""
+    if isinstance(C, (int, float)):
+        C_ok = math.isfinite(C) and C >= 1.0
+    else:
+        C_ok = np.all(np.isfinite(C) & (C >= 1.0))
+    if not C_ok:
         raise ParameterError(f"need C >= 1, got C={C}")
     hi_ok = tau <= 1.0 if inclusive else tau < 1.0
-    if not np.all(np.isfinite(tau) & (tau > 1.0 / 3.0) & hi_ok):
+    if isinstance(tau, (int, float)):
+        tau_ok = math.isfinite(tau) and tau > 1.0 / 3.0 and hi_ok
+    else:
+        tau_ok = np.all(np.isfinite(tau) & (tau > 1.0 / 3.0) & hi_ok)
+    if not tau_ok:
         bracket = "]" if inclusive else ")"
         raise ParameterError(f"need tau in (1/3, 1.0{bracket}, got tau={tau}")
 
@@ -136,6 +145,13 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisR
     x = seq.values
     if x[0] > 1.0 + REL_TOL:
         raise InvalidInputError(f"certificate input needs x_1 <= 1, got x_1={x[0]}")
+    return _drop_law(x, C, tau)
+
+
+def _drop_law(x: np.ndarray, C: float, tau: float) -> HypothesisReport:
+    """The comparison of check_hypothesis on values x that are already known
+    to be finite, positive, non-increasing and at most 1, with admissible
+    (C, tau)."""
     diffs = x[:-1] - x[1:]
     lhs = x[1:] ** (1.0 + tau)
     rhs = C * diffs
@@ -217,10 +233,13 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
     """Check the drop law for (consts.C, consts.tau) on one positive part of a
     gap series and compare its square-root increment sum with consts.cap(x1).
 
-    Entries at or below POSITIVE_FLOOR are dropped, and a running minimum irons
-    out sub-tolerance integrator noise (real descent data is already
-    non-increasing).  Fewer than two entries certify trivially; x1 > 1 lies
-    outside the certificate's domain and fails with cap 0.
+    Entries at or below POSITIVE_FLOOR (and NaNs) are dropped, and a running
+    minimum irons out sub-tolerance integrator noise (real descent data is
+    already non-increasing).  Fewer than two entries certify trivially; x1 > 1
+    (+inf included) lies outside the certificate's domain and fails with cap 0.
+    What is left is finite, positive, non-increasing and at most 1, and consts
+    holds constants constructive_bound validated, so the drop law is checked
+    without validating either again.
     """
     vals = np.asarray(values, dtype=float)
     vals = np.minimum.accumulate(vals[vals > POSITIVE_FLOOR])
@@ -230,7 +249,7 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
         return PartCertificate(n, x1, True, None, 0.0, 0.0, True)
     if x1 > 1.0:
         return PartCertificate(n, x1, False, None, 0.0, 0.0, False)
-    rep = check_hypothesis(MonotoneSequence(vals), consts.C, consts.tau)
+    rep = _drop_law(vals, consts.C, consts.tau)
     cap = consts.cap(x1)
     return PartCertificate(n, x1, rep.ok, rep.first_violation, rep.sqrt_diff_sum,
                            cap, rep.sqrt_diff_sum <= cap + 1e-12)

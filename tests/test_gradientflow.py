@@ -35,6 +35,47 @@ def decay_inequality_spot_check(problem, rng, n_samples=10_000) -> bool:
     return bool(np.all(lhs <= rhs + SPOT_CHECK_SLACK))
 
 
+def recorded_solves(monkeypatch) -> list:
+    """Route gradientflow's solve_ivp through a recorder; returns its list of
+    solutions."""
+    sols = []
+
+    def recording_solve_ivp(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(gf, "solve_ivp", recording_solve_ivp)
+    return sols
+
+
+def stacked_interpolant(sol):
+    """The RK45 interpolant of sol stacked by step: start times, widths,
+    Q (n_steps, n, 4) and start states (n_steps, n)."""
+    pieces = sol.sol.interpolants
+    return (np.array([piece.t_old for piece in pieces]), np.array([piece.h for piece in pieces]),
+            np.stack([piece.Q for piece in pieces]), np.stack([piece.y_old for piece in pieces]))
+
+
+def einsum_reads(sol, rows, speed, t):
+    """The reference read of one lane: per-read gathers of the stacked
+    interpolant and one einsum over running-product powers, with each time's
+    step clipped into range."""
+    t_old, width, Q, y_old = stacked_interpolant(sol)
+    Q, y_old = Q[:, rows], y_old[:, rows]
+    s = np.asarray(t, dtype=float) / speed
+    step = np.clip(np.searchsorted(sol.t, s, side="left") - 1, 0, width.size - 1)
+    powers = np.empty((Q.shape[-1], *s.shape))
+    powers[0] = (s - t_old[step]) / width[step]
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], powers[0], out=powers[k])
+    return width[step] * np.einsum("tdk,kt->dt", Q[step], powers) + y_old[step].T
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def reference_run(problem, x0, t_end, tol):
     """The plain one-start solve_ivp run, written out as the oracle."""
 
@@ -211,20 +252,49 @@ class TestBatchedIntegrate:
             np.testing.assert_allclose(run.at(run.times), run.points, rtol=1e-13, atol=1e-16)
 
     def test_step_powers_are_the_cumprod_running_products(self, monkeypatch):
-        real_einsum = np.einsum
-        powers = []
-
-        def recording_einsum(spec, *operands, **kwargs):
-            powers.append(operands[1].copy())
-            return real_einsum(spec, *operands, **kwargs)
-
+        # the reads equal, bit for bit, the step polynomial summed in k order
+        # over np.cumprod's running-product powers of the step fraction
+        sols = recorded_solves(monkeypatch)
         run = gf.integrate(gf.problem_by_name("quartic2d"), [0.1, 0.15], t_end=50.0, tol=1e-9)
+        t_old, width, Q, y_old = stacked_interpolant(sols[0])
         t = np.random.default_rng(3).uniform(0.0, 50.0, 2000)
-        monkeypatch.setattr(np, "einsum", recording_einsum)
-        run.dense(t)
-        (got,) = powers
-        assert got.shape == (4, t.size)
-        assert np.array_equal(got, np.cumprod(np.tile(got[0], (4, 1)), axis=0))
+        step = np.clip(np.searchsorted(sols[0].t, t) - 1, 0, width.size - 1)
+        powers = np.cumprod(np.tile((t - t_old[step]) / width[step], (4, 1)), axis=0)
+        coef = Q[step]
+        poly = coef[..., 0] * powers[0][:, None]
+        for k in range(1, 4):
+            poly = poly + coef[..., k] * powers[k][:, None]
+        want = width[step][:, None] * poly + y_old[step]
+        assert same_bits(run.dense(t).T, want)
+
+    def test_lane_reads_match_the_einsum_formula(self, monkeypatch):
+        # criterion 4's saddle lanes at seed 1234: unit marks from both ends,
+        # the stored times, every step boundary, random times, and times
+        # before the first and after the last step
+        sols = recorded_solves(monkeypatch)
+        runs = criterion_4_saddle_runs(1234)
+        (sol,) = sols
+        dim, m = SADDLE.dim, len(runs)
+        t_old, width, Q, y_old = gf._interpolant_arrays(sol, m)
+        rng = np.random.default_rng(5)
+        for i, run in enumerate(runs):
+            rows = slice(i * dim, (i + 1) * dim)
+            assert Q[i].flags.c_contiguous and y_old[i].flags.c_contiguous
+            speed = run.t_end / max(r.t_end for r in runs)
+            n = min(int(run.t_end), gf.MAX_MARKS - 1)
+            t = np.concatenate([
+                np.arange(n + 1, dtype=float), run.t_end - np.arange(n + 1, dtype=float),
+                run.times, speed * sol.t, rng.uniform(0.0, run.t_end, 200),
+                [-1.0, -1e-300, -0.0, 1.5 * run.t_end, np.nextafter(run.t_end, np.inf)]])
+            assert same_bits(run.dense(t), einsum_reads(sol, rows, speed, t))
+
+    def test_one_at_a_time_reads_equal_batched_reads(self):
+        run = gf.integrate(gf.problem_by_name("aniso2d"), [0.2, -0.3], t_end=40.0, tol=1e-9)
+        t = np.concatenate([run.times, np.random.default_rng(9).uniform(-1.0, 41.0, 300)])
+        batched = run.dense(t)
+        single = np.column_stack([run.dense(np.array([ti])) for ti in t])
+        assert same_bits(batched, single)
+        assert same_bits(run.dense(t[::-1]), batched[:, ::-1])
 
     def test_batch_argument_validation(self):
         starts = np.array([[0.1], [0.2]])

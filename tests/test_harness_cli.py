@@ -202,14 +202,19 @@ class TestCliExitCodes:
         assert code == 3
         assert "r <= 0" in (tmp_path / "o" / "run.log").read_text()
 
-    def test_window_without_grid_point_is_3(self, tmp_path, capsys):
-        # with h = 3 no grid node lies in |z| <= R2 = 1
+    def test_window_without_grid_point_is_64(self, tmp_path, capsys, monkeypatch):
+        # with h = 3 no grid node lies in |z| <= R2 = 1: the config is refused
+        # before the run starts
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran on a config with an empty window")
+
+        monkeypatch.setattr(mcf, "evolve", no_evolve)
         cfgfile = tmp_path / "wide.cfg"
         cfgfile.write_text(COARSE_CFG + "h = 3.0\ndt_max = 1.0\nR2 = 1.0\n")
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
-        assert code == 3
+        assert code == 64
         printed = capsys.readouterr()
-        assert "run aborted: no grid point" in printed.out
+        assert "error: R2: no grid point within |z| <= 1.0 (spacing h=3.0)" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
     def test_precondition_error_is_3(self, tmp_path, capsys):

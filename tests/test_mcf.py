@@ -6,8 +6,13 @@ import pytest
 
 from flowcert import harness, mcf
 from flowcert import sequences as sq
-from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, graph_F
-from flowcert.errors import ConfigError, InsufficientDataError, InvalidInputError
+from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, dist_R, graph_F
+from flowcert.errors import (
+    ConfigError,
+    InsufficientDataError,
+    InvalidInputError,
+    PreconditionError,
+)
 
 SPEC1 = CylinderSpec(1)
 
@@ -609,8 +614,36 @@ class TestCloseExperiment:
         rep1 = mcf.close_experiment(cfg, hist=hist)
         assert harness.jsonable(evolve_and_close(cfg)) == harness.jsonable(rep1)
 
+    def test_measures_each_distance_once(self, monkeypatch):
+        # hypothesis (1) and the fit read one dist_R per stored profile
+        cfg = coarse_config(amplitude=0.01, t2=9)
+        hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
+        fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=mcf.TAU_GRID)
+        calls = []
+        real = mcf.dist_R
+        monkeypatch.setattr(mcf, "dist_R", lambda g, R: calls.append(R) or real(g, R))
+        rep = mcf.close_experiment(cfg, hist)
+        assert calls == [cfg.R1] * hist.n_marks
+        assert harness.jsonable(rep.fit) == harness.jsonable(fit)
+
 
 class TestRunConfig:
+    @pytest.mark.parametrize("h", [3.0, 2.9, 2.5, 1.7])
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.6, 2.0])
+    def test_window_without_grid_node_is_refused_as_dist_R_would(self, h, R):
+        graph = CylinderGraph.zero(SPEC1, R_dom=20.0, h=h)
+        try:
+            dist_R(graph, R)
+            empty = False
+        except PreconditionError:
+            empty = True
+        for key in ("R1", "R2"):
+            if empty:
+                with pytest.raises(ConfigError, match=f"{key}: no grid point"):
+                    coarse_config(h=h, **{key: R})
+            else:
+                coarse_config(h=h, **{key: R})
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             coarse_config(profile_kind="wiggle")

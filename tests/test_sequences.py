@@ -164,6 +164,119 @@ class TestCertifyPart:
         part = sq.certify_part(np.array([2.0, 1.0, 0.5]), self.CONSTS)
         assert (part.hypothesis_ok, part.cap, part.cap_ok, part.x1) == (False, 0.0, False, 2.0)
 
+    @staticmethod
+    def validated_part(values, consts):
+        """The per-part certificate through the validating public path:
+        MonotoneSequence and check_hypothesis on the filtered, ironed part."""
+        vals = np.asarray(values, dtype=float)
+        vals = np.minimum.accumulate(vals[vals > sq.POSITIVE_FLOOR])
+        n = int(vals.size)
+        x1 = float(vals[0]) if n else 0.0
+        if n < 2:
+            return sq.PartCertificate(n, x1, True, None, 0.0, 0.0, True)
+        if x1 > 1.0:
+            return sq.PartCertificate(n, x1, False, None, 0.0, 0.0, False)
+        rep = sq.check_hypothesis(sq.MonotoneSequence(vals), consts.C, consts.tau)
+        cap = consts.cap(x1)
+        return sq.PartCertificate(n, x1, rep.ok, rep.first_violation, rep.sqrt_diff_sum,
+                                  cap, rep.sqrt_diff_sum <= cap + 1e-12)
+
+    @pytest.mark.parametrize("C,tau", [(1.0, 0.5), (3.0, 0.4), (10.0, 0.9)])
+    def test_equals_the_validated_path(self, C, tau):
+        consts = sq.constructive_bound(C, tau)
+        rng = np.random.default_rng(17)
+        parts = list(sq.random_admissible_batch(C, tau, rng, n_seq=40, n_steps=60))
+        parts += [sq.extremal_chain(C, tau, n_steps=n).values for n in (1, 2, 50, 3000)]
+        parts += [sq.extremal_sequence(C, tau, x1, 40).values for x1 in (1e-6, 0.3)]
+        for _ in range(40):  # admissible steps mixed with violating and noisy ones
+            x = sq.random_admissible_batch(C, tau, rng, n_seq=1, n_steps=30)[0]
+            kind = rng.choice(3, size=x.size, p=[0.85, 0.1, 0.05])
+            x = np.where(kind == 1, x * (1.0 + rng.uniform(-1e-9, 1e-9, x.size)), x)
+            x = np.where(kind == 2, np.roll(x, 1) * 0.999, x)
+            parts.append(x)
+        nan, inf = float("nan"), float("inf")
+        parts += [[0.5, nan, 0.25, 0.2], [nan, nan], [inf, 0.5, 0.2], [0.5, inf, 0.2],
+                  [1.5, 0.5, 0.2], [1.0 + 1e-13, 0.5], [0.5, 0.5000001, 0.25, 0.2500002],
+                  [], [0.4], [0.4, -inf], [1e-301, 1e-302], [1.0, 0.0, 0.5], 0.3,
+                  [[0.5, 0.25], [0.2, 0.1]]]
+        for values in parts:
+            assert sq.certify_part(values, consts) == self.validated_part(values, consts), values
+
+    @pytest.mark.parametrize("values", [[1.0, float("nan")], [0.5, 0.6], [0.5, -0.1], [2.0, 1.0]])
+    def test_malformed_parts_report_instead_of_raising(self, values):
+        part = sq.certify_part(np.array(values), self.CONSTS)
+        assert part == self.validated_part(values, self.CONSTS)
+
+
+BAD_PARAMS = [
+    (0.5, 0.5, "need C >= 1, got C=0.5"),
+    (float("nan"), 0.5, "need C >= 1, got C=nan"),
+    (float("inf"), 0.5, "need C >= 1, got C=inf"),
+    (-1, 0.5, "need C >= 1, got C=-1"),
+    (np.float32(0.5), 0.5, "need C >= 1, got C=0.5"),
+    (np.array([1.0, 0.5]), 0.5, "need C >= 1, got C=[1.  0.5]"),
+    (1.0, 0.2, "need tau in (1/3, 1.0), got tau=0.2"),
+    (1.0, 1.0 / 3.0, "need tau in (1/3, 1.0), got tau=0.3333333333333333"),
+    (1.0, 1.0, "need tau in (1/3, 1.0), got tau=1.0"),
+    (1.0, float("nan"), "need tau in (1/3, 1.0), got tau=nan"),
+    (1.0, float("inf"), "need tau in (1/3, 1.0), got tau=inf"),
+    (1.0, np.array(0.2), "need tau in (1/3, 1.0), got tau=0.2"),
+    (1.0, np.array([0.5, 1.0]), "need tau in (1/3, 1.0), got tau=[0.5 1. ]"),
+]
+
+
+class TestParameterErrors:
+    @pytest.mark.parametrize("C,tau,message", BAD_PARAMS)
+    def test_same_error_and_message(self, C, tau, message):
+        with pytest.raises(ParameterError) as exc:
+            sq.check_hypothesis(geometric(5), C, tau)
+        assert str(exc.value) == message
+        with pytest.raises(ParameterError) as exc:
+            sq.constructive_bound(C, tau)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("tau,message", [
+        (0.2, "need tau in (1/3, 1.0], got tau=0.2"),
+        (1.5, "need tau in (1/3, 1.0], got tau=1.5"),
+        (float("nan"), "need tau in (1/3, 1.0], got tau=nan"),
+    ])
+    def test_inclusive_tau_message(self, tau, message):
+        with pytest.raises(ParameterError) as exc:
+            sq.extremal_sequence(1.0, tau, 1.0, 3)
+        assert str(exc.value) == message
+        sq.extremal_sequence(1.0, 1.0, 1.0, 3)  # tau = 1 is admissible here
+
+    @pytest.mark.parametrize("value", [1.0, 0.99, 1e300, float("nan"), float("inf"),
+                                       -float("inf"), 1, 0, True, 0.4, 1.0 / 3.0])
+    def test_scalars_and_arrays_agree(self, value):
+        def verdicts(C, tau):
+            try:
+                sq._require_params(C, tau)
+                strict = True
+            except ParameterError:
+                strict = False
+            try:
+                sq._require_params(C, tau, inclusive=True)
+                inclusive = True
+            except ParameterError:
+                inclusive = False
+            return strict, inclusive
+
+        assert verdicts(value, 0.5) == verdicts(np.array([value]), 0.5)
+        assert verdicts(1.0, value) == verdicts(1.0, np.array([value]))
+
+    @pytest.mark.parametrize("values,message", [
+        ([2.0, 1.0], "certificate input needs x_1 <= 1, got x_1=2.0"),
+        ([1.0, float("nan")], "sequence contains non-finite entries"),
+        ([0.5, 0.6], "sequence must be non-increasing"),
+        ([], "sequence must be a non-empty 1-d array"),
+        ([0.5, 0.0], "sequence entries must be strictly positive"),
+    ])
+    def test_bad_sequences(self, values, message):
+        with pytest.raises(InvalidInputError) as exc:
+            sq.check_hypothesis(sq.MonotoneSequence(np.array(values)), 1.0, 0.5)
+        assert str(exc.value) == message
+
 
 class TestExtremalSequence:
     def test_quadratic_root(self):

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, acceptance, harness
 from . import gradientflow as gf
 from . import mcf, sequences
-from .cylinder import profile_to_csv, write_csv
+from .cylinder import CylinderGraph, profile_to_csv, write_csv
 from .errors import (
     BlowupError,
     ConfigError,
@@ -95,6 +95,8 @@ def _build_parser() -> _Parser:
         if name == "mcf":
             p.add_argument("--fit", action="store_true", help="also fit the window inequality")
             p.add_argument("--close", action="store_true", help="also run the closeness experiment")
+        else:
+            p.set_defaults(fit=name == "fit", close=name == "close")
 
     sub.add_parser("verify-all", parents=[common],
                    help="run the full acceptance suite against the bundled configs")
@@ -106,8 +108,7 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
         try:
             text = Path(args.file).read_text()
         except OSError as exc:
-            log.say(f"error: cannot read {args.file}: {exc}")
-            return EXIT_USAGE
+            raise InvalidInputError(f"cannot read {args.file}: {exc}") from None
         seq = sequences.parse_sequence_text(text)
     elif args.geometric:
         if args.n > sequences.MAX_SEQUENCE_STEPS:
@@ -139,16 +140,11 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
 
 
 def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
-    try:
-        problem = gf.problem_by_name(args.problem)
-    except InvalidInputError as exc:
-        log.say(f"error: {exc}")
-        return EXIT_USAGE
+    problem = gf.problem_by_name(args.problem)
     try:
         x0 = [float(v) for v in args.x0.split(",")]
     except ValueError:
-        log.say(f"error: cannot parse --x0 {args.x0!r}")
-        return EXIT_USAGE
+        raise InvalidInputError(f"cannot parse --x0 {args.x0!r}") from None
     traj = gf.integrate(problem, x0, t_end=args.t_end, tol=args.tol)
     write_csv(out / "trajectory.csv", ["t", *(f"x_{i + 1}" for i in range(problem.dim)), "F"],
               [traj.times, *traj.points.T, traj.F_values])
@@ -175,11 +171,11 @@ def _write_history(hist: mcf.FlowHistory, cfg: mcf.RunConfig, out: Path) -> None
                hist.diag_stages])
     profdir = out / "profiles"
     profdir.mkdir(parents=True, exist_ok=True)
-    for t in hist.mark_times:
-        profile_to_csv(hist.graph_at_mark(float(t)), profdir / f"profile_t{int(t):04d}.csv")
+    for t, u in zip(hist.mark_times, hist.profiles):
+        profile_to_csv(CylinderGraph(hist.spec, hist.z, u), profdir / f"profile_t{int(t):04d}.csv")
 
 
-def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool) -> int:
+def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
     cfg = harness.load_run_config(args.config)
     controls = cfg.controls()
     start = time.perf_counter()
@@ -199,7 +195,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
     code = EXIT_OK
     if hist.stop_reason != "completed":
         code = EXIT_HYP
-    if do_fit and code == EXIT_OK:
+    if args.fit and code == EXIT_OK:
         start = time.perf_counter()
         try:
             fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
@@ -213,7 +209,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog, do_fit: bool, do_close: bool)
             log.say(f"fit unavailable: {exc}")
             code = EXIT_HYP
         timings["fit_s"] = time.perf_counter() - start
-    if do_close:
+    if args.close:
         start = time.perf_counter()
         report = mcf.close_experiment(cfg, hist=hist)
         timings["close_s"] = time.perf_counter() - start
@@ -256,12 +252,8 @@ def main(argv=None) -> int:
             return _cmd_seq_check(args, out, log)
         if args.command == "grad-flow":
             return _cmd_grad_flow(args, out, log)
-        if args.command == "mcf":
-            return _cmd_mcf(args, out, log, do_fit=args.fit, do_close=args.close)
-        if args.command == "fit":
-            return _cmd_mcf(args, out, log, do_fit=True, do_close=False)
-        if args.command == "close":
-            return _cmd_mcf(args, out, log, do_fit=False, do_close=True)
+        if args.command in ("mcf", "fit", "close"):
+            return _cmd_mcf(args, out, log)
         if args.command == "verify-all":
             return _cmd_verify_all(args, out, log)
         parser.error(f"unknown command {args.command}")

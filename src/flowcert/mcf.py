@@ -27,7 +27,7 @@ certificate used by the closeness experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -192,8 +192,10 @@ class FlowHistory:
     """Unit-mark record of one run plus per-step diagnostics.
 
     Profiles, the Gaussian area F and max |u| are stored at every integer
-    time; dist(R) measures the distance to the cylinder of each stored
-    profile, at whatever radius the caller asks.  Diagnostics at every accepted
+    time: mark_times are the consecutive integers from the run's start, so the
+    mark at time t is entry t - mark_times[0] of every mark array.  dist(R)
+    measures the distance to the cylinder of each stored profile, at whatever
+    radius the caller asks.  Diagnostics at every accepted
     step: the time after it, dt, the local error estimate, max |u|, the
     stability usage 4 dt / (h^2 beta(s)) (at most cfl) and the stage count s.
     n_rhs counts right-hand-side evaluations and n_rejected the steps the error
@@ -222,15 +224,6 @@ class FlowHistory:
     @property
     def n_marks(self) -> int:
         return int(self.mark_times.size)
-
-    def mark_index(self, t: float) -> int:
-        hits = np.flatnonzero(np.isclose(self.mark_times, t))
-        if hits.size == 0:
-            raise InvalidInputError(f"no stored mark at t={t}")
-        return int(hits[0])
-
-    def graph_at_mark(self, t: float) -> CylinderGraph:
-        return CylinderGraph(self.spec, self.z, self.profiles[self.mark_index(t)])
 
     def dist(self, R: float) -> np.ndarray:
         """dist_R of each stored profile, in mark order."""
@@ -607,8 +600,8 @@ class CloseReport:
     max_dist_to_ref: float
     bound_holds: bool
     certified: bool
-    dist_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dist_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    dist_times: np.ndarray
+    dist_values: np.ndarray
 
 
 TAU_GRID = np.round(np.arange(0.35, 0.96, 0.01), 10)  # the closeness experiment's tau grid
@@ -630,34 +623,26 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
 
     The fit is lojasiewicz_fit at (R1, eps1) over TAU_GRID, read off the R1
     distances measured for hypothesis (1).  A hypothesis violation is
-    reported, not raised.
+    reported, not raised; a history that starts after t1 is refused.
     """
     spec = CylinderSpec(cfg.k)
     F_cyl = spec.F_value
+    k = cfg.t1 - int(hist.mark_times[0])  # the mark at t1 + j is entry k + j
+    if k < 0:
+        raise InvalidInputError(f"history starts at t={hist.mark_times[0]}, after t1={cfg.t1}")
     completed = hist.t_final >= cfg.t2 - 1e-9
     t2_actual = float(hist.mark_times[-1])
     failure = None
 
     # hypothesis (1): closeness to the cylinder at the marks of [t1, t1+2]
-    initial_dist_ok = True
     dist1 = hist.dist(cfg.R1)
-    for t in (cfg.t1, cfg.t1 + 1, cfg.t1 + 2):
-        try:
-            i = hist.mark_index(float(t))
-        except InvalidInputError:
-            initial_dist_ok = False
-            break
-        if dist1[i] >= cfg.eps1:
-            initial_dist_ok = False
-            break
+    near = dist1[k:k + 3]
+    initial_dist_ok = near.size == 3 and not np.any(near >= cfg.eps1)
 
     # hypothesis (2): endpoint F-gaps (requires the run to reach t2 at all).
     # Gaps below the quadrature resolution are snapped to zero so that a flat
     # run yields an exactly-zero bound instead of noise raised to a small power.
-    try:
-        dF1 = float(hist.mark_F[hist.mark_index(float(cfg.t1))] - F_cyl)
-    except InvalidInputError:
-        dF1 = math.nan
+    dF1 = float(hist.mark_F[k] - F_cyl) if k < hist.n_marks else math.nan
     dF2 = float(hist.mark_F[-1] - F_cyl)
     if abs(dF1) <= ZERO_TOL:
         dF1 = 0.0
@@ -675,9 +660,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
         failure = failure or f"decay fit unavailable: {exc}"
 
     # F-series at the odd marks t1 + 2j - 1
-    odd_times = np.arange(cfg.t1 + 1, t2_actual + 1e-9, 2.0)
-    odd_idx = [hist.mark_index(t) for t in odd_times]
-    series = hist.mark_F[odd_idx] - F_cyl
+    series = hist.mark_F[k + 1::2] - F_cyl
     pos, neg = split_signed_series(series)
     if pos.size and neg.size:
         case_tag = "crossing"
@@ -694,30 +677,22 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
                  for name, part in (("positive", pos), ("negative", neg))]
     certified = fit is not None and all(p["hypothesis_ok"] and p["cap_ok"] for p in parts)
 
-    # measured distances to the reference state at t1 + 1 (absent if the run
-    # stopped before reaching it)
-    dist_times, dist_vals = [], []
-    if t2_actual >= cfg.t1 + 1:
-        ref = hist.graph_at_mark(float(cfg.t1 + 1))
-        for t in np.arange(cfg.t1 + 1, t2_actual + 1e-9, 1.0):
-            gt = hist.graph_at_mark(float(t))
-            d = graph_distance(gt, ref, cfg.R2).dist
-            dist_times.append(float(t))
-            dist_vals.append(float(d))
-    else:
-        failure = failure or "flow stopped before the reference mark t1 + 1"
+    # measured distances to the reference state at t1 + 1; a run that stopped
+    # before it has no distances and already carries its early-stop failure
+    dist_times = hist.mark_times[k + 1:]
+    graphs = [CylinderGraph(hist.spec, hist.z, u) for u in hist.profiles[k + 1:]]
+    dist_vals = np.array([graph_distance(g, graphs[0], cfg.R2).dist for g in graphs])
+    if not graphs:
         certified = False
-    dist_times = np.asarray(dist_times)
-    dist_vals = np.asarray(dist_vals)
     max_dist = float(np.max(dist_vals, initial=0.0))
 
     # promotion constant: largest measured distance per unit of certificate sum
     sqrt_drops = np.sqrt(np.abs(np.diff(series)))
     partial = np.concatenate([[0.0], np.cumsum(sqrt_drops)])
     ctilde = 1.0
-    for t, d in zip(dist_times, dist_vals):
-        covered = int(np.floor((t - (cfg.t1 + 1)) / 2.0))  # drops with both marks <= t
-        S = partial[min(covered, partial.size - 1)]
+    for j, d in enumerate(dist_vals):
+        # the drops with both marks at or before t1 + 1 + j
+        S = partial[min(j // 2, partial.size - 1)]
         if S > 1e-300:
             ctilde = max(ctilde, d / S)
 

@@ -104,8 +104,8 @@ class CertificateConstants:
         c = sqrt( (2/delta) * (1 + 2*(12C)^delta * tail_sum) ).
 
     The zeta value carries a relative error near 1e-12, far inside the slack
-    of the cap: over the acceptance sweep (criterion 3) the largest ratio of a
-    square-root increment sum to its cap is 0.0969.
+    of the cap, which criterion 3 reports as the largest ratio of a
+    square-root increment sum to its cap.
     """
 
     C: float
@@ -136,10 +136,8 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisR
       right side is C (x_j - t) - C e: an absolute shift of up to
       C ulp(x_{j+1}), which is eps x_{j+1} / (x_j - x_{j+1}) relative to the
       drop.  Along a long chain the drops shrink faster than the values
-      (x_j ~ j^(-1/tau), drops ~ x_j^(1+tau)), so this term outgrows REL_TOL:
-      at C = 1, tau = 0.5 from step 21,528 on.  ROOT_ULPS = 2 is twice the
-      one-ulp bound; on 200,000-step chains at five (C, tau) cells the left
-      side exceeds the right by at most 0.63 C ulp(x_{j+1}).
+      (x_j ~ j^(-1/tau), drops ~ x_j^(1+tau)), so on a long enough chain
+      this term outgrows REL_TOL.  ROOT_ULPS = 2 is twice the one-ulp bound.
     """
     _require_params(C, tau)
     x = seq.values

@@ -10,14 +10,16 @@ seed must produce byte-identical manifests.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowcert import acceptance, cli, gradientflow, sequences
+from flowcert import acceptance, cli, gradientflow, harness, sequences
 from flowcert.errors import NumericError
 
 SEED = 1234
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all_seed1234.json"
 CRITERIA = {1: "crit_power_gap", 2: "crit_iterated_gap", 3: "crit_summability_bound",
             4: "crit_model_flow", 5: "crit_gradient_consistency", 6: "crit_cylinder_area",
             7: "crit_stationarity", 8: "crit_monotone_F", 9: "crit_fit_feasibility",
@@ -45,6 +47,15 @@ def test_manifest_reports_every_criterion(suite):
     assert manifest["all_passed"]
     for check in manifest["checks"]:
         assert set(check) == {"criterion", "name", "passed", "measured"}
+
+
+def test_manifest_matches_golden(suite, tmp_path):
+    """A pure refactor leaves the seed-1234 manifest byte-identical.  A change
+    that moves a measured string regenerates the golden file with
+    `flowcert --out DIR verify-all --seed 1234` and lists the moved strings."""
+    _, manifest = suite
+    harness.write_json(tmp_path / "manifest.json", manifest)
+    assert (tmp_path / "manifest.json").read_bytes() == GOLDEN.read_bytes()
 
 
 def test_verify_all_cli_is_byte_deterministic(tmp_path):

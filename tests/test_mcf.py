@@ -361,6 +361,14 @@ class TestEvolve:
         hist = mcf.evolve(cfg.initial_state(), t_end=5.0, controls=cfg.controls())
         assert np.array_equal(hist.mark_times, np.arange(6.0))
 
+    def test_marks_count_up_from_a_nonzero_start(self):
+        # close_experiment reads the mark at t1 + j as index t1 - mark_times[0] + j
+        cfg = coarse_config()
+        state = mcf.FlowState(cfg.initial_state().graph, 3.0)
+        hist = mcf.evolve(state, t_end=7.0, controls=cfg.controls())
+        assert np.array_equal(hist.mark_times, np.arange(3.0, 8.0))
+        assert len(hist.profiles) == hist.mark_F.size == hist.n_marks == 5
+
     def test_marks_survive_time_drift(self):
         # 1.6e-4 steps accumulate rounding in t, which ends a few 1e-12 short
         # of t = 9; that step must still land on the mark
@@ -625,6 +633,62 @@ class TestCloseExperiment:
         rep = mcf.close_experiment(cfg, hist)
         assert calls == [cfg.R1] * hist.n_marks
         assert harness.jsonable(rep.fit) == harness.jsonable(fit)
+
+
+SHIFT = 199_990  # far enough out that a relative float search picks the wrong mark
+
+
+@pytest.fixture(scope="module")
+def coarse_run():
+    cfg = coarse_config(t1=0, t2=9)
+    return cfg, mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+
+
+def shifted(cfg, hist, shift):
+    """cfg and hist moved by shift in time."""
+    return (dataclasses.replace(cfg, t1=cfg.t1 + shift, t2=cfg.t2 + shift),
+            dataclasses.replace(hist, mark_times=hist.mark_times + shift,
+                                t_final=hist.t_final + shift))
+
+
+@pytest.fixture(scope="module")
+def blowup_run():
+    """blowup.cfg to t2 = 9: max |u| passes 1 near t = 2.23 and the run stops."""
+    cfg = dataclasses.replace(harness.load_bundled_config("blowup.cfg"), t2=9)
+    return cfg, mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+
+
+class TestCloseMarks:
+    def test_report_does_not_depend_on_the_start_time(self, coarse_run):
+        cfg, hist = coarse_run
+        rep = mcf.close_experiment(cfg, hist)
+        far = mcf.close_experiment(*shifted(cfg, hist, SHIFT))
+        assert rep.certified and rep.parts and rep.dist_values.size == 9
+        for key in ("parts", "dist_values", "bound_value", "promotion_constant", "delta_F1",
+                    "delta_F2", "case_tag", "certified"):
+            assert harness.jsonable(getattr(far, key)) == harness.jsonable(getattr(rep, key)), key
+        assert np.array_equal(far.dist_times, rep.dist_times + SHIFT)
+
+    @pytest.mark.parametrize("late", [1, 3])
+    def test_history_starting_after_t1_is_refused(self, coarse_run, late):
+        cfg, hist = coarse_run
+        _, late_hist = shifted(cfg, hist, late)
+        with pytest.raises(InvalidInputError):
+            mcf.close_experiment(cfg, late_hist)
+
+    @pytest.mark.parametrize("t1", [2, 3, 5])
+    def test_run_stopped_before_reference_mark(self, blowup_run, t1):
+        cfg, hist = blowup_run
+        assert hist.stop_reason == "max_abs_u" and 2.0 < hist.t_final < t1 + 1
+        rep = mcf.close_experiment(dataclasses.replace(cfg, t1=t1), hist)
+        assert rep.failure_reason == f"flow stopped early at t={hist.t_final} (max_abs_u)"
+        assert not (rep.completed or rep.initial_dist_ok or rep.hypotheses_ok)
+        assert not (rep.certified or rep.bound_holds)
+        assert rep.t2_actual == 2.0 and rep.fit is None and rep.parts == []
+        assert rep.dist_times.size == 0 and rep.dist_values.size == 0
+        assert rep.max_dist_to_ref == 0.0 and math.isnan(rep.bound_value)
+        # delta_F1 is measured only when the run reached t1
+        assert math.isnan(rep.delta_F1) == (t1 > hist.t_final)
 
 
 class TestRunConfig:

@@ -27,7 +27,7 @@ certificate used by the closeness experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,7 +179,11 @@ _RKC2 = {s: _rkc2_coefficients(s) for s in range(2, MAX_STAGES + 1)}
 
 @dataclass
 class FlowControls:
-    """Time-stepping and monitoring knobs for evolve."""
+    """Time-stepping and monitoring knobs for evolve.
+
+    cfl scales the advective cap cfl*2h/R_dom alone; the stage count covers
+    the diffusive stability limit (see evolve).
+    """
 
     dt_max: float = 1e-3
     cfl: float = 0.8
@@ -195,9 +199,9 @@ class FlowHistory:
     time: mark_times are the consecutive integers from the run's start, so the
     mark at time t is entry t - mark_times[0] of every mark array.  dist(R)
     measures the distance to the cylinder of each stored profile, at whatever
-    radius the caller asks.  Diagnostics at every accepted
+    radius the caller asks, once per radius.  Diagnostics at every accepted
     step: the time after it, dt, the local error estimate, max |u|, the
-    stability usage 4 dt / (h^2 beta(s)) (at most cfl) and the stage count s.
+    stability usage 4 dt / (h^2 beta(s)) (at most 1) and the stage count s.
     n_rhs counts right-hand-side evaluations and n_rejected the steps the error
     control refused; every attempted step of s stages costs s evaluations, and
     the run one more for its first stage, so n_rhs = 1 + the stage counts of
@@ -220,14 +224,20 @@ class FlowHistory:
     t_final: float
     n_rhs: int
     n_rejected: int
+    _dists: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_marks(self) -> int:
         return int(self.mark_times.size)
 
     def dist(self, R: float) -> np.ndarray:
-        """dist_R of each stored profile, in mark order."""
-        return np.array([dist_R(CylinderGraph(self.spec, self.z, u), R).dist for u in self.profiles])
+        """dist_R of each stored profile, in mark order, as a read-only array
+        that later calls with the same R return without measuring again."""
+        if R not in self._dists:
+            d = np.array([dist_R(CylinderGraph(self.spec, self.z, u), R).dist for u in self.profiles])
+            d.flags.writeable = False
+            self._dists[R] = d
+        return self._dists[R]
 
     def to_csv(self, path, R1: float, R2: float) -> None:
         write_csv(path, ["t", "F", "dist_R1", "dist_R2", "max_abs_u"],
@@ -243,7 +253,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     """Advance the flow to t_end (or a stop condition) with adaptive stepping.
 
     The time step is the smallest of: the error controller's suggestion, the
-    stability cap of MAX_STAGES stages cfl*beta(MAX_STAGES)*h^2/4, the
+    stability cap of MAX_STAGES stages beta(MAX_STAGES)*h^2/4, the
     advective cap cfl*2h/R_dom, controls.dt_max, and the distance to the next
     integer mark, so every integer time is hit exactly.  Starting time must be
     an integer, and a run that would need more than MAX_STEPS steps of the
@@ -253,8 +263,9 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     not the flow, is in trouble.
 
     Each step is one damped RKC2 step (see _rkc2_coefficients) with the
-    fewest stages s >= 2 for which cfl*beta(s) >= 4 dt/h^2.  Its error
-    estimate is Verwer's
+    fewest stages s >= 2 for which beta(s) >= 4 dt/h^2.  The damping keeps
+    |R_s| < 1 on all of [-beta(s), 0), so the step needs no further safety
+    factor on the stability interval.  Its error estimate is Verwer's
 
         (12 (u_n - u_{n+1}) + 6 dt (F(u_n) + F(u_{n+1}))) / 15,
 
@@ -282,8 +293,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     h = state.graph.h
     s = spec.radius
     R_dom = state.graph.R_dom
-    stab = [controls.cfl * _RKC2[n][0] for n in range(2, MAX_STAGES + 1)]  # cfl*beta(s)
-    dt_stab = min(0.25 * stab[-1] * h * h, controls.cfl * 2.0 * h / max(R_dom, 1e-300))
+    betas = [_RKC2[n][0] for n in range(2, MAX_STAGES + 1)]  # beta(s)
+    dt_stab = min(0.25 * betas[-1] * h * h, controls.cfl * 2.0 * h / max(R_dom, 1e-300))
     dt_cap = min(dt_stab, controls.dt_max)
     if not dt_cap > 0.0:
         raise InvalidInputError(f"time-step cap {dt_cap} is not positive; the run cannot advance")
@@ -334,7 +345,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         if dt != dt_staged:
             dt_staged = dt
             need = 4.0 * dt / (h * h)
-            n_stages = next((n for n, bound in enumerate(stab, 2) if bound >= need), MAX_STAGES)
+            n_stages = next((n for n, b in enumerate(betas, 2) if b >= need), MAX_STAGES)
             beta, mu1_t, stages = _RKC2[n_stages]
             mu1_dt, half_dt = np.array(mu1_t * dt), np.array(0.5 * dt)
             # (mu_j, nu_j, mu~_j dt, gamma~_j dt); nu_2 is None: nu_2 d_0 is -0.0
@@ -451,13 +462,7 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     """
     if tau_grid is None:
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
-    return _window_fit(hist, hist.dist(R) < eps, tau_grid, max_C)
-
-
-def _window_fit(hist: FlowHistory, ok: np.ndarray, tau_grid: np.ndarray,
-                max_C: float) -> LojasiewiczFit:
-    """lojasiewicz_fit on the marks flagged close to the cylinder by ok, for
-    callers that have measured the distances already."""
+    ok = hist.dist(R) < eps
     F_cyl = hist.spec.F_value
     idx = [i for i in range(1, hist.n_marks - 1) if ok[i - 1] and ok[i] and ok[i + 1]]
     if len(idx) < MIN_WINDOWS:
@@ -621,8 +626,8 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     where Ctilde is the promotion constant fitted on this run as the largest
     ratio of measured distance to the running certificate partial sum.
 
-    The fit is lojasiewicz_fit at (R1, eps1) over TAU_GRID, read off the R1
-    distances measured for hypothesis (1).  A hypothesis violation is
+    The fit is lojasiewicz_fit at (R1, eps1) over TAU_GRID, which reads the
+    R1 distances hypothesis (1) measured.  A hypothesis violation is
     reported, not raised; a history that starts after t1 is refused.
     """
     spec = CylinderSpec(cfg.k)
@@ -655,7 +660,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
 
     fit = None
     try:
-        fit = _window_fit(hist, dist1 < cfg.eps1, TAU_GRID, MAX_C)
+        fit = lojasiewicz_fit(hist, cfg.R1, cfg.eps1, TAU_GRID)
     except InsufficientDataError as exc:
         failure = failure or f"decay fit unavailable: {exc}"
 

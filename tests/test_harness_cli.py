@@ -89,9 +89,9 @@ class TestConfigProperty:
     @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
     def test_any_override_evolves_or_maps_to_exit_3_or_64(self, overrides):
         # the same overrides, then a tiny evolve: t_end is 20 steps of the
-        # smaller of cfl*h^2/2 (about what one two-stage RKC2 step covers) and
-        # the advective cap, at most 20 time units, which RKC2 covers in at
-        # most about 20 steps
+        # smaller of cfl*h^2/2 (below beta(2) h^2/4 = 0.49 h^2, what one
+        # two-stage RKC2 step covers) and the advective cap, at most 20 time
+        # units, which RKC2 covers in at most about 20 steps
         text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
         try:
             cfg = harness._config_from_text(text, "<property>")
@@ -328,6 +328,19 @@ class TestCliExitCodes:
         assert float(lines[1].split(",")[4]) == pytest.approx(0.8 / mcf._RKC2[2][0], rel=1e-12)
         log = (out / "run.log").read_text()
         assert "evolve: 4000 steps (0 rejected), 8001 RHS calls, stages 2-2" in log
+
+    def test_fit_and_close_measure_each_distance_once(self, tmp_path, monkeypatch):
+        # history.csv, the fit and the closeness experiment share one dist_R
+        # per mark and radius: 9 marks at R1 and 9 at R2
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COARSE_CFG)
+        calls = []
+        real = mcf.dist_R
+        monkeypatch.setattr(mcf, "dist_R", lambda g, R: calls.append(R) or real(g, R))
+        code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--config", str(cfgfile),
+                         "--fit", "--close"])
+        assert code == 0
+        assert sorted(calls) == [5.0] * 9 + [6.0] * 9
 
     def test_blowup_returns_3(self, tmp_path):
         cfgfile = tmp_path / "blow.cfg"

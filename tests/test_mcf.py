@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from flowcert import harness, mcf
 from flowcert import sequences as sq
@@ -93,6 +94,23 @@ def reference_rkc2_step(frhs, u, dt, s, f0):
     return u_new, f1, err
 
 
+def stability_polynomial(s, z):
+    """R_s(z), z = lambda dt: evolve's s-stage step applied to y' = lambda y
+    from y = 1, through the stage recurrence of mcf._RKC2[s]."""
+    _, mu1_t, stages = mcf._RKC2[s]
+    d2, d1 = np.zeros_like(z), mu1_t * z
+    for mu, nu, mu_t, gamma_t in stages:
+        d2, d1 = d1, mu * d1 + nu * d2 + mu_t * z * (1.0 + d1) + gamma_t * z
+    return 1.0 + d1
+
+
+def first_step(h, dt_max, R_dom):
+    """(stage count, dt) of evolve's first step from the zero profile."""
+    g = CylinderGraph.zero(SPEC1, R_dom, h)
+    hist = mcf.evolve(mcf.FlowState(g, 0.0), dt_max, mcf.FlowControls(dt_max=dt_max))
+    return int(hist.diag_stages[0]), float(hist.diag_dt[0])
+
+
 def kernel_rhs(g):
     """Time derivative of the profile (zero at the ends), through mcf._kernel."""
     return mcf._kernel(g.z, g.h, g.spec.radius)(g.u, np.zeros_like(g.u))
@@ -148,16 +166,16 @@ class TestKernelBits:
             assert out[[0, -1]].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
     @pytest.mark.parametrize("n_points, R_dom, dt_max, stages", [
-        pytest.param(801, 20.0, 1e-3, 3, id="801-20.0"),
-        pytest.param(2001, 50.0, 1e-3, 3, id="2001-50.0"),
-        pytest.param(801, 20.0, 5e-4, 2, id="801-20.0-s2"),
+        pytest.param(801, 20.0, 1e-3, 2, id="801-20.0"),
+        pytest.param(2001, 50.0, 1e-3, 2, id="2001-50.0"),
+        pytest.param(1001, 20.0, 1e-3, 3, id="1001-20.0-s3"),
         pytest.param(2001, 20.0, 1e-3, 5, id="2001-20.0-s5"),
     ])
     def test_evolve_replays_reference_rkc2(self, n_points, R_dom, dt_max, stages):
-        # h = 0.05 at dt = 1e-3 takes 3 stages, and one unit of time is 1000
-        # steps (the larger domain gives N = 2001); at dt = 5e-4 it takes 2, so
-        # each step is the j = 2 stage alone, where evolve drops the zero
-        # nu_2 d_0 term; h = 0.02 at dt = 1e-3 takes 5
+        # one unit of time is 1000 steps of dt = 1e-3; h = 0.05 (4 dt/h^2 =
+        # 1.6, on N = 801 and, on the larger domain, N = 2001) takes 2 stages,
+        # so each step is the j = 2 stage alone, where evolve drops the zero
+        # nu_2 d_0 term; h = 0.04 (2.5) takes 3 and h = 0.02 (10) takes 5
         (g,) = random_graphs(n_points, count=1, R_dom=R_dom)
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=dt_max))
         assert hist.n_rejected == 0
@@ -201,20 +219,43 @@ class TestRkc2Coefficients:
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 10, mcf.MAX_STAGES])
     def test_stability_polynomial(self, s):
-        # the stage recurrence on y' = lambda y gives R(z), z = lambda dt:
         # second order (R = 1 + z + z^2/2 + O(z^3)) and |R| <= 1 on [-beta, 0]
-        beta, mu1_t, stages = mcf._RKC2[s]
-
-        def R(z):
-            d2, d1 = np.zeros_like(z), mu1_t * z
-            for mu, nu, mu_t, gamma_t in stages:
-                d2, d1 = d1, mu * d1 + nu * d2 + mu_t * z * (1.0 + d1) + gamma_t * z
-            return 1.0 + d1
-
         for z in (-1e-2, -5e-3):
-            assert abs(R(np.array(z)) - (1.0 + z + z * z / 2.0)) < 0.2 * abs(z) ** 3
-        z = np.linspace(-beta, 0.0, 20001)
-        assert np.max(np.abs(R(z))) <= 1.0 + 1e-12
+            R = stability_polynomial(s, np.array(z))
+            assert abs(R - (1.0 + z + z * z / 2.0)) < 0.2 * abs(z) ** 3
+        z = np.linspace(-mcf._RKC2[s][0], 0.0, 20001)
+        assert np.max(np.abs(stability_polynomial(s, z))) <= 1.0 + 1e-12
+
+
+class TestStageRule:
+    def test_chosen_stages_are_stable_up_to_the_need(self):
+        # need = 4 dt/h^2 on a dense grid over (0, beta(MAX_STAGES)], on a
+        # domain small enough that the advective cap does not bind: the stage
+        # count evolve takes keeps |R_s| <= 1 on [-need, 0] and damps the
+        # stiffest mode, at -need, strictly
+        h = 0.01
+        top = mcf._RKC2[mcf.MAX_STAGES][0]
+        grid = np.union1d(np.geomspace(1e-3, top, 400), np.linspace(0.0, top, 2001)[1:])
+        for need in grid:
+            s, dt = first_step(h, 0.25 * need * h * h, R_dom=0.3)
+            need = 4.0 * dt / h**2
+            R = stability_polynomial(s, np.linspace(-need, 0.0, 401))
+            assert np.max(np.abs(R)) <= 1.0 + 1e-12, (need, s)
+            assert abs(R[0]) < 1.0, (need, s)
+
+    def test_bundled_steps_damp_every_decaying_mode(self):
+        # the u = 0 linearisation at each bundled (k, R_dom, h, dt_max): every
+        # eigenvalue below zero, down to about -4/h^2, is damped by the stage
+        # count evolve takes there
+        settings = {(c.k, c.R_dom, c.h, c.dt_max)
+                    for c in map(harness.load_bundled_config,
+                                 ("zero.cfg", "fit.cfg", "sweep.cfg", "blowup.cfg"))}
+        for k, R_dom, h, dt_max in sorted(settings):
+            s, dt = first_step(h, dt_max, R_dom)
+            lam = TestKernelLinearisation.spectrum(TestKernelLinearisation.jacobian(k, h, R_dom))
+            decaying = lam[lam < 0.0]
+            assert dt * decaying.min() < -0.99 * 4.0 * dt / h**2
+            assert np.max(np.abs(stability_polynomial(s, dt * decaying))) < 1.0, (h, s)
 
 
 class TestRhs:
@@ -283,25 +324,28 @@ class TestKernelLinearisation:
         # A tridiagonal matrix whose off-diagonal pairs have positive products
         # is similar to the symmetric one with their geometric means, which
         # eigvalsh solves without the nonsymmetric solver's e^(z^2/8) scaling
-        J = self.jacobian(k)
+        top = self.spectrum(self.jacobian(k))[::-1][:5]
+        assert np.max(np.abs(top - [1.0, 0.5, 0.0, -0.5, -1.0])) < 1e-8
+
+    @staticmethod
+    def spectrum(J):
+        """Eigenvalues of the tridiagonal J, in ascending order, through the
+        symmetric matrix with the geometric means of its off-diagonal pairs."""
         lower, upper = np.diag(J, -1), np.diag(J, 1)
         assert np.array_equal(np.triu(J, 2), np.zeros_like(J))
         assert np.array_equal(np.tril(J, -2), np.zeros_like(J))
         assert np.all(lower * upper > 0.0)
-        off = np.sqrt(lower * upper)
-        top = np.linalg.eigvalsh(np.diag(np.diag(J)) + np.diag(off, 1) + np.diag(off, -1))[::-1][:5]
-        assert np.max(np.abs(top - [1.0, 0.5, 0.0, -0.5, -1.0])) < 1e-8
+        return scipy.linalg.eigvalsh_tridiagonal(np.diag(J).copy(), np.sqrt(lower * upper))
 
 
 class TestStep:
     def test_zero_profile_stays_zero(self):
-        # every stage count evolve can take: dt sits between the stability
-        # limits of s - 1 and s stages, on a domain small enough that the
-        # advective cap does not bind
+        # every stage count evolve can take: 4 dt/h^2 sits between beta(s - 1)
+        # and beta(s), on a domain small enough that the advective cap does
+        # not bind
         g = CylinderGraph.zero(SPEC1, 0.3, 0.01)
         controls = mcf.FlowControls()
-        limits = [0.25 * controls.cfl * mcf._RKC2[s][0] * g.h**2
-                  for s in range(2, mcf.MAX_STAGES + 1)]
+        limits = [0.25 * mcf._RKC2[s][0] * g.h**2 for s in range(2, mcf.MAX_STAGES + 1)]
         for s, lo, hi in zip(range(2, mcf.MAX_STAGES + 1), [0.0, *limits], limits):
             controls.dt_max = 0.5 * (lo + hi)
             hist = mcf.evolve(mcf.FlowState(g, 0.0), 2.0 * controls.dt_max, controls)
@@ -432,11 +476,12 @@ class TestEvolve:
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
         assert hist.n_rejected == 0
         assert np.allclose(hist.diag_dt, cfg.dt_max, rtol=1e-9, atol=0.0)
-        assert np.all(hist.diag_stages == 3)
-        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 24_001
-        assert np.max(hist.diag_err) < 1e-3 * cfg.controls().step_tol
+        assert np.all(hist.diag_stages == 2)
+        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 16_001
+        # the largest estimate is 1.08e-3 step_tol; the bound keeps 1.24x of headroom
+        assert np.max(hist.diag_err) < 1.34e-3 * cfg.controls().step_tol
 
-    def test_fewest_stages_and_usage_at_most_cfl(self):
+    def test_fewest_stages_and_usage_at_most_one(self):
         # R_dom = 0.5, h = 1e-3: the advective cap alone would need about 140
         # stages, so the stage cap shortens dt to its own stability limit; the
         # controller first refuses and then regrows dt, and s follows dt
@@ -448,11 +493,11 @@ class TestEvolve:
         assert hist.n_rejected > 0 and hist.diag_stages.min() < 20
         assert hist.diag_stages.max() == mcf.MAX_STAGES
         assert np.max(hist.diag_dt) == pytest.approx(
-            0.25 * controls.cfl * mcf._RKC2[mcf.MAX_STAGES][0] * g.h**2, rel=1e-15)
+            0.25 * mcf._RKC2[mcf.MAX_STAGES][0] * g.h**2, rel=1e-15)
         assert np.array_equal(hist.diag_cfl, need / beta)
-        assert np.all(hist.diag_cfl <= controls.cfl * (1.0 + 1e-15))
+        assert np.all(hist.diag_cfl <= 1.0 + 1e-15)
         fewer = np.array([mcf._RKC2[max(s - 1, 2)][0] for s in hist.diag_stages])
-        assert np.all((hist.diag_stages == 2) | (controls.cfl * fewer < need))
+        assert np.all((hist.diag_stages == 2) | (fewer < need))
 
     def test_run_beyond_max_steps_refused_up_front(self):
         # h = 1e-5 on R_dom = 0.5 caps dt near 3e-8, so t = 2 is out of reach
@@ -493,8 +538,8 @@ def sweep_deviation(cfg, reference):
 
 class TestSweepReference:
     def test_marks_stay_near_fine_reference(self, sweep_reference):
-        # RKC2 at dt_max = 1e-3 (3 stages) is 2.1e-8 from the reference; the
-        # step-doubling pair it replaced was 8.3e-9
+        # RKC2 at dt_max = 1e-3 (2 stages) is 3.1e-8 from the reference (1.9e-8
+        # with 3 stages); the step-doubling pair it replaced was 8.3e-9
         assert sweep_deviation(*sweep_reference) < SWEEP_GATE
 
     def test_scaled_first_stage_coefficient_trips_gate(self, sweep_reference, monkeypatch):
@@ -623,16 +668,19 @@ class TestCloseExperiment:
         assert harness.jsonable(evolve_and_close(cfg)) == harness.jsonable(rep1)
 
     def test_measures_each_distance_once(self, monkeypatch):
-        # hypothesis (1) and the fit read one dist_R per stored profile
+        # hypothesis (1), the report's fit and a later fit on the same history
+        # read one dist_R per stored profile between them
         cfg = coarse_config(amplitude=0.01, t2=9)
         hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
-        fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=mcf.TAU_GRID)
         calls = []
         real = mcf.dist_R
         monkeypatch.setattr(mcf, "dist_R", lambda g, R: calls.append(R) or real(g, R))
         rep = mcf.close_experiment(cfg, hist)
+        fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=mcf.TAU_GRID)
         assert calls == [cfg.R1] * hist.n_marks
         assert harness.jsonable(rep.fit) == harness.jsonable(fit)
+        with pytest.raises(ValueError):
+            hist.dist(cfg.R1)[0] = 0.0  # read-only: no caller can alter the next one's view
 
 
 SHIFT = 199_990  # far enough out that a relative float search picks the wrong mark

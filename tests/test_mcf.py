@@ -322,8 +322,8 @@ class TestKernelLinearisation:
         # differences keep a polynomial's degree and leading coefficient, so
         # the grid operator has the same top eigenvalues up to the far ends.
         # A tridiagonal matrix whose off-diagonal pairs have positive products
-        # is similar to the symmetric one with their geometric means, which
-        # eigvalsh solves without the nonsymmetric solver's e^(z^2/8) scaling
+        # is similar to the symmetric one with their geometric means, which a
+        # symmetric solver handles without the nonsymmetric one's e^(z^2/8) scaling
         top = self.spectrum(self.jacobian(k))[::-1][:5]
         assert np.max(np.abs(top - [1.0, 0.5, 0.0, -0.5, -1.0])) < 1e-8
 

@@ -1,12 +1,13 @@
 """Parent-against-change comparison with perfbench, written to one BENCH_*.json.
 
     python3 tools/benchpairs.py --parent REV [--change REV] --workdir DIR --out FILE \
-        --claim WORKLOAD [--seed-base N] [--seconds S]
+        --claim WORKLOAD --seed-base N
 
 Run it from the root of a git checkout.  Each side is exported with
 `git archive` into its own directory under DIR (the parent twice, for the
 A/A control), and every measurement is `perfbench/run.py` run from the root
-of that export, one run at a time:
+of that export, one run at a time, for the `run_seconds` that the parent's
+BENCHMARK.json sets:
 
 - A/A control: the parent against its byte-identical copy on the claimed
   workload, AA_PAIRS pairs;
@@ -18,10 +19,12 @@ of that export, one run at a time:
   (FlowHistory.n_rhs), rejections, stage counts and a SHA-256 of the run's
   history arrays, from one in-process pass per side.
 
-Seeds count up from --seed-base, one block of 100 per part, so no two parts
-share a seed.  The claim is met when the change wins at least 9 of 10 pairs
-(in that proportion) and the gap between the medians exceeds the parent's
-interquartile range.
+Seeds count up from --seed-base, one block of 100 per part (800 seeds in
+all), so no two parts share a seed; a new comparison names a block no
+earlier record used.  The claim is met when the change wins at least 9 of 10
+pairs (in that proportion), the gap between the medians exceeds the parent's
+interquartile range, and the change fails no larger share of operations than
+the parent.
 """
 
 import argparse
@@ -102,8 +105,11 @@ def compare(a: list, b: list, seeds: list, first: list, names=("parent", "change
             f"{names[0]}_iqr": qa[1] - qa[0], "pairs": len(xa),
             f"{names[1]}_wins": sum(y < x for x, y in zip(xa, xb)),
             f"{names[0]}_runs": xa, f"{names[1]}_runs": xb, "seeds": seeds}
-    failed = sum(r["failed"] for r in a + b)
-    out["fail_ratio"] = failed / sum(r["attempted"] for r in a + b)
+    for name, runs in zip(names, (a, b)):
+        failed = sum(r["failed"] for r in runs)
+        attempted = sum(r["attempted"] for r in runs)
+        out[f"{name}_failed"] = {"failed": failed, "attempted": attempted,
+                                 "ratio": failed / attempted}
     out["first_in_pair"] = first
     return out
 
@@ -129,22 +135,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--claim", choices=WORKLOADS, required=True)
-    parser.add_argument("--seed-base", type=int, default=1400)
-    parser.add_argument("--seconds", type=float, default=36.0)
+    parser.add_argument("--seed-base", type=int, required=True)
     args = parser.parse_args(argv)
 
     roots = {"parent": export(args.parent, os.path.join(args.workdir, "parent")),
              "change": export(args.change, os.path.join(args.workdir, "change"))}
     copy = export(args.parent, os.path.join(args.workdir, "parent_copy"))
+    with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
+        seconds = float(json.load(fh)["run_seconds"])
     base = args.seed_base
     summary = {}
     summary[f"aa_{args.claim}"] = pairs({"parent": roots["parent"], "parent_copy": copy},
                                         args.claim, list(range(base, base + AA_PAIRS)),
-                                        args.seconds)
+                                        seconds)
     for k, workload in enumerate(WORKLOADS, 1):
         n = CLAIM_PAIRS if workload == args.claim else OTHER_PAIRS
         summary[workload] = pairs(roots, workload,
-                                  list(range(base + 100 * k, base + 100 * k + n)), args.seconds)
+                                  list(range(base + 100 * k, base + 100 * k + n)), seconds)
 
     traced = {}
     for k, workload in enumerate(WORKLOADS, 4):
@@ -152,7 +159,7 @@ def main(argv=None) -> int:
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(seeds):
             for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[name].append(perfbench(roots[name], workload, seed, args.seconds, 1))
+                runs[name].append(perfbench(roots[name], workload, seed, seconds, 1))
         traced[workload] = {"seeds": seeds, **{
             key: {name: {"median": statistics.median(r["metrics"][key] for r in rs),
                          "runs": [r["metrics"][key] for r in rs]}
@@ -172,11 +179,13 @@ def main(argv=None) -> int:
 
     claim = summary[args.claim]["wall_s"]
     gap = claim["parent_median"] - claim["change_median"]
+    failed = {name: summary[args.claim][f"{name}_failed"] for name in roots}
     tree = {name: subprocess.run(["git", "rev-parse", f"{rev}:src"], check=True, text=True,
                                  stdout=subprocess.PIPE).stdout.strip()
             for name, rev in (("parent", args.parent), ("change", args.change))}
     record = {
-        "what": (f"tools/benchpairs.py: perfbench/run.py --seconds {args.seconds:g} from the root "
+        "what": (f"tools/benchpairs.py: perfbench/run.py --seconds {seconds:g} (the parent's "
+                 f"BENCHMARK.json run_seconds) from the root "
                  f"of a git archive of each side, one run at a time; parent {args.parent} and "
                  f"change {args.change} (src trees {tree['parent'][:12]} / "
                  f"{tree['change'][:12]}); seeds from {base}"),
@@ -184,8 +193,10 @@ def main(argv=None) -> int:
                   "change_wins": claim["change_wins"], "parent_median": claim["parent_median"],
                   "change_median": claim["change_median"], "rel_change": claim["rel_change"],
                   "median_gap": gap, "parent_iqr": claim["parent_iqr"],
+                  "parent_failed": failed["parent"], "change_failed": failed["change"],
                   "met": claim["change_wins"] >= 0.9 * claim["pairs"]
-                  and gap > claim["parent_iqr"]},
+                  and gap > claim["parent_iqr"]
+                  and failed["change"]["ratio"] <= failed["parent"]["ratio"]},
         "summary": summary,
         "traced": traced,
         "runs": {"seed": seed, "counts": counts, "history_identical": same},

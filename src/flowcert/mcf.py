@@ -15,9 +15,10 @@ the discrete scheme to the last bit.
 Discretization is method-of-lines: second-order central differences in z on a
 uniform grid with the profile pinned to the cylinder at both ends, and damped
 second-order Runge-Kutta-Chebyshev (RKC2) steps in time, each with the fewest
-stages whose stability interval covers it (see evolve).  Every stage is u plus
-a combination of earlier increments and dt times right-hand sides, so with
-frhs(0) == 0 the zero profile stays zero.
+stages whose stability interval covers it, at a step cap shortened to the
+stage count with the fewest right-hand sides per unit time (see evolve).
+Every stage is u plus a combination of earlier increments and dt times
+right-hand sides, so with frhs(0) == 0 the zero profile stays zero.
 
 Gaussian area is sampled at unit time marks; those marks feed the empirical
 decay-exponent fit and, at every second mark, the discrete summability
@@ -27,6 +28,7 @@ certificate used by the closeness experiment.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -200,8 +202,10 @@ class FlowHistory:
     mark at time t is entry t - mark_times[0] of every mark array.  dist(R)
     measures the distance to the cylinder of each stored profile, at whatever
     radius the caller asks, once per radius.  Diagnostics at every accepted
-    step: the time after it, dt, the local error estimate, max |u|, the
-    stability usage 4 dt / (h^2 beta(s)) (at most 1) and the stage count s.
+    step, float64 arrays but for the int64 stage count s: the time after it,
+    dt, the local error estimate, max |u|, the stability usage
+    4 dt / (h^2 beta(s)) (at most 1, and 1 up to rounding on a step of the
+    cap when beta(s) h^2/4 sets it) and s.
     n_rhs counts right-hand-side evaluations and n_rejected the steps the error
     control refused; every attempted step of s stages costs s evaluations, and
     the run one more for its first stage, so n_rhs = 1 + the stage counts of
@@ -253,9 +257,14 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     """Advance the flow to t_end (or a stop condition) with adaptive stepping.
 
     The time step is the smallest of: the error controller's suggestion, the
-    stability cap of MAX_STAGES stages beta(MAX_STAGES)*h^2/4, the
-    advective cap cfl*2h/R_dom, controls.dt_max, and the distance to the next
-    integer mark, so every integer time is hit exactly.  Starting time must be
+    cap dt_cap, and the distance to the next integer mark, so every integer
+    time is hit exactly.  dt_cap starts as the smallest of the stability cap
+    of MAX_STAGES stages beta(MAX_STAGES)*h^2/4, the advective cap
+    cfl*2h/R_dom and controls.dt_max.  It then becomes min(dt_cap,
+    beta(s*)*h^2/4) for the s* in 2..MAX_STAGES that minimises
+    s / min(dt_cap, beta(s)*h^2/4), the right-hand sides per unit time at the
+    cap (ties go to the longer step), rounded down ulp by ulp until
+    4 dt_cap/h^2 <= beta(s*) as the loop computes it.  Starting time must be
     an integer, and a run that would need more than MAX_STEPS steps of the
     largest allowed size is refused up front.  A run that attempts more than
     STEP_BUDGET times that many steps (and at most MAX_STEPS) raises
@@ -263,9 +272,11 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     not the flow, is in trouble.
 
     Each step is one damped RKC2 step (see _rkc2_coefficients) with the
-    fewest stages s >= 2 for which beta(s) >= 4 dt/h^2.  The damping keeps
-    |R_s| < 1 on all of [-beta(s), 0), so the step needs no further safety
-    factor on the stability interval.  Its error estimate is Verwer's
+    fewest stages s >= 2 for which beta(s) >= 4 dt/h^2: s* on a step of
+    dt_cap, and possibly fewer on a step shortened by a unit mark or by the
+    error controller.  The damping keeps |R_s| < 1 on all of [-beta(s), 0),
+    so the step needs no further safety factor on the stability interval.
+    Its error estimate is Verwer's
 
         (12 (u_n - u_{n+1}) + 6 dt (F(u_n) + F(u_{n+1}))) / 15,
 
@@ -298,6 +309,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     dt_cap = min(dt_stab, controls.dt_max)
     if not dt_cap > 0.0:
         raise InvalidInputError(f"time-step cap {dt_cap} is not positive; the run cannot advance")
+    # most time per stage, i.e. fewest RHS per unit time; rounded down so the
+    # loop's fewest-stages rule takes exactly n_cap stages on a step of dt_cap
+    reach = {n: min(dt_cap, 0.25 * b * h * h) for n, b in enumerate(betas, 2)}
+    n_cap = max(reach, key=lambda n: (reach[n] / n, reach[n]))
+    dt_cap = reach[n_cap]
+    while 4.0 * dt_cap / (h * h) > betas[n_cap - 2]:
+        dt_cap = float(np.nextafter(dt_cap, 0.0))
     if (t_end - state.t) / dt_cap > MAX_STEPS:
         raise InvalidInputError(f"reaching t={t_end} takes more than MAX_STEPS={MAX_STEPS} "
                                 f"steps of at most {dt_cap:.3e}")
@@ -314,7 +332,9 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     y, d0, d1, d2, scratch = (np.empty_like(u) for _ in range(5))
 
     mark_times, mark_F, mark_mu, profiles = [], [], [], []
-    diag_t, diag_dt, diag_err, diag_mu, diag_cfl, diag_stages = [], [], [], [], [], []
+    # per-step diagnostics as float64 / int64 buffers, 8 bytes an entry
+    diag_t, diag_dt, diag_err, diag_mu, diag_cfl = (array("d") for _ in range(5))
+    diag_stages = array("q")
 
     def record_mark(t: float, u_now: np.ndarray) -> None:
         graph = CylinderGraph(spec, z, u_now)
@@ -403,12 +423,12 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         mark_F=np.asarray(mark_F),
         mark_max_u=np.asarray(mark_mu),
         profiles=profiles,
-        diag_t=np.asarray(diag_t),
-        diag_dt=np.asarray(diag_dt),
-        diag_err=np.asarray(diag_err),
-        diag_max_u=np.asarray(diag_mu),
-        diag_cfl=np.asarray(diag_cfl),
-        diag_stages=np.asarray(diag_stages, dtype=int),
+        diag_t=np.frombuffer(diag_t, dtype=np.float64),
+        diag_dt=np.frombuffer(diag_dt, dtype=np.float64),
+        diag_err=np.frombuffer(diag_err, dtype=np.float64),
+        diag_max_u=np.frombuffer(diag_mu, dtype=np.float64),
+        diag_cfl=np.frombuffer(diag_cfl, dtype=np.float64),
+        diag_stages=np.frombuffer(diag_stages, dtype=np.int64),
         stop_reason=stop_reason,
         t_final=float(t),
         n_rhs=n_rhs,

@@ -168,14 +168,19 @@ class TestKernelBits:
     @pytest.mark.parametrize("n_points, R_dom, dt_max, stages", [
         pytest.param(801, 20.0, 1e-3, 2, id="801-20.0"),
         pytest.param(2001, 50.0, 1e-3, 2, id="2001-50.0"),
-        pytest.param(1001, 20.0, 1e-3, 3, id="1001-20.0-s3"),
-        pytest.param(2001, 20.0, 1e-3, 5, id="2001-20.0-s5"),
+        pytest.param(1001, 20.0, 1.0 / 640, 3, id="1001-20.0-s3"),
+        pytest.param(2001, 20.0, 1e-3, 4, id="2001-20.0-s4"),
+        pytest.param(2001, 20.0, 1.0 / 720, 5, id="2001-20.0-s5"),
     ])
     def test_evolve_replays_reference_rkc2(self, n_points, R_dom, dt_max, stages):
-        # one unit of time is 1000 steps of dt = 1e-3; h = 0.05 (4 dt/h^2 =
-        # 1.6, on N = 801 and, on the larger domain, N = 2001) takes 2 stages,
-        # so each step is the j = 2 stage alone, where evolve drops the zero
-        # nu_2 d_0 term; h = 0.04 (2.5) takes 3 and h = 0.02 (10) takes 5
+        # one unit of time; h = 0.05 at dt = 1e-3 (4 dt/h^2 = 1.6, on N = 801
+        # and, on the larger domain, N = 2001) takes 2 stages, so each step is
+        # the j = 2 stage alone, where evolve drops the zero nu_2 d_0 term.
+        # Each other case sits where its stage count is the cheapest per unit
+        # time: h = 0.04 at dt = 1/640 (3.9, in (1.5 beta(2), beta(3)]) takes
+        # 3, h = 0.02 at dt = 1/720 (13.9, in (1.25 beta(4), beta(5)]) takes
+        # 5, and h = 0.02 at dt_max = 1e-3 (10) takes 4 at the cap
+        # beta(4) h^2/4, usage 1
         (g,) = random_graphs(n_points, count=1, R_dom=R_dom)
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=dt_max))
         assert hist.n_rejected == 0
@@ -242,6 +247,30 @@ class TestStageRule:
             R = stability_polynomial(s, np.linspace(-need, 0.0, 401))
             assert np.max(np.abs(R)) <= 1.0 + 1e-12, (need, s)
             assert abs(R[0]) < 1.0, (need, s)
+
+    def test_cap_takes_the_cheapest_stage_count(self):
+        # on a dense grid of (h, 4 dt_max/h^2), on domains of 20 intervals,
+        # the steps of the largest length, dt_cap, take the s that minimises
+        # s / min(cap, beta(s) h^2/4), ties toward the longer step, where cap
+        # is the smallest of dt_max, beta(MAX_STAGES) h^2/4 and the advective
+        # cap; their usage is at most 1 exactly, and R_s damps -need strictly
+        betas = {s: mcf._RKC2[s][0] for s in range(2, mcf.MAX_STAGES + 1)}
+        top = betas[mcf.MAX_STAGES]
+        controls = mcf.FlowControls()
+        for h in np.union1d(np.linspace(0.01, 0.1, 10), [0.025, 0.04]):
+            g = CylinderGraph.zero(SPEC1, 10.0 * h, h)
+            for need in np.geomspace(0.5, 1.2 * top, 120):
+                controls.dt_max = 0.25 * need * g.h**2
+                cap = min(controls.dt_max, 0.25 * top * g.h**2, controls.cfl * 2.0 * g.h / g.R_dom)
+                reach = {s: min(cap, 0.25 * b * g.h**2) for s, b in betas.items()}
+                best = min(reach, key=lambda s: (s / reach[s], -reach[s]))
+                hist = mcf.evolve(mcf.FlowState(g, 0.0), 3.0 * controls.dt_max, controls)
+                dt_cap = hist.diag_dt[0]
+                at_cap = hist.diag_dt == dt_cap
+                assert dt_cap == hist.diag_dt.max() and at_cap.sum() >= 2, (h, need)
+                assert set(hist.diag_stages[at_cap].tolist()) == {best}, (h, need)
+                assert np.all(hist.diag_cfl[at_cap] <= 1.0), (h, need)
+                assert abs(stability_polynomial(best, np.array(-4.0 * dt_cap / g.h**2))) < 1.0
 
     def test_bundled_steps_damp_every_decaying_mode(self):
         # the u = 0 linearisation at each bundled (k, R_dom, h, dt_max): every
@@ -353,10 +382,16 @@ class TestStep:
             assert hist.diag_max_u.tolist() == [0.0, 0.0]
             assert hist.diag_err.tolist() == [0.0, 0.0]
 
-    @pytest.mark.parametrize("h, s", [(0.1, 2), (0.05, 3)])
-    def test_temporal_order_at_fixed_stages(self, h, s):
-        # dt = 1/400 and 1/800 both take s stages; the error at t = 1 against
-        # a run at dt = 1/6400 falls 4x per halving for a second-order method
+    @pytest.mark.parametrize("h, s, dts", [
+        pytest.param(0.1, 2, (1.0 / 400, 1.0 / 800), id="0.1-2"),
+        pytest.param(0.05, 3, (1.0 / 320, 1.0 / 520), id="0.05-3"),
+    ])
+    def test_temporal_order_at_fixed_stages(self, h, s, dts):
+        # both dt take s stages; the error at t = 1 against a run at dt =
+        # 1/6400 falls as dt^2 for a second-order method.  At h = 0.05 three
+        # stages are the cheapest only for 4 dt/h^2 in (1.5 beta(2), beta(3)],
+        # a dt ratio of 1.78 with no halving inside, so the order is the log
+        # of the error ratio to base dt1/dt2 = 1.625 (4 dt/h^2 = 5.0 and 3.1)
         g = smooth_graph(h=h)
 
         def final(dt):
@@ -366,11 +401,11 @@ class TestStep:
 
         ref, _ = final(1.0 / 6400)
         errs = []
-        for dt in (1.0 / 400, 1.0 / 800):
+        for dt in dts:
             u, stages = final(dt)
             assert stages == {s}
             errs.append(float(np.max(np.abs(u - ref))))
-        assert math.log2(errs[0] / errs[1]) >= 1.9
+        assert math.log(errs[0] / errs[1], dts[0] / dts[1]) >= 1.9
 
     def test_area_does_not_increase(self):
         g = smooth_graph(0.02)
@@ -499,6 +534,29 @@ class TestEvolve:
         fewer = np.array([mcf._RKC2[max(s - 1, 2)][0] for s in hist.diag_stages])
         assert np.all((hist.diag_stages == 2) | (fewer < need))
 
+    def test_diagnostics_are_float64_and_int64(self):
+        # a refusing tolerance varies dt from step to step; every per-step
+        # array has one entry per accepted step, in its dtype, and the values
+        # the step took: t grows by dt (landing on the marks), usage is
+        # 4 dt/(h^2 beta(s)) and n_rhs counts the stages
+        cfg = coarse_config(t2=2)
+        hist = mcf.evolve(cfg.initial_state(), 2.0,
+                          mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
+        n = hist.diag_t.size
+        assert n > 1000 and hist.n_rejected > 0
+        for arr in (hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl):
+            assert arr.dtype == np.float64 and arr.shape == (n,)
+        assert hist.diag_stages.dtype == np.int64 and hist.diag_stages.shape == (n,)
+        t_before = np.concatenate([[0.0], hist.diag_t[:-1]])
+        marks = np.isin(hist.diag_t, [1.0, 2.0])
+        assert np.array_equal((t_before + hist.diag_dt)[~marks], hist.diag_t[~marks])
+        assert hist.diag_t[marks].tolist() == [1.0, 2.0]
+        beta = np.array([mcf._RKC2[s][0] for s in hist.diag_stages])
+        h = cfg.initial_state().graph.h
+        assert np.array_equal(hist.diag_cfl, 4.0 * hist.diag_dt / (h * h) / beta)
+        assert hist.n_rhs == 1 + int(hist.diag_stages.sum()) + 2 * hist.n_rejected
+        assert np.all(hist.diag_err <= 1e-12) and np.all(hist.diag_max_u > 0.0)
+
     def test_run_beyond_max_steps_refused_up_front(self):
         # h = 1e-5 on R_dom = 0.5 caps dt near 3e-8, so t = 2 is out of reach
         g = CylinderGraph.zero(SPEC1, 0.5, 1e-5)
@@ -547,6 +605,31 @@ class TestSweepReference:
         monkeypatch.setattr(mcf, "_RKC2", {s: (beta, 1.01 * mu1_t, stages)
                                            for s, (beta, mu1_t, stages) in mcf._RKC2.items()})
         assert sweep_deviation(*sweep_reference) > SWEEP_GATE
+
+
+CAP_GATE = 3.9e-9  # max |u - u_ref| over the first two marks of fit.cfg at h/2, a = 0.02
+
+
+class TestCapAccuracy:
+    def test_cheaper_step_stays_near_fine_reference(self):
+        # fit.cfg at h/2 (4 dt_max/h^2 = 6.4) and a = 0.02 to t = 2, against
+        # the run at dt_max/8: the 3-stage steps of beta(3) h^2/4 = 8.2e-4 the
+        # cap takes stay 3.44e-9 away, inside CAP_GATE; the 4-stage steps of
+        # dt_max, the fewest stages covering it, replayed through the
+        # reference stepper, end 4.30e-9 away, outside it
+        fit = harness.load_bundled_config("fit.cfg")
+        cfg = dataclasses.replace(fit, h=fit.h / 2.0, amplitude=0.02, t2=2)
+        fine = dataclasses.replace(cfg, dt_max=cfg.dt_max / 8.0)
+        reference = mcf.evolve(fine.initial_state(), 2.0, fine.controls()).profiles
+        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        assert set(hist.diag_stages.tolist()) == {3}
+        assert np.max(np.abs(np.array(hist.profiles) - np.array(reference))) < CAP_GATE
+        g = cfg.initial_state().graph
+        frhs = reference_kernel(g.z, g.h, g.spec.radius)
+        u, f0 = g.u, frhs(g.u)
+        for _ in range(round(2.0 / cfg.dt_max)):
+            u, f0, _ = reference_rkc2_step(frhs, u, cfg.dt_max, 4, f0)
+        assert np.max(np.abs(u - reference[-1])) > CAP_GATE
 
 
 class TestLojasiewiczFit:

@@ -17,7 +17,8 @@ BENCHMARK.json sets:
 - TRACED_RUNS alternating `--trace 1` runs per side and workload;
 - per MCF run of each MCF workload, the steps, right-hand-side calls
   (FlowHistory.n_rhs), rejections, stage counts and a SHA-256 of the run's
-  history arrays, from one in-process pass per side.
+  history arrays, from in-process passes, TRACED_RUNS alternating per side,
+  with the median of the run's evolve seconds over those passes.
 
 Seeds count up from --seed-base, one block of 100 per part (800 seeds in
 all), so no two parts share a seed; a new comparison names a block no
@@ -43,8 +44,8 @@ TRACED_RUNS = 3
 TRACED_KEYS = ("mcf.evolve.steps", "mcf.evolve.us_per_step", "mcf.evolve.s",
                "cylinder.dist_R.calls", "mcf.lojasiewicz_fit.calls", "trace.overhead_s")
 
-# one in-process pass of each MCF workload: per run, the counters and a digest
-# of every FlowHistory array
+# one in-process pass of each MCF workload: per run, the counters, a digest
+# of every FlowHistory array and the seconds evolve took
 RUN_COUNTS = r"""
 import hashlib, json, sys
 import numpy as np
@@ -63,7 +64,7 @@ for name in ("mcf-stiff", "mcf-certify"):
             "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs,
             "n_rejected": hist.n_rejected, "stages": sorted(set(hist.diag_stages.tolist())),
             "max_err_over_tol": float(hist.diag_err.max()) / w.runs[label][0].controls().step_tol,
-            "history_sha256": digest.hexdigest()}
+            "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label]}
 print(json.dumps(out))
 """
 
@@ -167,13 +168,21 @@ def main(argv=None) -> int:
             for key in TRACED_KEYS if key in runs["parent"][0]["metrics"]}}
 
     seed = base + 700
+    passes = {name: [] for name in roots}
+    for i in range(TRACED_RUNS):
+        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            root = roots[name]
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+            proc = subprocess.run([sys.executable, "-c", RUN_COUNTS, str(seed)], cwd=root,
+                                  env=env, check=True, stdout=subprocess.PIPE, text=True)
+            passes[name].append(json.loads(proc.stdout))
     counts = {}
-    for name, root in roots.items():
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
-        proc = subprocess.run([sys.executable, "-c", RUN_COUNTS, str(seed)], cwd=root, env=env,
-                              check=True, stdout=subprocess.PIPE, text=True)
-        counts[name] = json.loads(proc.stdout)
+    for name, runs in passes.items():
+        counts[name] = runs[0]
+        for label, run in counts[name].items():
+            times = [r[label]["evolve_s"] for r in runs]
+            run.update(evolve_s=statistics.median(times), evolve_s_runs=times)
     same = {label: counts["parent"][label]["history_sha256"]
             == counts["change"][label]["history_sha256"] for label in counts["parent"]}
 

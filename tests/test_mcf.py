@@ -537,8 +537,8 @@ class TestEvolve:
     def test_diagnostics_are_float64_and_int64(self):
         # a refusing tolerance varies dt from step to step; every per-step
         # array has one entry per accepted step, in its dtype, and the values
-        # the step took: t grows by dt (landing on the marks), usage is
-        # 4 dt/(h^2 beta(s)) and n_rhs counts the stages
+        # the step took: t grows by dt (landing on the marks) and usage is
+        # 4 dt/(h^2 beta(s))
         cfg = coarse_config(t2=2)
         hist = mcf.evolve(cfg.initial_state(), 2.0,
                           mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
@@ -554,7 +554,6 @@ class TestEvolve:
         beta = np.array([mcf._RKC2[s][0] for s in hist.diag_stages])
         h = cfg.initial_state().graph.h
         assert np.array_equal(hist.diag_cfl, 4.0 * hist.diag_dt / (h * h) / beta)
-        assert hist.n_rhs == 1 + int(hist.diag_stages.sum()) + 2 * hist.n_rejected
         assert np.all(hist.diag_err <= 1e-12) and np.all(hist.diag_max_u > 0.0)
 
     def test_run_beyond_max_steps_refused_up_front(self):

@@ -213,14 +213,14 @@ def crit_stationarity(ctx: dict) -> CheckResult:
 
 
 def crit_monotone_F(ctx: dict) -> CheckResult:
-    """No unit-mark area increase above 1e-8 on any bundled run."""
+    """No unit-mark area increase above mcf.MONOTONE_TOL on any bundled run."""
     worst = -math.inf
     n_runs = 0
     for hist in ctx.get("histories", {}).values():
         if hist.mark_F.size >= 2:
             worst = max(worst, float(np.max(np.diff(hist.mark_F))))
             n_runs += 1
-    ok = n_runs > 0 and worst <= 1e-8
+    ok = n_runs > 0 and worst <= mcf.MONOTONE_TOL
     return CheckResult(8, NAMES[8], ok,
                        f"max unit-mark increase {worst:.2e} across {n_runs} runs")
 

@@ -190,7 +190,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
     checks = [{"name": "run-completed", "passed": hist.stop_reason == "completed",
                "measured": f"stop_reason={hist.stop_reason}, t_final={hist.t_final}"}]
     max_rise = float(np.max(np.diff(hist.mark_F))) if hist.mark_F.size >= 2 else 0.0
-    checks.append({"name": "area-monotone", "passed": max_rise <= 1e-8,
+    checks.append({"name": "area-monotone", "passed": max_rise <= mcf.MONOTONE_TOL,
                    "measured": f"max unit-mark increase {max_rise:.3e}"})
     code = EXIT_OK
     if hist.stop_reason != "completed":

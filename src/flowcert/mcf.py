@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .errors import (
     InvalidInputError,
 )
 
-PROFILE_KINDS = ("zero", "gauss", "balanced_gauss", "neck", "random")
+PROFILE_KINDS = ("zero", "gauss", "balanced_gauss", "random")
 
 
 def initial_profile(kind: str, amplitude: float, z: np.ndarray,
@@ -62,8 +63,6 @@ def initial_profile(kind: str, amplitude: float, z: np.ndarray,
         return amplitude * np.exp(-(z**2))
     if kind == "balanced_gauss":
         return amplitude * (np.exp(-(z**2)) - math.sqrt(3.0 / 5.0) * np.exp(-(z**2) / 2.0))
-    if kind == "neck":
-        return -amplitude * np.exp(-(z**2))
     if kind == "random":
         if rng is None:
             raise InvalidInputError("random profile needs an rng")
@@ -181,16 +180,16 @@ _RKC2 = {s: _rkc2_coefficients(s) for s in range(2, MAX_STAGES + 1)}
 
 @dataclass
 class FlowControls:
-    """Time-stepping and monitoring knobs for evolve.
+    """The step cap of evolve, its one setting, and the constants of its scheme.
 
     cfl scales the advective cap cfl*2h/R_dom alone; the stage count covers
     the diffusive stability limit (see evolve).
     """
 
     dt_max: float = 1e-3
-    cfl: float = 0.8
-    step_tol: float = 1e-8
-    stop_max_abs_u: float = 1.0  # the run stops once max |u| exceeds this
+    cfl: ClassVar[float] = 0.8
+    step_tol: ClassVar[float] = 1e-8
+    stop_max_abs_u: ClassVar[float] = 1.0  # the run stops once max |u| exceeds this
 
 
 @dataclass(eq=False)
@@ -251,6 +250,7 @@ class FlowHistory:
 MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
 MAX_STEPS = 10_000_000  # most steps a run may take
 STEP_BUDGET = 100  # attempted steps allowed per step of the largest allowed size
+MONOTONE_TOL = 1e-8  # largest unit-mark area increase an area-monotone run may show
 
 
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:

@@ -298,7 +298,7 @@ def extremal_step(x, C: float, tau: float):
                        f"for C={C}, tau={tau}")
 
 
-MAX_SEQUENCE_STEPS = 1_000_000  # longest generated sequence (extremal: about 2 s, 8 MB)
+MAX_SEQUENCE_STEPS = 1_000_000  # longest generated sequence, bounding its time and memory
 
 
 def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> MonotoneSequence:

@@ -161,7 +161,7 @@ class TestCliExitCodes:
         ("step_tol", "-1e-8"), ("eps1", "inf"), ("eps2", "0"), ("R1", "-6"), ("R2", "nan"),
         ("stop_max_abs_u", "0"), ("max_C", "inf"), ("amplitude", "-0.01"), ("amplitude", "nan"),
         ("k", "0"), ("k", "201"), ("seed", "-1"), ("tau_grid_lo", "0.96"),
-        ("tau_grid_hi", "1.5"), ("h", "1e-4"),
+        ("tau_grid_hi", "1.5"), ("h", "1e-4"), ("profile_kind", "neck"),
     ])
     def test_bad_config_value_is_64(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "run.cfg"
@@ -196,8 +196,9 @@ class TestCliExitCodes:
         assert "Traceback" not in printed.out + printed.err
 
     def test_geometry_error_is_3(self, tmp_path):
-        cfgfile = tmp_path / "neck.cfg"
-        cfgfile.write_text(COARSE_CFG + "profile_kind = neck\namplitude = 2.0\n")
+        # balanced_gauss dips to -3a/20 = -1.5 < -sqrt(2) at a = 10: r <= 0
+        cfgfile = tmp_path / "dip.cfg"
+        cfgfile.write_text(COARSE_CFG + "amplitude = 10.0\n")
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--config", str(cfgfile)])
         assert code == 3
         assert "r <= 0" in (tmp_path / "o" / "run.log").read_text()
@@ -438,22 +439,9 @@ class TestMutationSensitivity:
         # criterion reads zero.cfg, swapped for a coarse copy to keep the test
         # fast: h = 0.1, dt_max = 4e-4 and t2 = 2 (5,000 steps instead of
         # 62,500); the next test runs the same source at dt_max = 1e-3
-        real_kernel = mcf._kernel
-
-        def shifted_kernel(z, h, s):
-            frhs = real_kernel(z, h, s)
-
-            def shifted(w, out):
-                frhs(w, out)
-                out[1:-1] += 1e-6
-                return out
-            return shifted
-
-        real_load = harness.load_bundled_config
-        monkeypatch.setattr(harness, "load_bundled_config", lambda name: dataclasses.replace(
-            real_load(name), h=0.1, dt_max=4e-4, t2=2))
+        coarse_bundled_configs(monkeypatch, h=0.1, dt_max=4e-4, t2=2)
         assert acceptance.crit_stationarity({}).passed  # the coarse copy passes unmutated
-        monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
+        monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: 1e-6))
         res = acceptance.crit_stationarity({})
         assert not res.passed, res.line()
 
@@ -461,21 +449,8 @@ class TestMutationSensitivity:
         # a bounded drift from u = 0 more than doubles max|u| within 10 steps
         # of dt = 1e-3; the run must go on and fail on its measured sup|u|,
         # not stop with a BlowupError
-        real_kernel = mcf._kernel
-
-        def shifted_kernel(z, h, s):
-            frhs = real_kernel(z, h, s)
-
-            def shifted(w, out):
-                frhs(w, out)
-                out[1:-1] += 1e-6
-                return out
-            return shifted
-
-        real_load = harness.load_bundled_config
-        monkeypatch.setattr(harness, "load_bundled_config", lambda name: dataclasses.replace(
-            real_load(name), h=0.1, dt_max=1e-3, t2=2))
-        monkeypatch.setattr(mcf, "_kernel", shifted_kernel)
+        coarse_bundled_configs(monkeypatch, h=0.1, dt_max=1e-3, t2=2)
+        monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: 1e-6))
         res = acceptance.crit_stationarity({})
         assert not res.passed
         assert res.measured.startswith("sup|u| ")
@@ -485,30 +460,57 @@ class TestMutationSensitivity:
     def test_tripled_reaction_fails_criterion_8(self, monkeypatch):
         # the radial reaction term times 3 is no longer the area's gradient
         # flow: on the coarse sweep runs the Gaussian area rises between marks
-        real_kernel = mcf._kernel
-
-        def tripled_kernel(z, h, s):
-            frhs = real_kernel(z, h, s)
-
-            def tripled(w, out):
-                frhs(w, out)
-                c = w[1:-1]
-                out[1:-1] += c * (2.0 * s + c) / (s + c)  # twice the radial term
-                return out
-            return tripled
-
-        real_load = harness.load_bundled_config
-        monkeypatch.setattr(harness, "load_bundled_config",
-                            lambda name: dataclasses.replace(real_load(name), h=0.1, t2=4))
+        coarse_bundled_configs(monkeypatch, h=0.1, t2=4)
         ctx = {}
         acceptance.crit_close_trend(ctx)
         assert acceptance.crit_monotone_F(ctx).passed  # the coarse runs pass unmutated
-        monkeypatch.setattr(mcf, "_kernel", tripled_kernel)
+        monkeypatch.setattr(mcf, "_kernel", kernel_plus(twice_radial_term))
         ctx = {}
         acceptance.crit_close_trend(ctx)
         assert len(ctx["histories"]) == 3
         res = acceptance.crit_monotone_F(ctx)
         assert not res.passed, res.line()
+
+    def test_flipped_reaction_passes_criterion_8(self, monkeypatch):
+        # a known blind spot (ROADMAP item 11, the kill matrix): with the
+        # radial reaction term's sign flipped the coarse sweep runs still
+        # converge with the area falling at every mark, so criterion 8 stays
+        # green.  A change that makes some criterion catch this flip must
+        # turn this test around.
+        coarse_bundled_configs(monkeypatch, h=0.1, t2=4)
+        monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: -twice_radial_term(c, s)))
+        ctx = {}
+        acceptance.crit_close_trend(ctx)
+        assert len(ctx["histories"]) == 3
+        res = acceptance.crit_monotone_F(ctx)
+        assert res.passed, res.line()
+
+
+def coarse_bundled_configs(monkeypatch, **changes):
+    """Serve every bundled config with the given fields replaced."""
+    real_load = harness.load_bundled_config
+    monkeypatch.setattr(harness, "load_bundled_config",
+                        lambda name: dataclasses.replace(real_load(name), **changes))
+
+
+def twice_radial_term(c, s):
+    return c * (2.0 * s + c) / (s + c)
+
+
+def kernel_plus(term):
+    """A stand-in for mcf._kernel whose right-hand side also adds term(c, s),
+    with c the interior rows of the profile, on the interior rows."""
+    real_kernel = mcf._kernel
+
+    def kernel(z, h, s):
+        frhs = real_kernel(z, h, s)
+
+        def perturbed(w, out):
+            frhs(w, out)
+            out[1:-1] += term(w[1:-1], s)
+            return out
+        return perturbed
+    return kernel
 
 
 def test_run_log_quiet(tmp_path, capsys):

@@ -26,9 +26,9 @@ def coarse_config(**overrides):
     return mcf.RunConfig(**base)
 
 
-def evolve_and_close(cfg, controls=None):
-    """The closeness report of cfg on a fresh run (controls default to cfg's)."""
-    hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), controls or cfg.controls())
+def evolve_and_close(cfg):
+    """The closeness report of cfg on a fresh run."""
+    hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
     return mcf.close_experiment(cfg, hist)
 
 
@@ -386,17 +386,17 @@ class TestStep:
         pytest.param(0.1, 2, (1.0 / 400, 1.0 / 800), id="0.1-2"),
         pytest.param(0.05, 3, (1.0 / 320, 1.0 / 520), id="0.05-3"),
     ])
-    def test_temporal_order_at_fixed_stages(self, h, s, dts):
+    def test_temporal_order_at_fixed_stages(self, h, s, dts, monkeypatch):
         # both dt take s stages; the error at t = 1 against a run at dt =
         # 1/6400 falls as dt^2 for a second-order method.  At h = 0.05 three
         # stages are the cheapest only for 4 dt/h^2 in (1.5 beta(2), beta(3)],
         # a dt ratio of 1.78 with no halving inside, so the order is the log
         # of the error ratio to base dt1/dt2 = 1.625 (4 dt/h^2 = 5.0 and 3.1)
         g = smooth_graph(h=h)
+        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1.0)
 
         def final(dt):
-            hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0,
-                              mcf.FlowControls(dt_max=dt, step_tol=1.0))
+            hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=dt))
             return hist.profiles[-1], set(hist.diag_stages.tolist())
 
         ref, _ = final(1.0 / 6400)
@@ -413,14 +413,14 @@ class TestStep:
         after = graph_F(rkc2_step(g, 1e-3)).value
         assert after <= before + 1e-8
 
-    def test_replays_evolve_bit_for_bit(self):
+    def test_replays_evolve_bit_for_bit(self, monkeypatch):
         # a tolerance below the error estimate makes the controller refuse and
         # shrink steps; the accepted ones, at whatever dt and stage count,
         # replay through the reference stepper to the same bits
         cfg = coarse_config()
         g = cfg.initial_state().graph
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=2.0,
-                          controls=mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
+        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1e-12)
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=2.0, controls=cfg.controls())
         assert hist.n_rejected > 0 and len(set(hist.diag_dt.tolist())) > 10
         profiles = replay(g, hist)
         assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
@@ -467,10 +467,10 @@ class TestEvolve:
         # while above the cylinder value, the gap itself shrinks
         assert np.all(np.diff(gaps[positive]) < 0.0)
 
-    def test_large_amplitude_trips_stop_condition(self):
+    def test_large_amplitude_trips_stop_condition(self, monkeypatch):
         cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8)
-        hist = mcf.evolve(cfg.initial_state(), t_end=8.0,
-                          controls=mcf.FlowControls(dt_max=cfg.dt_max, stop_max_abs_u=0.5))
+        monkeypatch.setattr(mcf.FlowControls, "stop_max_abs_u", 0.5)
+        hist = mcf.evolve(cfg.initial_state(), t_end=8.0, controls=cfg.controls())
         assert hist.stop_reason == "max_abs_u"
         assert hist.t_final < 8.0
 
@@ -483,16 +483,20 @@ class TestEvolve:
         order = math.log2(abs((vals[0.4] - vals[0.1]) / (vals[0.2] - vals[0.1])) - 1.0)
         assert order >= 1.8
 
-    @pytest.mark.parametrize("controls", [mcf.FlowControls(dt_max=0.0), mcf.FlowControls(cfl=0.0)])
-    def test_zero_step_cap_rejected(self, controls):
+    def test_zero_step_cap_rejected(self):
         with pytest.raises(InvalidInputError):
-            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 2.0, controls)
+            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 2.0, mcf.FlowControls(dt_max=0.0))
+
+    def test_zero_advective_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(mcf.FlowControls, "cfl", 0.0)
+        with pytest.raises(InvalidInputError):
+            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 2.0, mcf.FlowControls())
 
     def test_non_integer_start_rejected(self):
         with pytest.raises(InvalidInputError):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.5), 2.0, mcf.FlowControls())
 
-    def test_counts_stage_rhs_per_attempted_step(self):
+    def test_counts_stage_rhs_per_attempted_step(self, monkeypatch):
         # h = 0.1: every dt up to dt_max = 2e-3 takes 2 stages, so a refused
         # step costs 2 evaluations too; the first stage of the run costs 1
         cfg = coarse_config()
@@ -500,8 +504,8 @@ class TestEvolve:
         assert hist.diag_t.size == 4000 and hist.n_rejected == 0
         assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 1 + 2 * 4000
         cfg = coarse_config(t2=2)
-        hist = mcf.evolve(cfg.initial_state(), 2.0,
-                          mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
+        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1e-12)
+        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         assert hist.n_rejected > 0
         assert set(hist.diag_stages.tolist()) == {2}
         assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) + 2 * hist.n_rejected
@@ -534,14 +538,14 @@ class TestEvolve:
         fewer = np.array([mcf._RKC2[max(s - 1, 2)][0] for s in hist.diag_stages])
         assert np.all((hist.diag_stages == 2) | (fewer < need))
 
-    def test_diagnostics_are_float64_and_int64(self):
+    def test_diagnostics_are_float64_and_int64(self, monkeypatch):
         # a refusing tolerance varies dt from step to step; every per-step
         # array has one entry per accepted step, in its dtype, and the values
         # the step took: t grows by dt (landing on the marks) and usage is
         # 4 dt/(h^2 beta(s))
         cfg = coarse_config(t2=2)
-        hist = mcf.evolve(cfg.initial_state(), 2.0,
-                          mcf.FlowControls(dt_max=cfg.dt_max, step_tol=1e-12))
+        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1e-12)
+        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         n = hist.diag_t.size
         assert n > 1000 and hist.n_rejected > 0
         for arr in (hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl):
@@ -724,9 +728,10 @@ class TestCloseExperiment:
         assert gaps[0] > gaps[1] > gaps[2]
         assert peaks[0] >= peaks[1] >= peaks[2]
 
-    def test_large_amplitude_reports_hypothesis_failure(self):
+    def test_large_amplitude_reports_hypothesis_failure(self, monkeypatch):
         cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8)
-        rep = evolve_and_close(cfg, mcf.FlowControls(dt_max=cfg.dt_max, stop_max_abs_u=0.5))
+        monkeypatch.setattr(mcf.FlowControls, "stop_max_abs_u", 0.5)
+        rep = evolve_and_close(cfg)
         assert not rep.hypotheses_ok
         assert not rep.completed
         assert rep.failure_reason is not None
@@ -821,6 +826,20 @@ class TestCloseMarks:
         assert math.isnan(rep.delta_F1) == (t1 > hist.t_final)
 
 
+class TestFlowControls:
+    def test_dt_max_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(mcf.FlowControls)] == ["dt_max"]
+
+    @pytest.mark.parametrize("key", ["cfl", "step_tol", "stop_max_abs_u"])
+    def test_scheme_constants_are_not_keywords(self, key):
+        with pytest.raises(TypeError):
+            mcf.FlowControls(**{key: 1.0})
+
+    def test_scheme_constants(self):
+        controls = mcf.FlowControls()
+        assert (controls.cfl, controls.step_tol, controls.stop_max_abs_u) == (0.8, 1e-8, 1.0)
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("h", [3.0, 2.9, 2.5, 1.7])
     @pytest.mark.parametrize("R", [0.5, 1.0, 1.6, 2.0])
@@ -849,6 +868,7 @@ class TestRunConfig:
             mcf.RunConfig(t1=0.5, t2=8)  # type: ignore[arg-type]
 
     def test_profile_kinds_build(self):
+        assert mcf.PROFILE_KINDS == ("zero", "gauss", "balanced_gauss", "random")
         z = np.linspace(-20.0, 20.0, 401)
         rng = np.random.default_rng(0)
         for kind in mcf.PROFILE_KINDS:

@@ -9,7 +9,10 @@ and properties are serialised by harness.jsonable, so both are exempt.  Paper
 API that only tests call today stays on PAPER_API.
 
 Likewise every run-config key is set by at least one bundled config: a key
-that no shipped run sets is a constant with a parser in front of it.
+that no shipped run sets is a constant with a parser in front of it.  And
+every FlowControls field is passed by some FlowControls(...) call in
+src/flowcert or perfbench: a field that no caller passes is a constant of the
+scheme with a constructor in front of it.
 """
 
 import ast
@@ -123,3 +126,15 @@ def test_every_config_key_is_set_by_a_bundled_config():
     set_somewhere = set().union(*(harness.parse_config_text(path.read_text(), str(path))
                                   for path in configs))
     assert sorted(keys - set_somewhere) == []
+
+
+def test_every_flow_control_is_passed_by_a_caller():
+    fields = [f.name for f in dataclasses.fields(mcf.FlowControls)]
+    passed = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "FlowControls" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                passed.update(fields[:len(node.args)])
+                passed.update(kw.arg for kw in node.keywords)
+    assert sorted(set(fields) - passed) == []

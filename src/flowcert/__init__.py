@@ -13,43 +13,3 @@ Four numerical subsystems plus an experiment harness:
 """
 
 __version__ = "0.1.0"
-
-from .cylinder import (  # noqa: F401
-    CylinderGraph,
-    CylinderSpec,
-    DistanceReport,
-    cylinder_F,
-    dist_R,
-    estimate_entropy,
-    graph_F,
-)
-from .gradientflow import (  # noqa: F401
-    GradientProblem,
-    Trajectory,
-    builtin_problems,
-    decay_envelope_check,
-    effective_bound,
-    integrate,
-    problem_by_name,
-    sqrt_segment_sum,
-)
-from .mcf import (  # noqa: F401
-    CloseReport,
-    FlowControls,
-    FlowHistory,
-    FlowState,
-    RunConfig,
-    close_experiment,
-    evolve,
-    lojasiewicz_fit,
-)
-from .sequences import (  # noqa: F401
-    CertificateConstants,
-    HypothesisReport,
-    MonotoneSequence,
-    check_hypothesis,
-    check_power_gap,
-    constructive_bound,
-    extremal_sequence,
-    random_admissible_sequence,
-)

@@ -207,7 +207,8 @@ def crit_stationarity(ctx: dict) -> CheckResult:
     sup_u = max(sup_u, float(np.max(hist.mark_max_u)))
     F_cyl = hist.spec.F_value
     F_dev = float(np.max(np.abs(hist.mark_F - F_cyl)))
-    ok = sup_u < 1e-8 and F_dev <= 1e-8 and hist.stop_reason == "completed"
+    ok = (sup_u < mcf.STATIONARY_TOL and F_dev <= mcf.STATIONARY_TOL
+          and hist.stop_reason == "completed")
     return CheckResult(7, NAMES[7], ok,
                        f"sup|u| {sup_u:.2e}, max|F - F_cyl| {F_dev:.2e} over t in [0, {cfg.t2}]")
 
@@ -225,13 +226,16 @@ def crit_monotone_F(ctx: dict) -> CheckResult:
                        f"max unit-mark increase {worst:.2e} across {n_runs} runs")
 
 
+REFINEMENT_TOL = 0.05  # largest relative change of C_fit under h/2 or dt/2
+
+
 def crit_fit_feasibility(ctx: dict) -> CheckResult:
     """Window-inequality fit: nonnegative slack, stable under dt and h refinement."""
     cfg = harness.load_bundled_config("fit.cfg")
     hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
     ctx.setdefault("histories", {})["fit"] = hist
     fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
-    min_slack = float(np.min(fit.residuals))
+    min_slack = fit.min_residual
 
     def refit_C(config: mcf.RunConfig, key: str) -> float:
         h2 = mcf.evolve(config.initial_state(), t_end=float(config.t2),
@@ -245,7 +249,8 @@ def crit_fit_feasibility(ctx: dict) -> CheckResult:
     C_dt = refit_C(replace(cfg, dt_max=cfg.dt_max / 2.0), "fit_dt_refined")
     rel_h = abs(C_h - fit.C_fit) / fit.C_fit
     rel_dt = abs(C_dt - fit.C_fit) / fit.C_fit
-    ok = min_slack >= 0.0 and rel_h < 0.05 and rel_dt < 0.05 and fit.n_windows >= 5
+    ok = (min_slack >= 0.0 and rel_h < REFINEMENT_TOL and rel_dt < REFINEMENT_TOL
+          and fit.n_windows >= mcf.MIN_WINDOWS)
     measured = (f"tau_fit {fit.tau_fit:.2f} (in (1/3,1): {fit.tau_in_range}), "
                 f"C_fit {fit.C_fit:.4f}, min slack {min_slack:.2e}, "
                 f"windows {fit.n_windows}, dC(h/2) {100 * rel_h:.2f}%, "

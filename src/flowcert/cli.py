@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: seq-check, grad-flow, mcf, fit, close, verify-all.
+Subcommands: seq-check, grad-flow, mcf, verify-all.
 Exit codes: 0 pass, 1 suite failure, 2 certificate violation,
 3 hypothesis failure, 64 usage error.
 """
@@ -20,11 +20,12 @@ from . import gradientflow as gf
 from . import mcf, sequences
 from .cylinder import CylinderGraph, profile_to_csv, write_csv
 from .errors import (
-    BlowupError,
     ConfigError,
+    EnvelopeNotApplicableError,
     FlowcertError,
     GeometryError,
     InsufficientDataError,
+    IntegrationError,
     InvalidInputError,
     ParameterError,
     PreconditionError,
@@ -39,7 +40,8 @@ EXIT_USAGE = 64
 # Package errors that end a run with EXIT_USAGE or EXIT_HYP; any other
 # FlowcertError ends it with EXIT_SUITE.
 USAGE_ERRORS = (ConfigError, ParameterError, InvalidInputError)
-HYPOTHESIS_ERRORS = (BlowupError, GeometryError, InsufficientDataError, PreconditionError)
+HYPOTHESIS_ERRORS = (IntegrationError, EnvelopeNotApplicableError, GeometryError,
+                     InsufficientDataError, PreconditionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,18 +55,17 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="flowcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flowcert {__version__}")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--seed", type=int, default=1234, help="seed for randomized suites")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     # the same globals are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(required=True, parser_class=_Parser)
 
     p_seq = sub.add_parser("seq-check", parents=[common],
                            help="check the drop law on a sequence and certify the bound")
+    p_seq.set_defaults(run=_cmd_seq_check)
     src = p_seq.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="sequence file (newline decimals or JSON array)")
     src.add_argument("--geometric", action="store_true", help="use the sequence 2^-j")
@@ -77,6 +78,7 @@ def _build_parser() -> _Parser:
 
     p_flow = sub.add_parser("grad-flow", parents=[common],
                             help="integrate a bundled gradient problem and certify the bound")
+    p_flow.set_defaults(run=_cmd_grad_flow)
     p_flow.add_argument("--problem", required=True,
                         help="one of: " + ", ".join(p.name for p in gf.builtin_problems()))
     p_flow.add_argument("--x0", required=True, help="start point, comma separated")
@@ -87,35 +89,33 @@ def _build_parser() -> _Parser:
     p_flow.add_argument("--check-envelope", action="store_true",
                         help="also require the pointwise decay envelope")
 
-    for name, desc in (("mcf", "evolve a profile (optionally fit and certify)"),
-                       ("fit", "evolve and fit the window inequality"),
-                       ("close", "run the full closeness experiment")):
-        p = sub.add_parser(name, parents=[common], help=desc)
-        p.add_argument("--config", required=True, help="run config file (key = value lines)")
-        if name == "mcf":
-            p.add_argument("--fit", action="store_true", help="also fit the window inequality")
-            p.add_argument("--close", action="store_true", help="also run the closeness experiment")
-        else:
-            p.set_defaults(fit=name == "fit", close=name == "close")
+    p_mcf = sub.add_parser("mcf", parents=[common],
+                           help="evolve a profile (optionally fit and certify)")
+    p_mcf.set_defaults(run=_cmd_mcf)
+    p_mcf.add_argument("--config", required=True, help="run config file (key = value lines)")
+    p_mcf.add_argument("--fit", action="store_true", help="also fit the window inequality")
+    p_mcf.add_argument("--close", action="store_true", help="also run the closeness experiment")
 
-    sub.add_parser("verify-all", parents=[common],
-                   help="run the full acceptance suite against the bundled configs")
+    p_all = sub.add_parser("verify-all", parents=[common],
+                           help="run the full acceptance suite against the bundled configs")
+    p_all.set_defaults(run=_cmd_verify_all)
+    p_all.add_argument("--seed", type=int, default=1234, help="seed for the randomized criteria")
     return parser
 
 
 def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
-    if args.file:
+    if args.geometric:
+        if args.n > sequences.MAX_SEQUENCE_STEPS:
+            raise InvalidInputError(f"need --n <= {sequences.MAX_SEQUENCE_STEPS}, got {args.n}")
+        seq = sequences.MonotoneSequence(2.0 ** -np.arange(1, args.n + 1, dtype=float))
+    elif args.extremal:
+        seq = sequences.extremal_sequence(args.C, args.tau, x1=args.x1, n_steps=args.n)
+    else:
         try:
             text = Path(args.file).read_text()
         except OSError as exc:
             raise InvalidInputError(f"cannot read {args.file}: {exc}") from None
         seq = sequences.parse_sequence_text(text)
-    elif args.geometric:
-        if args.n > sequences.MAX_SEQUENCE_STEPS:
-            raise InvalidInputError(f"need --n <= {sequences.MAX_SEQUENCE_STEPS}, got {args.n}")
-        seq = sequences.MonotoneSequence(2.0 ** -np.arange(1, args.n + 1, dtype=float))
-    else:
-        seq = sequences.extremal_sequence(args.C, args.tau, x1=args.x1, n_steps=args.n)
     report = sequences.check_hypothesis(seq, args.C, args.tau)
     harness.write_json(out / "report.json", report)
     code = EXIT_OK
@@ -200,7 +200,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
         try:
             fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
             harness.write_json(out / "fit.json", fit)
-            slack_ok = bool(np.min(fit.residuals) >= 0.0)
+            slack_ok = fit.min_residual >= 0.0
             checks.append({"name": "fit-slack", "passed": slack_ok,
                            "measured": f"tau_fit={fit.tau_fit}, C_fit={fit.C_fit:.6g}"})
             log.say(f"fit: tau={fit.tau_fit} (in range: {fit.tau_in_range}), C={fit.C_fit:.6g}")
@@ -242,21 +242,12 @@ def _cmd_verify_all(args, out: Path, log: harness.RunLog) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log = harness.RunLog(out / "run.log", quiet=args.quiet)
     try:
-        if args.command == "seq-check":
-            return _cmd_seq_check(args, out, log)
-        if args.command == "grad-flow":
-            return _cmd_grad_flow(args, out, log)
-        if args.command in ("mcf", "fit", "close"):
-            return _cmd_mcf(args, out, log)
-        if args.command == "verify-all":
-            return _cmd_verify_all(args, out, log)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args, out, log)
     except USAGE_ERRORS as exc:
         log.say(f"error: {exc}")
         return EXIT_USAGE
@@ -266,7 +257,6 @@ def main(argv=None) -> int:
     except FlowcertError as exc:
         log.say(f"error: {exc}")
         return EXIT_SUITE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -74,8 +74,8 @@ class GradientProblem:
 class Trajectory:
     """Time-stamped polyline of a flow line with F-values and chordal increments.
 
-    `dense` (when present) evaluates the underlying interpolant at arbitrary
-    times; manually built trajectories fall back to linear interpolation.
+    `dense` evaluates the underlying interpolant at arbitrary times: given
+    times of shape (m,), it returns points of shape (dim, m).
     """
 
     times: np.ndarray
@@ -83,8 +83,8 @@ class Trajectory:
     F_values: np.ndarray
     step_lengths: np.ndarray
     problem: GradientProblem
+    dense: Callable
     exited_ball: bool = False
-    dense: Callable | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -109,13 +109,7 @@ class Trajectory:
     def at(self, t) -> np.ndarray:
         """Point(s) on the trajectory at time(s) t, shape (dim,) or (m, dim)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.dense is not None:
-            out = np.asarray(self.dense(t_arr), dtype=float).T
-        else:
-            out = np.column_stack([
-                np.interp(t_arr, self.times, self.points[:, d])
-                for d in range(self.points.shape[1])
-            ])
+        out = np.asarray(self.dense(t_arr), dtype=float).T
         return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def F_at(self, t) -> np.ndarray:

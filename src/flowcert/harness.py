@@ -125,17 +125,14 @@ class RunLog:
     """Append-only sidecar log carrying the wall-clock side of a run."""
 
     def __init__(self, path, quiet: bool = False):
-        self.path = Path(path) if path is not None else None
+        self.path = Path(path)
         self.quiet = quiet
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_text("")
 
     def say(self, msg: str) -> None:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-        line = f"[{stamp}] {msg}"
-        if self.path is not None:
-            with open(self.path, "a") as fh:
-                fh.write(line + "\n")
+        with open(self.path, "a") as fh:
+            fh.write(f"[{stamp}] {msg}\n")
         if not self.quiet:
             print(msg, flush=True)

@@ -251,6 +251,7 @@ MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
 MAX_STEPS = 10_000_000  # most steps a run may take
 STEP_BUDGET = 100  # attempted steps allowed per step of the largest allowed size
 MONOTONE_TOL = 1e-8  # largest unit-mark area increase an area-monotone run may show
+STATIONARY_TOL = 1e-8  # largest sup|u| and |F - F_cyl| a run from the cylinder may show
 
 
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:

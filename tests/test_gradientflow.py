@@ -138,6 +138,13 @@ class TestIntegrate:
         ts = np.linspace(0.0, 100.0, 801)
         assert np.max(np.abs(traj.at(ts)[:, 0] - quartic_exact(0.2, ts))) < 1e-6
 
+    def test_trajectory_needs_its_interpolant(self):
+        # Trajectory.at reads only `dense`; there is no polyline fallback
+        traj = gf.integrate(QUARTIC, [0.2], t_end=1.0)
+        with pytest.raises(TypeError):
+            gf.Trajectory(times=traj.times, points=traj.points, F_values=traj.F_values,
+                          step_lengths=traj.step_lengths, problem=QUARTIC)
+
     def test_critical_start_is_constant(self):
         traj = gf.integrate(QUARTIC, [0.0], t_end=10.0)
         assert traj.length == 0.0
@@ -483,7 +490,8 @@ class TestEffectiveBound:
             points=traj.points[::-1].copy(),
             F_values=-traj.F_values[::-1],
             step_lengths=traj.step_lengths[::-1].copy(),
-            problem=neg)
+            problem=neg,
+            dense=lambda t: traj.dense(t0 + traj.times[-1] - np.asarray(t)))
         fwd_rep = gf.effective_bound(SADDLE, traj, epsilon=0.5)
         rev_rep = gf.effective_bound(neg, rev, epsilon=0.5)
         assert fwd_rep.case_tag == "below"

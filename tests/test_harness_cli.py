@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcert import acceptance, cli, gradientflow, harness, mcf, sequences
-from flowcert.errors import ConfigError, FlowcertError
+from flowcert.errors import ConfigError, FlowcertError, StiffnessError
 
 COARSE_CFG = """\
 # coarse run for fast tests
@@ -141,6 +141,18 @@ class TestCliExitCodes:
             cli.main(["frobnicate"])
         assert exc.value.code == 64
 
+    # `mcf --fit` and `mcf --close` are the one way to fit and to close, and
+    # verify-all is the one command that reads a seed
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--config", "run.cfg"], ["close", "--config", "run.cfg"],
+        ["--seed", "7", "verify-all"], ["mcf", "--seed", "7", "--config", "run.cfg"]])
+    def test_removed_command_or_misplaced_seed_is_64(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(tmp_path / "o"), *argv])
+        assert exc.value.code == 64
+        printed = capsys.readouterr()
+        assert "flowcert: error:" in printed.err and "Traceback" not in printed.err
+
     def test_unknown_problem_is_64(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "--quiet",
                          "grad-flow", "--problem", "nope", "--x0", "0.1"])
@@ -228,6 +240,28 @@ class TestCliExitCodes:
         assert "run aborted: segment endpoints must lie in the ball" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
+    def test_inapplicable_envelope_is_3(self, tmp_path, capsys):
+        # from x0 = 0 the flow rests at the critical point: F - F0 is 0, so
+        # the decay envelope is undefined
+        code = cli.main(["--out", str(tmp_path / "o"), "grad-flow", "--problem", "quartic1d",
+                         "--x0", "0", "--check-envelope"])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert "run aborted: F - F0 is not strictly positive" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
+    def test_stalled_integration_is_3(self, tmp_path, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise StiffnessError("integration stalled at t=1.0: step size too small")
+
+        monkeypatch.setattr(gradientflow, "integrate", stalled)
+        code = cli.main(["--out", str(tmp_path / "o"), "grad-flow", "--problem", "quartic1d",
+                         "--x0", "0.1"])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert "run aborted: integration stalled" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
     def test_violation_is_2(self, tmp_path):
         seq = tmp_path / "constant.txt"
         seq.write_text("0.5\n0.5\n0.5\n0.5\n0.5\n")
@@ -268,6 +302,15 @@ class TestCliExitCodes:
         printed = capsys.readouterr()
         assert "error:" in printed.out and "Traceback" not in printed.out + printed.err
 
+    def test_empty_file_name_is_64(self, tmp_path, capsys):
+        # an empty --file is a path that cannot be read, not a request for
+        # another sequence
+        code = cli.main(["--out", str(tmp_path / "o"), "seq-check", "--file", ""])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert "error: cannot read" in printed.out and "Traceback" not in printed.err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     @pytest.mark.parametrize("n", [sequences.MAX_SEQUENCE_STEPS + 1, 10**11])
     @pytest.mark.parametrize("kind", ["--geometric", "--extremal"])
     def test_sequence_length_cap_is_64(self, tmp_path, capsys, kind, n):
@@ -300,7 +343,7 @@ class TestCliExitCodes:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(COARSE_CFG)
         out = tmp_path / "o"
-        code = cli.main(["--out", str(out), "--quiet", "close",
+        code = cli.main(["--out", str(out), "--quiet", "mcf", "--close",
                          "--config", str(cfgfile)])
         assert code == 0
         assert (out / "history.csv").exists()
@@ -347,7 +390,7 @@ class TestCliExitCodes:
         cfgfile = tmp_path / "blow.cfg"
         cfgfile.write_text(COARSE_CFG.replace("amplitude = 0.01", "amplitude = 0.3")
                            .replace("profile_kind = balanced_gauss", "profile_kind = gauss"))
-        code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "close",
+        code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--close",
                          "--config", str(cfgfile)])
         assert code == 3
         close = json.loads((tmp_path / "o" / "close.json").read_text())
@@ -357,7 +400,7 @@ class TestCliExitCodes:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(COARSE_CFG)
         out = tmp_path / "o"
-        code = cli.main(["--out", str(out), "--quiet", "fit", "--config", str(cfgfile)])
+        code = cli.main(["--out", str(out), "--quiet", "mcf", "--fit", "--config", str(cfgfile)])
         assert code == 0
         fit = json.loads((out / "fit.json").read_text())
         assert fit["n_windows"] >= 5

@@ -4,8 +4,10 @@ A module-level function or a method counts as used when its name is read
 somewhere in src/flowcert or perfbench outside its own definition: as a name
 (not shadowed by a local of the same name), as an attribute, or as a string
 (perfbench's tracer looks functions up by name).  The package's __init__.py
-only re-exports, so its imports do not count.  Dunder methods run implicitly
-and properties are serialised by harness.jsonable, so both are exempt.  Paper
+binds only __version__: every caller imports a submodule.  Dunder methods run
+implicitly, a method that overrides a method of a builtin or standard-library
+base class is called by that base (argparse calls ArgumentParser.error), and
+properties are serialised by harness.jsonable, so all three are exempt.  Paper
 API that only tests call today stays on PAPER_API.
 
 Likewise every run-config key is set by at least one bundled config: a key
@@ -13,17 +15,42 @@ that no shipped run sets is a constant with a parser in front of it.  And
 every FlowControls field is passed by some FlowControls(...) call in
 src/flowcert or perfbench: a field that no caller passes is a constant of the
 scheme with a constructor in front of it.
+
+And every option of every CLI subcommand is read as args.<dest> by the
+handler that the subcommand runs, or by cli.main (--out, --quiet): an option
+that no code reads is a flag the command silently ignores.
 """
 
+import argparse
 import ast
+import builtins
 import dataclasses
+import importlib
+import inspect
+import sys
 from pathlib import Path
 
-from flowcert import harness, mcf
+from flowcert import cli, harness, mcf
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowcert"
 PAPER_API = {"estimate_entropy", "profile_from_csv", "sqrt_segment_sum"}
+
+
+def _stdlib_base_attributes(cls):
+    """Attribute names of the class's bases that are builtins (`Exception`)
+    or classes of a standard-library module (`argparse.ArgumentParser`)."""
+    names = set()
+    for base in cls.bases:
+        obj = None
+        if isinstance(base, ast.Name):
+            obj = getattr(builtins, base.id, None)
+        elif isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name) \
+                and base.value.id in sys.stdlib_module_names:
+            obj = getattr(importlib.import_module(base.value.id), base.attr, None)
+        if isinstance(obj, type):
+            names.update(dir(obj))
+    return names
 
 
 def _definitions(tree):
@@ -32,12 +59,13 @@ def _definitions(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
+            inherited = _stdlib_base_attributes(node)
             for item in node.body:
                 if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 is_property = any(isinstance(d, ast.Name) and d.id == "property"
                                   for d in item.decorator_list)
-                if not (is_property or item.name.startswith("__")):
+                if not (is_property or item.name.startswith("__") or item.name in inherited):
                     yield item.name, item
 
 
@@ -90,8 +118,7 @@ def unreferenced(package=PACKAGE, perfbench=ROOT / "perfbench"):
     from inside a dead definition does not count, so a helper whose only
     caller is dead code is reported too."""
     trees = {path: ast.parse(path.read_text()) for path in
-             sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))
-             if path.name != "__init__.py"}
+             sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))}
     uses = [use for tree in trees.values() for use in _uses(tree)]
     candidates = {node: f"{path.stem}.{name}" for path, tree in trees.items()
                   if path.parent == package
@@ -111,6 +138,12 @@ def unreferenced(package=PACKAGE, perfbench=ROOT / "perfbench"):
 
 def test_every_function_has_a_non_test_caller():
     assert unreferenced() == []
+
+
+def test_package_root_binds_only_the_version():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert isinstance(body[0], ast.Expr)  # the docstring
+    assert [ast.unparse(node).split(" = ")[0] for node in body[1:]] == ["__version__"]
 
 
 def test_paper_api_still_defined():
@@ -138,3 +171,23 @@ def test_every_flow_control_is_passed_by_a_caller():
                 passed.update(fields[:len(node.args)])
                 passed.update(kw.arg for kw in node.keywords)
     assert sorted(set(fields) - passed) == []
+
+
+def _args_read(fn) -> set:
+    """The attributes fn reads off the parsed arguments, `args`."""
+    return {node.attr for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_cli_option_is_read():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    read_by_main = _args_read(cli.main)
+    ignored = []
+    for command, subparser in sub.choices.items():
+        read = read_by_main | _args_read(subparser.get_default("run"))
+        ignored += [f"{command} {action.option_strings[0]}" for action in subparser._actions
+                    if not isinstance(action, argparse._HelpAction) and action.dest not in read]
+    assert sorted(sub.choices) == ["grad-flow", "mcf", "seq-check", "verify-all"]
+    assert ignored == []

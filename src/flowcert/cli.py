@@ -19,29 +19,13 @@ from . import __version__, acceptance, harness
 from . import gradientflow as gf
 from . import mcf, sequences
 from .cylinder import CylinderGraph, profile_to_csv, write_csv
-from .errors import (
-    ConfigError,
-    EnvelopeNotApplicableError,
-    FlowcertError,
-    GeometryError,
-    InsufficientDataError,
-    IntegrationError,
-    InvalidInputError,
-    ParameterError,
-    PreconditionError,
-)
+from .errors import FlowcertError, InsufficientDataError, InvalidInputError
 
 EXIT_OK = 0
 EXIT_SUITE = 1
 EXIT_CERT = 2
 EXIT_HYP = 3
 EXIT_USAGE = 64
-
-# Package errors that end a run with EXIT_USAGE or EXIT_HYP; any other
-# FlowcertError ends it with EXIT_SUITE.
-USAGE_ERRORS = (ConfigError, ParameterError, InvalidInputError)
-HYPOTHESIS_ERRORS = (IntegrationError, EnvelopeNotApplicableError, GeometryError,
-                     InsufficientDataError, PreconditionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -207,7 +191,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
         except InsufficientDataError as exc:
             checks.append({"name": "fit-slack", "passed": False, "measured": str(exc)})
             log.say(f"fit unavailable: {exc}")
-            code = EXIT_HYP
+            code = exc.exit_code
         timings["fit_s"] = time.perf_counter() - start
     if args.close:
         start = time.perf_counter()
@@ -248,15 +232,10 @@ def main(argv=None) -> int:
     log = harness.RunLog(out / "run.log", quiet=args.quiet)
     try:
         return args.run(args, out, log)
-    except USAGE_ERRORS as exc:
-        log.say(f"error: {exc}")
-        return EXIT_USAGE
-    except HYPOTHESIS_ERRORS as exc:
-        log.say(f"run aborted: {exc}")
-        return EXIT_HYP
-    except FlowcertError as exc:
-        log.say(f"error: {exc}")
-        return EXIT_SUITE
+    except FlowcertError as exc:  # each error class carries its exit code
+        prefix = "run aborted" if exc.exit_code == EXIT_HYP else "error"
+        log.say(f"{prefix}: {exc}")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,11 @@ CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
 ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
 CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing search
 CROSSING_GRID = 64  # intervals per round of the crossing search (63 interior points)
+# Largest horizon and tolerance integrate accepts: the largest decades at
+# which every bundled problem runs without an overflow warning from 1,127
+# starts (the other value at the grad-flow default, tol 1e-10 or t_end 2e12)
+MAX_T_END = 1e23
+MAX_TOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +213,8 @@ def integrate(problem: GradientProblem, x0, t_end,
         horizons = np.broadcast_to(np.asarray(t_end, dtype=float), (m,))
     except ValueError:
         raise ParameterError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
-    if not (0 < tol < math.inf and np.all((0 < horizons) & (horizons < math.inf))):
-        raise ParameterError("need finite t_end > 0 and tol > 0")
+    if not (0 < tol <= MAX_TOL and np.all((0 < horizons) & (horizons <= MAX_T_END))):
+        raise ParameterError(f"need 0 < t_end <= {MAX_T_END:g} and 0 < tol <= {MAX_TOL:g}")
     s_end = float(np.max(horizons))
     speed = horizons / s_end
     neg_speed = -speed[:, None]

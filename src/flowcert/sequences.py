@@ -180,9 +180,14 @@ def tail_series_sum(C: float, delta: float) -> float:
 @lru_cache(maxsize=256)
 def _constructive_bound_cached(C: float, tau: float) -> CertificateConstants:
     delta = (1.0 / tau - 1.0) / 3.0
-    tail = tail_series_sum(C, delta)
+    try:
+        tail = tail_series_sum(C, delta)
+        c = math.sqrt((2.0 / delta) * (1.0 + 2.0 * (12.0 * C) ** delta * tail))
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise ParameterError(f"C={C} is too large: the constant c overflows at tau={tau}")
     alpha = tau * delta / 2.0
-    c = math.sqrt((2.0 / delta) * (1.0 + 2.0 * (12.0 * C) ** delta * tail))
     consts = CertificateConstants(C=C, tau=tau, c=c, alpha=alpha, delta=delta, tail_sum=tail)
     # Release gate: the equality-saturating sequence is the worst case the
     # generator can produce; the certified cap must dominate its sum.

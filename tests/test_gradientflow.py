@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -175,6 +177,20 @@ class TestIntegrate:
             gf.integrate(QUARTIC, [0.1, 0.2], t_end=1.0)
         with pytest.raises(InvalidInputError):
             gf.integrate(QUARTIC, [np.nan], t_end=1.0)
+
+    def test_horizon_and_tolerance_caps(self):
+        # a horizon or tolerance past its cap is refused before integrating;
+        # saddle2d starts that overflow one decade above either cap (t_end 1e24
+        # from (1e-12, 1e-12), tol 1e-4 from (0, 1e-6)) run clean at the cap
+        with pytest.raises(ParameterError, match="need 0 < t_end <= 1e"):
+            gf.integrate(QUARTIC, [0.1], t_end=10.0 * gf.MAX_T_END)
+        with pytest.raises(ParameterError, match="need 0 < t_end <= 1e"):
+            gf.integrate(QUARTIC, [0.1], t_end=1.0, tol=10.0 * gf.MAX_TOL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = gf.integrate(SADDLE, [1e-12, 1e-12], t_end=gf.MAX_T_END, tol=1e-10)
+            assert traj.t_end == gf.MAX_T_END and not traj.exited_ball
+            assert gf.integrate(SADDLE, [0.0, 1e-6], t_end=2e12, tol=gf.MAX_TOL).exited_ball
 
 
 class TestBatchedIntegrate:

@@ -1,14 +1,18 @@
 import dataclasses
+import inspect
 import itertools
 import json
+import re
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcert import acceptance, cli, gradientflow, harness, mcf, sequences
+from flowcert import acceptance, cli, errors, gradientflow, harness, mcf, sequences
 from flowcert.errors import ConfigError, FlowcertError, StiffnessError
 
 COARSE_CFG = """\
@@ -83,7 +87,7 @@ class TestConfigProperty:
         try:
             harness._config_from_text(text, "<property>").initial_state()
         except FlowcertError as exc:
-            assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
+            assert exc.exit_code in (3, 64), repr(exc)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
@@ -102,7 +106,7 @@ class TestConfigProperty:
             hist = mcf.evolve(state, min(20.0 * dt_cap, 20.0), controls)
             assert isinstance(hist, mcf.FlowHistory)
         except FlowcertError as exc:
-            assert isinstance(exc, cli.USAGE_ERRORS + cli.HYPOTHESIS_ERRORS), repr(exc)
+            assert exc.exit_code in (3, 64), repr(exc)
 
     def test_stage_cap_case_ends_at_once_with_exit_64(self, tmp_path, capsys):
         # h = 1e-5 on R_dom = 0.5: a step of the advective cap would need
@@ -261,6 +265,57 @@ class TestCliExitCodes:
         printed = capsys.readouterr()
         assert "run aborted: integration stalled" in printed.out
         assert "Traceback" not in printed.out + printed.err
+
+    def test_fit_with_too_few_windows_is_3(self, tmp_path, capsys):
+        # t2 = 3 leaves two unit-mark windows, fewer than the fit needs: the
+        # run completes, the fit is unavailable and its check fails
+        cfgfile = tmp_path / "short.cfg"
+        cfgfile.write_text(COARSE_CFG + "t2 = 3\n")
+        out = tmp_path / "o"
+        code = cli.main(["--out", str(out), "mcf", "--fit", "--config", str(cfgfile)])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert "fit unavailable: only 2 admissible unit-mark windows" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert [c["passed"] for c in checks if c["name"] == "fit-slack"] == [False]
+        assert not (out / "fit.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--geometric", "--C", "1e300", "--tau", "0.9"],
+                                      ["--extremal", "--C", "1e300", "--tau", "0.5"]])
+    def test_overflowing_certificate_constant_is_64(self, tmp_path, capsys, argv):
+        code = cli.main(["--out", str(tmp_path / "o"), "seq-check", *argv])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert "error: C=1e+300 is too large: the constant c overflows" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
+    # every numeric flag of seq-check and grad-flow, one at a time, at the
+    # edges of the float range; the values refused by a cap (the certificate
+    # constant's C, grad-flow's horizon and tolerance) must also warn nothing
+    @pytest.mark.parametrize("value", ["0", "-1", "1e-300", "1e300", "inf", "nan"])
+    @pytest.mark.parametrize("command, flag", [
+        *(("seq-check", flag) for flag in ("--C", "--tau", "--x1", "--n")),
+        *(("grad-flow", flag) for flag in ("--t-end", "--tol", "--epsilon", "--x0"))])
+    def test_extreme_numeric_flag_ends_with_a_documented_code(self, tmp_path, capsys,
+                                                              command, flag, value):
+        if command == "seq-check":
+            base = ["seq-check", "--extremal"]
+        else:
+            start = [] if flag == "--x0" else ["--x0", "0.1"]
+            base = ["grad-flow", "--problem", "quartic1d", *start]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(["--out", str(tmp_path / "o"), *base, f"{flag}={value}"])
+            except SystemExit as exc:  # argparse refuses a value of the wrong type
+                code = exc.code
+        assert code in (0, 2, 3, 64)
+        printed = capsys.readouterr()
+        assert "Traceback" not in printed.out + printed.err
+        if (flag, value) in {("--C", "1e300"), ("--t-end", "1e300"), ("--tol", "1e300")}:
+            assert code == 64
+            assert not caught, [str(w.message) for w in caught]
 
     def test_violation_is_2(self, tmp_path):
         seq = tmp_path / "constant.txt"
@@ -554,6 +609,17 @@ def kernel_plus(term):
             return out
         return perturbed
     return kernel
+
+
+def test_exit_codes_match_the_readme_table():
+    """Every package error class carries the exit code the README's table gives it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \|$", readme, re.M)
+    table = {name: int(code) for name, code in rows}
+    carried = {name: cls.exit_code for name, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.FlowcertError)}
+    assert carried == table
+    assert set(table.values()) == {1, 3, 64}
 
 
 def test_run_log_quiet(tmp_path, capsys):

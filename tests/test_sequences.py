@@ -135,6 +135,15 @@ class TestConstructiveBound:
         with pytest.raises(ParameterError):
             sq.constructive_bound(1.0, 1.0)  # delta would be zero
 
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 0.999])
+    def test_overflowing_constant_is_refused(self, tau):
+        # at C = 1e300 the tail sum overflows (tau 0.5, 0.9) or c does
+        # (tau 0.999, where the tail is still finite); C = 1e150 stays finite
+        with pytest.raises(ParameterError, match="the constant c overflows"):
+            sq.constructive_bound(1e300, tau)
+        consts = sq.constructive_bound(1e150, tau)
+        assert math.isfinite(consts.c) and consts.c > 1e75
+
 
 class TestCertifyPart:
     CONSTS = sq.constructive_bound(1.0, 0.5)

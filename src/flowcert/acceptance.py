@@ -2,9 +2,9 @@
 
 Each criterion returns a CheckResult with a pass flag and a deterministic
 measured string; `run_all` executes the whole list against the bundled
-configurations, reusing flow histories where several criteria look at the
-same run.  Timing is reported separately and never enters the manifest, so
-manifests are byte-reproducible for a fixed seed.
+configurations.  Criteria 7-10 read their MCF runs from one BundledRuns
+table, which evolves each run once.  Timing is reported separately and never
+enters the manifest, so manifests are byte-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,18 @@ from .errors import FlowcertError
 
 CELLS = [(1.0, 0.4), (1.0, 0.5), (1.0, 0.9), (10.0, 0.4), (10.0, 0.5), (10.0, 0.9)]
 GEOMETRIC_SUM = 1.70711  # closed form 0.5 (1 - 2^(-39/2)) / (1 - 2^(-1/2)), 5 decimals
+SWEEP_AMPLITUDES = (0.02, 0.01, 0.005)
+REFINEMENT_TOL = 0.05  # largest relative change of C_fit under h/2 or dt/2
+
+# bundled MCF run name -> (bundled config file, the change made to it)
+RUNS = {
+    "zero": ("zero.cfg", lambda cfg: cfg),
+    "fit": ("fit.cfg", lambda cfg: cfg),
+    "fit_h_refined": ("fit.cfg", lambda cfg: replace(cfg, h=cfg.h / 2.0)),
+    "fit_dt_refined": ("fit.cfg", lambda cfg: replace(cfg, dt_max=cfg.dt_max / 2.0)),
+    **{f"sweep_{amp}": ("sweep.cfg", lambda cfg, amp=amp: replace(cfg, amplitude=amp))
+       for amp in SWEEP_AMPLITUDES},
+}
 
 # criterion number -> the name its CheckResult carries
 NAMES = {
@@ -59,6 +71,17 @@ class CheckResult:
             "passed": bool(self.passed),
             "measured": self.measured,
         }
+
+
+class BundledRuns(dict):
+    """Run name -> (config, history) for RUNS.  Each run is loaded and evolved on first
+    read, so its evolve time and any error it raises stay with the criterion reading it."""
+
+    def __missing__(self, name: str) -> tuple[mcf.RunConfig, mcf.FlowHistory]:
+        file, change = RUNS[name]
+        cfg = change(harness.load_bundled_config(file))
+        self[name] = cfg, mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
+        return self[name]
 
 
 def crit_power_gap(seed: int) -> CheckResult:
@@ -198,26 +221,24 @@ def crit_cylinder_area() -> CheckResult:
                        f"k=1 err {errs[1]:.2e}, k=2 err {errs[2]:.2e} (tol 1e-6)")
 
 
-def crit_stationarity(ctx: dict) -> CheckResult:
+def crit_stationarity(runs: BundledRuns) -> CheckResult:
     """Zero profile stays at the cylinder over t in [0, 10] at h = 0.02."""
-    cfg = harness.load_bundled_config("zero.cfg")
-    hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
-    ctx.setdefault("histories", {})["zero"] = hist
+    cfg, hist = runs["zero"]
     sup_u = float(np.max(hist.diag_max_u, initial=0.0))
     sup_u = max(sup_u, float(np.max(hist.mark_max_u)))
-    F_cyl = hist.spec.F_value
-    F_dev = float(np.max(np.abs(hist.mark_F - F_cyl)))
+    F_dev = float(np.max(np.abs(hist.mark_F - hist.spec.F_value)))
     ok = (sup_u < mcf.STATIONARY_TOL and F_dev <= mcf.STATIONARY_TOL
           and hist.stop_reason == "completed")
     return CheckResult(7, NAMES[7], ok,
                        f"sup|u| {sup_u:.2e}, max|F - F_cyl| {F_dev:.2e} over t in [0, {cfg.t2}]")
 
 
-def crit_monotone_F(ctx: dict) -> CheckResult:
+def crit_monotone_F(runs: BundledRuns) -> CheckResult:
     """No unit-mark area increase above mcf.MONOTONE_TOL on any bundled run."""
     worst = -math.inf
     n_runs = 0
-    for hist in ctx.get("histories", {}).values():
+    for name in RUNS:
+        _, hist = runs[name]
         if hist.mark_F.size >= 2:
             worst = max(worst, float(np.max(np.diff(hist.mark_F))))
             n_runs += 1
@@ -226,53 +247,32 @@ def crit_monotone_F(ctx: dict) -> CheckResult:
                        f"max unit-mark increase {worst:.2e} across {n_runs} runs")
 
 
-REFINEMENT_TOL = 0.05  # largest relative change of C_fit under h/2 or dt/2
-
-
-def crit_fit_feasibility(ctx: dict) -> CheckResult:
+def crit_fit_feasibility(runs: BundledRuns) -> CheckResult:
     """Window-inequality fit: nonnegative slack, stable under dt and h refinement."""
-    cfg = harness.load_bundled_config("fit.cfg")
-    hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
-    ctx.setdefault("histories", {})["fit"] = hist
+    cfg, hist = runs["fit"]
     fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
-    min_slack = fit.min_residual
-
-    def refit_C(config: mcf.RunConfig, key: str) -> float:
-        h2 = mcf.evolve(config.initial_state(), t_end=float(config.t2),
-                        controls=config.controls())
-        ctx["histories"][key] = h2
-        single = mcf.lojasiewicz_fit(h2, R=config.R1, eps=config.eps1,
-                                     tau_grid=np.array([fit.tau_fit]), max_C=math.inf)
-        return single.C_fit
-
-    C_h = refit_C(replace(cfg, h=cfg.h / 2.0), "fit_h_refined")
-    C_dt = refit_C(replace(cfg, dt_max=cfg.dt_max / 2.0), "fit_dt_refined")
+    # C at tau_fit on the refined runs, which change only h or dt_max and so share the window
+    C_h, C_dt = (mcf.lojasiewicz_fit(runs[name][1], R=cfg.R1, eps=cfg.eps1,
+                                     tau_grid=np.array([fit.tau_fit]), max_C=math.inf).C_fit
+                 for name in ("fit_h_refined", "fit_dt_refined"))
     rel_h = abs(C_h - fit.C_fit) / fit.C_fit
     rel_dt = abs(C_dt - fit.C_fit) / fit.C_fit
-    ok = (min_slack >= 0.0 and rel_h < REFINEMENT_TOL and rel_dt < REFINEMENT_TOL
+    ok = (fit.min_residual >= 0.0 and rel_h < REFINEMENT_TOL and rel_dt < REFINEMENT_TOL
           and fit.n_windows >= mcf.MIN_WINDOWS)
     measured = (f"tau_fit {fit.tau_fit:.2f} (in (1/3,1): {fit.tau_in_range}), "
-                f"C_fit {fit.C_fit:.4f}, min slack {min_slack:.2e}, "
+                f"C_fit {fit.C_fit:.4f}, min slack {fit.min_residual:.2e}, "
                 f"windows {fit.n_windows}, dC(h/2) {100 * rel_h:.2f}%, "
                 f"dC(dt/2) {100 * rel_dt:.2f}%")
     return CheckResult(9, NAMES[9], ok, measured)
 
 
-SWEEP_AMPLITUDES = (0.02, 0.01, 0.005)
-
-
-def crit_close_trend(ctx: dict) -> CheckResult:
+def crit_close_trend(runs: BundledRuns) -> CheckResult:
     """Closeness experiment over the amplitude sweep: certified bound holds on
     each run and the peak drift shrinks with the initial area gap."""
-    base = harness.load_bundled_config("sweep.cfg")
-    gaps, peaks = [], []
+    gaps, peaks, details = [], [], []
     all_ok = True
-    details = []
     for amp in SWEEP_AMPLITUDES:
-        cfg = replace(base, amplitude=amp)
-        hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
-        ctx.setdefault("histories", {})[f"sweep_{amp}"] = hist
-        report = mcf.close_experiment(cfg, hist=hist)
+        report = mcf.close_experiment(*runs[f"sweep_{amp}"])
         run_ok = report.hypotheses_ok and report.certified and report.bound_holds
         all_ok = all_ok and run_ok
         gaps.append(abs(report.delta_F1))
@@ -308,7 +308,7 @@ def run_all(seed: int = 1234, log: harness.RunLog | None = None) -> tuple[list[C
     A criterion that raises a FlowcertError fails with the exception as its
     measured string, and the rest still run.
     """
-    ctx: dict = {}
+    runs = BundledRuns()
     plan = [
         (1, lambda: crit_power_gap(seed)),
         (2, crit_iterated_gap),
@@ -316,10 +316,10 @@ def run_all(seed: int = 1234, log: harness.RunLog | None = None) -> tuple[list[C
         (4, lambda: crit_model_flow(seed)),
         (5, lambda: crit_gradient_consistency(seed)),
         (6, crit_cylinder_area),
-        (7, lambda: crit_stationarity(ctx)),
-        (9, lambda: crit_fit_feasibility(ctx)),
-        (10, lambda: crit_close_trend(ctx)),
-        (8, lambda: crit_monotone_F(ctx)),
+        (7, lambda: crit_stationarity(runs)),
+        (9, lambda: crit_fit_feasibility(runs)),
+        (10, lambda: crit_close_trend(runs)),
+        (8, lambda: crit_monotone_F(runs)),
         (11, lambda: crit_determinism(seed)),
     ]
     results: list[CheckResult] = []
@@ -338,7 +338,7 @@ def run_all(seed: int = 1234, log: harness.RunLog | None = None) -> tuple[list[C
     manifest = harness.manifest_dict(
         command="verify-all",
         seed=seed,
-        config={"bundled_configs": ["zero.cfg", "fit.cfg", "sweep.cfg"],
+        config={"bundled_configs": list(dict.fromkeys(file for file, _ in RUNS.values())),
                 "sweep_amplitudes": list(SWEEP_AMPLITUDES)},
         checks=[r.manifest_entry() for r in results],
     )

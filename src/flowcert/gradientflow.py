@@ -44,6 +44,7 @@ CROSSING_GRID = 64  # intervals per round of the crossing search (63 interior po
 # starts (the other value at the grad-flow default, tol 1e-10 or t_end 2e12)
 MAX_T_END = 1e23
 MAX_TOL = 1e-5
+RK45_MIN_RTOL = 100.0 * np.finfo(float).eps  # smallest rtol solve_ivp honours
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +193,8 @@ def integrate(problem: GradientProblem, x0, t_end,
     components at most dim, so each lane's own sum is at most dim: its own
     RMS is at most 1, as in a run of that lane alone.  Lane i's error over a
     solver step is the plain flow's error over a step k_i times as long.
+    A tol with tol/sqrt(m) below RK45's rtol floor of 100 eps is refused, as
+    the solver would run at the floor while the descent check used tol.
 
     The run stops early, with a flag, if the flow exits the problem's
     validity ball: the event is the largest |y_i|^2 - r^2.  A batch whose run
@@ -206,7 +209,9 @@ def integrate(problem: GradientProblem, x0, t_end,
     if (x0.ndim > 2 or lanes.shape[1] != problem.dim or lanes.shape[0] == 0
             or not np.all(np.isfinite(lanes))):
         raise InvalidInputError(f"x0 must be finite of dimension {problem.dim}, got {x0}")
-    if np.any(np.linalg.norm(lanes, axis=1) > problem.ball_radius):
+    # a coordinate beyond the radius is refused before its square can overflow
+    if (np.any(np.abs(lanes) > problem.ball_radius)
+            or np.any(np.linalg.norm(lanes, axis=1) > problem.ball_radius)):
         raise PreconditionError("x0 lies outside the validity ball")
     m, dim = lanes.shape
     try:
@@ -215,10 +220,13 @@ def integrate(problem: GradientProblem, x0, t_end,
         raise ParameterError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
     if not (0 < tol <= MAX_TOL and np.all((0 < horizons) & (horizons <= MAX_T_END))):
         raise ParameterError(f"need 0 < t_end <= {MAX_T_END:g} and 0 < tol <= {MAX_TOL:g}")
+    root_m = math.sqrt(m)
+    if tol / root_m < RK45_MIN_RTOL:
+        raise ParameterError(f"tol {tol:g} is below RK45's floor {RK45_MIN_RTOL * root_m:.3g} "
+                             f"for {m} lane(s)")
     s_end = float(np.max(horizons))
     speed = horizons / s_end
     neg_speed = -speed[:, None]
-    root_m = math.sqrt(m)
 
     def rhs(s, y):
         return (neg_speed * np.asarray(problem.grad(y.reshape(m, dim)), dtype=float)).ravel()

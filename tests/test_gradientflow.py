@@ -192,6 +192,28 @@ class TestIntegrate:
             assert traj.t_end == gf.MAX_T_END and not traj.exited_ball
             assert gf.integrate(SADDLE, [0.0, 1e-6], t_end=2e12, tol=gf.MAX_TOL).exited_ball
 
+    def test_tolerance_below_the_rk45_floor_is_refused(self):
+        # solve_ivp would warn and run at rtol = 100 eps while the descent
+        # check used 10 tol; a batch divides tol by sqrt(lanes) first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for tol in (1e-300, 2.2e-14):
+                with pytest.raises(ParameterError, match="below RK45's floor"):
+                    gf.integrate(QUARTIC, [0.1], t_end=1.0, tol=tol)
+            assert gf.integrate(QUARTIC, [0.1], t_end=1.0, tol=2.3e-14).t_end == 1.0
+            with pytest.raises(ParameterError, match="for 100 lane"):
+                gf.integrate(QUARTIC, np.full((100, 1), 0.1), t_end=1.0, tol=1e-13)
+
+    def test_far_start_is_refused_without_overflow(self):
+        # squaring 1e300 would overflow inside the norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x0 in ([1e300], [-1e300], [np.finfo(float).max]):
+                with pytest.raises(PreconditionError, match="outside the validity ball"):
+                    gf.integrate(QUARTIC, x0, t_end=1.0)
+            with pytest.raises(PreconditionError, match="outside the validity ball"):
+                gf.integrate(SADDLE, [[0.1, 0.1], [1e300, 0.0]], t_end=1.0)
+
 
 class TestBatchedIntegrate:
     def test_one_lane_is_the_plain_solve_ivp_run(self):

@@ -244,6 +244,25 @@ class TestCliExitCodes:
         assert "run aborted: segment endpoints must lie in the ball" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
+    def test_unparsable_start_is_64(self, tmp_path, capsys):
+        code = cli.main(["--out", str(tmp_path / "o"), "grad-flow", "--problem", "quartic1d",
+                         "--x0", "abc"])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert "error: cannot parse --x0 'abc'" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
+    def test_non_finite_profile_is_3(self, tmp_path, capsys, monkeypatch):
+        # a right-hand side that is NaN everywhere fails the first step
+        monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: np.nan))
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COARSE_CFG)
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 3
+        printed = capsys.readouterr()
+        assert "run aborted: non-finite profile at t=0.0" in printed.out
+        assert "Traceback" not in printed.out + printed.err
+
     def test_inapplicable_envelope_is_3(self, tmp_path, capsys):
         # from x0 = 0 the flow rests at the critical point: F - F0 is 0, so
         # the decay envelope is undefined
@@ -291,8 +310,9 @@ class TestCliExitCodes:
         assert "Traceback" not in printed.out + printed.err
 
     # every numeric flag of seq-check and grad-flow, one at a time, at the
-    # edges of the float range; the values refused by a cap (the certificate
-    # constant's C, grad-flow's horizon and tolerance) must also warn nothing
+    # edges of the float range; the values refused up front (the certificate
+    # constant's C, grad-flow's horizon and tolerance caps, RK45's tolerance
+    # floor and a start outside the validity ball) must also warn nothing
     @pytest.mark.parametrize("value", ["0", "-1", "1e-300", "1e300", "inf", "nan"])
     @pytest.mark.parametrize("command, flag", [
         *(("seq-check", flag) for flag in ("--C", "--tau", "--x1", "--n")),
@@ -313,8 +333,10 @@ class TestCliExitCodes:
         assert code in (0, 2, 3, 64)
         printed = capsys.readouterr()
         assert "Traceback" not in printed.out + printed.err
-        if (flag, value) in {("--C", "1e300"), ("--t-end", "1e300"), ("--tol", "1e300")}:
-            assert code == 64
+        refused = {("--C", "1e300"): 64, ("--t-end", "1e300"): 64, ("--tol", "1e300"): 64,
+                   ("--tol", "1e-300"): 64, ("--x0", "1e300"): 3}
+        if (flag, value) in refused:
+            assert code == refused[flag, value]
             assert not caught, [str(w.message) for w in caught]
 
     def test_violation_is_2(self, tmp_path):
@@ -325,6 +347,23 @@ class TestCliExitCodes:
         assert code == 2
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["first_violation"] == 1 and report["ok"] is False
+
+    def test_sum_above_the_cap_is_2(self, tmp_path, monkeypatch):
+        # the constant c/20 of the criterion-3 mutation puts the geometric
+        # sequence's sqrt-increment sum above its certified cap
+        real = sequences.constructive_bound
+
+        def shrunk(C, tau):
+            consts = real(C, tau)
+            return dataclasses.replace(consts, c=consts.c / 20.0)
+
+        monkeypatch.setattr(sequences, "constructive_bound", shrunk)
+        code = cli.main(["--out", str(tmp_path), "--quiet", "seq-check",
+                         "--geometric", "--C", "1", "--tau", "0.5", "--n", "40"])
+        assert code == 2
+        bound = json.loads((tmp_path / "bound.json").read_text())
+        assert bound["bound_ok"] is False
+        assert bound["sqrt_diff_sum"] > bound["cap"]
 
     def test_geometric_passes_with_reference_sum(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "--quiet", "seq-check",
@@ -538,9 +577,10 @@ class TestMutationSensitivity:
         # fast: h = 0.1, dt_max = 4e-4 and t2 = 2 (5,000 steps instead of
         # 62,500); the next test runs the same source at dt_max = 1e-3
         coarse_bundled_configs(monkeypatch, h=0.1, dt_max=4e-4, t2=2)
-        assert acceptance.crit_stationarity({}).passed  # the coarse copy passes unmutated
+        # the coarse copy passes unmutated
+        assert acceptance.crit_stationarity(acceptance.BundledRuns()).passed
         monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: 1e-6))
-        res = acceptance.crit_stationarity({})
+        res = acceptance.crit_stationarity(acceptance.BundledRuns())
         assert not res.passed, res.line()
 
     def test_shifted_rhs_at_large_step_fails_on_sup_u(self, monkeypatch):
@@ -549,38 +589,45 @@ class TestMutationSensitivity:
         # not stop with a BlowupError
         coarse_bundled_configs(monkeypatch, h=0.1, dt_max=1e-3, t2=2)
         monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: 1e-6))
-        res = acceptance.crit_stationarity({})
+        res = acceptance.crit_stationarity(acceptance.BundledRuns())
         assert not res.passed
         assert res.measured.startswith("sup|u| ")
         sup_u = float(res.measured.split()[1].rstrip(","))
         assert 1e-8 < sup_u < 1e-4
 
+    def test_criterion_8_alone_reads_every_bundled_run(self, monkeypatch):
+        # criterion 8 evolves what it reads, so its verdict does not depend on
+        # the criteria that ran before it
+        coarse_bundled_configs(monkeypatch, h=0.1, t2=4)
+        runs = acceptance.BundledRuns()
+        res = acceptance.crit_monotone_F(runs)
+        assert res.passed, res.line()
+        assert res.measured.endswith("across 7 runs")
+        assert sorted(runs) == sorted(acceptance.RUNS)
+
     def test_tripled_reaction_fails_criterion_8(self, monkeypatch):
         # the radial reaction term times 3 is no longer the area's gradient
-        # flow: on the coarse sweep runs the Gaussian area rises between marks
+        # flow: on the coarse runs the Gaussian area rises between marks
         coarse_bundled_configs(monkeypatch, h=0.1, t2=4)
-        ctx = {}
-        acceptance.crit_close_trend(ctx)
-        assert acceptance.crit_monotone_F(ctx).passed  # the coarse runs pass unmutated
+        # the coarse runs pass unmutated
+        assert acceptance.crit_monotone_F(acceptance.BundledRuns()).passed
         monkeypatch.setattr(mcf, "_kernel", kernel_plus(twice_radial_term))
-        ctx = {}
-        acceptance.crit_close_trend(ctx)
-        assert len(ctx["histories"]) == 3
-        res = acceptance.crit_monotone_F(ctx)
+        runs = acceptance.BundledRuns()
+        res = acceptance.crit_monotone_F(runs)
+        assert len(runs) == 7
         assert not res.passed, res.line()
 
     def test_flipped_reaction_passes_criterion_8(self, monkeypatch):
         # a known blind spot (ROADMAP item 11, the kill matrix): with the
-        # radial reaction term's sign flipped the coarse sweep runs still
-        # converge with the area falling at every mark, so criterion 8 stays
-        # green.  A change that makes some criterion catch this flip must
-        # turn this test around.
+        # radial reaction term's sign flipped the seven coarse runs still
+        # converge with the area rising by at most rounding between marks, so
+        # criterion 8 stays green.  A change that makes some criterion catch
+        # this flip must turn this test around.
         coarse_bundled_configs(monkeypatch, h=0.1, t2=4)
         monkeypatch.setattr(mcf, "_kernel", kernel_plus(lambda c, s: -twice_radial_term(c, s)))
-        ctx = {}
-        acceptance.crit_close_trend(ctx)
-        assert len(ctx["histories"]) == 3
-        res = acceptance.crit_monotone_F(ctx)
+        runs = acceptance.BundledRuns()
+        res = acceptance.crit_monotone_F(runs)
+        assert len(runs) == 7
         assert res.passed, res.line()
 
 

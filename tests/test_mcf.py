@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from flowcert import harness, mcf
 from flowcert import sequences as sq
 from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, dist_R, graph_F
 from flowcert.errors import (
+    BlowupError,
     ConfigError,
     InsufficientDataError,
     InvalidInputError,
@@ -35,6 +37,24 @@ def evolve_and_close(cfg):
 def smooth_graph(amplitude=0.05, h=0.1):
     return CylinderGraph.from_profile(
         SPEC1, 20.0, h, lambda z: amplitude * np.exp(-(z**2) / 2.0))
+
+
+def kernel_nan_after(n_calls):
+    """A stand-in for mcf._kernel whose right-hand side is NaN from call
+    n_calls + 1 on, counted over every grid it is built for."""
+    real_kernel = mcf._kernel
+    calls = itertools.count()
+
+    def kernel(z, h, s):
+        frhs = real_kernel(z, h, s)
+
+        def broken(w, out):
+            frhs(w, out)
+            if next(calls) >= n_calls:
+                out[1:-1] = np.nan
+            return out
+        return broken
+    return kernel
 
 
 def reference_kernel(z, h, s):
@@ -510,6 +530,18 @@ class TestEvolve:
         assert set(hist.diag_stages.tolist()) == {2}
         assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) + 2 * hist.n_rejected
 
+    def test_non_finite_stage_raises_with_the_last_accepted_state(self, monkeypatch):
+        # h = 0.1 takes two stages per step of dt_max = 2e-3 and the run's
+        # first evaluation is one more, so call 202 is the first stage of step 101
+        monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(201))
+        cfg = coarse_config(t2=2)
+        with pytest.raises(BlowupError, match="non-finite profile at t=0.2") as exc:
+            mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        state = exc.value.last_state
+        assert state.t == pytest.approx(0.2)
+        assert np.all(np.isfinite(state.graph.u))
+        assert not np.array_equal(state.graph.u, cfg.initial_state().graph.u)
+
     def test_fit_config_rejects_no_step(self):
         cfg = harness.load_bundled_config("fit.cfg")
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
@@ -650,6 +682,20 @@ class TestLojasiewiczFit:
         fit = mcf.lojasiewicz_fit(hist, R=6.0, eps=0.5)
         assert fit.n_windows >= 5
         assert np.min(fit.residuals) >= 0.0
+
+    def test_unreachable_cap_falls_back_to_the_smallest_C(self):
+        # |F - F_cyl| < 1, so the needed C falls as tau grows: with the cap
+        # out of reach the fit takes the grid's argmin, tau = 0.99, not its
+        # first entry, which the default cap accepts
+        cfg = coarse_config(amplitude=0.005, t2=8)
+        hist = mcf.evolve(cfg.initial_state(), t_end=8.0, controls=cfg.controls())
+        grid = np.array([0.5, 0.99, 0.2])
+        fit = mcf.lojasiewicz_fit(hist, R=6.0, eps=0.5, tau_grid=grid)
+        assert fit.cap_reached and fit.tau_fit == 0.5
+        fit = mcf.lojasiewicz_fit(hist, R=6.0, eps=0.5, tau_grid=grid, max_C=1e-9)
+        assert not fit.cap_reached
+        assert fit.tau_fit == 0.99
+        assert fit.C_fit == 1.0 and np.min(fit.residuals) >= 0.0
 
     def test_insufficient_windows(self):
         cfg = coarse_config(t2=3)

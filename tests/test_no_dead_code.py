@@ -19,6 +19,9 @@ scheme with a constructor in front of it.
 And every option of every CLI subcommand is read as args.<dest> by the
 handler that the subcommand runs, or by cli.main (--out, --quiet): an option
 that no code reads is a flag the command silently ignores.
+
+And acceptance.py reads `evolve` only inside its run table, BundledRuns, so
+each bundled MCF run is evolved once and no criterion evolves its own.
 """
 
 import argparse
@@ -191,3 +194,16 @@ def test_every_cli_option_is_read():
                     if not isinstance(action, argparse._HelpAction) and action.dest not in read]
     assert sorted(sub.choices) == ["grad-flow", "mcf", "seq-check", "verify-all"]
     assert ignored == []
+
+
+def test_acceptance_evolves_only_in_the_run_table():
+    """Criteria read their MCF runs from acceptance.BundledRuns, which evolves
+    each bundled run once; no criterion evolves a run of its own."""
+    readers = []
+    for top in ast.parse((PACKAGE / "acceptance.py").read_text()).body:
+        scopes = [(f"{top.name}.{item.name}", item) for item in top.body
+                  if isinstance(item, ast.FunctionDef)] if isinstance(top, ast.ClassDef) \
+            else [(getattr(top, "name", "<module>"), top)]
+        readers += [owner for owner, scope in scopes for node in ast.walk(scope)
+                    if "evolve" in (getattr(node, "attr", None), getattr(node, "id", None))]
+    assert readers == ["BundledRuns.__missing__"]

@@ -40,11 +40,13 @@ ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
 CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing search
 CROSSING_GRID = 64  # intervals per round of the crossing search (63 interior points)
 # Largest horizon and tolerance integrate accepts: the largest decades at
-# which every bundled problem runs without an overflow warning from 1,127
+# which every bundled problem ran without an overflow warning from 1,127
 # starts (the other value at the grad-flow default, tol 1e-10 or t_end 2e12)
+# while stages outside the validity ball still evaluated the gradient there
 MAX_T_END = 1e23
 MAX_TOL = 1e-5
 RK45_MIN_RTOL = 100.0 * np.finfo(float).eps  # smallest rtol solve_ivp honours
+OVERSHOOT = 2.0  # stage coordinates are clamped to this multiple of the ball radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,12 +199,19 @@ def integrate(problem: GradientProblem, x0, t_end,
     the solver would run at the floor while the descent check used tol.
 
     The run stops early, with a flag, if the flow exits the problem's
-    validity ball: the event is the largest |y_i|^2 - r^2.  A batch whose run
-    ends at an exit or a stall is integrated again one lane at a time, so
-    each lane stops at its own exit or raises its own StiffnessError.  The
-    recorded F-values of every lane are checked to be non-increasing up to
-    10*tol.  The shared interpolant is laid out once per batch, lane by lane,
-    and each Trajectory's `dense` reads only its own lane's contiguous block.
+    validity ball: the event is the largest |y_i|^2 - r^2.  A step that
+    overshoots the exit may place stages far outside the ball, where F and
+    its gradient can overflow (saddle2d's flow blows up 1/8 of a time unit
+    after it leaves the unit ball).  Every stage coordinate is therefore
+    clamped to [-OVERSHOOT r, OVERSHOOT r] before the gradient is taken: the
+    right-hand side is bounded and continuous, and the flow's own inside that
+    box, which holds the ball and so wherever the recorded flow runs.  A
+    batch whose run ends at an exit or a stall is integrated again one lane
+    at a time, so each lane stops at its own exit or raises its own
+    StiffnessError.  The recorded F-values of every lane are checked to be
+    non-increasing up to 10*tol.  The shared interpolant is laid out once
+    per batch, lane by lane, and each Trajectory's `dense` reads only its own
+    lane's contiguous block.
     """
     x0 = np.asarray(x0, dtype=float)
     lanes = np.atleast_2d(x0)
@@ -227,9 +236,11 @@ def integrate(problem: GradientProblem, x0, t_end,
     s_end = float(np.max(horizons))
     speed = horizons / s_end
     neg_speed = -speed[:, None]
+    reach = OVERSHOOT * problem.ball_radius
 
     def rhs(s, y):
-        return (neg_speed * np.asarray(problem.grad(y.reshape(m, dim)), dtype=float)).ravel()
+        y = np.minimum(np.maximum(y.reshape(m, dim), -reach), reach)
+        return (neg_speed * np.asarray(problem.grad(y), dtype=float)).ravel()
 
     def exit_ball(s, y):
         y = y.reshape(m, dim)

@@ -43,6 +43,7 @@ from .errors import (
     GeometryError,
     InsufficientDataError,
     InvalidInputError,
+    PreconditionError,
 )
 
 PROFILE_KINDS = ("zero", "gauss", "balanced_gauss", "random")
@@ -267,10 +268,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     cap (ties go to the longer step), rounded down ulp by ulp until
     4 dt_cap/h^2 <= beta(s*) as the loop computes it.  Starting time must be
     an integer, and a run that would need more than MAX_STEPS steps of the
-    largest allowed size is refused up front.  A run that attempts more than
-    STEP_BUDGET times that many steps (and at most MAX_STEPS) raises
-    BlowupError: a step size collapsed far below the cap means the scheme,
-    not the flow, is in trouble.
+    largest allowed size is refused up front.  So is a start whose max |u|
+    already exceeds controls.stop_max_abs_u, with PreconditionError: the run
+    would stop after its first step, and the slopes and area of such a
+    profile may overflow.  A run that attempts more than STEP_BUDGET times as
+    many steps as it needs at the largest allowed size (and at most
+    MAX_STEPS) raises BlowupError: a step size collapsed far below the cap
+    means the scheme, not the flow, is in trouble.
 
     Each step is one damped RKC2 step (see _rkc2_coefficients) with the
     fewest stages s >= 2 for which beta(s) >= 4 dt/h^2: s* on a step of
@@ -321,6 +325,10 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         raise InvalidInputError(f"reaching t={t_end} takes more than MAX_STEPS={MAX_STEPS} "
                                 f"steps of at most {dt_cap:.3e}")
     budget = min(MAX_STEPS, STEP_BUDGET * math.ceil((t_end - state.t) / dt_cap))
+    start_max_u = float(np.max(np.abs(u)))
+    if start_max_u > controls.stop_max_abs_u:
+        raise PreconditionError(f"initial max|u| {start_max_u:.3e} exceeds the stop condition "
+                                f"max|u| > {controls.stop_max_abs_u}")
 
     frhs = _kernel(z, h, s)
     add, sub, mul = np.add, np.subtract, np.multiply

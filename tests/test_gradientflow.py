@@ -12,6 +12,7 @@ from flowcert.errors import (
     InvalidInputError,
     ParameterError,
     PreconditionError,
+    StiffnessError,
 )
 
 QUARTIC = gf.problem_by_name("quartic1d")
@@ -180,8 +181,7 @@ class TestIntegrate:
 
     def test_horizon_and_tolerance_caps(self):
         # a horizon or tolerance past its cap is refused before integrating;
-        # saddle2d starts that overflow one decade above either cap (t_end 1e24
-        # from (1e-12, 1e-12), tol 1e-4 from (0, 1e-6)) run clean at the cap
+        # saddle2d starts near its unstable axis run clean at either cap
         with pytest.raises(ParameterError, match="need 0 < t_end <= 1e"):
             gf.integrate(QUARTIC, [0.1], t_end=10.0 * gf.MAX_T_END)
         with pytest.raises(ParameterError, match="need 0 < t_end <= 1e"):
@@ -191,6 +191,27 @@ class TestIntegrate:
             traj = gf.integrate(SADDLE, [1e-12, 1e-12], t_end=gf.MAX_T_END, tol=1e-10)
             assert traj.t_end == gf.MAX_T_END and not traj.exited_ball
             assert gf.integrate(SADDLE, [0.0, 1e-6], t_end=2e12, tol=gf.MAX_TOL).exited_ball
+
+    def test_saddle_starts_near_both_caps_never_overflow(self):
+        # t_end 1e16 and tol 1e-5: on the unstable axis and the diagonals,
+        # starts at radius 10^-8.5 to 10^-6.5 blow up before t_end, at 1/(8 y0^2),
+        # and an RK45 step can overshoot the exit event; every start of the
+        # 10-per-decade scan that overflowed lies in this band.  Stage
+        # coordinates are clamped to twice the radius, so none overflows;
+        # a run ends inside the ball, at the exit, or stalled where the time
+        # grid cannot resolve the exit
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for direction in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]):
+                for radius in 10.0 ** (np.arange(-85, -64) / 10.0):
+                    x0 = radius * np.array(direction) / np.linalg.norm(direction)
+                    try:
+                        traj = gf.integrate(SADDLE, x0, t_end=1e16, tol=1e-5)
+                        outcomes.add("exit" if traj.exited_ball else "end")
+                    except StiffnessError:
+                        outcomes.add("stalled")
+        assert outcomes == {"end", "exit", "stalled"}
 
     def test_tolerance_below_the_rk45_floor_is_refused(self):
         # solve_ivp would warn and run at rtol = 100 eps while the descent

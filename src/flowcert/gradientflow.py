@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from . import sequences
 from .errors import (
@@ -38,7 +39,6 @@ MAX_MARKS = 20_000  # unit marks per side of the effective length bound
 CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
 ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
 CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing search
-CROSSING_GRID = 64  # intervals per round of the crossing search (63 interior points)
 # Largest horizon and tolerance integrate accepts: the largest decades at
 # which every bundled problem ran without an overflow warning from 1,127
 # starts (the other value at the grad-flow default, tol 1e-10 or t_end 2e12)
@@ -343,39 +343,6 @@ class EffectiveBoundReport:
     marks_truncated: bool = False
 
 
-def _bisect_crossing(traj: Trajectory, F0: float, t_lo: float, t_hi: float) -> float:
-    """Locate the time where F along the trajectory crosses F0 (F is monotone).
-
-    The search starts from the two stored samples that bracket the crossing
-    (the last one above F0 and the first one at or below it), so it runs
-    inside one solver step; if the dense output does not confirm that
-    bracket, it starts from [t_lo, t_hi].  Each round evaluates F at the
-    interior points of a CROSSING_GRID-interval grid on the bracket in one
-    F_at call and keeps the first point at or below F0 (t_hi if none is) and
-    the point before it.  Converges to CROSSING_TOL or, for long horizons, to
-    the float spacing of the bracket (no float strictly inside), whichever is
-    coarser.
-    """
-    first_below = int(np.argmax(traj.F_values <= F0))
-    brackets = [(t_lo, t_hi)]
-    if first_below > 0:
-        brackets.insert(0, (float(traj.times[first_below - 1]), float(traj.times[first_below])))
-    for t_a, t_b in brackets:
-        if float(traj.F_at(t_a)) >= F0 >= float(traj.F_at(t_b)):
-            t_lo, t_hi = t_a, t_b
-            break
-    else:
-        raise NumericError("crossing bracket does not straddle the critical level")
-    while t_hi - t_lo > CROSSING_TOL:
-        grid = np.unique(np.linspace(t_lo, t_hi, CROSSING_GRID + 1))  # sorted, no repeats
-        if grid.size < 3:  # bracket already at float resolution
-            break
-        below = np.append(traj.F_at(grid[1:-1]) - F0 <= 0.0, True)
-        k = int(np.argmax(below))  # grid[k + 1] is the first point at or below F0
-        t_lo, t_hi = float(grid[k]), float(grid[k + 1])
-    return 0.5 * (t_lo + t_hi)
-
-
 def _mark_values(traj: Trajectory, t_from: float, t_to: float,
                  anchor: str) -> tuple[np.ndarray, bool]:
     """F-values at unit marks in [t_from, t_to], anchored at one end.
@@ -401,9 +368,10 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     Both endpoints must lie in the ball of radius 1/4 with |F - F0| < epsilon.
     The segment is classified by where F sits relative to the critical value
     F0: `above` (never below at the far end), `below` (already at or below at
-    the start), or `crossing` (splits at the bisected crossing time).  The
-    unit-mark F-sequences of each piece feed the discrete summability
-    certificate with C = 1 and the problem's tau, and the report states whether
+    the start), or `crossing` (splits where F meets F0, found by Brent's
+    method on [t1, t2] to CROSSING_TOL).  The unit-mark F-sequences of each
+    piece feed the discrete summability certificate with C = 1 and the
+    problem's tau, and the report states whether
 
         length <= c |F(t1) - F0|^alpha + c |F0 - F(t2)|^alpha
 
@@ -437,7 +405,10 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     elif dF1 <= 0.0:
         case_tag, t_split, level = "below", t1, float(traj.F_values[0])
     else:
-        crossing_time = _bisect_crossing(traj, F0, t1, t2)
+        try:
+            crossing_time = brentq(lambda t: float(traj.F_at(t)) - F0, t1, t2, xtol=CROSSING_TOL)
+        except (ValueError, RuntimeError) as exc:  # no sign change, or no convergence
+            raise NumericError(f"crossing search on [{t1}, {t2}] failed: {exc}") from None
         case_tag, t_split, level = "crossing", crossing_time, F0
     sides = []  # (gap series to certify, leftover F-drop at t_split, marks, truncated)
     if case_tag != "below":

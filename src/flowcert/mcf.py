@@ -28,6 +28,7 @@ certificate used by the closeness experiment.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
@@ -585,6 +586,8 @@ class RunConfig:
             raise ConfigError(f"grid 2*R_dom/h exceeds {MAX_INTERVALS} intervals")
         if not (isinstance(self.t1, int) and isinstance(self.t2, int)):
             raise ConfigError("t1 and t2 must be integers (unit-mark bookkeeping)")
+        if self.t2 > sys.float_info.max:  # the run's horizon is float(t2)
+            raise ConfigError(f"t2 must be at most {sys.float_info.max:g}, the largest float")
         if not 0 <= self.t1 <= self.t2 - 2:
             raise ConfigError("need 0 <= t1 <= t2 - 2")
         if self.R2 > self.R_dom - 2 * self.h or self.R1 > self.R_dom - 2 * self.h:

@@ -436,7 +436,7 @@ def parse_sequence_text(text: str) -> MonotoneSequence:
             raise InvalidInputError(f"bad JSON array: {exc}") from exc
         try:
             vals = np.asarray(data, dtype=float)
-        except (TypeError, ValueError) as exc:  # a ragged or non-numeric array
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, beyond float
             raise InvalidInputError(f"JSON input must be an array of numbers: {exc}") from exc
         return MonotoneSequence(vals)
     try:

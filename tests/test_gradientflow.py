@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from flowcert import sequences as sq
 from flowcert.errors import (
     EnvelopeNotApplicableError,
     InvalidInputError,
+    NumericError,
     ParameterError,
     PreconditionError,
     StiffnessError,
@@ -451,7 +453,8 @@ class TestDecayEnvelope:
 
 
 def scalar_bisection(traj, F0, t_lo, t_hi):
-    """The one-time-per-step bisection the crossing search replaced."""
+    """Reference crossing time: one F_at call per halving of the stored-sample
+    bracket (or of [t_lo, t_hi] if the dense output does not confirm it)."""
     first_below = int(np.argmax(traj.F_values <= F0))
     brackets = [(t_lo, t_hi)]
     if first_below > 0:
@@ -480,12 +483,18 @@ def criterion_4_saddle_runs(seed):
     return gf.integrate(SADDLE, np.array(starts), t_end=np.array(horizons), tol=1e-9)
 
 
-def test_crossing_search_matches_scalar_bisection(monkeypatch):
-    """On criterion 4's 50 crossing lanes the grid search lands within one float
-    spacing of the scalar bisection, with at most 15 F_at calls per lane."""
-    crossing = [run for run in criterion_4_saddle_runs(1234)
-                if run.F_values[0] > SADDLE.F0 > run.F_values[-1]]
-    assert len(crossing) == 50
+def saddle_crossing_lanes(seed):
+    lanes = [run for run in criterion_4_saddle_runs(seed)
+             if run.F_values[0] > SADDLE.F0 > run.F_values[-1]]
+    assert len(lanes) == 50
+    return lanes
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_crossing_search_matches_scalar_bisection(monkeypatch, seed):
+    """On criterion 4's 50 crossing lanes at a seed, effective_bound's crossing
+    time lands within brentq's tolerance, CROSSING_TOL + 4 eps t, of the
+    scalar bisection, with at most 15 F_at calls per lane."""
     calls = []
     real_F_at = gf.Trajectory.F_at
 
@@ -494,12 +503,22 @@ def test_crossing_search_matches_scalar_bisection(monkeypatch):
         return real_F_at(self, t)
 
     monkeypatch.setattr(gf.Trajectory, "F_at", counting)
-    for run in crossing:
+    for run in saddle_crossing_lanes(seed):
         want = scalar_bisection(run, SADDLE.F0, run.t_start, run.t_end)
         before = len(calls)
-        got = gf._bisect_crossing(run, SADDLE.F0, run.t_start, run.t_end)
-        assert abs(got - want) <= np.spacing(want)
+        got = gf.effective_bound(SADDLE, run, epsilon=0.5).crossing_time
+        assert abs(got - want) <= gf.CROSSING_TOL + 4.0 * np.finfo(float).eps * want
         assert len(calls) - before <= 15
+
+
+def test_crossing_search_refuses_a_dense_output_that_does_not_straddle():
+    """Stored samples that cross F0 under a dense output that stays at the
+    start point leave no sign change on [t1, t2]: NumericError."""
+    run = gf.integrate(SADDLE, [0.15, 1e-3], t_end=1.3 * saddle_crossing_time(0.15, 1e-3))
+    start = run.points[:1].T
+    stuck = dataclasses.replace(run, dense=lambda t: np.repeat(start, np.size(t), axis=1))
+    with pytest.raises(NumericError, match="crossing search"):
+        gf.effective_bound(SADDLE, stuck, epsilon=0.5)
 
 
 class TestEffectiveBound:

@@ -179,6 +179,7 @@ class TestCliExitCodes:
         ("stop_max_abs_u", "0"), ("max_C", "inf"), ("amplitude", "-0.01"), ("amplitude", "nan"),
         ("k", "0"), ("k", "201"), ("seed", "-1"), ("tau_grid_lo", "0.96"),
         ("tau_grid_hi", "1.5"), ("h", "1e-4"), ("profile_kind", "neck"),
+        pytest.param("t2", "1" + "0" * 400, id="t2-int-beyond-float"),
     ])
     def test_bad_config_value_is_64(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "run.cfg"
@@ -408,7 +409,9 @@ class TestCliExitCodes:
                          "seq-check", "--file", str(seq), "--tau", "0.5"])
         assert code in (0, 2)  # parses; exit depends on the checked inequality
 
-    @pytest.mark.parametrize("payload", ['["a", 0.5]', '[[1, 0.5], [0.2]]'])
+    @pytest.mark.parametrize("payload", ['["a", 0.5]', '[[1, 0.5], [0.2]]',
+                                         pytest.param("[1" + "0" * 400 + ", 0.5]",
+                                                      id="int-beyond-float")])
     def test_bad_json_array_is_64(self, tmp_path, capsys, payload):
         seq = tmp_path / "seq.json"
         seq.write_text(payload)

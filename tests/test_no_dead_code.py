@@ -1,12 +1,13 @@
-"""Every function and method in src/flowcert has a caller outside the tests.
+"""Every function, method and constant in src/flowcert has a reader outside the tests.
 
-A module-level function or a method counts as used when its name is read
-somewhere in src/flowcert or perfbench outside its own definition: as a name
-(not shadowed by a local of the same name), as an attribute, or as a string
-(perfbench's tracer looks functions up by name).  The package's __init__.py
-binds only __version__: every caller imports a submodule.  Dunder methods run
-implicitly, a method that overrides a method of a builtin or standard-library
-base class is called by that base (argparse calls ArgumentParser.error), and
+A module-level function, a method or a module-level UPPER_CASE constant counts
+as used when its name is read somewhere in src/flowcert, perfbench or tools
+outside its own definition or assignment: as a name (not shadowed by a local
+of the same name), as an attribute, or as a string (perfbench's tracer looks
+functions up by name).  The package's __init__.py binds only __version__:
+every caller imports a submodule.  Dunder methods run implicitly, a method
+that overrides a method of a builtin or standard-library base class is
+called by that base (argparse calls ArgumentParser.error), and
 properties are serialised by harness.jsonable, so all three are exempt.  Paper
 API that only tests call today stays on PAPER_API.
 
@@ -30,6 +31,7 @@ import builtins
 import dataclasses
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -38,6 +40,7 @@ from flowcert import cli, harness, mcf
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowcert"
 PAPER_API = {"estimate_entropy", "profile_from_csv", "sqrt_segment_sum"}
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _stdlib_base_attributes(cls):
@@ -56,8 +59,20 @@ def _stdlib_base_attributes(cls):
     return names
 
 
+def _constant_name(node):
+    """The name a module-level UPPER_CASE assignment binds, else None."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+    elif isinstance(node, ast.AnnAssign):
+        target = node.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id) else None
+
+
 def _definitions(tree):
-    """(name, def node) of the module-level functions and the class methods."""
+    """(name, node) of the module-level functions, the class methods and the
+    module-level constants."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.name, node
@@ -70,6 +85,8 @@ def _definitions(tree):
                                   for d in item.decorator_list)
                 if not (is_property or item.name.startswith("__") or item.name in inherited):
                     yield item.name, item
+        elif name := _constant_name(node):
+            yield name, node
 
 
 def _locals(fn):
@@ -90,7 +107,8 @@ def _locals(fn):
 
 
 def _uses(tree):
-    """(name, enclosing top-level or method def) for every read of a name."""
+    """(name, enclosing top-level def, method def or constant assignment) for
+    every read of a name."""
     out = []
 
     def visit(node, owner, shadowed):
@@ -98,6 +116,8 @@ def _uses(tree):
             if owner is None:
                 owner = node
             shadowed = shadowed | _locals(node)
+        elif owner is None and _constant_name(node):
+            owner = node
         elif isinstance(node, ast.ClassDef) and owner is None:
             for item in node.body:
                 visit(item, None, shadowed)
@@ -116,31 +136,46 @@ def _uses(tree):
     return out
 
 
-def unreferenced(package=PACKAGE, perfbench=ROOT / "perfbench"):
+def unreferenced(package=PACKAGE, readers=(ROOT / "perfbench", ROOT / "tools")):
     """Qualified names of the definitions that nothing live reads.  A read
     from inside a dead definition does not count, so a helper whose only
-    caller is dead code is reported too."""
-    trees = {path: ast.parse(path.read_text()) for path in
-             sorted(package.glob("*.py")) + sorted(perfbench.glob("*.py"))}
+    caller is dead code, or a constant only dead code reads, is reported too."""
+    paths = sorted(package.glob("*.py")) + [p for d in readers for p in sorted(d.glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
     uses = [use for tree in trees.values() for use in _uses(tree)]
-    candidates = {node: f"{path.stem}.{name}" for path, tree in trees.items()
+    candidates = {node: (name, f"{path.stem}.{name}") for path, tree in trees.items()
                   if path.parent == package
                   for name, node in _definitions(tree) if name not in PAPER_API}
     dead: set = set()
     changed = True
     while changed:
         changed = False
-        for node in candidates:
+        for node, (name, _) in candidates.items():
             if node not in dead and not any(
-                    used == node.name and owner is not node and owner not in dead
+                    used == name and owner is not node and owner not in dead
                     for used, owner in uses):
                 dead.add(node)
                 changed = True
-    return sorted(candidates[node] for node in dead)
+    return sorted(candidates[node][1] for node in dead)
 
 
-def test_every_function_has_a_non_test_caller():
+def test_every_definition_has_a_non_test_reader():
     assert unreferenced() == []
+
+
+def test_a_constant_only_dead_code_reads_is_reported(tmp_path):
+    """A constant left behind by its deleted reader, or read only by a dead
+    helper or another dead constant, is dead; a constant read by live code
+    through another constant is not."""
+    package = tmp_path / "flowcert"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "GRID = 64\nSTEP = 2\nWIDTH = STEP * 3\nLEFT = 1\nSPAN = LEFT + 1\n"
+        "def _dead():\n    return GRID\n"
+        "def live():\n    return WIDTH\n")
+    (tmp_path / "caller.py").write_text("import mod\nmod.live()\n")
+    assert unreferenced(package, readers=(tmp_path,)) == [
+        "mod.GRID", "mod.LEFT", "mod.SPAN", "mod._dead"]
 
 
 def test_package_root_binds_only_the_version():

@@ -13,12 +13,11 @@ which vanishes identically at u = 0, so the round cylinder is a fixed point of
 the discrete scheme to the last bit.
 
 Discretization is method-of-lines: second-order central differences in z on a
-uniform grid with the profile pinned to the cylinder at both ends, and damped
-second-order Runge-Kutta-Chebyshev (RKC2) steps in time, each with the fewest
-stages whose stability interval covers it, at a step cap shortened to the
-stage count with the fewest right-hand sides per unit time (see evolve).
-Every stage is u plus a combination of earlier increments and dt times
-right-hand sides, so with frhs(0) == 0 the zero profile stays zero.
+uniform grid with the profile pinned to the cylinder at both ends, stepped in
+time by scipy's variable-order BDF (see evolve).  dt_max is not a step cap but
+sets the solver's relative tolerance, as the local error of a second-order
+step of dt_max scales.  With frhs(0) == 0 every Newton iterate from the zero
+profile is zero, so the zero profile stays zero.
 
 Gaussian area is sampled at unit time marks; those marks feed the empirical
 decay-exponent fit and, at every second mark, the discrete summability
@@ -29,11 +28,12 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
+from scipy import sparse
+from scipy.integrate import BDF
 
 from . import sequences
 from .cylinder import (CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F,
@@ -85,113 +85,46 @@ class FlowState:
 
 
 def _kernel(z: np.ndarray, h: float, s: float):
-    """In-place right-hand side on one grid.
-
-    Returns frhs(w, out), which writes the time derivative of w into out[1:-1]
-    and returns out; out must not be w.  The end rows of out are never
-    written, so a zeroed buffer keeps them at zero.  Grid constants and scratch
-    arrays are set up once per _kernel call, and every ufunc keeps the operand
-    grouping of
-
-        ((a - 2c) + b)/h^2 / (1 + w_z^2) + c (2s + c) / (2 (s + c)) - (z/2) w_z,
-
-    so the bits match evaluating it out of place.  The denominator 2 (s + c)
-    is formed as 2c + 2s from the buffer that already holds 2c; that is
-    exact, because doubling commutes with rounding.  The radial term is
-    u (2s + u) / (2 (s + u)), so frhs(0) == 0 exactly.  No geometry check
-    happens here: callers validate accepted profiles, and mid-stage blowups
-    surface as non-finite values.
-
-    The loop pays numpy's per-call dispatch, not arithmetic, so each of the
-    16 ufuncs takes its output positionally and its scalar operands
-    (1/(2h), 1/h^2, 2s, 2 and 1) as float64 0-d arrays built here, which
-    dispatch faster than the out= keyword and Python floats and round alike.
-    """
+    """Right-hand side on one grid: frhs(w) is the time derivative of w, zero
+    on the two pinned end rows.  The radial term is u (2s + u) / (2 (s + u)),
+    so frhs(0) == 0 exactly.  No geometry check happens here: evolve
+    validates accepted profiles, and blowups surface as non-finite values."""
     zhalf = 0.5 * z[1:-1]
-    inv2h, invh2, two_s, two, one = (np.array(v) for v in (1.0 / (2.0 * h), 1.0 / (h * h),
-                                                           2.0 * s, 2.0, 1.0))
-    w_z, num, den = (np.empty(z.size - 2) for _ in range(3))
-    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    inv2h = 1.0 / (2.0 * h)
+    invh2 = 1.0 / (h * h)
 
-    def frhs(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def frhs(w: np.ndarray) -> np.ndarray:
         a, b, c = w[2:], w[:-2], w[1:-1]
-        o = out[1:-1]
-        sub(a, b, w_z)
-        mul(w_z, inv2h, w_z)
-        mul(c, two, o)
-        add(o, two_s, den)  # 2 (s + c)
-        add(c, two_s, num)
-        mul(c, num, num)
-        div(num, den, num)  # radial term
-        sub(a, o, o)
-        add(o, b, o)
-        mul(o, invh2, o)  # w_zz
-        mul(w_z, w_z, den)
-        add(den, one, den)
-        div(o, den, o)  # diffusion term
-        add(o, num, o)
-        mul(zhalf, w_z, num)
-        sub(o, num, o)
+        w_z = (a - b) * inv2h
+        w_zz = (a - 2.0 * c + b) * invh2
+        out = np.zeros_like(w)
+        out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
         return out
 
     return frhs
 
 
-RKC_DAMPING = 2.0 / 13.0  # epsilon in w0 = 1 + epsilon/s^2
-MAX_STAGES = 50  # a step whose stability needs more stages is shortened instead
-
-
-def _rkc2_coefficients(s: int) -> tuple[float, float, tuple[tuple[float, float, float, float], ...]]:
-    """Damped RKC2 with s >= 2 stages: (beta, mu~_1, ((mu_j, nu_j, mu~_j, gamma~_j), j = 2..s)).
-
-    With w0 = 1 + epsilon/s^2, w1 = T_s'(w0)/T_s''(w0) and
-    b_j = T_j''(w0)/T_j'(w0)^2 (b_0 = b_1 = b_2), the step from u is
-
-        d_0 = 0,  d_1 = mu~_1 dt F(u),
-        d_j = mu_j d_{j-1} + nu_j d_{j-2} + mu~_j dt F(u + d_{j-1}) + gamma~_j dt F(u),
-
-    u_new = u + d_s, with mu~_1 = b_1 w1, mu_j = 2 b_j w0 / b_{j-1},
-    nu_j = -b_j / b_{j-2}, mu~_j = 2 b_j w1 / b_{j-1} and
-    gamma~_j = -(1 - b_{j-1} T_{j-1}(w0)) mu~_j: the stages Y_j = u + d_j of
-    Sommeijer, Shampine & Verwer (1998) written as increments, so the pinned
-    end rows, where F is zero, keep their bits.  Its stability polynomial is
-    1 - b_s T_s(w0) + b_s T_s(w0 + w1 z), bounded by 1 on
-    [-beta, 0] with beta = (1 + w0)/w1.  T_j and its derivatives at w0 come
-    from the Chebyshev three-term recurrence.
-    """
-    w0 = 1.0 + RKC_DAMPING / (s * s)
-    T, dT, ddT = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
-    for j in range(2, s + 1):
-        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
-        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
-        ddT.append(4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2])
-    w1 = dT[s] / ddT[s]
-    b = [ddT[j] / (dT[j] * dT[j]) for j in range(2, s + 1)]
-    b = [b[0], b[0], *b]
-    stages = []
-    for j in range(2, s + 1):
-        mu_t = 2.0 * b[j] * w1 / b[j - 1]
-        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mu_t,
-                       -(1.0 - b[j - 1] * T[j - 1]) * mu_t))
-    return (1.0 + w0) / w1, b[1] * w1, tuple(stages)
-
-
-# coefficients of every stage count evolve may take, indexed by s
-_RKC2 = {s: _rkc2_coefficients(s) for s in range(2, MAX_STAGES + 1)}
-
-
 @dataclass
 class FlowControls:
-    """The step cap of evolve, its one setting, and the constants of its scheme.
+    """evolve's one setting, dt_max, and the constants of its scheme.
 
-    cfl scales the advective cap cfl*2h/R_dom alone; the stage count covers
-    the diffusive stability limit (see evolve).
+    dt_max is not a step cap: it sets the solver's relative tolerance
+    rtol_per_dt2 * dt_max^2, which scales as the local error of a
+    second-order step of dt_max does, so a run at dt_max / 2 is a real time
+    refinement of one at dt_max.
     """
 
     dt_max: float = 1e-3
-    cfl: ClassVar[float] = 0.8
-    step_tol: ClassVar[float] = 1e-8
+    rtol_per_dt2: ClassVar[float] = 1e-2
+    atol: ClassVar[float] = 1e-12
     stop_max_abs_u: ClassVar[float] = 1.0  # the run stops once max |u| exceeds this
+    # unused by evolve; perfbench's tracer still reads it, and FlowHistory.diag_err,
+    # until ROADMAP item 8 rewrites the benchmark and removes both
+    cfl: ClassVar[float] = 0.8
+
+    def tolerances(self) -> tuple[float, float]:
+        """(rtol, atol) of the solver: 1e-8 and 1e-12 at the bundled dt_max = 1e-3."""
+        return self.rtol_per_dt2 * self.dt_max**2, self.atol
 
 
 @dataclass(eq=False)
@@ -203,14 +136,12 @@ class FlowHistory:
     mark at time t is entry t - mark_times[0] of every mark array.  dist(R)
     measures the distance to the cylinder of each stored profile, at whatever
     radius the caller asks, once per radius.  Diagnostics at every accepted
-    step, float64 arrays but for the int64 stage count s: the time after it,
-    dt, the local error estimate, max |u|, the stability usage
-    4 dt / (h^2 beta(s)) (at most 1, and 1 up to rounding on a step of the
-    cap when beta(s) h^2/4 sets it) and s.
-    n_rhs counts right-hand-side evaluations and n_rejected the steps the error
-    control refused; every attempted step of s stages costs s evaluations, and
-    the run one more for its first stage, so n_rhs = 1 + the stage counts of
-    the accepted and the rejected steps.
+    step, float64 arrays: the time after it, dt and max |u| after it; diag_err
+    stays empty (see FlowControls.cfl).  n_rhs, njev and nlu are the solver's
+    nfev, njev and nlu: right-hand sides evaluated for its steps, numerical
+    Jacobians (each a few right-hand sides more, one per column group of the
+    band and a retry for columns whose difference came out too small) and
+    LU factorisations.
     """
 
     spec: CylinderSpec
@@ -221,14 +152,13 @@ class FlowHistory:
     profiles: list[np.ndarray]
     diag_t: np.ndarray
     diag_dt: np.ndarray
-    diag_err: np.ndarray
     diag_max_u: np.ndarray
-    diag_cfl: np.ndarray
-    diag_stages: np.ndarray
     stop_reason: str
     t_final: float
     n_rhs: int
-    n_rejected: int
+    njev: int
+    nlu: int
+    diag_err: np.ndarray = field(default_factory=lambda: np.empty(0))
     _dists: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -249,183 +179,110 @@ class FlowHistory:
                   [self.mark_times, self.mark_F, self.dist(R1), self.dist(R2), self.mark_max_u])
 
 
-MARK_TOL = 1e-9  # a time this close below an integer counts as reaching it
-MAX_STEPS = 10_000_000  # most steps a run may take
-STEP_BUDGET = 100  # attempted steps allowed per step of the largest allowed size
+MARK_TOL = 1e-9  # a starting time this close to an integer counts as one
+MAX_STEPS = 10_000_000  # most steps of dt_max a run may span
+STARTUP_STEPS = 1_000  # steps a run may take beyond one per dt_max of flow time
+RTOL_MIN = 100 * np.finfo(float).eps  # the least rtol scipy's BDF accepts without raising it
 MONOTONE_TOL = 1e-8  # largest unit-mark area increase an area-monotone run may show
 STATIONARY_TOL = 1e-8  # largest sup|u| and |F - F_cyl| a run from the cylinder may show
 
 
 def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistory:
-    """Advance the flow to t_end (or a stop condition) with adaptive stepping.
+    """Advance the flow to t_end (or a stop condition) with scipy's BDF.
 
-    The time step is the smallest of: the error controller's suggestion, the
-    cap dt_cap, and the distance to the next integer mark, so every integer
-    time is hit exactly.  dt_cap starts as the smallest of the stability cap
-    of MAX_STAGES stages beta(MAX_STAGES)*h^2/4, the advective cap
-    cfl*2h/R_dom and controls.dt_max.  It then becomes min(dt_cap,
-    beta(s*)*h^2/4) for the s* in 2..MAX_STAGES that minimises
-    s / min(dt_cap, beta(s)*h^2/4), the right-hand sides per unit time at the
-    cap (ties go to the longer step), rounded down ulp by ulp until
-    4 dt_cap/h^2 <= beta(s*) as the loop computes it.  Starting time must be
-    an integer, and a run that would need more than MAX_STEPS steps of the
-    largest allowed size is refused up front.  So is a start whose max |u|
-    already exceeds controls.stop_max_abs_u, with PreconditionError: the run
-    would stop after its first step, and the slopes and area of such a
-    profile may overflow.  A run that attempts more than STEP_BUDGET times as
-    many steps as it needs at the largest allowed size (and at most
-    MAX_STEPS) raises BlowupError: a step size collapsed far below the cap
-    means the scheme, not the flow, is in trouble.
+    The method of lines is stiff (its fastest mode decays at about 4/h^2), so
+    each step is one step of the variable-order BDF of Shampine & Reichelt
+    (1997), scipy.integrate.BDF, with its numerical Jacobian grouped over the
+    tridiagonal band.  controls.dt_max is not a step cap: the solver sets
+    every step to meet controls.tolerances(), whose rtol scales with dt_max^2
+    as a second-order step's local error does.  The profile at each integer
+    time a step crosses comes from that step's interpolant (the step's own end
+    when it lands on the integer, as the last step does on t_end).
 
-    Each step is one damped RKC2 step (see _rkc2_coefficients) with the
-    fewest stages s >= 2 for which beta(s) >= 4 dt/h^2: s* on a step of
-    dt_cap, and possibly fewer on a step shortened by a unit mark or by the
-    error controller.  The damping keeps |R_s| < 1 on all of [-beta(s), 0),
-    so the step needs no further safety factor on the stability interval.
-    Its error estimate is Verwer's
-
-        (12 (u_n - u_{n+1}) + 6 dt (F(u_n) + F(u_{n+1}))) / 15,
-
-    evaluated as 0.8 (dt/2 (F(u_n) + F(u_{n+1})) - d_s) with d_s = u_{n+1} - u_n
-    the step's increment; the controller scales dt by
-    0.9 (step_tol/err)^(1/3), clipped to [0.3, 2].  F(u_{n+1}) is the next
-    step's first stage, so a step costs s right-hand-side evaluations.  All
-    stages are written into buffers allocated once per call, and an accepted
-    step swaps the profile and first-stage buffers with the new ones.
-
-    As in _kernel, every ufunc takes its output positionally and its scalars
-    as float64 0-d arrays: mu~_1 dt, dt/2 and each stage's (mu_j, nu_j,
-    mu~_j dt, gamma~_j dt) are built only when dt changes.  The j = 2 stage
-    leaves out nu_2 d_0: with d_0 = 0 and nu_2 < 0 it is -0.0, and
-    x + (-0.0) == x bit for bit.  max|u| is max(max u, -min u), reusing the
-    minimum of the geometry check.
+    Starting time must be an integer.  A start whose max |u| already exceeds
+    controls.stop_max_abs_u is refused with PreconditionError: the run would
+    stop after its first step, and the slopes and area of such a profile may
+    overflow.  After each accepted step the run raises GeometryError if r <= 0
+    anywhere, and stops after the first step with max |u| above
+    stop_max_abs_u.  A failed step or a non-finite right-hand side raises
+    BlowupError carrying the last accepted state, and so does a run that takes more than
+    STARTUP_STEPS steps plus one per dt_max of flow time: a tolerance of a
+    second-order step of dt_max needs far fewer, so steps that short mean the
+    solver, not the flow, is in trouble.  A dt_max whose rtol is below
+    RTOL_MIN, and a run that spans more than MAX_STEPS steps of dt_max, are
+    refused up front with InvalidInputError.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
     if t_end <= state.t:
         raise InvalidInputError("t_end must exceed the starting time")
+    rtol, atol = controls.tolerances()
+    if not (controls.dt_max > 0.0 and rtol >= RTOL_MIN):
+        raise InvalidInputError(f"dt_max {controls.dt_max:g} sets rtol {rtol:.2e}; dt_max must be "
+                                f"positive and rtol at least {RTOL_MIN:.2e}, the solver's floor")
     spec = state.graph.spec
     z = state.graph.z
     u = state.graph.u.copy()
-    h = state.graph.h
     s = spec.radius
-    R_dom = state.graph.R_dom
-    betas = [_RKC2[n][0] for n in range(2, MAX_STAGES + 1)]  # beta(s)
-    dt_stab = min(0.25 * betas[-1] * h * h, controls.cfl * 2.0 * h / max(R_dom, 1e-300))
-    dt_cap = min(dt_stab, controls.dt_max)
-    if not dt_cap > 0.0:
-        raise InvalidInputError(f"time-step cap {dt_cap} is not positive; the run cannot advance")
-    # most time per stage, i.e. fewest RHS per unit time; rounded down so the
-    # loop's fewest-stages rule takes exactly n_cap stages on a step of dt_cap
-    reach = {n: min(dt_cap, 0.25 * b * h * h) for n, b in enumerate(betas, 2)}
-    n_cap = max(reach, key=lambda n: (reach[n] / n, reach[n]))
-    dt_cap = reach[n_cap]
-    while 4.0 * dt_cap / (h * h) > betas[n_cap - 2]:
-        dt_cap = float(np.nextafter(dt_cap, 0.0))
-    if (t_end - state.t) / dt_cap > MAX_STEPS:
-        raise InvalidInputError(f"reaching t={t_end} takes more than MAX_STEPS={MAX_STEPS} "
-                                f"steps of at most {dt_cap:.3e}")
-    budget = min(MAX_STEPS, STEP_BUDGET * math.ceil((t_end - state.t) / dt_cap))
+    t = float(round(state.t))
+    if (t_end - t) / controls.dt_max > MAX_STEPS:
+        raise InvalidInputError(f"reaching t={t_end} spans more than MAX_STEPS={MAX_STEPS} "
+                                f"steps of dt_max {controls.dt_max:g}")
+    budget = STARTUP_STEPS + math.ceil((t_end - t) / controls.dt_max)
     start_max_u = float(np.max(np.abs(u)))
     if start_max_u > controls.stop_max_abs_u:
         raise PreconditionError(f"initial max|u| {start_max_u:.3e} exceeds the stop condition "
                                 f"max|u| > {controls.stop_max_abs_u}")
 
-    frhs = _kernel(z, h, s)
-    add, sub, mul = np.add, np.subtract, np.multiply
-    n_rhs = 1  # the first stage of the first step; each attempted step adds its stages
-    n_rejected = 0
-
-    # f0 = F(u), f1 = F(u_new) and k keep the zero end rows frhs never writes;
-    # d0, d1, d2 hold the stage increments d_j, d_{j-1}, d_{j-2} in rotation
-    f0, f1, k = (np.zeros_like(u) for _ in range(3))
-    y, d0, d1, d2, scratch = (np.empty_like(u) for _ in range(5))
-
     mark_times, mark_F, mark_mu, profiles = [], [], [], []
-    # per-step diagnostics as float64 / int64 buffers, 8 bytes an entry
-    diag_t, diag_dt, diag_err, diag_mu, diag_cfl = (array("d") for _ in range(5))
-    diag_stages = array("q")
+    diag_t, diag_dt, diag_mu = [], [], []
 
-    def record_mark(t: float, u_now: np.ndarray) -> None:
-        graph = CylinderGraph(spec, z, u_now)
-        mark_times.append(float(round(t)))
-        mark_F.append(graph_F(graph).value)
-        mark_mu.append(float(np.max(np.abs(u_now))))
-        profiles.append(u_now.copy())
+    def record_mark(t_mark: float, u_mark: np.ndarray) -> None:
+        mark_times.append(t_mark)
+        mark_F.append(graph_F(CylinderGraph(spec, z, u_mark)).value)
+        mark_mu.append(float(np.max(np.abs(u_mark))))
+        profiles.append(u_mark.copy())
 
     def last_state() -> FlowState:
         return FlowState(CylinderGraph(spec, z, u), t)  # copies u
 
-    t = float(round(state.t))
+    frhs = _kernel(z, state.graph.h, s)
+
+    def rhs(_, w: np.ndarray) -> np.ndarray:
+        out = frhs(w)
+        if not np.isfinite(out).all():  # before the solver factors a non-finite Jacobian
+            raise BlowupError(f"non-finite right-hand side after t={t}", last_state=last_state())
+        return out
+
+    band = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(u.size, u.size))
+    solver = BDF(rhs, t, u, t_end, rtol=rtol, atol=atol, jac_sparsity=band)
     record_mark(t, u)
-    frhs(u, f0)
-    dt_next = dt_cap
-    dt_staged = math.nan  # the dt the coefficients below were built for
     stop_reason = "completed"
-    while t < t_end - 1e-12 and stop_reason == "completed":
-        if len(diag_t) + n_rejected >= budget:
-            raise BlowupError(f"gave up at t={t} after {budget} attempted steps "
-                              f"(last dt {dt_next:.3e}, cap {dt_cap:.3e})", last_state=last_state())
-        next_mark = math.floor(t + MARK_TOL) + 1.0
-        dt = min(dt_next, dt_cap, t_end - t)
-        hit_mark = False
-        if t + dt >= next_mark - MARK_TOL:
-            dt = next_mark - t
-            hit_mark = True
-        if dt != dt_staged:
-            dt_staged = dt
-            need = 4.0 * dt / (h * h)
-            n_stages = next((n for n, b in enumerate(betas, 2) if b >= need), MAX_STAGES)
-            beta, mu1_t, stages = _RKC2[n_stages]
-            mu1_dt, half_dt = np.array(mu1_t * dt), np.array(0.5 * dt)
-            # (mu_j, nu_j, mu~_j dt, gamma~_j dt); nu_2 is None: nu_2 d_0 is -0.0
-            coefs = [(np.array(mu), None if j == 2 else np.array(nu), np.array(mu_t * dt),
-                      np.array(gamma_t * dt))
-                     for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2)]
-        n_rhs += n_stages
-        mul(f0, mu1_dt, d1)
-        for mu, nu, mu_dt, gamma_dt in coefs:
-            frhs(add(u, d1, y), k)
-            mul(d1, mu, d0)
-            if nu is not None:
-                add(d0, mul(d2, nu, scratch), d0)
-            add(d0, mul(k, mu_dt, scratch), d0)
-            add(d0, mul(f0, gamma_dt, scratch), d0)
-            d0, d1, d2 = d2, d0, d1
-        frhs(add(u, d1, y), f1)
-        mul(add(f0, f1, scratch), half_dt, scratch)
-        sub(scratch, d1, scratch)
-        err = 0.8 * float(np.abs(scratch, scratch).max())
-        if not math.isfinite(err):
-            raise BlowupError(f"non-finite profile at t={t}", last_state=last_state())
-        # step-size factor; below 0.9 whenever the step is rejected (err > step_tol)
-        scale = 2.0 if err == 0.0 else min(2.0, max(0.3, 0.9 * (controls.step_tol / err) ** (1.0 / 3.0)))
-        if err > controls.step_tol:
-            if dt <= 1e-14:
-                raise BlowupError(f"step size underflow at t={t} (err={err:.3e})",
-                                  last_state=last_state())
-            n_rejected += 1
-            dt_next = dt * scale
-            continue
-        y_min = float(y.min())
+    while solver.status == "running" and stop_reason == "completed":
+        if len(diag_t) >= budget:
+            raise BlowupError(f"gave up at t={t} after {budget} steps "
+                              f"(last dt {diag_dt[-1]:.3e}, dt_max {controls.dt_max:g})",
+                              last_state=last_state())
+        message = solver.step()
+        if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
+            raise BlowupError(f"step failed after t={t}: {message or 'non-finite profile'}",
+                              last_state=last_state())
+        y_min = float(solver.y.min())
         if y_min <= -s:
-            raise GeometryError(f"flow left the graph regime at t={t}: r <= 0")
-        u, y = y, u
-        f0, f1 = f1, f0
-        t = next_mark if hit_mark else t + dt
-        dt_next = min(dt_cap, dt * scale)
-        # max|u| from the minimum just taken; abs() only turns a -0.0 into +0.0
-        max_u = abs(max(float(u.max()), -y_min))
+            raise GeometryError(f"flow left the graph regime at t={solver.t}: r <= 0")
+        t_old, t, u = t, solver.t, solver.y
+        max_u = abs(max(float(u.max()), -y_min))  # abs() turns a -0.0 into +0.0
         diag_t.append(t)
-        diag_dt.append(dt)
-        diag_err.append(err)
+        diag_dt.append(t - t_old)
         diag_mu.append(max_u)
-        diag_cfl.append(need / beta)
-        diag_stages.append(n_stages)
         if max_u > controls.stop_max_abs_u:
             stop_reason = "max_abs_u"
-        if hit_mark:
-            record_mark(t, u)
+        next_mark = mark_times[-1] + 1.0
+        if next_mark <= t:
+            interpolant = solver.dense_output()
+            while next_mark <= t:
+                record_mark(next_mark, u if next_mark == t else interpolant(next_mark))
+                next_mark += 1.0
     return FlowHistory(
         spec=spec,
         z=z,
@@ -433,16 +290,14 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         mark_F=np.asarray(mark_F),
         mark_max_u=np.asarray(mark_mu),
         profiles=profiles,
-        diag_t=np.frombuffer(diag_t, dtype=np.float64),
-        diag_dt=np.frombuffer(diag_dt, dtype=np.float64),
-        diag_err=np.frombuffer(diag_err, dtype=np.float64),
-        diag_max_u=np.frombuffer(diag_mu, dtype=np.float64),
-        diag_cfl=np.frombuffer(diag_cfl, dtype=np.float64),
-        diag_stages=np.frombuffer(diag_stages, dtype=np.int64),
+        diag_t=np.asarray(diag_t, dtype=np.float64),
+        diag_dt=np.asarray(diag_dt, dtype=np.float64),
+        diag_max_u=np.asarray(diag_mu, dtype=np.float64),
         stop_reason=stop_reason,
         t_final=float(t),
-        n_rhs=n_rhs,
-        n_rejected=n_rejected,
+        n_rhs=solver.nfev,
+        njev=solver.njev,
+        nlu=solver.nlu,
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import itertools
 import json
 import re
 import subprocess
@@ -93,34 +94,27 @@ class TestConfigProperty:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=4))
     def test_any_override_evolves_or_maps_to_exit_3_or_64(self, overrides):
-        # the same overrides, then a tiny evolve: t_end is 20 steps of the
-        # smaller of cfl*h^2/2 (below beta(2) h^2/4 = 0.49 h^2, what one
-        # two-stage RKC2 step covers) and the advective cap, at most 20 time
-        # units, which RKC2 covers in at most about 20 steps
+        # the same overrides, then a short evolve: t_end is dt_max, at most
+        # one time unit
         text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
         try:
             cfg = harness._config_from_text(text, "<property>")
-            controls = cfg.controls()
-            state = cfg.initial_state()
-            g = state.graph
-            dt_cap = min(controls.cfl * min(0.5 * g.h * g.h, 2.0 * g.h / g.R_dom), cfg.dt_max)
-            hist = mcf.evolve(state, min(20.0 * dt_cap, 20.0), controls)
+            hist = mcf.evolve(cfg.initial_state(), min(cfg.dt_max, 1.0), cfg.controls())
             assert isinstance(hist, mcf.FlowHistory)
         except FlowcertError as exc:
             assert exc.exit_code in (3, 64), repr(exc)
 
-    def test_stage_cap_case_ends_at_once_with_exit_64(self, tmp_path, capsys):
-        # h = 1e-5 on R_dom = 0.5: a step of the advective cap would need
-        # about 1,500 stages; MAX_STAGES caps dt near 3e-8 instead, so t2 = 8
-        # lies beyond MAX_STEPS steps and the run is refused before stepping
-        cfgfile = tmp_path / "tiny.cfg"
-        cfgfile.write_text(COARSE_CFG + "R_dom = 0.5\nh = 1e-5\nR1 = 0.25\nR2 = 0.25\n")
+    def test_run_beyond_max_steps_ends_at_once_with_exit_64(self, tmp_path, capsys):
+        # t2 = 10^9 spans 5 x 10^11 steps of dt_max = 2e-3, beyond MAX_STEPS:
+        # the run is refused before the solver starts
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text(COARSE_CFG + "t2 = 1000000000\n")
         start = time.perf_counter()
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 64
         assert time.perf_counter() - start < 10.0
         printed = capsys.readouterr()
-        assert "error: reaching t=8.0 takes more than MAX_STEPS" in printed.out
+        assert "error: reaching t=1000000000.0 spans more than MAX_STEPS" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
 
@@ -194,23 +188,34 @@ class TestCliExitCodes:
         assert (f"unknown key '{key}'" in printed.out) == (key not in known)
 
     def test_collapsing_step_size_is_3(self, tmp_path, capsys, monkeypatch):
-        # gamma~_2 of the two-stage step times 1.1 breaks the method's
-        # consistency: the error control holds err below step_tol only by
-        # shrinking dt several hundredfold, so the run spends its budget of
-        # 100 attempted steps per step of dt_max (100,000 here) and stops
+        # a right-hand side whose sign flips from call to call has no flow to
+        # follow: the solver's steps collapse toward t = 0, where the spacing
+        # of floats does not stop them, and the run spends its budget of
+        # 1,000 steps plus one per dt_max (100 here) and stops
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(COARSE_CFG + "t2 = 2\namplitude = 0.05\n")
+        cfgfile.write_text(COARSE_CFG + "t2 = 2\namplitude = 0.05\ndt_max = 0.02\n")
         assert cli.main(["--out", str(tmp_path / "ok"), "--quiet", "mcf",
                          "--config", str(cfgfile)]) == 0
-        beta, mu1_t, ((mu, nu, mu_t, gamma_t),) = mcf._RKC2[2]
-        monkeypatch.setitem(mcf._RKC2, 2, (beta, mu1_t, ((mu, nu, mu_t, 1.1 * gamma_t),)))
+        real = mcf._kernel
+        calls = itertools.count()
+
+        def chattering(z, h, s):
+            frhs = real(z, h, s)
+
+            def flipped(w):
+                out = frhs(w)
+                out[1:-1] += 1e-6 if next(calls) % 2 else -1e-6
+                return out
+            return flipped
+
+        monkeypatch.setattr(mcf, "_kernel", chattering)
         start = time.perf_counter()
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 3
         assert time.perf_counter() - start < 10.0
         printed = capsys.readouterr()
         assert "run aborted: gave up at t=" in printed.out
-        assert "after 100000 attempted steps" in printed.out
+        assert "after 1100 steps" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
     def test_overflowing_amplitude_is_3_without_a_warning(self, tmp_path):
@@ -269,12 +274,9 @@ class TestCliExitCodes:
         assert "Traceback" not in printed.out + printed.err
 
     def test_non_finite_profile_is_3(self, tmp_path, capsys, monkeypatch):
-        # a right-hand side that is NaN everywhere fails the first step
+        # a right-hand side that is NaN everywhere stops the run at its start
         def nan_kernel(z, h, s):
-            def frhs(w, out):
-                out[1:-1] = np.nan
-                return out
-            return frhs
+            return lambda w: np.full_like(w, np.nan)
 
         monkeypatch.setattr(mcf, "_kernel", nan_kernel)
         cfgfile = tmp_path / "run.cfg"
@@ -282,7 +284,7 @@ class TestCliExitCodes:
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 3
         printed = capsys.readouterr()
-        assert "run aborted: non-finite profile at t=0.0" in printed.out
+        assert "run aborted: non-finite right-hand side after t=0.0" in printed.out
         assert "Traceback" not in printed.out + printed.err
 
     def test_inapplicable_envelope_is_3(self, tmp_path, capsys):
@@ -482,14 +484,13 @@ class TestCliExitCodes:
         cfg = harness.load_run_config(cfgfile)
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
         lines = (out / "diagnostics.csv").read_text().splitlines()
-        assert lines[0] == "t,dt,err,max_abs_u,cfl,stages"
-        assert len(lines) - 1 == hist.diag_t.size == 4000
+        assert lines[0] == "t,dt,max_abs_u"
+        assert len(lines) - 1 == hist.diag_t.size == 309
         assert lines[-1].split(",")[0] == repr(float(cfg.t2))
-        # h = 0.1, dt = 2e-3: 2 stages at stability usage 0.8/beta(2)
-        assert {line.split(",")[-1] for line in lines[1:]} == {"2"}
-        assert float(lines[1].split(",")[4]) == pytest.approx(0.8 / mcf._RKC2[2][0], rel=1e-12)
+        assert [float(line.split(",")[1]) for line in lines[1:]] == hist.diag_dt.tolist()
         log = (out / "run.log").read_text()
-        assert "evolve: 4000 steps (0 rejected), 8001 RHS calls, stages 2-2" in log
+        assert "evolve: 309 steps, nfev 620, njev 1, nlu 56, dt min/median/max " in log
+        assert "(dt_max 0.002)" in log
 
     def test_fit_and_close_measure_each_distance_once(self, tmp_path, monkeypatch):
         # history.csv, the fit and the closeness experiment share one dist_R

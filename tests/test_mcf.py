@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, dist_R, g
 from flowcert.errors import (
     BlowupError,
     ConfigError,
+    GeometryError,
     InsufficientDataError,
     InvalidInputError,
     PreconditionError,
@@ -48,12 +50,31 @@ def kernel_nan_after(n_calls):
     def kernel(z, h, s):
         frhs = real_kernel(z, h, s)
 
-        def broken(w, out):
-            frhs(w, out)
+        def broken(w):
+            out = frhs(w)
             if next(calls) >= n_calls:
                 out[1:-1] = np.nan
             return out
         return broken
+    return kernel
+
+
+def kernel_chatter(after, eps=1e-6):
+    """A stand-in for mcf._kernel that adds +-eps to the interior rows, the
+    sign flipping from call to call, from call after + 1 on."""
+    real_kernel = mcf._kernel
+    calls = itertools.count()
+
+    def kernel(z, h, s):
+        frhs = real_kernel(z, h, s)
+
+        def chattering(w):
+            out = frhs(w)
+            n = next(calls)
+            if n >= after:
+                out[1:-1] += eps if n % 2 else -eps
+            return out
+        return chattering
     return kernel
 
 
@@ -74,94 +95,9 @@ def reference_kernel(z, h, s):
     return frhs
 
 
-def textbook_rkc2(s, eps=2.0 / 13.0):
-    """Damped RKC2 coefficients as Sommeijer, Shampine & Verwer (1998) state
-    them: w0 = 1 + eps/s^2, w1 = T_s'(w0)/T_s''(w0), b_j = T_j''(w0)/T_j'(w0)^2
-    with b_0 = b_1 = b_2, a_j = 1 - b_j T_j(w0), mu~_1 = b_1 w1 and, for
-    j = 2..s, mu_j = 2 b_j w0/b_{j-1}, nu_j = -b_j/b_{j-2},
-    mu~_j = 2 b_j w1/b_{j-1}, gamma~_j = -a_{j-1} mu~_j; T_j from
-    T_j = 2x T_{j-1} - T_{j-2} and its derivatives.  Returns (beta, mu~_1,
-    per-stage tuples) with beta = (1 + w0)/w1."""
-    x = 1.0 + eps / (s * s)
-    T = {0: 1.0, 1: x}
-    dT = {0: 0.0, 1: 1.0}
-    ddT = {0: 0.0, 1: 0.0}
-    for j in range(2, s + 1):
-        T[j] = 2.0 * x * T[j - 1] - T[j - 2]
-        dT[j] = 2.0 * T[j - 1] + 2.0 * x * dT[j - 1] - dT[j - 2]
-        ddT[j] = 4.0 * dT[j - 1] + 2.0 * x * ddT[j - 1] - ddT[j - 2]
-    w1 = dT[s] / ddT[s]
-    b = {j: ddT[j] / (dT[j] * dT[j]) for j in range(2, s + 1)}
-    b[0] = b[1] = b[2]
-    a = {j: 1.0 - b[j] * T[j] for j in range(s + 1)}
-    stages = tuple((2.0 * b[j] * x / b[j - 1], -b[j] / b[j - 2], 2.0 * b[j] * w1 / b[j - 1],
-                    -a[j - 1] * (2.0 * b[j] * w1 / b[j - 1])) for j in range(2, s + 1))
-    return (1.0 + x) / w1, b[1] * w1, stages
-
-
-def reference_rkc2_step(frhs, u, dt, s, f0):
-    """One damped RKC2 step of s stages from u with f0 = frhs(u), out of place,
-    in the increment form d_j = Y_j - u.  Returns (u_new, f1 = frhs(u_new),
-    err) with err Verwer's estimate in evolve's form 0.8 max|dt/2 (f0 + f1) - d_s|."""
-    _, mu1_t, stages = textbook_rkc2(s)
-    d2, d1 = np.zeros_like(u), f0 * (mu1_t * dt)
-    for mu, nu, mu_t, gamma_t in stages:
-        k = frhs(u + d1)
-        d2, d1 = d1, d1 * mu + d2 * nu + k * (mu_t * dt) + f0 * (gamma_t * dt)
-    u_new = u + d1
-    f1 = frhs(u_new)
-    err = 0.8 * float(np.max(np.abs((f0 + f1) * (0.5 * dt) - d1)))
-    return u_new, f1, err
-
-
-def stability_polynomial(s, z):
-    """R_s(z), z = lambda dt: evolve's s-stage step applied to y' = lambda y
-    from y = 1, through the stage recurrence of mcf._RKC2[s]."""
-    _, mu1_t, stages = mcf._RKC2[s]
-    d2, d1 = np.zeros_like(z), mu1_t * z
-    for mu, nu, mu_t, gamma_t in stages:
-        d2, d1 = d1, mu * d1 + nu * d2 + mu_t * z * (1.0 + d1) + gamma_t * z
-    return 1.0 + d1
-
-
-def first_step(h, dt_max, R_dom):
-    """(stage count, dt) of evolve's first step from the zero profile."""
-    g = CylinderGraph.zero(SPEC1, R_dom, h)
-    hist = mcf.evolve(mcf.FlowState(g, 0.0), dt_max, mcf.FlowControls(dt_max=dt_max))
-    return int(hist.diag_stages[0]), float(hist.diag_dt[0])
-
-
 def kernel_rhs(g):
     """Time derivative of the profile (zero at the ends), through mcf._kernel."""
-    return mcf._kernel(g.z, g.h, g.spec.radius)(g.u, np.zeros_like(g.u))
-
-
-def rkc2_step(g, dt):
-    """One reference RKC2 step of g's profile with 2 stages."""
-    frhs = reference_kernel(g.z, g.h, g.spec.radius)
-    u, _, _ = reference_rkc2_step(frhs, g.u, dt, 2, frhs(g.u))
-    return CylinderGraph(g.spec, g.z, u)
-
-
-def replay(g, hist):
-    """Replay evolve's accepted steps (dt, stage count) from g with the
-    reference stepper; asserts every error estimate and, at each unit mark,
-    the max |u| of the step ending there, and returns the profiles at the
-    unit marks."""
-    frhs = reference_kernel(g.z, g.h, g.spec.radius)
-    u, f0 = g.u, frhs(g.u)
-    profiles = [u]
-    for t, dt, s, err, max_u in zip(hist.diag_t, hist.diag_dt, hist.diag_stages, hist.diag_err,
-                                    hist.diag_max_u):
-        u_new, f1, ref_err = reference_rkc2_step(frhs, u, dt, int(s), f0)
-        assert ref_err == err
-        verwer = float(np.max(np.abs(12.0 * (u - u_new) + 6.0 * dt * (f0 + f1)))) / 15.0
-        assert verwer == pytest.approx(err, rel=1e-6, abs=1e-18)
-        u, f0 = u_new, f1
-        if t == round(t):
-            assert np.float64(max_u).tobytes() == np.abs(u).max().tobytes()
-            profiles.append(u)
-    return profiles
+    return mcf._kernel(g.z, g.h, g.spec.radius)(g.u)
 
 
 def random_graphs(n_points, count=2, R_dom=20.0, seed=7):
@@ -174,137 +110,22 @@ def random_graphs(n_points, count=2, R_dom=20.0, seed=7):
 
 class TestKernelBits:
     @pytest.mark.parametrize("n_points", [801, 2001])
-    def test_in_place_rhs_matches_reference(self, n_points):
+    def test_rhs_matches_reference(self, n_points):
         g1, g2 = random_graphs(n_points)
         assert g1.z.size == n_points
         frhs = mcf._kernel(g1.z, g1.h, SPEC1.radius)
         ref = reference_kernel(g1.z, g1.h, SPEC1.radius)
-        out = np.zeros_like(g1.u)
-        for g in (g1, g2, g1):  # one out buffer, different inputs in turn
-            assert frhs(g.u, out) is out
+        for g in (g1, g2, g1):  # one kernel, different inputs in turn
+            out = frhs(g.u)
             assert out.tobytes() == ref(g.u).tobytes()
             assert out[[0, -1]].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
-    @pytest.mark.parametrize("n_points, R_dom, dt_max, stages", [
-        pytest.param(801, 20.0, 1e-3, 2, id="801-20.0"),
-        pytest.param(2001, 50.0, 1e-3, 2, id="2001-50.0"),
-        pytest.param(1001, 20.0, 1.0 / 640, 3, id="1001-20.0-s3"),
-        pytest.param(2001, 20.0, 1e-3, 4, id="2001-20.0-s4"),
-        pytest.param(2001, 20.0, 1.0 / 720, 5, id="2001-20.0-s5"),
-    ])
-    def test_evolve_replays_reference_rkc2(self, n_points, R_dom, dt_max, stages):
-        # one unit of time; h = 0.05 at dt = 1e-3 (4 dt/h^2 = 1.6, on N = 801
-        # and, on the larger domain, N = 2001) takes 2 stages, so each step is
-        # the j = 2 stage alone, where evolve drops the zero nu_2 d_0 term.
-        # Each other case sits where its stage count is the cheapest per unit
-        # time: h = 0.04 at dt = 1/640 (3.9, in (1.5 beta(2), beta(3)]) takes
-        # 3, h = 0.02 at dt = 1/720 (13.9, in (1.25 beta(4), beta(5)]) takes
-        # 5, and h = 0.02 at dt_max = 1e-3 (10) takes 4 at the cap
-        # beta(4) h^2/4, usage 1
-        (g,) = random_graphs(n_points, count=1, R_dom=R_dom)
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=dt_max))
-        assert hist.n_rejected == 0
-        assert set(hist.diag_stages.tolist()) == {stages}
-        profiles = replay(g, hist)
-        assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
-
-
-class TestRkc2Coefficients:
-    def test_table_is_the_textbook_recurrence(self):
-        assert sorted(mcf._RKC2) == list(range(2, mcf.MAX_STAGES + 1))
-        for s, coefficients in mcf._RKC2.items():
-            assert coefficients == textbook_rkc2(s)
-
-    @pytest.mark.parametrize("s", [2, 3, 5, 17, mcf.MAX_STAGES])
-    def test_against_closed_forms(self, s):
-        # T_j(cosh th) = cosh(j th), T_j' = j sinh(j th)/sinh(th) and
-        # T_j'' = j (j cosh(j th) sinh(th) - sinh(j th) cosh(th)) / sinh(th)^3
-        eps = mcf.RKC_DAMPING
-        th = math.acosh(1.0 + eps / s**2)
-
-        def T(j, d):
-            if d == 0:
-                return math.cosh(j * th)
-            if d == 1:
-                return j * math.sinh(j * th) / math.sinh(th)
-            return j * (j * math.cosh(j * th) * math.sinh(th)
-                        - math.sinh(j * th) * math.cosh(th)) / math.sinh(th) ** 3
-
-        w0, w1 = math.cosh(th), T(s, 1) / T(s, 2)
-        b = [T(max(j, 2), 2) / T(max(j, 2), 1) ** 2 for j in range(s + 1)]
-        beta, mu1_t, stages = mcf._RKC2[s]
-        assert beta == pytest.approx((1.0 + w0) / w1, rel=1e-9)
-        assert beta == pytest.approx(2.0 / 3.0 * (s * s - 1) * (1.0 - 2.0 / 15.0 * eps), rel=5e-3)
-        assert mu1_t == pytest.approx(b[1] * w1, rel=1e-9)
-        for j, (mu, nu, mu_t, gamma_t) in enumerate(stages, 2):
-            assert mu == pytest.approx(2.0 * b[j] * w0 / b[j - 1], rel=1e-9)
-            assert nu == pytest.approx(-b[j] / b[j - 2], rel=1e-9)
-            assert mu_t == pytest.approx(2.0 * b[j] * w1 / b[j - 1], rel=1e-9)
-            assert gamma_t == pytest.approx(-(1.0 - b[j - 1] * T(j - 1, 0)) * mu_t, rel=1e-9)
-
-    @pytest.mark.parametrize("s", [2, 3, 4, 5, 10, mcf.MAX_STAGES])
-    def test_stability_polynomial(self, s):
-        # second order (R = 1 + z + z^2/2 + O(z^3)) and |R| <= 1 on [-beta, 0]
-        for z in (-1e-2, -5e-3):
-            R = stability_polynomial(s, np.array(z))
-            assert abs(R - (1.0 + z + z * z / 2.0)) < 0.2 * abs(z) ** 3
-        z = np.linspace(-mcf._RKC2[s][0], 0.0, 20001)
-        assert np.max(np.abs(stability_polynomial(s, z))) <= 1.0 + 1e-12
-
-
-class TestStageRule:
-    def test_chosen_stages_are_stable_up_to_the_need(self):
-        # need = 4 dt/h^2 on a dense grid over (0, beta(MAX_STAGES)], on a
-        # domain small enough that the advective cap does not bind: the stage
-        # count evolve takes keeps |R_s| <= 1 on [-need, 0] and damps the
-        # stiffest mode, at -need, strictly
-        h = 0.01
-        top = mcf._RKC2[mcf.MAX_STAGES][0]
-        grid = np.union1d(np.geomspace(1e-3, top, 400), np.linspace(0.0, top, 2001)[1:])
-        for need in grid:
-            s, dt = first_step(h, 0.25 * need * h * h, R_dom=0.3)
-            need = 4.0 * dt / h**2
-            R = stability_polynomial(s, np.linspace(-need, 0.0, 401))
-            assert np.max(np.abs(R)) <= 1.0 + 1e-12, (need, s)
-            assert abs(R[0]) < 1.0, (need, s)
-
-    def test_cap_takes_the_cheapest_stage_count(self):
-        # on a dense grid of (h, 4 dt_max/h^2), on domains of 20 intervals,
-        # the steps of the largest length, dt_cap, take the s that minimises
-        # s / min(cap, beta(s) h^2/4), ties toward the longer step, where cap
-        # is the smallest of dt_max, beta(MAX_STAGES) h^2/4 and the advective
-        # cap; their usage is at most 1 exactly, and R_s damps -need strictly
-        betas = {s: mcf._RKC2[s][0] for s in range(2, mcf.MAX_STAGES + 1)}
-        top = betas[mcf.MAX_STAGES]
-        controls = mcf.FlowControls()
-        for h in np.union1d(np.linspace(0.01, 0.1, 10), [0.025, 0.04]):
-            g = CylinderGraph.zero(SPEC1, 10.0 * h, h)
-            for need in np.geomspace(0.5, 1.2 * top, 120):
-                controls.dt_max = 0.25 * need * g.h**2
-                cap = min(controls.dt_max, 0.25 * top * g.h**2, controls.cfl * 2.0 * g.h / g.R_dom)
-                reach = {s: min(cap, 0.25 * b * g.h**2) for s, b in betas.items()}
-                best = min(reach, key=lambda s: (s / reach[s], -reach[s]))
-                hist = mcf.evolve(mcf.FlowState(g, 0.0), 3.0 * controls.dt_max, controls)
-                dt_cap = hist.diag_dt[0]
-                at_cap = hist.diag_dt == dt_cap
-                assert dt_cap == hist.diag_dt.max() and at_cap.sum() >= 2, (h, need)
-                assert set(hist.diag_stages[at_cap].tolist()) == {best}, (h, need)
-                assert np.all(hist.diag_cfl[at_cap] <= 1.0), (h, need)
-                assert abs(stability_polynomial(best, np.array(-4.0 * dt_cap / g.h**2))) < 1.0
-
-    def test_bundled_steps_damp_every_decaying_mode(self):
-        # the u = 0 linearisation at each bundled (k, R_dom, h, dt_max): every
-        # eigenvalue below zero, down to about -4/h^2, is damped by the stage
-        # count evolve takes there
-        settings = {(c.k, c.R_dom, c.h, c.dt_max)
-                    for c in map(harness.load_bundled_config,
-                                 ("zero.cfg", "fit.cfg", "sweep.cfg", "blowup.cfg"))}
-        for k, R_dom, h, dt_max in sorted(settings):
-            s, dt = first_step(h, dt_max, R_dom)
-            lam = TestKernelLinearisation.spectrum(TestKernelLinearisation.jacobian(k, h, R_dom))
-            decaying = lam[lam < 0.0]
-            assert dt * decaying.min() < -0.99 * 4.0 * dt / h**2
-            assert np.max(np.abs(stability_polynomial(s, dt * decaying))) < 1.0, (h, s)
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_rhs_matches_reference_for_every_k(self, k):
+        # the radial term reads s = sqrt(2k)
+        (g,) = random_graphs(801, count=1)
+        s = CylinderSpec(k).radius
+        assert mcf._kernel(g.z, g.h, s)(g.u).tobytes() == reference_kernel(g.z, g.h, s)(g.u).tobytes()
 
 
 class TestRhs:
@@ -329,15 +150,22 @@ class TestRhs:
         # difference amplifies that roundoff by 1/h^2
         assert abs(kernel_rhs(g)[center]) < 1e-12
 
-    def test_matches_one_step_difference_quotient(self):
-        g = smooth_graph()
-        r = kernel_rhs(g)
+    def test_matches_the_pde_to_second_order_in_h(self):
+        # u = a exp(-z^2/2) has closed-form slopes, so r_t of the PDE
+        # r_zz/(1 + r_z^2) - k/r + (r - z r_z)/2 is exact at every node; the
+        # central differences are off by O(h^2)
+        a, s = 0.05, SPEC1.radius
         errs = []
-        for dt in (1e-4, 5e-5):
-            quotient = (rkc2_step(g, dt).u - g.u) / dt
-            errs.append(np.max(np.abs(quotient - r)))
+        for h in (0.1, 0.05):
+            g = smooth_graph(a, h)
+            z = g.z
+            u = a * np.exp(-(z**2) / 2.0)
+            u_z, u_zz = -z * u, (z**2 - 1.0) * u
+            r = s + u
+            exact = u_zz / (1.0 + u_z**2) - 1.0 / r + (r - z * u_z) / 2.0
+            errs.append(float(np.max(np.abs(kernel_rhs(g) - exact)[1:-1])))
         assert errs[0] < 1e-3
-        assert errs[1] < 0.75 * errs[0]  # first-order in dt
+        assert math.log2(errs[0] / errs[1]) > 1.9
 
     def test_boundary_rows_are_zero(self):
         r = kernel_rhs(smooth_graph())
@@ -352,13 +180,13 @@ class TestKernelLinearisation:
         entries by about eps^2/h^4, 1e-14 here."""
         g = CylinderGraph.zero(CylinderSpec(k), R_dom, h)
         frhs = mcf._kernel(g.z, g.h, g.spec.radius)
-        w, plus, minus = (np.zeros(g.z.size) for _ in range(3))
+        w = np.zeros(g.z.size)
         J = np.empty((g.z.size - 2, g.z.size - 2))
         for i in range(1, g.z.size - 1):
             w[i] = eps
-            frhs(w, plus)
+            plus = frhs(w)
             w[i] = -eps
-            frhs(w, minus)
+            minus = frhs(w)
             w[i] = 0.0
             J[:, i - 1] = (plus[1:-1] - minus[1:-1]) / (2.0 * eps)
         return J
@@ -389,61 +217,88 @@ class TestKernelLinearisation:
 
 class TestStep:
     def test_zero_profile_stays_zero(self):
-        # every stage count evolve can take: 4 dt/h^2 sits between beta(s - 1)
-        # and beta(s), on a domain small enough that the advective cap does
-        # not bind
-        g = CylinderGraph.zero(SPEC1, 0.3, 0.01)
-        controls = mcf.FlowControls()
-        limits = [0.25 * mcf._RKC2[s][0] * g.h**2 for s in range(2, mcf.MAX_STAGES + 1)]
-        for s, lo, hi in zip(range(2, mcf.MAX_STAGES + 1), [0.0, *limits], limits):
-            controls.dt_max = 0.5 * (lo + hi)
-            hist = mcf.evolve(mcf.FlowState(g, 0.0), 2.0 * controls.dt_max, controls)
-            assert hist.diag_stages.tolist() == [s, s]
-            assert hist.diag_max_u.tolist() == [0.0, 0.0]
-            assert hist.diag_err.tolist() == [0.0, 0.0]
-
-    @pytest.mark.parametrize("h, s, dts", [
-        pytest.param(0.1, 2, (1.0 / 400, 1.0 / 800), id="0.1-2"),
-        pytest.param(0.05, 3, (1.0 / 320, 1.0 / 520), id="0.05-3"),
-    ])
-    def test_temporal_order_at_fixed_stages(self, h, s, dts, monkeypatch):
-        # both dt take s stages; the error at t = 1 against a run at dt =
-        # 1/6400 falls as dt^2 for a second-order method.  At h = 0.05 three
-        # stages are the cheapest only for 4 dt/h^2 in (1.5 beta(2), beta(3)],
-        # a dt ratio of 1.78 with no halving inside, so the order is the log
-        # of the error ratio to base dt1/dt2 = 1.625 (4 dt/h^2 = 5.0 and 3.1)
-        g = smooth_graph(h=h)
-        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1.0)
-
-        def final(dt):
-            hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=dt))
-            return hist.profiles[-1], set(hist.diag_stages.tolist())
-
-        ref, _ = final(1.0 / 6400)
-        errs = []
-        for dt in dts:
-            u, stages = final(dt)
-            assert stages == {s}
-            errs.append(float(np.max(np.abs(u - ref))))
-        assert math.log(errs[0] / errs[1], dts[0] / dts[1]) >= 1.9
+        # frhs(0) is exactly 0, so every Newton iterate of the solver, every
+        # accepted step and every interpolated mark stay exactly 0, on coarse
+        # and fine grids and loose and tight tolerances
+        for h, dt_max in [(0.1, 2e-3), (0.02, 1e-3), (0.01, 1e-4)]:
+            g = CylinderGraph.zero(SPEC1, 2.0, h)
+            hist = mcf.evolve(mcf.FlowState(g, 0.0), 3.0, mcf.FlowControls(dt_max=dt_max))
+            assert hist.diag_t.size > 3 and hist.diag_t[-1] == 3.0
+            assert hist.diag_max_u.tolist() == [0.0] * hist.diag_t.size
+            assert [p.tobytes() for p in hist.profiles] == [np.zeros_like(g.u).tobytes()] * 4
 
     def test_area_does_not_increase(self):
         g = smooth_graph(0.02)
-        before = graph_F(g).value
-        after = graph_F(rkc2_step(g, 1e-3)).value
-        assert after <= before + 1e-8
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls())
+        assert hist.mark_F[0] == graph_F(g).value
+        assert np.all(np.diff(hist.mark_F) <= 1e-8)
 
-    def test_replays_evolve_bit_for_bit(self, monkeypatch):
-        # a tolerance below the error estimate makes the controller refuse and
-        # shrink steps; the accepted ones, at whatever dt and stage count,
-        # replay through the reference stepper to the same bits
-        cfg = coarse_config()
+    def test_interpolated_marks_match_a_run_ending_there(self):
+        # the mark at t = 2 of a run to 4 comes from the interpolant of the
+        # step across it; a run to 2 lands its last step there.  They agree
+        # to the tolerance's scale, not to the bit
+        cfg = coarse_config(amplitude=0.02)
+        long = mcf.evolve(cfg.initial_state(), 4.0, cfg.controls())
+        short = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        assert 2.0 not in long.diag_t.tolist() and short.diag_t[-1] == 2.0
+        assert np.max(np.abs(long.profiles[2] - short.profiles[2])) < 1e-8
+
+    @pytest.mark.parametrize("mark", [1, 3])
+    def test_every_interpolated_mark_matches_a_run_ending_there(self, mark):
+        cfg = coarse_config(amplitude=0.02)
+        long = mcf.evolve(cfg.initial_state(), 4.0, cfg.controls())
+        short = mcf.evolve(cfg.initial_state(), float(mark), cfg.controls())
+        assert float(mark) not in long.diag_t.tolist() and short.diag_t[-1] == mark
+        assert np.max(np.abs(long.profiles[mark] - short.profiles[mark])) < 1e-8
+
+    @pytest.mark.parametrize("dt_max", [8e-3, 4e-3, 2e-3])
+    def test_halving_dt_max_refines_in_time(self, dt_max, time_reference):
+        # rtol falls fourfold per halving; the marks' error falls at least twofold
+        cfg, reference = time_reference
+
+        def error(dt):
+            hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), mcf.FlowControls(dt_max=dt))
+            return float(np.max(np.abs(np.array(hist.profiles) - reference)))
+
+        coarse, fine = error(dt_max), error(dt_max / 2.0)
+        assert 0.0 < fine < coarse / 2.0
+
+    @pytest.mark.parametrize("kind", ["gauss", "balanced_gauss"])
+    def test_even_profile_stays_even(self, kind):
+        # the grid is symmetric up to linspace rounding (7e-15 at the ends)
+        cfg = coarse_config(profile_kind=kind, amplitude=0.05, t2=3)
+        hist = mcf.evolve(cfg.initial_state(), 3.0, cfg.controls())
+        profiles = np.array(hist.profiles)
+        assert np.max(np.abs(profiles)) > 0.03
+        assert np.max(np.abs(profiles - profiles[:, ::-1])) < 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_flow_commutes_with_reflection(self, seed):
+        # the run from u(-z) is the mirror image of the run from u(z)
+        cfg = coarse_config(profile_kind="random", amplitude=0.05, t2=3, seed=seed)
         g = cfg.initial_state().graph
-        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1e-12)
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), t_end=2.0, controls=cfg.controls())
-        assert hist.n_rejected > 0 and len(set(hist.diag_dt.tolist())) > 10
-        profiles = replay(g, hist)
-        assert [p.tobytes() for p in profiles] == [p.tobytes() for p in hist.profiles]
+        mirrored = CylinderGraph(g.spec, g.z, g.u[::-1].copy())
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), 3.0, cfg.controls())
+        mirror = mcf.evolve(mcf.FlowState(mirrored, 0.0), 3.0, cfg.controls())
+        assert not np.allclose(g.u, mirrored.u)
+        assert np.max(np.abs(np.array(hist.profiles) - np.array(mirror.profiles)[:, ::-1])) < 1e-13
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_area_does_not_increase_for_every_k(self, k):
+        cfg = coarse_config(k=k, amplitude=0.02, t2=4)
+        hist = mcf.evolve(cfg.initial_state(), 4.0, cfg.controls())
+        assert hist.stop_reason == "completed" and hist.n_marks == 5
+        assert np.all(np.diff(hist.mark_F) <= 1e-8)
+        assert hist.mark_F[-1] < hist.mark_F[0]
+
+
+@pytest.fixture(scope="module")
+def time_reference():
+    """A coarse run to t = 3 and its marks at dt_max = 2.5e-4 (rtol 6.25e-10),
+    the reference of the time refinement tests."""
+    cfg = coarse_config(amplitude=0.02, t2=3)
+    hist = mcf.evolve(cfg.initial_state(), 3.0, mcf.FlowControls(dt_max=2.5e-4))
+    return cfg, np.array(hist.profiles)
 
 
 class TestEvolve:
@@ -469,8 +324,8 @@ class TestEvolve:
         assert len(hist.profiles) == hist.mark_F.size == hist.n_marks == 5
 
     def test_marks_survive_time_drift(self):
-        # 1.6e-4 steps accumulate rounding in t, which ends a few 1e-12 short
-        # of t = 9; that step must still land on the mark
+        # from t = 8 the zero profile's steps grow tenfold, so one crosses
+        # t = 9 (an interpolated mark) and the last lands on t = 10
         state = mcf.FlowState(CylinderGraph.zero(SPEC1, R_dom=2.0, h=0.05), 8.0)
         hist = mcf.evolve(state, t_end=10.0,
                           controls=mcf.FlowControls(dt_max=1.6e-4))
@@ -507,96 +362,187 @@ class TestEvolve:
         with pytest.raises(InvalidInputError):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 2.0, mcf.FlowControls(dt_max=0.0))
 
-    def test_zero_advective_cap_rejected(self, monkeypatch):
-        monkeypatch.setattr(mcf.FlowControls, "cfl", 0.0)
-        with pytest.raises(InvalidInputError):
-            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 2.0, mcf.FlowControls())
+    def test_tolerance_below_the_solvers_floor_rejected(self):
+        # dt_max = 1e-7 asks for rtol 1e-16, which scipy would raise with a warning
+        with pytest.raises(InvalidInputError, match="the solver's floor"):
+            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 1.0, mcf.FlowControls(dt_max=1e-7))
+
+    def test_tolerance_at_the_solvers_floor_accepted(self):
+        # dt_max = 1.5e-6 asks for rtol 2.25e-14, just above RTOL_MIN; scipy
+        # takes it as it is, without a warning
+        assert mcf.FlowControls(dt_max=1.5e-6).tolerances()[0] >= mcf.RTOL_MIN
+        g = CylinderGraph.zero(SPEC1, 0.5, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls(dt_max=1.5e-6))
+        assert hist.t_final == 1.0
+
+    @pytest.mark.parametrize("extra_steps, refused", [(0, False), (1, True)])
+    def test_max_steps_is_the_last_span_accepted(self, extra_steps, refused):
+        # dt_max = 2^-14 and t_end = (MAX_STEPS + extra_steps) dt_max are exact floats
+        dt_max = 2.0**-14
+        t_end = (mcf.MAX_STEPS + extra_steps) * dt_max
+        state = mcf.FlowState(CylinderGraph.zero(SPEC1, 0.5, 0.05), 0.0)
+        if refused:
+            with pytest.raises(InvalidInputError, match="MAX_STEPS"):
+                mcf.evolve(state, t_end, mcf.FlowControls(dt_max=dt_max))
+        else:
+            hist = mcf.evolve(state, t_end, mcf.FlowControls(dt_max=dt_max))
+            assert hist.t_final == t_end and hist.n_marks == math.floor(t_end) + 1
+
+    @pytest.mark.parametrize("t_end", [3.0, 2.0])
+    def test_t_end_not_after_the_start_rejected(self, t_end):
+        with pytest.raises(InvalidInputError, match="t_end must exceed"):
+            mcf.evolve(mcf.FlowState(smooth_graph(), 3.0), t_end, mcf.FlowControls())
+
+    def test_start_on_the_stop_threshold_runs(self):
+        # the stop condition is max |u| > stop_max_abs_u, so a start of exactly 1 runs
+        g = CylinderGraph.from_profile(SPEC1, 2.0, 0.1, lambda z: np.exp(-(z**2)))
+        assert np.max(np.abs(g.u)) == mcf.FlowControls.stop_max_abs_u
+        hist = mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls())
+        assert hist.diag_t.size > 0 and hist.mark_max_u[0] == 1.0
+
+    def test_start_above_the_stop_threshold_refused(self):
+        g = CylinderGraph.from_profile(SPEC1, 2.0, 0.1, lambda z: 1.0000001 * np.exp(-(z**2)))
+        with pytest.raises(PreconditionError, match="exceeds the stop condition"):
+            mcf.evolve(mcf.FlowState(g, 0.0), 1.0, mcf.FlowControls())
+
+    @pytest.mark.parametrize("stop", [0.35, 0.5, 0.8])
+    def test_stops_after_the_first_step_above_the_threshold(self, stop, monkeypatch):
+        monkeypatch.setattr(mcf.FlowControls, "stop_max_abs_u", stop)
+        cfg = coarse_config(amplitude=0.3, profile_kind="gauss", t2=8)
+        hist = mcf.evolve(cfg.initial_state(), 8.0, cfg.controls())
+        assert hist.stop_reason == "max_abs_u" and hist.t_final == hist.diag_t[-1]
+        assert np.all(hist.diag_max_u[:-1] <= stop) and hist.diag_max_u[-1] > stop
+        assert np.array_equal(hist.mark_times, np.arange(math.floor(hist.t_final) + 1.0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_leaving_the_graph_regime_raises(self, k, monkeypatch):
+        # a stand-in flow u_t = -1 reaches r = 0 at t = s = sqrt(2k); BDF
+        # follows it exactly and lands each run on its t_end
+        def sinking(z, h, s):
+            return lambda w: np.concatenate([[0.0], np.full(w.size - 2, -1.0), [0.0]])
+
+        monkeypatch.setattr(mcf, "_kernel", sinking)
+        monkeypatch.setattr(mcf.FlowControls, "stop_max_abs_u", math.inf)
+        spec = CylinderSpec(k)
+        state = mcf.FlowState(CylinderGraph.zero(spec, 2.0, 0.1), 0.0)
+        hist = mcf.evolve(state, spec.radius - 0.01, mcf.FlowControls())
+        assert hist.diag_max_u[-1] == pytest.approx(spec.radius - 0.01, rel=1e-12)
+        with pytest.raises(GeometryError, match="r <= 0"):
+            mcf.evolve(state, spec.radius + 0.01, mcf.FlowControls())
 
     def test_non_integer_start_rejected(self):
         with pytest.raises(InvalidInputError):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.5), 2.0, mcf.FlowControls())
 
-    def test_counts_stage_rhs_per_attempted_step(self, monkeypatch):
-        # h = 0.1: every dt up to dt_max = 2e-3 takes 2 stages, so a refused
-        # step costs 2 evaluations too; the first stage of the run costs 1
+    def test_counts_are_the_solvers(self, monkeypatch):
+        # n_rhs, njev and nlu are BDF's nfev, njev and nlu; each numerical
+        # Jacobian evaluates the kernel a few times more, outside n_rhs
+        calls = itertools.count()
+        real = mcf._kernel
+
+        def counting(z, h, s):
+            frhs = real(z, h, s)
+
+            def counted(w):
+                next(calls)
+                return frhs(w)
+            return counted
+
+        monkeypatch.setattr(mcf, "_kernel", counting)
         cfg = coarse_config()
         hist = mcf.evolve(cfg.initial_state(), 8.0, cfg.controls())
-        assert hist.diag_t.size == 4000 and hist.n_rejected == 0
-        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 1 + 2 * 4000
-        cfg = coarse_config(t2=2)
-        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1e-12)
-        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
-        assert hist.n_rejected > 0
-        assert set(hist.diag_stages.tolist()) == {2}
-        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) + 2 * hist.n_rejected
+        assert hist.diag_t.size == 309 and (hist.n_rhs, hist.njev, hist.nlu) == (620, 1, 56)
+        assert hist.n_rhs < next(calls) <= hist.n_rhs + 8 * hist.njev
 
     def test_non_finite_stage_raises_with_the_last_accepted_state(self, monkeypatch):
-        # h = 0.1 takes two stages per step of dt_max = 2e-3 and the run's
-        # first evaluation is one more, so call 202 is the first stage of step 101
-        monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(201))
+        # the kernel turns NaN on its 101st call: the run stops inside the
+        # step after t = 0.154 with that step's start, a step of the clean run
         cfg = coarse_config(t2=2)
-        with pytest.raises(BlowupError, match="non-finite profile at t=0.2") as exc:
+        clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(100))
+        with pytest.raises(BlowupError, match=r"non-finite right-hand side after t=0\.154") as exc:
             mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         state = exc.value.last_state
-        assert state.t == pytest.approx(0.2)
+        assert state.t in clean.diag_t.tolist()
         assert np.all(np.isfinite(state.graph.u))
         assert not np.array_equal(state.graph.u, cfg.initial_state().graph.u)
 
-    def test_fit_config_rejects_no_step(self):
+    def test_failed_step_raises_with_the_last_accepted_state(self, monkeypatch):
+        # a right-hand side that flips sign from call to call from its 201st
+        # on has no flow to follow: the solver halves its step below the
+        # spacing of floats near t and fails
+        cfg = coarse_config(t2=2)
+        clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=200))
+        with pytest.raises(BlowupError, match=r"step failed after t=0\.716.*less than spacing") as exc:
+            mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        assert exc.value.last_state.t in clean.diag_t.tolist()
+
+    def test_nan_at_the_first_call_carries_the_start(self, monkeypatch):
+        # the solver evaluates the right-hand side once before its first step
+        cfg = coarse_config(t2=2)
+        monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(0))
+        with pytest.raises(BlowupError, match=r"non-finite right-hand side after t=0\.0") as exc:
+            mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        state = exc.value.last_state
+        assert state.t == 0.0
+        assert np.array_equal(state.graph.u, cfg.initial_state().graph.u)
+
+    def test_step_budget_ends_a_collapsing_run(self, monkeypatch):
+        # STARTUP_STEPS = 10 and dt_max = 0.5 over two time units: a budget of
+        # 14 steps, which a chattering right-hand side spends near t = 0
+        monkeypatch.setattr(mcf, "STARTUP_STEPS", 10)
+        monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=0))
+        cfg = coarse_config(t2=2)
+        with pytest.raises(BlowupError, match=r"gave up at t=\S+ after 14 steps") as exc:
+            mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
+        assert 0.0 < exc.value.last_state.t < 1e-100
+
+    def test_tighter_tolerance_takes_more_steps(self):
+        cfg = coarse_config(t2=3)
+        loose = mcf.evolve(cfg.initial_state(), 3.0, mcf.FlowControls(dt_max=2e-3))
+        tight = mcf.evolve(cfg.initial_state(), 3.0, mcf.FlowControls(dt_max=1e-3))
+        assert loose.diag_t.size < tight.diag_t.size and loose.n_rhs < tight.n_rhs
+        assert tight.diag_t.size < 3.0 / 1e-3 / 10  # far fewer than steps of dt_max
+
+    def test_mark_max_u_is_each_profiles_sup(self):
+        cfg = coarse_config(t2=3)
+        hist = mcf.evolve(cfg.initial_state(), 3.0, cfg.controls())
+        assert hist.mark_max_u.tolist() == [float(np.max(np.abs(p))) for p in hist.profiles]
+        assert hist.mark_max_u[-1] == hist.diag_max_u[-1]  # the last step lands on t_end
+
+    def test_fit_config_counts(self):
+        # 272 steps where steps of dt_max would be 8,000; the Jacobian is
+        # estimated once and refactored as the step and order change
         cfg = harness.load_bundled_config("fit.cfg")
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
-        assert hist.n_rejected == 0
-        assert np.allclose(hist.diag_dt, cfg.dt_max, rtol=1e-9, atol=0.0)
-        assert np.all(hist.diag_stages == 2)
-        assert hist.n_rhs == 1 + int(np.sum(hist.diag_stages)) == 16_001
-        # the largest estimate is 1.08e-3 step_tol; the bound keeps 1.24x of headroom
-        assert np.max(hist.diag_err) < 1.34e-3 * cfg.controls().step_tol
+        assert hist.diag_t.size == 272
+        assert (hist.n_rhs, hist.njev, hist.nlu) == (546, 1, 50)
+        assert hist.diag_dt.max() > 90 * cfg.dt_max
 
-    def test_fewest_stages_and_usage_at_most_one(self):
-        # R_dom = 0.5, h = 1e-3: the advective cap alone would need about 140
-        # stages, so the stage cap shortens dt to its own stability limit; the
-        # controller first refuses and then regrows dt, and s follows dt
-        g = CylinderGraph.from_profile(SPEC1, 0.5, 1e-3, lambda z: 1e-3 * np.cos(np.pi * z))
-        controls = mcf.FlowControls()
-        hist = mcf.evolve(mcf.FlowState(g, 0.0), 0.01, controls)
-        beta = np.array([mcf._RKC2[s][0] for s in hist.diag_stages])
-        need = 4.0 * hist.diag_dt / g.h**2
-        assert hist.n_rejected > 0 and hist.diag_stages.min() < 20
-        assert hist.diag_stages.max() == mcf.MAX_STAGES
-        assert np.max(hist.diag_dt) == pytest.approx(
-            0.25 * mcf._RKC2[mcf.MAX_STAGES][0] * g.h**2, rel=1e-15)
-        assert np.array_equal(hist.diag_cfl, need / beta)
-        assert np.all(hist.diag_cfl <= 1.0 + 1e-15)
-        fewer = np.array([mcf._RKC2[max(s - 1, 2)][0] for s in hist.diag_stages])
-        assert np.all((hist.diag_stages == 2) | (fewer < need))
-
-    def test_diagnostics_are_float64_and_int64(self, monkeypatch):
-        # a refusing tolerance varies dt from step to step; every per-step
-        # array has one entry per accepted step, in its dtype, and the values
-        # the step took: t grows by dt (landing on the marks) and usage is
-        # 4 dt/(h^2 beta(s))
+    def test_diagnostics_are_float64(self):
+        # one entry per accepted step; t grows by dt and ends on t_end, and
+        # diag_err stays empty
         cfg = coarse_config(t2=2)
-        monkeypatch.setattr(mcf.FlowControls, "step_tol", 1e-12)
         hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         n = hist.diag_t.size
-        assert n > 1000 and hist.n_rejected > 0
-        for arr in (hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u, hist.diag_cfl):
+        assert n > 50
+        for arr in (hist.diag_t, hist.diag_dt, hist.diag_max_u):
             assert arr.dtype == np.float64 and arr.shape == (n,)
-        assert hist.diag_stages.dtype == np.int64 and hist.diag_stages.shape == (n,)
+        assert hist.diag_err.dtype == np.float64 and hist.diag_err.shape == (0,)
         t_before = np.concatenate([[0.0], hist.diag_t[:-1]])
-        marks = np.isin(hist.diag_t, [1.0, 2.0])
-        assert np.array_equal((t_before + hist.diag_dt)[~marks], hist.diag_t[~marks])
-        assert hist.diag_t[marks].tolist() == [1.0, 2.0]
-        beta = np.array([mcf._RKC2[s][0] for s in hist.diag_stages])
-        h = cfg.initial_state().graph.h
-        assert np.array_equal(hist.diag_cfl, 4.0 * hist.diag_dt / (h * h) / beta)
-        assert np.all(hist.diag_err <= 1e-12) and np.all(hist.diag_max_u > 0.0)
+        assert np.allclose(t_before + hist.diag_dt, hist.diag_t, rtol=1e-15, atol=0.0)
+        assert np.all(hist.diag_dt > 0.0) and hist.diag_t[-1] == 2.0
+        assert np.all(hist.diag_max_u > 0.0)
 
     def test_run_beyond_max_steps_refused_up_front(self):
-        # h = 1e-5 on R_dom = 0.5 caps dt near 3e-8, so t = 2 is out of reach
-        g = CylinderGraph.zero(SPEC1, 0.5, 1e-5)
+        # t = 10^9 spans 10^12 steps of dt_max = 1e-3, beyond MAX_STEPS: the
+        # run is refused before the solver starts
+        g = CylinderGraph.zero(SPEC1, 0.5, 0.05)
         with pytest.raises(InvalidInputError, match="MAX_STEPS"):
-            mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls())
+            mcf.evolve(mcf.FlowState(g, 0.0), 1e9, mcf.FlowControls())
 
     def test_history_csv(self, tmp_path):
         cfg = coarse_config(t2=3)
@@ -616,8 +562,8 @@ SWEEP_GATE = 5e-8  # max |u - u_ref| over the marks of sweep.cfg at a = 0.02
 
 @pytest.fixture(scope="module")
 def sweep_reference():
-    """sweep.cfg at a = 0.02 and the run's profiles at dt_max/4 (2 stages per
-    step, 2.0e-9 from a run at dt_max/20), the reference of SWEEP_GATE."""
+    """sweep.cfg at a = 0.02 and the run's profiles at dt_max/4 (rtol / 16,
+    6.1e-10 from a run at dt_max/20), the reference of SWEEP_GATE."""
     cfg = dataclasses.replace(harness.load_bundled_config("sweep.cfg"), amplitude=0.02)
     fine = dataclasses.replace(cfg, dt_max=cfg.dt_max / 4.0)
     hist = mcf.evolve(fine.initial_state(), float(fine.t2), fine.controls())
@@ -631,40 +577,15 @@ def sweep_deviation(cfg, reference):
 
 class TestSweepReference:
     def test_marks_stay_near_fine_reference(self, sweep_reference):
-        # RKC2 at dt_max = 1e-3 (2 stages) is 3.1e-8 from the reference (1.9e-8
-        # with 3 stages); the step-doubling pair it replaced was 8.3e-9
+        # BDF at dt_max = 1e-3 (rtol 1e-8) is 6.7e-9 from the reference
         assert sweep_deviation(*sweep_reference) < SWEEP_GATE
 
-    def test_scaled_first_stage_coefficient_trips_gate(self, sweep_reference, monkeypatch):
-        # mu~_1 times 1.01 leaves the method first order: 8.7e-4 off
-        monkeypatch.setattr(mcf, "_RKC2", {s: (beta, 1.01 * mu1_t, stages)
-                                           for s, (beta, mu1_t, stages) in mcf._RKC2.items()})
+    def test_loosened_tolerance_trips_gate(self, sweep_reference, monkeypatch):
+        # both tolerances times 1e4 (rtol 1e-4): 1.4e-5 off
+        real = mcf.FlowControls.tolerances
+        monkeypatch.setattr(mcf.FlowControls, "tolerances",
+                            lambda self: tuple(1e4 * tol for tol in real(self)))
         assert sweep_deviation(*sweep_reference) > SWEEP_GATE
-
-
-CAP_GATE = 3.9e-9  # max |u - u_ref| over the first two marks of fit.cfg at h/2, a = 0.02
-
-
-class TestCapAccuracy:
-    def test_cheaper_step_stays_near_fine_reference(self):
-        # fit.cfg at h/2 (4 dt_max/h^2 = 6.4) and a = 0.02 to t = 2, against
-        # the run at dt_max/8: the 3-stage steps of beta(3) h^2/4 = 8.2e-4 the
-        # cap takes stay 3.44e-9 away, inside CAP_GATE; the 4-stage steps of
-        # dt_max, the fewest stages covering it, replayed through the
-        # reference stepper, end 4.30e-9 away, outside it
-        fit = harness.load_bundled_config("fit.cfg")
-        cfg = dataclasses.replace(fit, h=fit.h / 2.0, amplitude=0.02, t2=2)
-        fine = dataclasses.replace(cfg, dt_max=cfg.dt_max / 8.0)
-        reference = mcf.evolve(fine.initial_state(), 2.0, fine.controls()).profiles
-        hist = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
-        assert set(hist.diag_stages.tolist()) == {3}
-        assert np.max(np.abs(np.array(hist.profiles) - np.array(reference))) < CAP_GATE
-        g = cfg.initial_state().graph
-        frhs = reference_kernel(g.z, g.h, g.spec.radius)
-        u, f0 = g.u, frhs(g.u)
-        for _ in range(round(2.0 / cfg.dt_max)):
-            u, f0, _ = reference_rkc2_step(frhs, u, cfg.dt_max, 4, f0)
-        assert np.max(np.abs(u - reference[-1])) > CAP_GATE
 
 
 class TestLojasiewiczFit:
@@ -876,14 +797,20 @@ class TestFlowControls:
     def test_dt_max_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(mcf.FlowControls)] == ["dt_max"]
 
-    @pytest.mark.parametrize("key", ["cfl", "step_tol", "stop_max_abs_u"])
+    @pytest.mark.parametrize("key", ["rtol_per_dt2", "atol", "stop_max_abs_u", "cfl"])
     def test_scheme_constants_are_not_keywords(self, key):
         with pytest.raises(TypeError):
             mcf.FlowControls(**{key: 1.0})
 
     def test_scheme_constants(self):
         controls = mcf.FlowControls()
-        assert (controls.cfl, controls.step_tol, controls.stop_max_abs_u) == (0.8, 1e-8, 1.0)
+        assert (controls.rtol_per_dt2, controls.atol, controls.stop_max_abs_u) == (1e-2, 1e-12, 1.0)
+
+    def test_dt_max_sets_the_relative_tolerance(self):
+        # a second-order step's error: rtol 1e-8 at dt_max = 1e-3, 4x tighter at dt_max / 2
+        rtol, atol = mcf.FlowControls(dt_max=1e-3).tolerances()
+        assert rtol == pytest.approx(1e-8, rel=1e-15) and atol == 1e-12
+        assert mcf.FlowControls(dt_max=5e-4).tolerances()[0] == pytest.approx(rtol / 4.0, rel=1e-15)
 
 
 class TestRunConfig:

@@ -16,8 +16,9 @@ BENCHMARK.json sets:
   i is even);
 - TRACED_RUNS alternating `--trace 1` runs per side and workload;
 - per MCF run of each MCF workload, the steps, right-hand-side calls
-  (FlowHistory.n_rhs), rejections, stage counts and a SHA-256 of the run's
-  history arrays, from in-process passes, TRACED_RUNS alternating per side,
+  (FlowHistory.n_rhs), whichever of the solver counters n_rejected, njev
+  and nlu the side's FlowHistory has, and a SHA-256 of the run's mark and
+  per-step arrays, from in-process passes, TRACED_RUNS alternating per side,
   with the median of the run's evolve seconds over those passes.
 
 Seeds count up from --seed-base, one block of 100 per part (800 seeds in
@@ -57,13 +58,11 @@ for name in ("mcf-stiff", "mcf-certify"):
     for label, hist in w.hists.items():
         digest = hashlib.sha256()
         for arr in [hist.mark_times, hist.mark_F, hist.mark_max_u, *hist.profiles,
-                    hist.diag_t, hist.diag_dt, hist.diag_err, hist.diag_max_u,
-                    hist.diag_cfl, hist.diag_stages]:
+                    hist.diag_t, hist.diag_dt, hist.diag_max_u]:
             digest.update(np.ascontiguousarray(arr).tobytes())
         out[f"{name}/{label}"] = {
             "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs,
-            "n_rejected": hist.n_rejected, "stages": sorted(set(hist.diag_stages.tolist())),
-            "max_err_over_tol": float(hist.diag_err.max()) / w.runs[label][0].controls().step_tol,
+            **{k: getattr(hist, k) for k in ("n_rejected", "njev", "nlu") if hasattr(hist, k)},
             "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label]}
 print(json.dumps(out))
 """

@@ -54,7 +54,7 @@ class GradientProblem:
     """Scalar field with analytic gradient and a stated decay exponent.
 
     F and grad accept a point of shape (dim,) or a batch of shape (m, dim);
-    batching follows from writing both with axis=-1 reductions.
+    batching follows from writing both to broadcast over the last axis.
     """
 
     name: str
@@ -422,7 +422,8 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     sqrt_sum = sum(p.sqrt_diff_sum for p in parts) + sum(math.sqrt(max(d, 0.0)) for d in leftovers)
     hypothesis_ok = all(p.hypothesis_ok for p in parts)
     length = traj.length
-    holds = hypothesis_ok and length <= bound_value + 1e-12 and sqrt_sum <= bound_value + 1e-12
+    holds = (hypothesis_ok and length <= bound_value + sequences.CAP_SLACK
+             and sqrt_sum <= bound_value + sequences.CAP_SLACK)
     return EffectiveBoundReport(
         case_tag=case_tag,
         length=length,
@@ -439,70 +440,47 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     )
 
 
-def _radial_power(name: str, dim: int, p: int) -> GradientProblem:
-    """|x|^(2p), written as (|x|^2)^p; tau = 1 - 1/p makes the decay inequality
-    hold with constant 4 p^2 >= 1 on any ball."""
+def _monomial_sum(name: str, coef, power, tau: float, ball_radius: float) -> GradientProblem:
+    """F(x) = sum_i coef_i x_i^power_i, whose gradient has entries
+    coef_i power_i x_i^(power_i - 1), both read from the same (coef, power).
+
+    With |coef_i| = 1, even powers of at least 4 and dim <= 2, the stated
+    tau = 1 - 2/max power makes the decay inequality hold on the unit ball:
+    |F|^(1+tau) is at most dim^tau <= 2 times the sum of the terms'
+    |x_i|^(power_i (1 + tau)), each of which is at most |x_i|^(2 power_i - 2),
+    while |grad F|^2 is at least 16 times that sum.  When all powers are equal
+    each term's step is an equality at every x, so the inequality holds on
+    any ball.
+    """
+    coef = np.asarray(coef, dtype=float)
+    power = np.asarray(power, dtype=float)
+    slope = coef * power
+    lowered = power - 1.0
 
     def F(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x * x, axis=-1) ** p
+        return np.asarray(x, dtype=float) ** power @ coef
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
-        return 2.0 * p * s[..., None] ** (p - 1) * x
+        return slope * np.asarray(x, dtype=float) ** lowered
 
-    return GradientProblem(name=name, dim=dim, F=F, grad=grad,
-                           tau=1.0 - 1.0 / p, ball_radius=2.0)
-
-
-def _quartic2d() -> GradientProblem:
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        return np.sum(x**4, axis=-1)
-
-    def grad(x):
-        return 4.0 * np.asarray(x, dtype=float) ** 3
-
-    return GradientProblem(name="quartic2d", dim=2, F=F, grad=grad, tau=0.5, ball_radius=2.0)
-
-
-def _aniso2d() -> GradientProblem:
-    # x^4 + y^6: the sextic factor forces the weaker exponent tau = 2/3.
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0] ** 4 + x[..., 1] ** 6
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([4.0 * x[..., 0] ** 3, 6.0 * x[..., 1] ** 5], axis=-1)
-
-    return GradientProblem(name="aniso2d", dim=2, F=F, grad=grad, tau=2.0 / 3.0, ball_radius=1.0)
-
-
-def _saddle2d() -> GradientProblem:
-    # x^4 - y^4 dips below the critical value along generic flow lines, which
-    # exercises the below/crossing branches of the classifier.
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0] ** 4 - x[..., 1] ** 4
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([4.0 * x[..., 0] ** 3, -4.0 * x[..., 1] ** 3], axis=-1)
-
-    return GradientProblem(name="saddle2d", dim=2, F=F, grad=grad, tau=0.5, ball_radius=1.0)
+    return GradientProblem(name=name, dim=coef.size, F=F, grad=grad, tau=tau,
+                           ball_radius=ball_radius)
 
 
 def builtin_problems() -> list[GradientProblem]:
-    """The bundled test problems, each with a verified decay exponent."""
-    return [
-        _radial_power("quartic1d", dim=1, p=2),
-        _radial_power("sextic1d", dim=1, p=3),
-        _quartic2d(),
-        _aniso2d(),
-        _saddle2d(),
+    """The bundled test problems, each with a verified decay exponent.
+
+    saddle2d, x^4 - y^4, dips below the critical value along generic flow
+    lines, which exercises the below and crossing branches of the classifier.
+    """
+    rows = [  # name, coefficients, powers, tau, ball radius
+        ("quartic1d", [1.0], [4], 0.5, 2.0),
+        ("sextic1d", [1.0], [6], 1.0 - 1.0 / 3.0, 2.0),
+        ("quartic2d", [1.0, 1.0], [4, 4], 0.5, 2.0),
+        ("aniso2d", [1.0, 1.0], [4, 6], 2.0 / 3.0, 1.0),
+        ("saddle2d", [1.0, -1.0], [4, 4], 0.5, 1.0),
     ]
+    return [_monomial_sum(*row) for row in rows]
 
 
 def problem_by_name(name: str) -> GradientProblem:

@@ -209,14 +209,18 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     STARTUP_STEPS steps plus one per dt_max of flow time: a tolerance of a
     second-order step of dt_max needs far fewer, so steps that short mean the
     solver, not the flow, is in trouble.  A dt_max whose rtol is below
-    RTOL_MIN, and a run that spans more than MAX_STEPS steps of dt_max, are
-    refused up front with InvalidInputError.
+    RTOL_MIN or overflows, and a run that spans more than MAX_STEPS steps of
+    dt_max, are refused up front with InvalidInputError.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
     if t_end <= state.t:
         raise InvalidInputError("t_end must exceed the starting time")
-    rtol, atol = controls.tolerances()
+    try:
+        rtol, atol = controls.tolerances()
+    except OverflowError:  # dt_max^2 beyond the float range
+        raise InvalidInputError(f"dt_max {controls.dt_max:g} sets an rtol beyond the "
+                                "float range") from None
     if not (controls.dt_max > 0.0 and rtol >= RTOL_MIN):
         raise InvalidInputError(f"dt_max {controls.dt_max:g} sets rtol {rtol:.2e}; dt_max must be "
                                 f"positive and rtol at least {RTOL_MIN:.2e}, the solver's floor")
@@ -592,7 +596,8 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
         bound_value = ctilde * (consts.cap(abs(dF1)) + consts.cap(abs(dF2)))
     else:
         bound_value = math.nan
-    bound_holds = bool(np.all(dist_vals <= bound_value + 1e-12)) if not math.isnan(bound_value) else False
+    bound_holds = (not math.isnan(bound_value)
+                   and bool(np.all(dist_vals <= bound_value + sequences.CAP_SLACK)))
 
     return CloseReport(
         config=asdict(cfg),

@@ -26,6 +26,8 @@ from .errors import InvalidInputError, NumericError, ParameterError
 
 # Relative slack absorbing float rounding when data sits on the equality case.
 REL_TOL = 1e-12
+# Absolute slack of a square-root sum against its certified cap.
+CAP_SLACK = 1e-12
 # Slack for the rounding of a stored successor, in ulps of x_{j+1} times C
 # (see check_hypothesis).
 ROOT_ULPS = 2.0
@@ -33,20 +35,11 @@ ROOT_ULPS = 2.0
 
 def _require_params(C, tau, inclusive: bool = False) -> None:
     """Validate scalar or array constants; every entry must be admissible:
-    C >= 1 and tau in (1/3, 1), or (1/3, 1] when inclusive.  Python scalars
-    are checked with math, anything else element-wise with numpy."""
-    if isinstance(C, (int, float)):
-        C_ok = math.isfinite(C) and C >= 1.0
-    else:
-        C_ok = np.all(np.isfinite(C) & (C >= 1.0))
-    if not C_ok:
+    C >= 1 and tau in (1/3, 1), or (1/3, 1] when inclusive."""
+    if not np.all(np.isfinite(C) & (C >= 1.0)):
         raise ParameterError(f"need C >= 1, got C={C}")
     hi_ok = tau <= 1.0 if inclusive else tau < 1.0
-    if isinstance(tau, (int, float)):
-        tau_ok = math.isfinite(tau) and tau > 1.0 / 3.0 and hi_ok
-    else:
-        tau_ok = np.all(np.isfinite(tau) & (tau > 1.0 / 3.0) & hi_ok)
-    if not tau_ok:
+    if not np.all(np.isfinite(tau) & (tau > 1.0 / 3.0) & hi_ok):
         bracket = "]" if inclusive else ")"
         raise ParameterError(f"need tau in (1/3, 1.0{bracket}, got tau={tau}")
 
@@ -255,7 +248,7 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
     rep = _drop_law(vals, consts.C, consts.tau)
     cap = consts.cap(x1)
     return PartCertificate(n, x1, rep.ok, rep.first_violation, rep.sqrt_diff_sum,
-                           cap, rep.sqrt_diff_sum <= cap + 1e-12)
+                           cap, rep.sqrt_diff_sum <= cap + CAP_SLACK)
 
 
 # Newton steps after which a root solve counts as failed.  For 0 < x <= 1, the

@@ -21,6 +21,18 @@ QUARTIC = gf.problem_by_name("quartic1d")
 SADDLE = gf.problem_by_name("saddle2d")
 SPOT_CHECK_SLACK = 1e-12  # absolute slack of the sampled decay inequality
 
+# Each bundled row written out: the terms of F, the gradient, tau and the
+# ball radius.  The taus are the stated bits: sextic1d's 1 - 1/3 is one ulp
+# above aniso2d's 2/3.
+CLOSED_FORMS = {
+    "quartic1d": (lambda x: [x**4], lambda x: [4 * x**3], 0.5, 2.0),
+    "sextic1d": (lambda x: [x**6], lambda x: [6 * x**5], 1.0 - 1.0 / 3.0, 2.0),
+    "quartic2d": (lambda x, y: [x**4, y**4], lambda x, y: [4 * x**3, 4 * y**3], 0.5, 2.0),
+    "aniso2d": (lambda x, y: [x**4, y**6], lambda x, y: [4 * x**3, 6 * y**5], 2.0 / 3.0, 1.0),
+    "saddle2d": (lambda x, y: [x**4, -y**4], lambda x, y: [4 * x**3, -4 * y**3], 0.5, 1.0),
+}
+ULPS = 4.0 * np.finfo(float).eps  # a few ulp, relative
+
 
 def quartic_exact(x0, t):
     return x0 / np.sqrt(1.0 + 8.0 * x0**2 * np.asarray(t, dtype=float))
@@ -120,6 +132,21 @@ class TestBuiltins:
     def test_unknown_name(self):
         with pytest.raises(InvalidInputError):
             gf.problem_by_name("nope")
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_row_is_its_closed_form(self, name):
+        terms, grad, tau, radius = CLOSED_FORMS[name]
+        p = gf.problem_by_name(name)
+        assert (p.tau, p.ball_radius) == (tau, radius)
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-1.0, 1.0, size=(2000, p.dim)) * radius / np.sqrt(p.dim)
+        F_terms = np.array(terms(*x.T))
+        got_F, got_grad = p.F(x), p.grad(x)
+        assert np.all(np.abs(got_F - F_terms.sum(axis=0)) <= ULPS * np.abs(F_terms).sum(axis=0))
+        want_grad = np.array(grad(*x.T)).T
+        assert np.all(np.abs(got_grad - want_grad) <= ULPS * np.abs(want_grad))
+        assert np.array_equal(got_F, [p.F(row) for row in x])
+        assert np.array_equal(got_grad, [p.grad(row) for row in x])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)

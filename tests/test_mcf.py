@@ -367,6 +367,11 @@ class TestEvolve:
         with pytest.raises(InvalidInputError, match="the solver's floor"):
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 1.0, mcf.FlowControls(dt_max=1e-7))
 
+    def test_dt_max_whose_rtol_overflows_rejected(self):
+        # 1e-2 dt_max^2 overflows a float from dt_max = 1.35e154 on
+        with pytest.raises(InvalidInputError, match="beyond the float range"):
+            mcf.evolve(mcf.FlowState(smooth_graph(), 0.0), 1.0, mcf.FlowControls(dt_max=1e200))
+
     def test_tolerance_at_the_solvers_floor_accepted(self):
         # dt_max = 1.5e-6 asks for rtol 2.25e-14, just above RTOL_MIN; scipy
         # takes it as it is, without a warning

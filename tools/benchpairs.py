@@ -16,10 +16,10 @@ BENCHMARK.json sets:
   i is even);
 - TRACED_RUNS alternating `--trace 1` runs per side and workload;
 - per MCF run of each MCF workload, the steps, right-hand-side calls
-  (FlowHistory.n_rhs), whichever of the solver counters n_rejected, njev
-  and nlu the side's FlowHistory has, and a SHA-256 of the run's mark and
-  per-step arrays, from in-process passes, TRACED_RUNS alternating per side,
-  with the median of the run's evolve seconds over those passes.
+  (FlowHistory.n_rhs), the solver's Jacobian and LU counts (njev, nlu)
+  and a SHA-256 of the run's mark and per-step arrays, from in-process
+  passes, TRACED_RUNS alternating per side, with the median of the run's
+  evolve seconds over those passes.
 
 Seeds count up from --seed-base, one block of 100 per part (800 seeds in
 all), so no two parts share a seed; a new comparison names a block no
@@ -61,8 +61,7 @@ for name in ("mcf-stiff", "mcf-certify"):
                     hist.diag_t, hist.diag_dt, hist.diag_max_u]:
             digest.update(np.ascontiguousarray(arr).tobytes())
         out[f"{name}/{label}"] = {
-            "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs,
-            **{k: getattr(hist, k) for k in ("n_rejected", "njev", "nlu") if hasattr(hist, k)},
+            "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs, "njev": hist.njev, "nlu": hist.nlu,
             "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label]}
 print(json.dumps(out))
 """

@@ -124,15 +124,6 @@ class CylinderGraph:
         return cls.from_profile(spec, R_dom, h, lambda z: np.zeros_like(z))
 
 
-@dataclass(frozen=True)
-class GraphArea:
-    """Gaussian area split into the gridded part and the analytic tail beyond it."""
-
-    value: float
-    interior: float
-    tail: float
-
-
 def _flat_tail(spec: CylinderSpec, R_dom: float, center: float = 0.0, scale: float = 1.0) -> float:
     """Gaussian area of the flat cylinder of radius scale*sqrt(2k), restricted to
     the axial region |z| > R_dom after translating by center and scaling."""
@@ -146,7 +137,7 @@ def _flat_tail(spec: CylinderSpec, R_dom: float, center: float = 0.0, scale: flo
     return sphere * axial
 
 
-def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> GraphArea:
+def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> float:
     """Gaussian area of the rotational graph, optionally translated along the
     axis by `center` and dilated by `scale` about the origin.
 
@@ -166,25 +157,12 @@ def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> GraphA
     integrand = rad**spec.k * np.sqrt(1.0 + r_z**2) * np.exp(-(rad**2 + w**2) / 4.0)
     norm = (4.0 * math.pi) ** (-spec.n / 2.0) * sphere_area(spec.k)
     interior = norm * scale * float(np.trapezoid(integrand, dx=h))
-    tail = _flat_tail(spec, g.R_dom, center=center, scale=scale)
-    return GraphArea(value=interior + tail, interior=interior, tail=tail)
+    return interior + _flat_tail(spec, g.R_dom, center=center, scale=scale)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """Discrete C^2 distance on the window |z| <= R: sup of |u|, |u_z|, |u_zz|."""
-
-    R: float
-    c0: float
-    c1: float
-    c2: float
-
-    @property
-    def dist(self) -> float:
-        return max(self.c0, self.c1, self.c2)
-
-
-def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> DistanceReport:
+def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> float:
+    """Discrete C^2 distance of the offset du on the window |z| <= R: the max of
+    sup|du|, sup|du_z| and sup|du_zz|, the derivatives by central differences."""
     R_dom = float(z[-1])
     if R > R_dom - 2.0 * h + 1e-12:
         raise PreconditionError(f"need R <= R_dom - 2h = {R_dom - 2.0 * h}, got R={R}")
@@ -196,18 +174,16 @@ def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> Distance
     if not win.any():
         raise PreconditionError(f"no grid point within |z| <= {R} (spacing h={h})")
     win_int = win[1:-1]
-    c0 = float(np.max(np.abs(du[win])))
-    c1 = float(np.max(np.abs(d1[win_int])))
-    c2 = float(np.max(np.abs(d2[win_int])))
-    return DistanceReport(R=float(R), c0=c0, c1=c1, c2=c2)
+    return float(max(np.max(np.abs(du[win])), np.max(np.abs(d1[win_int])),
+                     np.max(np.abs(d2[win_int]))))
 
 
-def dist_R(g: CylinderGraph, R: float) -> DistanceReport:
+def dist_R(g: CylinderGraph, R: float) -> float:
     """Distance from the graph to the cylinder on |z| <= R (discrete C^2 norm)."""
     return _profile_dist(g.z, g.u, g.h, R)
 
 
-def graph_distance(g1: CylinderGraph, g2: CylinderGraph, R: float) -> DistanceReport:
+def graph_distance(g1: CylinderGraph, g2: CylinderGraph, R: float) -> float:
     """Distance between two graphs over the same grid: C^2 norm of u1 - u2."""
     if g1.z.shape != g2.z.shape or not np.array_equal(g1.z, g2.z):
         raise InvalidInputError("graphs must share one grid")
@@ -224,7 +200,7 @@ def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
     best = -math.inf
     for c in scales:
         for z0 in centers:
-            best = max(best, graph_F(g, center=float(z0), scale=float(c)).value)
+            best = max(best, graph_F(g, center=float(z0), scale=float(c)))
     return best
 
 

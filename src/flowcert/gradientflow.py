@@ -35,7 +35,7 @@ from .errors import (
 )
 
 SMALL_BALL = 0.25  # endpoint ball for the effective length bound
-MAX_MARKS = 20_000  # unit marks per side of the effective length bound
+MAX_MARKS = 20_000  # unit marks one read takes: per side in effective_bound, in sqrt_segment_sum
 CHORD_TOL = 1e-8  # slack of the unit-segment chord and descent checks
 ENVELOPE_TOL = 1e-10  # absolute slack of the pointwise decay envelope
 CROSSING_TOL = 1e-12  # absolute time tolerance of the crossing search
@@ -281,13 +281,13 @@ def integrate(problem: GradientProblem, x0, t_end,
     return runs[0] if x0.ndim < 2 else runs
 
 
-def sqrt_segment_sum(traj: Trajectory, max_marks: int = 200_000) -> float:
+def sqrt_segment_sum(traj: Trajectory) -> float:
     """Sum of sqrt(F-drop) over unit-time segments starting at the trajectory head.
 
     Also verifies the per-segment chord bound: the straight-line distance
     covered in one unit of time is at most sqrt of the F-drop over it (up to
     CHORD_TOL).  Trajectories shorter than one time unit yield 0 with a warning.
-    The number of marks is capped at max_marks; the sum is then a partial one
+    The number of marks is capped at MAX_MARKS; the sum is then a partial one
     (every term is nonnegative, so it is still a lower bound and is
     non-decreasing in the number of marks).
     """
@@ -295,7 +295,7 @@ def sqrt_segment_sum(traj: Trajectory, max_marks: int = 200_000) -> float:
     if span < 1.0:
         warnings.warn("trajectory spans less than one time unit; empty sum", stacklevel=2)
         return 0.0
-    n_marks = min(int(math.floor(span)), max_marks - 1)
+    n_marks = min(int(math.floor(span)), MAX_MARKS - 1)
     marks = traj.t_start + np.arange(n_marks + 1, dtype=float)
     pts = traj.at(marks)
     F_vals = np.asarray(traj.problem.F(pts), dtype=float)

@@ -169,7 +169,7 @@ class FlowHistory:
         """dist_R of each stored profile, in mark order, as a read-only array
         that later calls with the same R return without measuring again."""
         if R not in self._dists:
-            d = np.array([dist_R(CylinderGraph(self.spec, self.z, u), R).dist for u in self.profiles])
+            d = np.array([dist_R(CylinderGraph(self.spec, self.z, u), R) for u in self.profiles])
             d.flags.writeable = False
             self._dists[R] = d
         return self._dists[R]
@@ -182,6 +182,7 @@ class FlowHistory:
 MARK_TOL = 1e-9  # a starting time this close to an integer counts as one
 MAX_STEPS = 10_000_000  # most steps of dt_max a run may span
 STARTUP_STEPS = 1_000  # steps a run may take beyond one per dt_max of flow time
+MIN_STEP_ULPS = 10  # an accepted step shorter than this many ulp of max(1, t) has collapsed
 RTOL_MIN = 100 * np.finfo(float).eps  # the least rtol scipy's BDF accepts without raising it
 MONOTONE_TOL = 1e-8  # largest unit-mark area increase an area-monotone run may show
 STATIONARY_TOL = 1e-8  # largest sup|u| and |F - F_cyl| a run from the cylinder may show
@@ -205,12 +206,15 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     overflow.  After each accepted step the run raises GeometryError if r <= 0
     anywhere, and stops after the first step with max |u| above
     stop_max_abs_u.  A failed step or a non-finite right-hand side raises
-    BlowupError carrying the last accepted state, and so does a run that takes more than
-    STARTUP_STEPS steps plus one per dt_max of flow time: a tolerance of a
-    second-order step of dt_max needs far fewer, so steps that short mean the
-    solver, not the flow, is in trouble.  A dt_max whose rtol is below
-    RTOL_MIN or overflows, and a run that spans more than MAX_STEPS steps of
-    dt_max, are refused up front with InvalidInputError.
+    BlowupError carrying the last accepted state, and so does a run that takes
+    more than STARTUP_STEPS steps plus one per dt_max of flow time: a tolerance
+    of a second-order step of dt_max needs far fewer, so steps that short mean
+    the solver, not the flow, is in trouble.  So does an accepted step shorter
+    than MIN_STEP_ULPS ulp of max(1, t), other than the last one, which scipy
+    clips onto t_end: scipy's own floor (10 ulp of t) does not bind near t = 0,
+    where a collapsing run would otherwise spend its whole budget.  A dt_max
+    whose rtol is below RTOL_MIN or overflows, and a run that spans more than
+    MAX_STEPS steps of dt_max, are refused up front with InvalidInputError.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
@@ -243,7 +247,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
 
     def record_mark(t_mark: float, u_mark: np.ndarray) -> None:
         mark_times.append(t_mark)
-        mark_F.append(graph_F(CylinderGraph(spec, z, u_mark)).value)
+        mark_F.append(graph_F(CylinderGraph(spec, z, u_mark)))
         mark_mu.append(float(np.max(np.abs(u_mark))))
         profiles.append(u_mark.copy())
 
@@ -275,6 +279,9 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         if y_min <= -s:
             raise GeometryError(f"flow left the graph regime at t={solver.t}: r <= 0")
         t_old, t, u = t, solver.t, solver.y
+        if t - t_old < MIN_STEP_ULPS * np.spacing(max(1.0, t)) and t < t_end:
+            raise BlowupError(f"step collapsed to {t - t_old:.3e} at t={t:.3e} "
+                              f"(dt_max {controls.dt_max:g})", last_state=last_state())
         max_u = abs(max(float(u.max()), -y_min))  # abs() turns a -0.0 into +0.0
         diag_t.append(t)
         diag_dt.append(t - t_old)
@@ -577,7 +584,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     # before it has no distances and already carries its early-stop failure
     dist_times = hist.mark_times[k + 1:]
     graphs = [CylinderGraph(hist.spec, hist.z, u) for u in hist.profiles[k + 1:]]
-    dist_vals = np.array([graph_distance(g, graphs[0], cfg.R2).dist for g in graphs])
+    dist_vals = np.array([graph_distance(g, graphs[0], cfg.R2) for g in graphs])
     if not graphs:
         certified = False
     max_dist = float(np.max(dist_vals, initial=0.0))

@@ -69,6 +69,11 @@ def result_with(**change):
     return wrap
 
 
+def times(factor):
+    """A wrap multiplying the function's float result by factor."""
+    return lambda real: lambda *args, **kwargs: factor * real(*args, **kwargs)
+
+
 def one_newton_step_short(real):
     """extremal_step returning, per entry, the Newton iterate before the last
     one that moved: one step short of the root, and above it."""
@@ -91,7 +96,7 @@ def one_newton_step_short(real):
 FAULTS = [
     Fault("no fault", [], set()),
     Fault("sphere_area x (1 + 1e-4)",
-          [(cylinder, "sphere_area", lambda real: lambda k: real(k) * (1.0 + 1e-4))], {6}),
+          [(cylinder, "sphere_area", times(1.0 + 1e-4))], {6}),
     Fault("forged power gap", [(sequences, "check_power_gap", lambda real: lambda a, b, C, tau: (
         np.ones_like(a, dtype=bool), np.zeros_like(a, dtype=bool)))], {1}),
     Fault("iterated-gap margin -1",
@@ -119,9 +124,10 @@ FAULTS = [
           1e4 * tol for tol in real(self)))], set(),
           why="each run is compared only with itself or with one at the same loosened tolerance; "
               "item 7's refinement"),
-    Fault("graph_F weight x 1.05", [(module, "graph_F", result_with(
-        **{k: lambda v: 1.05 * v for k in ("value", "interior", "tail")}))
-        for module in (cylinder, mcf, acceptance)], {6, 7, 9}),
+    Fault("graph_F weight x 1.05", [(module, "graph_F", times(1.05))
+                                     for module in (cylinder, mcf, acceptance)], {6, 7, 9}),
+    Fault("graph_distance x 100", [(mcf, "graph_distance", times(100.0))], set(),
+          why="Ctilde is fitted on the distances it then bounds; item 1's fixed-constant gate"),
     Fault("extremal_step one Newton step short",
           [(sequences, "extremal_step", one_newton_step_short)], {3, 4, 10}, {3, 4, 10}),
     Fault("certificate alpha + 0.05",

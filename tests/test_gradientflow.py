@@ -420,9 +420,12 @@ class TestSqrtSegmentSum:
         traj = gf.integrate(QUARTIC, [0.2], t_end=200.0, tol=1e-10)
         assert gf.sqrt_segment_sum(traj) > 0.0
 
-    def test_partial_sums_monotone_in_mark_count(self):
+    def test_partial_sums_monotone_in_mark_count(self, monkeypatch):
         traj = gf.integrate(QUARTIC, [0.2], t_end=64.0, tol=1e-10)
-        sums = [gf.sqrt_segment_sum(traj, max_marks=m) for m in (4, 8, 16, 32, 64)]
+        sums = []
+        for m in (4, 8, 16, 32, 64):
+            monkeypatch.setattr(gf, "MAX_MARKS", m)
+            sums.append(gf.sqrt_segment_sum(traj))
         assert all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
 
 

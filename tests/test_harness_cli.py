@@ -189,9 +189,9 @@ class TestCliExitCodes:
 
     def test_collapsing_step_size_is_3(self, tmp_path, capsys, monkeypatch):
         # a right-hand side whose sign flips from call to call has no flow to
-        # follow: the solver's steps collapse toward t = 0, where the spacing
-        # of floats does not stop them, and the run spends its budget of
-        # 1,000 steps plus one per dt_max (100 here) and stops
+        # follow: the solver's steps collapse toward t = 0, where scipy's
+        # floor of 10 ulp of t does not stop them, and the run stops at its
+        # first step shorter than 10 ulp of 1
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(COARSE_CFG + "t2 = 2\namplitude = 0.05\ndt_max = 0.02\n")
         assert cli.main(["--out", str(tmp_path / "ok"), "--quiet", "mcf",
@@ -214,8 +214,7 @@ class TestCliExitCodes:
         assert code == 3
         assert time.perf_counter() - start < 10.0
         printed = capsys.readouterr()
-        assert "run aborted: gave up at t=" in printed.out
-        assert "after 1100 steps" in printed.out
+        assert "run aborted: step collapsed to " in printed.out
         assert "Traceback" not in printed.out + printed.err
 
     def test_overflowing_amplitude_is_3_without_a_warning(self, tmp_path):

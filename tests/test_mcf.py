@@ -230,7 +230,7 @@ class TestStep:
     def test_area_does_not_increase(self):
         g = smooth_graph(0.02)
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls())
-        assert hist.mark_F[0] == graph_F(g).value
+        assert hist.mark_F[0] == graph_F(g)
         assert np.all(np.diff(hist.mark_F) <= 1e-8)
 
     def test_interpolated_marks_match_a_run_ending_there(self):
@@ -495,13 +495,24 @@ class TestEvolve:
         assert state.t == 0.0
         assert np.array_equal(state.graph.u, cfg.initial_state().graph.u)
 
-    def test_step_budget_ends_a_collapsing_run(self, monkeypatch):
+    def test_step_budget_ends_a_run_that_needs_more_steps(self, monkeypatch):
         # STARTUP_STEPS = 10 and dt_max = 0.5 over two time units: a budget of
-        # 14 steps, which a chattering right-hand side spends near t = 0
+        # 14 steps, where the clean run takes 68; it stops at its 14th step
+        cfg = coarse_config(t2=2)
+        clean = mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
+        assert clean.diag_t.size > 14
         monkeypatch.setattr(mcf, "STARTUP_STEPS", 10)
+        with pytest.raises(BlowupError, match=r"gave up at t=\S+ after 14 steps") as exc:
+            mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
+        assert exc.value.last_state.t == clean.diag_t[13]
+
+    def test_collapsing_step_ends_the_run_at_once(self, monkeypatch):
+        # a right-hand side that flips sign from the first call on sends the
+        # steps toward t = 0, below scipy's floor of 10 ulp of t; the first
+        # accepted step is already under 10 ulp of 1
         monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=0))
         cfg = coarse_config(t2=2)
-        with pytest.raises(BlowupError, match=r"gave up at t=\S+ after 14 steps") as exc:
+        with pytest.raises(BlowupError, match=r"step collapsed to \S+ at t=\S+ \(dt_max 0\.5\)") as exc:
             mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
         assert 0.0 < exc.value.last_state.t < 1e-100
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import gradientflow as gf
 from . import harness, mcf, sequences
 from .cylinder import CylinderGraph, CylinderSpec, graph_F
-from .errors import FlowcertError
+from .errors import FlowcertError, InvalidInputError
 
 CELLS = [(1.0, 0.4), (1.0, 0.5), (1.0, 0.9), (10.0, 0.4), (10.0, 0.5), (10.0, 0.9)]
 GEOMETRIC_SUM = 1.70711  # closed form 0.5 (1 - 2^(-39/2)) / (1 - 2^(-1/2)), 5 decimals
@@ -306,8 +306,11 @@ def run_all(seed: int = 1234, log: harness.RunLog | None = None) -> tuple[list[C
     """Execute every criterion; returns results and the deterministic manifest.
 
     A criterion that raises a FlowcertError fails with the exception as its
-    measured string, and the rest still run.
+    measured string, and the rest still run.  A negative seed, which numpy's
+    generators refuse, is refused before any criterion runs.
     """
+    if seed < 0:
+        raise InvalidInputError(f"need seed >= 0, got {seed}")
     runs = BundledRuns()
     plan = [
         (1, lambda: crit_power_gap(seed)),

@@ -97,7 +97,7 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
     else:
         try:
             text = Path(args.file).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"cannot read {args.file}: {exc}") from None
         seq = sequences.parse_sequence_text(text)
     report = sequences.check_hypothesis(seq, args.C, args.tau)
@@ -225,7 +225,11 @@ def _cmd_verify_all(args, out: Path, log: harness.RunLog) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a parent that is one
+        print(f"flowcert: error: cannot use --out {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     log = harness.RunLog(out / "run.log", quiet=args.quiet)
     try:
         return args.run(args, out, log)

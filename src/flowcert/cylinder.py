@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, gamma
 
-from .errors import GeometryError, InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError
 
 
 def sphere_area(k: int) -> float:
@@ -97,7 +97,7 @@ class CylinderGraph:
         u[0] = 0.0
         u[-1] = 0.0
         if np.any(self.spec.radius + u <= 0.0):
-            raise GeometryError("profile reaches r <= 0; not an embedded rotational graph")
+            raise PreconditionError("profile reaches r <= 0; not an embedded rotational graph")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "u", u)
 
@@ -150,7 +150,7 @@ def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> float:
     spec, z, h = g.spec, g.z, g.h
     r = g.r
     if np.any(r <= 0.0):
-        raise GeometryError("profile reaches r <= 0")
+        raise PreconditionError("profile reaches r <= 0")
     r_z = np.gradient(r, h)
     w = z * scale + center
     rad = r * scale

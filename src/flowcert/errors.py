@@ -2,7 +2,9 @@
 
 Each class owns the exit code that `flowcert` returns when it ends a run:
 64 for a usage error, 3 for a failed hypothesis, and 1 (the base's) for any
-other package error.  A subclass inherits its parent's code.
+other package error.  There is one class per exit code, plus the two that
+callers tell apart: InsufficientDataError, which a fit's caller catches by
+name, and IntegrationError, which carries the last valid state.
 """
 
 
@@ -13,13 +15,7 @@ class FlowcertError(Exception):
 
 
 class InvalidInputError(FlowcertError):
-    """Input data violates a structural invariant (positivity, monotonicity, ordering)."""
-
-    exit_code = 64
-
-
-class ParameterError(FlowcertError):
-    """A constant lies outside its admissible range."""
+    """Input violates an invariant: a malformed value, constant, file or configuration."""
 
     exit_code = 64
 
@@ -29,25 +25,14 @@ class NumericError(FlowcertError):
 
 
 class PreconditionError(FlowcertError):
-    """Caller-supplied state does not meet an operation's stated precondition."""
-
-    exit_code = 3
-
-
-class EnvelopeNotApplicableError(FlowcertError):
-    """Decay envelope undefined: the tracked quantity is not strictly positive."""
-
-    exit_code = 3
-
-
-class GeometryError(FlowcertError):
-    """A surface left the embedded-graph regime (radius reached zero)."""
+    """State does not meet an operation's precondition (a surface left the graph
+    regime, a decay envelope is undefined, a radius does not fit the grid)."""
 
     exit_code = 3
 
 
 class IntegrationError(FlowcertError):
-    """Time integration failed; carries the last valid state."""
+    """Time integration stalled, blew up or collapsed; carries the last valid state."""
 
     exit_code = 3
 
@@ -56,21 +41,7 @@ class IntegrationError(FlowcertError):
         self.last_state = last_state
 
 
-class StiffnessError(IntegrationError):
-    """Time integration stalled."""
-
-
-class BlowupError(IntegrationError):
-    """Discrete instability or NaN detected."""
-
-
 class InsufficientDataError(FlowcertError):
     """Not enough admissible data to run the requested fit."""
 
     exit_code = 3
-
-
-class ConfigError(FlowcertError):
-    """Malformed run configuration (file syntax, unknown key, bad value)."""
-
-    exit_code = 64

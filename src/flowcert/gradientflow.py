@@ -25,14 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import sequences
-from .errors import (
-    EnvelopeNotApplicableError,
-    InvalidInputError,
-    NumericError,
-    ParameterError,
-    PreconditionError,
-    StiffnessError,
-)
+from .errors import IntegrationError, InvalidInputError, NumericError, PreconditionError
 
 SMALL_BALL = 0.25  # endpoint ball for the effective length bound
 MAX_MARKS = 20_000  # unit marks one read takes: per side in effective_bound, in sqrt_segment_sum
@@ -66,9 +59,9 @@ class GradientProblem:
 
     def __post_init__(self):
         if not (1.0 / 3.0 < self.tau <= 1.0):
-            raise ParameterError(f"need tau in (1/3, 1], got {self.tau}")
+            raise InvalidInputError(f"need tau in (1/3, 1], got {self.tau}")
         if self.ball_radius <= 0:
-            raise ParameterError("ball_radius must be positive")
+            raise InvalidInputError("ball_radius must be positive")
         g0 = np.asarray(self.grad(np.zeros(self.dim)), dtype=float)
         if np.max(np.abs(g0)) > 1e-14:
             raise InvalidInputError(f"{self.name}: gradient at the origin is not zero")
@@ -208,7 +201,7 @@ def integrate(problem: GradientProblem, x0, t_end,
     box, which holds the ball and so wherever the recorded flow runs.  A
     batch whose run ends at an exit or a stall is integrated again one lane
     at a time, so each lane stops at its own exit or raises its own
-    StiffnessError.  The recorded F-values of every lane are checked to be
+    IntegrationError.  The recorded F-values of every lane are checked to be
     non-increasing up to 10*tol.  The shared interpolant is laid out once
     per batch, lane by lane, and each Trajectory's `dense` reads only its own
     lane's contiguous block.
@@ -226,13 +219,13 @@ def integrate(problem: GradientProblem, x0, t_end,
     try:
         horizons = np.broadcast_to(np.asarray(t_end, dtype=float), (m,))
     except ValueError:
-        raise ParameterError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
+        raise InvalidInputError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
     if not (0 < tol <= MAX_TOL and np.all((0 < horizons) & (horizons <= MAX_T_END))):
-        raise ParameterError(f"need 0 < t_end <= {MAX_T_END:g} and 0 < tol <= {MAX_TOL:g}")
+        raise InvalidInputError(f"need 0 < t_end <= {MAX_T_END:g} and 0 < tol <= {MAX_TOL:g}")
     root_m = math.sqrt(m)
     if tol / root_m < RK45_MIN_RTOL:
-        raise ParameterError(f"tol {tol:g} is below RK45's floor {RK45_MIN_RTOL * root_m:.3g} "
-                             f"for {m} lane(s)")
+        raise InvalidInputError(f"tol {tol:g} is below RK45's floor {RK45_MIN_RTOL * root_m:.3g} "
+                                f"for {m} lane(s)")
     s_end = float(np.max(horizons))
     speed = horizons / s_end
     neg_speed = -speed[:, None]
@@ -254,8 +247,8 @@ def integrate(problem: GradientProblem, x0, t_end,
     if sol.status != 0 and m > 1:
         return [integrate(problem, lane, horizon, tol) for lane, horizon in zip(lanes, horizons)]
     if sol.status == -1:
-        raise StiffnessError(f"integration stalled at t={sol.t[-1]}: {sol.message}",
-                             last_state=(float(sol.t[-1]), sol.y[:, -1].copy()))
+        raise IntegrationError(f"integration stalled at t={sol.t[-1]}: {sol.message}",
+                               last_state=(float(sol.t[-1]), sol.y[:, -1].copy()))
     t_old, width, Q, y_old = _interpolant_arrays(sol, m)
     bounds = sol.t[1:-1]
     runs = []
@@ -319,7 +312,7 @@ def decay_envelope_check(traj: Trajectory) -> bool:
     tau = traj.problem.tau
     f = np.asarray(traj.F_values, dtype=float) - traj.problem.F0
     if np.any(f <= 0.0):
-        raise EnvelopeNotApplicableError("F - F0 is not strictly positive along the trajectory")
+        raise PreconditionError("F - F0 is not strictly positive along the trajectory")
     t_rel = traj.times - traj.t_start
     envelope = (f[0] ** (-tau) + tau * t_rel) ** (-1.0 / tau)
     return bool(np.all(f <= envelope + ENVELOPE_TOL))
@@ -378,9 +371,9 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     and the same for the sqrt-drop sum, with (c, alpha) the certificate pair.
     """
     if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"need epsilon in (0, 1), got {epsilon}")
+        raise InvalidInputError(f"need epsilon in (0, 1), got {epsilon}")
     if not 1.0 / 3.0 < problem.tau < 1.0:
-        raise ParameterError("certificate needs tau in (1/3, 1)")
+        raise InvalidInputError("certificate needs tau in (1/3, 1)")
     F0 = problem.F0
     p1, p2 = traj.points[0], traj.points[-1]
     if np.linalg.norm(p1) > SMALL_BALL or np.linalg.norm(p2) > SMALL_BALL:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import InvalidInputError
 from .mcf import RunConfig
 
 
@@ -33,15 +33,16 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise InvalidInputError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key not in types:
-            raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
+            raise InvalidInputError(f"{source}:{lineno}: unknown key '{key}'")
         try:
             out[key] = {"int": int, "str": str, "float": float}[types[key]](val)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: '{key}' wants a value of type {types[key]}") from exc
+            raise InvalidInputError(
+                f"{source}:{lineno}: '{key}' wants a value of type {types[key]}") from exc
     return out
 
 
@@ -49,14 +50,14 @@ def _config_from_text(text: str, source: str) -> RunConfig:
     try:
         return RunConfig(**parse_config_text(text, source=source))
     except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+        raise InvalidInputError(f"{source}: {exc}") from exc
 
 
 def load_run_config(path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     return _config_from_text(text, str(path))
 
 
@@ -64,8 +65,8 @@ def load_bundled_config(name: str) -> RunConfig:
     """Load one of the packaged default run configs (flowcert/configs/)."""
     try:
         text = (resources.files("flowcert") / "configs" / name).read_text()
-    except (FileNotFoundError, OSError) as exc:
-        raise ConfigError(f"no bundled config named '{name}'") from exc
+    except OSError as exc:
+        raise InvalidInputError(f"no bundled config named '{name}'") from exc
     return _config_from_text(text, f"configs/{name}")
 
 

@@ -38,14 +38,7 @@ from scipy.integrate import BDF
 from . import sequences
 from .cylinder import (CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F,
                        uniform_grid, window, write_csv)
-from .errors import (
-    BlowupError,
-    ConfigError,
-    GeometryError,
-    InsufficientDataError,
-    InvalidInputError,
-    PreconditionError,
-)
+from .errors import IntegrationError, InsufficientDataError, InvalidInputError, PreconditionError
 
 PROFILE_KINDS = ("zero", "gauss", "balanced_gauss", "random")
 
@@ -203,18 +196,19 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     Starting time must be an integer.  A start whose max |u| already exceeds
     controls.stop_max_abs_u is refused with PreconditionError: the run would
     stop after its first step, and the slopes and area of such a profile may
-    overflow.  After each accepted step the run raises GeometryError if r <= 0
-    anywhere, and stops after the first step with max |u| above
+    overflow.  After each accepted step the run raises PreconditionError if
+    r <= 0 anywhere, and stops after the first step with max |u| above
     stop_max_abs_u.  A failed step or a non-finite right-hand side raises
-    BlowupError carrying the last accepted state, and so does a run that takes
-    more than STARTUP_STEPS steps plus one per dt_max of flow time: a tolerance
-    of a second-order step of dt_max needs far fewer, so steps that short mean
-    the solver, not the flow, is in trouble.  So does an accepted step shorter
-    than MIN_STEP_ULPS ulp of max(1, t), other than the last one, which scipy
-    clips onto t_end: scipy's own floor (10 ulp of t) does not bind near t = 0,
-    where a collapsing run would otherwise spend its whole budget.  A dt_max
-    whose rtol is below RTOL_MIN or overflows, and a run that spans more than
-    MAX_STEPS steps of dt_max, are refused up front with InvalidInputError.
+    IntegrationError carrying the last accepted state, and so does a run that
+    takes more than STARTUP_STEPS steps plus one per dt_max of flow time: a
+    tolerance of a second-order step of dt_max needs far fewer, so steps that
+    short mean the solver, not the flow, is in trouble.  So does an accepted
+    step shorter than MIN_STEP_ULPS ulp of max(1, t), other than the last one,
+    which scipy clips onto t_end: scipy's own floor (10 ulp of t) does not bind
+    near t = 0, where a collapsing run would otherwise spend its whole budget.
+    A dt_max whose rtol is below RTOL_MIN or overflows, and a run that spans
+    more than MAX_STEPS steps of dt_max, are refused up front with
+    InvalidInputError.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
@@ -259,7 +253,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     def rhs(_, w: np.ndarray) -> np.ndarray:
         out = frhs(w)
         if not np.isfinite(out).all():  # before the solver factors a non-finite Jacobian
-            raise BlowupError(f"non-finite right-hand side after t={t}", last_state=last_state())
+            raise IntegrationError(f"non-finite right-hand side after t={t}", last_state=last_state())
         return out
 
     band = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(u.size, u.size))
@@ -268,20 +262,20 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     stop_reason = "completed"
     while solver.status == "running" and stop_reason == "completed":
         if len(diag_t) >= budget:
-            raise BlowupError(f"gave up at t={t} after {budget} steps "
-                              f"(last dt {diag_dt[-1]:.3e}, dt_max {controls.dt_max:g})",
-                              last_state=last_state())
+            raise IntegrationError(f"gave up at t={t} after {budget} steps "
+                                   f"(last dt {diag_dt[-1]:.3e}, dt_max {controls.dt_max:g})",
+                                   last_state=last_state())
         message = solver.step()
         if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
-            raise BlowupError(f"step failed after t={t}: {message or 'non-finite profile'}",
-                              last_state=last_state())
+            raise IntegrationError(f"step failed after t={t}: {message or 'non-finite profile'}",
+                                   last_state=last_state())
         y_min = float(solver.y.min())
         if y_min <= -s:
-            raise GeometryError(f"flow left the graph regime at t={solver.t}: r <= 0")
+            raise PreconditionError(f"flow left the graph regime at t={solver.t}: r <= 0")
         t_old, t, u = t, solver.t, solver.y
         if t - t_old < MIN_STEP_ULPS * np.spacing(max(1.0, t)) and t < t_end:
-            raise BlowupError(f"step collapsed to {t - t_old:.3e} at t={t:.3e} "
-                              f"(dt_max {controls.dt_max:g})", last_state=last_state())
+            raise IntegrationError(f"step collapsed to {t - t_old:.3e} at t={t:.3e} "
+                                   f"(dt_max {controls.dt_max:g})", last_state=last_state())
         max_u = abs(max(float(u.max()), -y_min))  # abs() turns a -0.0 into +0.0
         diag_t.append(t)
         diag_dt.append(t - t_old)
@@ -398,23 +392,6 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     )
 
 
-def split_signed_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a non-increasing signed series into certifiable monotone parts.
-
-    Returns (positive prefix, negative suffix reindexed backwards with its
-    sign flipped); both results are positive and non-increasing.  Entries with
-    magnitude at or below ZERO_TOL are dropped.  The sign-crossing difference
-    is the only one not reproduced inside a part.
-    """
-    v = np.asarray(series, dtype=float)
-    if np.any(np.diff(v) > 1e-9 * max(1.0, float(np.max(np.abs(v), initial=0.0)))):
-        raise InvalidInputError("series must be non-increasing")
-    pos = v[v > ZERO_TOL]
-    neg = v[v < -ZERO_TOL]
-    return np.minimum.accumulate(pos) if pos.size else pos, \
-        np.minimum.accumulate(-neg[::-1]) if neg.size else -neg[::-1]
-
-
 MAX_INTERVALS = 100_000  # grid cap, far above the finest bundled grid (2,000)
 MAX_K = 200  # the closed-form cylinder area overflows a float near k = 300
 
@@ -439,30 +416,31 @@ class RunConfig:
 
     def __post_init__(self):
         if self.profile_kind not in PROFILE_KINDS:
-            raise ConfigError(f"unknown profile_kind '{self.profile_kind}'")
+            raise InvalidInputError(f"unknown profile_kind '{self.profile_kind}'")
         for name in ("h", "R_dom", "dt_max", "eps1", "eps2", "R1", "R2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ConfigError(f"amplitude must be finite and non-negative, got {self.amplitude}")
+            raise InvalidInputError(f"amplitude must be finite and non-negative, got {self.amplitude}")
         if not (1 <= self.k <= MAX_K and self.seed >= 0):
-            raise ConfigError(f"need 1 <= k <= {MAX_K} and seed >= 0, got k={self.k}, seed={self.seed}")
+            raise InvalidInputError(
+                f"need 1 <= k <= {MAX_K} and seed >= 0, got k={self.k}, seed={self.seed}")
         if 2.0 * self.R_dom / self.h > MAX_INTERVALS:
-            raise ConfigError(f"grid 2*R_dom/h exceeds {MAX_INTERVALS} intervals")
+            raise InvalidInputError(f"grid 2*R_dom/h exceeds {MAX_INTERVALS} intervals")
         if not (isinstance(self.t1, int) and isinstance(self.t2, int)):
-            raise ConfigError("t1 and t2 must be integers (unit-mark bookkeeping)")
+            raise InvalidInputError("t1 and t2 must be integers (unit-mark bookkeeping)")
         if self.t2 > sys.float_info.max:  # the run's horizon is float(t2)
-            raise ConfigError(f"t2 must be at most {sys.float_info.max:g}, the largest float")
+            raise InvalidInputError(f"t2 must be at most {sys.float_info.max:g}, the largest float")
         if not 0 <= self.t1 <= self.t2 - 2:
-            raise ConfigError("need 0 <= t1 <= t2 - 2")
+            raise InvalidInputError("need 0 <= t1 <= t2 - 2")
         if self.R2 > self.R_dom - 2 * self.h or self.R1 > self.R_dom - 2 * self.h:
-            raise ConfigError("measurement radii must fit inside the grid")
+            raise InvalidInputError("measurement radii must fit inside the grid")
         z = uniform_grid(self.R_dom, self.h)
         for name in ("R1", "R2"):
             R = getattr(self, name)
             if not window(z, R).any():
-                raise ConfigError(f"{name}: no grid point within |z| <= {R} (spacing h={self.h})")
+                raise InvalidInputError(f"{name}: no grid point within |z| <= {R} (spacing h={self.h})")
 
     def controls(self) -> FlowControls:
         return FlowControls(dt_max=self.dt_max)
@@ -562,9 +540,15 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     except InsufficientDataError as exc:
         failure = failure or f"decay fit unavailable: {exc}"
 
-    # F-series at the odd marks t1 + 2j - 1
+    # F-series at the odd marks t1 + 2j - 1, split at the sign change into the
+    # positive prefix and the negative suffix reindexed backwards with its sign
+    # flipped; entries at or below ZERO_TOL drop out, and certify_part's running
+    # minimum irons out the rounding-level rises the guard lets through
     series = hist.mark_F[k + 1::2] - F_cyl
-    pos, neg = split_signed_series(series)
+    if np.any(np.diff(series) > 1e-9 * max(1.0, float(np.max(np.abs(series), initial=0.0)))):
+        raise InvalidInputError("series must be non-increasing")
+    pos = series[series > ZERO_TOL]
+    neg = -series[series < -ZERO_TOL][::-1]
     if pos.size and neg.size:
         case_tag = "crossing"
     elif neg.size:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta
 
-from .errors import InvalidInputError, NumericError, ParameterError
+from .errors import InvalidInputError, NumericError
 
 # Relative slack absorbing float rounding when data sits on the equality case.
 REL_TOL = 1e-12
@@ -37,11 +37,11 @@ def _require_params(C, tau, inclusive: bool = False) -> None:
     """Validate scalar or array constants; every entry must be admissible:
     C >= 1 and tau in (1/3, 1), or (1/3, 1] when inclusive."""
     if not np.all(np.isfinite(C) & (C >= 1.0)):
-        raise ParameterError(f"need C >= 1, got C={C}")
+        raise InvalidInputError(f"need C >= 1, got C={C}")
     hi_ok = tau <= 1.0 if inclusive else tau < 1.0
     if not np.all(np.isfinite(tau) & (tau > 1.0 / 3.0) & hi_ok):
         bracket = "]" if inclusive else ")"
-        raise ParameterError(f"need tau in (1/3, 1.0{bracket}, got tau={tau}")
+        raise InvalidInputError(f"need tau in (1/3, 1.0{bracket}, got tau={tau}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +164,7 @@ def tail_series_sum(C: float, delta: float) -> float:
     = a^s zeta(s, a + 1).
     """
     if delta <= 0.0 or C < 1.0:
-        raise ParameterError(f"need delta > 0 and C >= 1, got delta={delta}, C={C}")
+        raise InvalidInputError(f"need delta > 0 and C >= 1, got delta={delta}, C={C}")
     a = 12.0 * C
     s = 1.0 + delta
     return float(a**s * zeta(s, a + 1.0))
@@ -179,7 +179,7 @@ def _constructive_bound_cached(C: float, tau: float) -> CertificateConstants:
     except OverflowError:
         c = math.inf
     if not math.isfinite(c):
-        raise ParameterError(f"C={C} is too large: the constant c overflows at tau={tau}")
+        raise InvalidInputError(f"C={C} is too large: the constant c overflows at tau={tau}")
     alpha = tau * delta / 2.0
     consts = CertificateConstants(C=C, tau=tau, c=c, alpha=alpha, delta=delta, tail_sum=tail)
     # Release gate: the equality-saturating sequence is the worst case the

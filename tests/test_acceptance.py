@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 from flowcert import acceptance, cli, gradientflow, harness, sequences
-from flowcert.errors import NumericError
+from flowcert.errors import InvalidInputError, NumericError
 
 SEED = 1234
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all_seed1234.json"
+GOLDEN_SEED7 = GOLDEN.with_name("verify_all_seed7.json")
 CRITERIA = {1: "crit_power_gap", 2: "crit_iterated_gap", 3: "crit_summability_bound",
             4: "crit_model_flow", 5: "crit_gradient_consistency", 6: "crit_cylinder_area",
             7: "crit_stationarity", 8: "crit_monotone_F", 9: "crit_fit_feasibility",
@@ -59,7 +60,9 @@ def test_manifest_matches_golden(suite, tmp_path):
 
 
 def test_verify_all_cli_is_byte_deterministic(tmp_path):
-    """Criterion 11, end to end: same seed, two concurrent processes, identical manifests."""
+    """Criterion 11, end to end: same seed, two concurrent processes, identical
+    manifests, both equal to the seed-7 golden file (regenerated as the
+    seed-1234 one is)."""
     subs = ("a", "b")
     procs = [subprocess.Popen(
         [sys.executable, "-m", "flowcert", "--quiet", "--out", str(tmp_path / sub),
@@ -74,6 +77,7 @@ def test_verify_all_cli_is_byte_deterministic(tmp_path):
         assert proc.returncode == 0, stdout + stderr
     outs = [(tmp_path / sub / "manifest.json").read_bytes() for sub in subs]
     assert outs[0] == outs[1]
+    assert outs[0] == GOLDEN_SEED7.read_bytes()
     manifest = json.loads(outs[0])
     assert manifest["all_passed"]
     assert manifest["seed"] == 7
@@ -100,6 +104,20 @@ def test_raising_criterion_fails_and_the_rest_still_run(monkeypatch, tmp_path):
     assert cli.main(["--quiet", "--out", str(tmp_path), "verify-all"]) == 1
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert len(on_disk["checks"]) == 11 and not on_disk["all_passed"]
+
+
+def test_negative_seed_is_refused_before_any_criterion_runs(monkeypatch, tmp_path, capsys):
+    """numpy's generators refuse a negative seed; run_all refuses it first,
+    with exit 64 and one line, instead of a traceback from inside a criterion."""
+    ran = []
+    for criterion, name in CRITERIA.items():
+        monkeypatch.setattr(acceptance, name, lambda *args, n=criterion: ran.append(n))
+    with pytest.raises(InvalidInputError, match=r"^need seed >= 0, got -1$"):
+        acceptance.run_all(seed=-1)
+    assert cli.main(["--out", str(tmp_path), "verify-all", "--seed", "-1"]) == 64
+    printed = capsys.readouterr()
+    assert printed.out == "error: need seed >= 0, got -1\n" and printed.err == ""
+    assert ran == [] and not (tmp_path / "manifest.json").exists()
 
 
 def test_extremal_chains_are_built_once_and_read_only(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from flowcert import cylinder as cyl
-from flowcert.errors import GeometryError, InvalidInputError, PreconditionError
+from flowcert.errors import InvalidInputError, PreconditionError
 
 SPEC1 = cyl.CylinderSpec(1)
 
@@ -88,7 +88,7 @@ class TestGraphArea:
         assert cyl.graph_F(mirrored) == pytest.approx(cyl.graph_F(g), abs=1e-13)
 
     def test_geometry_error(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(PreconditionError):
             cyl.CylinderGraph.from_profile(SPEC1, 20.0, 0.1,
                                            lambda z: -2.0 * np.exp(-(z**2)))
 

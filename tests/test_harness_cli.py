@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcert import acceptance, cli, errors, gradientflow, harness, mcf, sequences
-from flowcert.errors import ConfigError, FlowcertError, StiffnessError
+from flowcert.errors import FlowcertError, IntegrationError, InvalidInputError
 
 COARSE_CFG = """\
 # coarse run for fast tests
@@ -50,26 +50,26 @@ class TestConfigParsing:
         assert data == {"k": 2}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             harness.parse_config_text("wibble = 3\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             harness.parse_config_text("k = two\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             harness.parse_config_text("h == 0.1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             harness.parse_config_text("just words\n")
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             harness.load_run_config("/nonexistent/run.cfg")
 
     def test_bundled_configs_load(self):
         for name in ("zero.cfg", "fit.cfg", "sweep.cfg", "blowup.cfg"):
             cfg = harness.load_bundled_config(name)
             assert cfg.k == 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             harness.load_bundled_config("missing.cfg")
 
 
@@ -298,7 +298,7 @@ class TestCliExitCodes:
 
     def test_stalled_integration_is_3(self, tmp_path, capsys, monkeypatch):
         def stalled(*args, **kwargs):
-            raise StiffnessError("integration stalled at t=1.0: step size too small")
+            raise IntegrationError("integration stalled at t=1.0: step size too small")
 
         monkeypatch.setattr(gradientflow, "integrate", stalled)
         code = cli.main(["--out", str(tmp_path / "o"), "grad-flow", "--problem", "quartic1d",
@@ -429,6 +429,27 @@ class TestCliExitCodes:
         printed = capsys.readouterr()
         assert "error: cannot read" in printed.out and "Traceback" not in printed.err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("command, flag", [("seq-check", "--file"), ("mcf", "--config")])
+    def test_file_that_is_not_utf8_is_64(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe")
+        code = cli.main(["--out", str(tmp_path / "o"), command, flag, str(path)])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert re.fullmatch(r"error: cannot read .*can't decode byte 0xff.*\n", printed.out)
+        assert printed.err == ""
+
+    def test_out_naming_an_existing_file_is_64(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        code = cli.main(["--out", str(taken), "seq-check", "--geometric"])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert re.fullmatch(r"flowcert: error: cannot use --out .*taken: .*File exists.*\n",
+                            printed.err)
+        assert taken.read_text() == "keep me\n"
 
     @pytest.mark.parametrize("n", [sequences.MAX_SEQUENCE_STEPS + 1, 10**11])
     @pytest.mark.parametrize("kind", ["--geometric", "--extremal"])

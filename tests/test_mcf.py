@@ -10,14 +10,8 @@ import scipy.linalg
 from flowcert import harness, mcf
 from flowcert import sequences as sq
 from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, dist_R, graph_F
-from flowcert.errors import (
-    BlowupError,
-    ConfigError,
-    GeometryError,
-    InsufficientDataError,
-    InvalidInputError,
-    PreconditionError,
-)
+from flowcert.errors import (IntegrationError, InsufficientDataError, InvalidInputError,
+                             PreconditionError)
 
 SPEC1 = CylinderSpec(1)
 
@@ -434,7 +428,7 @@ class TestEvolve:
         state = mcf.FlowState(CylinderGraph.zero(spec, 2.0, 0.1), 0.0)
         hist = mcf.evolve(state, spec.radius - 0.01, mcf.FlowControls())
         assert hist.diag_max_u[-1] == pytest.approx(spec.radius - 0.01, rel=1e-12)
-        with pytest.raises(GeometryError, match="r <= 0"):
+        with pytest.raises(PreconditionError, match="r <= 0"):
             mcf.evolve(state, spec.radius + 0.01, mcf.FlowControls())
 
     def test_non_integer_start_rejected(self):
@@ -467,7 +461,7 @@ class TestEvolve:
         cfg = coarse_config(t2=2)
         clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(100))
-        with pytest.raises(BlowupError, match=r"non-finite right-hand side after t=0\.154") as exc:
+        with pytest.raises(IntegrationError, match=r"non-finite right-hand side after t=0\.154") as exc:
             mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         state = exc.value.last_state
         assert state.t in clean.diag_t.tolist()
@@ -481,7 +475,8 @@ class TestEvolve:
         cfg = coarse_config(t2=2)
         clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=200))
-        with pytest.raises(BlowupError, match=r"step failed after t=0\.716.*less than spacing") as exc:
+        failed = r"step failed after t=0\.716.*less than spacing"
+        with pytest.raises(IntegrationError, match=failed) as exc:
             mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         assert exc.value.last_state.t in clean.diag_t.tolist()
 
@@ -489,7 +484,7 @@ class TestEvolve:
         # the solver evaluates the right-hand side once before its first step
         cfg = coarse_config(t2=2)
         monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(0))
-        with pytest.raises(BlowupError, match=r"non-finite right-hand side after t=0\.0") as exc:
+        with pytest.raises(IntegrationError, match=r"non-finite right-hand side after t=0\.0") as exc:
             mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         state = exc.value.last_state
         assert state.t == 0.0
@@ -502,7 +497,7 @@ class TestEvolve:
         clean = mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
         assert clean.diag_t.size > 14
         monkeypatch.setattr(mcf, "STARTUP_STEPS", 10)
-        with pytest.raises(BlowupError, match=r"gave up at t=\S+ after 14 steps") as exc:
+        with pytest.raises(IntegrationError, match=r"gave up at t=\S+ after 14 steps") as exc:
             mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
         assert exc.value.last_state.t == clean.diag_t[13]
 
@@ -512,7 +507,8 @@ class TestEvolve:
         # accepted step is already under 10 ulp of 1
         monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=0))
         cfg = coarse_config(t2=2)
-        with pytest.raises(BlowupError, match=r"step collapsed to \S+ at t=\S+ \(dt_max 0\.5\)") as exc:
+        collapsed = r"step collapsed to \S+ at t=\S+ \(dt_max 0\.5\)"
+        with pytest.raises(IntegrationError, match=collapsed) as exc:
             mcf.evolve(cfg.initial_state(), 2.0, mcf.FlowControls(dt_max=0.5))
         assert 0.0 < exc.value.last_state.t < 1e-100
 
@@ -647,41 +643,6 @@ class TestLojasiewiczFit:
             mcf.lojasiewicz_fit(hist, R=6.0, eps=1e-9)
 
 
-class TestSplitSignedSeries:
-    def test_reproduces_extremal_parts_exactly(self):
-        pos_src = sq.extremal_sequence(1.0, 0.5, x1=0.5, n_steps=10)
-        neg_src = sq.extremal_sequence(1.0, 0.5, x1=0.3, n_steps=8)
-        series = np.concatenate([pos_src.values, -neg_src.values[::-1]])
-        pos, neg = mcf.split_signed_series(series)
-        assert np.array_equal(pos, pos_src.values)
-        assert np.array_equal(neg, neg_src.values)
-        # both parts certify against the drop law they were built to saturate
-        for part in (pos, neg):
-            rep = sq.check_hypothesis(sq.MonotoneSequence(part), C=1.0, tau=0.5)
-            assert rep.ok
-
-    def test_concatenated_diffs_reproduce_drops_except_crossing(self):
-        pos_src = sq.extremal_sequence(1.0, 0.5, x1=0.5, n_steps=6)
-        neg_src = sq.extremal_sequence(1.0, 0.5, x1=0.3, n_steps=5)
-        series = np.concatenate([pos_src.values, -neg_src.values[::-1]])
-        pos, neg = mcf.split_signed_series(series)
-        part_diffs = np.concatenate([-np.diff(pos), -np.diff(neg)])
-        all_drops = -np.diff(series)
-        crossing = len(pos) - 1  # the one drop straddling the sign change
-        kept = np.delete(all_drops, crossing)
-        assert np.allclose(np.sort(part_diffs), np.sort(kept), rtol=0, atol=0)
-
-    def test_rejects_increasing_series(self):
-        with pytest.raises(InvalidInputError):
-            mcf.split_signed_series(np.array([0.1, 0.5]))
-
-    def test_all_positive_and_all_negative(self):
-        pos, neg = mcf.split_signed_series(np.array([0.5, 0.4, 0.3]))
-        assert neg.size == 0 and pos.size == 3
-        pos, neg = mcf.split_signed_series(np.array([-0.1, -0.2]))
-        assert pos.size == 0 and np.array_equal(neg, np.array([0.2, 0.1]))
-
-
 class TestCloseExperiment:
     def test_zero_data_trivial_bound(self):
         cfg = coarse_config(amplitude=0.0, profile_kind="zero", t2=8)
@@ -776,6 +737,67 @@ def blowup_run():
     return cfg, mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
 
 
+def close_on_series(run, series, monkeypatch):
+    """close_experiment on run (marks 0..9, t1 = 0) with the F-gaps at its odd
+    marks set to series and those at its even marks falling in between.
+    Returns the report, the parts passed to certify_part and the odd-mark
+    series as close_experiment reads it back (F_cyl + gap - F_cyl rounds)."""
+    cfg, hist = run
+    series = np.asarray(series, dtype=float)
+    gaps = np.empty(hist.n_marks)
+    gaps[0] = series[0] + 0.1
+    gaps[1::2] = series
+    gaps[2::2] = (series[:-1] + series[1:]) / 2.0
+    mark_F = hist.spec.F_value + gaps
+    parts = []
+    real = sq.certify_part
+    monkeypatch.setattr(sq, "certify_part",
+                        lambda values, consts: parts.append(values) or real(values, consts))
+    rep = mcf.close_experiment(cfg, dataclasses.replace(hist, mark_F=mark_F))
+    return rep, parts, mark_F[1::2] - hist.spec.F_value
+
+
+class TestCloseSeriesSplit:
+    """close_experiment splits the odd-mark F-series at its sign change into a
+    positive prefix and a sign-flipped, backwards negative suffix."""
+
+    def test_reproduces_extremal_parts(self, coarse_run, monkeypatch):
+        pos_src = sq.extremal_sequence(1.0, 0.5, x1=0.5, n_steps=2)
+        neg_src = sq.extremal_sequence(1.0, 0.5, x1=0.3, n_steps=1)
+        series = np.concatenate([pos_src.values, -neg_src.values[::-1]])
+        rep, (pos, neg), _ = close_on_series(coarse_run, series, monkeypatch)
+        assert rep.case_tag == "crossing"
+        # exact up to the rounding of F_cyl + gap - F_cyl
+        np.testing.assert_allclose(pos, pos_src.values, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(neg, neg_src.values, rtol=0, atol=1e-15)
+        # both parts certify against the drop law they were built to saturate
+        for part in (pos, neg):
+            rep = sq.check_hypothesis(sq.MonotoneSequence(part), C=1.0, tau=0.5)
+            assert rep.ok
+
+    def test_concatenated_diffs_reproduce_drops_except_crossing(self, coarse_run, monkeypatch):
+        _, (pos, neg), series = close_on_series(coarse_run, [0.5, 0.3, 0.1, -0.2, -0.4],
+                                                monkeypatch)
+        part_diffs = np.concatenate([-np.diff(pos), -np.diff(neg)])
+        all_drops = -np.diff(series)
+        crossing = len(pos) - 1  # the one drop straddling the sign change
+        kept = np.delete(all_drops, crossing)
+        assert np.allclose(np.sort(part_diffs), np.sort(kept), rtol=0, atol=0)
+
+    def test_rejects_increasing_series(self, coarse_run, monkeypatch):
+        with pytest.raises(InvalidInputError, match="^series must be non-increasing$") as exc:
+            close_on_series(coarse_run, [0.1, 0.5, 0.4, 0.3, 0.2], monkeypatch)
+        assert exc.value.exit_code == 64
+
+    def test_all_positive_and_all_negative(self, coarse_run, monkeypatch):
+        rep, (pos, neg), _ = close_on_series(coarse_run, [0.5, 0.4, 0.3, 0.2, 0.1], monkeypatch)
+        assert rep.case_tag == "above" and neg.size == 0 and pos.size == 5
+        rep, (pos, neg), series = close_on_series(coarse_run, [-0.1, -0.2, -0.3, -0.4, -0.5],
+                                                  monkeypatch)
+        assert rep.case_tag == "below" and pos.size == 0
+        assert np.array_equal(neg, -series[::-1])
+
+
 class TestCloseMarks:
     def test_report_does_not_depend_on_the_start_time(self, coarse_run):
         cfg, hist = coarse_run
@@ -841,19 +863,19 @@ class TestRunConfig:
             empty = True
         for key in ("R1", "R2"):
             if empty:
-                with pytest.raises(ConfigError, match=f"{key}: no grid point"):
+                with pytest.raises(InvalidInputError, match=f"{key}: no grid point"):
                     coarse_config(h=h, **{key: R})
             else:
                 coarse_config(h=h, **{key: R})
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             coarse_config(profile_kind="wiggle")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             coarse_config(t1=5, t2=6)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             coarse_config(R1=19.99)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             mcf.RunConfig(t1=0.5, t2=8)  # type: ignore[arg-type]
 
     def test_profile_kinds_build(self):

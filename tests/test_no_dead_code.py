@@ -23,6 +23,10 @@ that no code reads is a flag the command silently ignores.
 
 And acceptance.py reads `evolve` only inside its run table, BundledRuns, so
 each bundled MCF run is evolved once and no criterion evolves its own.
+
+And every class in errors.py is raised or caught by name in src/flowcert: a
+class that is only ever a base, or that no code raises, is a name with no
+behaviour of its own.
 """
 
 import argparse
@@ -242,3 +246,24 @@ def test_acceptance_evolves_only_in_the_run_table():
         readers += [owner for owner, scope in scopes for node in ast.walk(scope)
                     if "evolve" in (getattr(node, "attr", None), getattr(node, "id", None))]
     assert readers == ["BundledRuns.__missing__"]
+
+
+def _raised_or_caught(tree) -> set:
+    """Names of the exception classes a module raises (`raise X(...)`) or
+    catches (`except X`, `except (X, Y)`)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(getattr(getattr(node.exc, "func", node.exc), "id", None))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(getattr(t, "id", None) for t in types)
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    classes = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    used = set().union(*(_raised_or_caught(ast.parse(path.read_text()))
+                         for path in sorted(PACKAGE.glob("*.py"))))
+    assert sorted(classes - used) == []

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from flowcert import harness
 from flowcert import sequences as sq
-from flowcert.errors import InvalidInputError, NumericError, ParameterError
+from flowcert.errors import InvalidInputError, NumericError
 
 EPS = np.finfo(float).eps
 
@@ -58,11 +58,11 @@ class TestCheckHypothesis:
 
     def test_parameter_validation(self):
         s = geometric(5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             sq.check_hypothesis(s, C=0.5, tau=0.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             sq.check_hypothesis(s, C=1.0, tau=0.2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             sq.check_hypothesis(s, C=1.0, tau=1.0)
 
     def test_x1_above_one_rejected(self):
@@ -130,16 +130,16 @@ class TestConstructiveBound:
             assert s.sqrt_diff_sum() <= cb.cap(float(s.values[0]))
 
     def test_parameter_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             sq.constructive_bound(0.9, 0.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             sq.constructive_bound(1.0, 1.0)  # delta would be zero
 
     @pytest.mark.parametrize("tau", [0.5, 0.9, 0.999])
     def test_overflowing_constant_is_refused(self, tau):
         # at C = 1e300 the tail sum overflows (tau 0.5, 0.9) or c does
         # (tau 0.999, where the tail is still finite); C = 1e150 stays finite
-        with pytest.raises(ParameterError, match="the constant c overflows"):
+        with pytest.raises(InvalidInputError, match="the constant c overflows"):
             sq.constructive_bound(1e300, tau)
         consts = sq.constructive_bound(1e150, tau)
         assert math.isfinite(consts.c) and consts.c > 1e75
@@ -237,10 +237,10 @@ BAD_PARAMS = [
 class TestParameterErrors:
     @pytest.mark.parametrize("C,tau,message", BAD_PARAMS)
     def test_same_error_and_message(self, C, tau, message):
-        with pytest.raises(ParameterError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             sq.check_hypothesis(geometric(5), C, tau)
         assert str(exc.value) == message
-        with pytest.raises(ParameterError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             sq.constructive_bound(C, tau)
         assert str(exc.value) == message
 
@@ -250,7 +250,7 @@ class TestParameterErrors:
         (float("nan"), "need tau in (1/3, 1.0], got tau=nan"),
     ])
     def test_inclusive_tau_message(self, tau, message):
-        with pytest.raises(ParameterError) as exc:
+        with pytest.raises(InvalidInputError) as exc:
             sq.extremal_sequence(1.0, tau, 1.0, 3)
         assert str(exc.value) == message
         sq.extremal_sequence(1.0, 1.0, 1.0, 3)  # tau = 1 is admissible here
@@ -262,12 +262,12 @@ class TestParameterErrors:
             try:
                 sq._require_params(C, tau)
                 strict = True
-            except ParameterError:
+            except InvalidInputError:
                 strict = False
             try:
                 sq._require_params(C, tau, inclusive=True)
                 inclusive = True
-            except ParameterError:
+            except InvalidInputError:
                 inclusive = False
             return strict, inclusive
 
@@ -423,7 +423,7 @@ class TestRandomAdmissibleBatch:
             sq.random_admissible_batch(1.0, 0.5, rng, n_seq=0, n_steps=5)
         with pytest.raises(InvalidInputError):
             sq.random_admissible_batch(1.0, 0.5, rng, n_seq=3, n_steps=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(InvalidInputError):
             sq.random_admissible_batch(0.5, 0.5, rng, n_seq=3, n_steps=5)
 
 

@@ -136,7 +136,7 @@ def crit_summability_bound(seed: int) -> CheckResult:
 
 
 def _classifier_sample(problem: gf.GradientProblem, rng: np.random.Generator, index: int):
-    """Starting point, horizon and tolerance for one certifying run.
+    """Starting point and horizon for one certifying run.
 
     Saddle starts alternate between a crossing-forcing configuration (the
     level-set crossing happens well before the unstable coordinate leaves the
@@ -148,13 +148,13 @@ def _classifier_sample(problem: gf.GradientProblem, rng: np.random.Generator, in
             x0 = rng.uniform(0.1, 0.2)
             y0 = rng.uniform(5e-4, 2e-3)
             t_cross = (x0**2 - y0**2) / (16.0 * x0**2 * y0**2)
-            return np.array([x0, y0]), 1.3 * t_cross, 0.5
+            return np.array([x0, y0]), 1.3 * t_cross
         y0 = rng.uniform(5e-3, 1e-2)
-        return np.array([0.0, y0]), 50.0, 0.5
+        return np.array([0.0, y0]), 50.0
     radius = rng.uniform(0.05, 0.24)
     direction = rng.normal(size=problem.dim)
     direction /= np.linalg.norm(direction)
-    return radius * direction, 50.0, 0.5
+    return radius * direction, 50.0
 
 
 def crit_model_flow(seed: int) -> CheckResult:
@@ -170,10 +170,10 @@ def crit_model_flow(seed: int) -> CheckResult:
     total = 0
     cases = {"above": 0, "below": 0, "crossing": 0}
     for problem in gf.builtin_problems():
-        starts, horizons, epsilons = zip(*(_classifier_sample(problem, rng, i) for i in range(100)))
+        starts, horizons = zip(*(_classifier_sample(problem, rng, i) for i in range(100)))
         runs = gf.integrate(problem, np.array(starts), t_end=np.array(horizons), tol=1e-9)
-        for run, eps in zip(runs, epsilons):
-            report = gf.effective_bound(problem, run, epsilon=eps)
+        for run in runs:
+            report = gf.effective_bound(problem, run, epsilon=0.5)
             total += 1
             certified += int(report.holds)
             cases[report.case_tag] += 1

@@ -149,7 +149,8 @@ def _cmd_grad_flow(args, out: Path, log: harness.RunLog) -> int:
 
 
 def _write_history(hist: mcf.FlowHistory, cfg: mcf.RunConfig, out: Path) -> None:
-    hist.to_csv(out / "history.csv", cfg.R1, cfg.R2)
+    write_csv(out / "history.csv", ["t", "F", "dist_R1", "dist_R2", "max_abs_u"],
+              [hist.mark_times, hist.mark_F, hist.dist(cfg.R1), hist.dist(cfg.R2), hist.mark_max_u])
     write_csv(out / "diagnostics.csv", ["t", "dt", "max_abs_u"],
               [hist.diag_t, hist.diag_dt, hist.diag_max_u])
     profdir = out / "profiles"
@@ -227,16 +228,16 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a parent that is one
+        log = harness.RunLog(out / "run.log", quiet=args.quiet)
+        try:
+            return args.run(args, out, log)
+        except FlowcertError as exc:  # each error class carries its exit code
+            prefix = "run aborted" if exc.exit_code == EXIT_HYP else "error"
+            log.say(f"{prefix}: {exc}")
+            return exc.exit_code
+    except OSError as exc:  # on stderr, since the log may be what failed
         print(f"flowcert: error: cannot use --out {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    log = harness.RunLog(out / "run.log", quiet=args.quiet)
-    try:
-        return args.run(args, out, log)
-    except FlowcertError as exc:  # each error class carries its exit code
-        prefix = "run aborted" if exc.exit_code == EXIT_HYP else "error"
-        log.say(f"{prefix}: {exc}")
-        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -160,34 +160,35 @@ def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> float:
     return interior + _flat_tail(spec, g.R_dom, center=center, scale=scale)
 
 
-def _profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> float:
+def profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> np.ndarray:
     """Discrete C^2 distance of the offset du on the window |z| <= R: the max of
-    sup|du|, sup|du_z| and sup|du_zz|, the derivatives by central differences."""
+    sup|du|, sup|du_z| and sup|du_zz|, the derivatives by central differences,
+    over the last axis: one call measures every row of a 2-d du."""
     R_dom = float(z[-1])
     if R > R_dom - 2.0 * h + 1e-12:
         raise PreconditionError(f"need R <= R_dom - 2h = {R_dom - 2.0 * h}, got R={R}")
     if R <= 0:
         raise PreconditionError(f"need R > 0, got R={R}")
-    d1 = (du[2:] - du[:-2]) / (2.0 * h)
-    d2 = (du[2:] - 2.0 * du[1:-1] + du[:-2]) / h**2
+    d1 = (du[..., 2:] - du[..., :-2]) / (2.0 * h)
+    d2 = (du[..., 2:] - 2.0 * du[..., 1:-1] + du[..., :-2]) / h**2
     win = window(z, R)
     if not win.any():
         raise PreconditionError(f"no grid point within |z| <= {R} (spacing h={h})")
     win_int = win[1:-1]
-    return float(max(np.max(np.abs(du[win])), np.max(np.abs(d1[win_int])),
-                     np.max(np.abs(d2[win_int]))))
+    return np.max([np.max(np.abs(du[..., win]), axis=-1), np.max(np.abs(d1[..., win_int]), axis=-1),
+                   np.max(np.abs(d2[..., win_int]), axis=-1)], axis=0)
 
 
 def dist_R(g: CylinderGraph, R: float) -> float:
     """Distance from the graph to the cylinder on |z| <= R (discrete C^2 norm)."""
-    return _profile_dist(g.z, g.u, g.h, R)
+    return float(profile_dist(g.z, g.u, g.h, R))
 
 
 def graph_distance(g1: CylinderGraph, g2: CylinderGraph, R: float) -> float:
     """Distance between two graphs over the same grid: C^2 norm of u1 - u2."""
     if g1.z.shape != g2.z.shape or not np.array_equal(g1.z, g2.z):
         raise InvalidInputError("graphs must share one grid")
-    return _profile_dist(g1.z, g1.u - g2.u, g1.h, R)
+    return float(profile_dist(g1.z, g1.u - g2.u, g1.h, R))
 
 
 def estimate_entropy(g: CylinderGraph, centers, scales) -> float:

@@ -36,8 +36,8 @@ from scipy import sparse
 from scipy.integrate import BDF
 
 from . import sequences
-from .cylinder import (CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F,
-                       uniform_grid, window, write_csv)
+from .cylinder import (CylinderGraph, CylinderSpec, graph_distance, graph_F, profile_dist,
+                       uniform_grid, window)
 from .errors import IntegrationError, InsufficientDataError, InvalidInputError, PreconditionError
 
 PROFILE_KINDS = ("zero", "gauss", "balanced_gauss", "random")
@@ -124,17 +124,17 @@ class FlowControls:
 class FlowHistory:
     """Unit-mark record of one run plus per-step diagnostics.
 
-    Profiles, the Gaussian area F and max |u| are stored at every integer
-    time: mark_times are the consecutive integers from the run's start, so the
-    mark at time t is entry t - mark_times[0] of every mark array.  dist(R)
-    measures the distance to the cylinder of each stored profile, at whatever
-    radius the caller asks, once per radius.  Diagnostics at every accepted
-    step, float64 arrays: the time after it, dt and max |u| after it; diag_err
-    stays empty (see FlowControls.cfl).  n_rhs, njev and nlu are the solver's
-    nfev, njev and nlu: right-hand sides evaluated for its steps, numerical
-    Jacobians (each a few right-hand sides more, one per column group of the
-    band and a retry for columns whose difference came out too small) and
-    LU factorisations.
+    The profiles (one row per mark), the Gaussian area F and max |u| are
+    stored at every integer time: mark_times are the consecutive integers from
+    the run's start, so the mark at time t is entry t - mark_times[0] of every
+    mark array.  dist(R) measures the distance to the cylinder of every stored
+    profile in one pass, at whatever radius the caller asks.  Diagnostics at
+    every accepted step, float64 arrays: the time after it, dt and max |u|
+    after it; diag_err stays empty (see FlowControls.cfl).  n_rhs, njev and
+    nlu are the solver's nfev, njev and nlu: right-hand sides evaluated for
+    its steps, numerical Jacobians (each a few right-hand sides more, one per
+    column group of the band and a retry for columns whose difference came
+    out too small) and LU factorisations.
     """
 
     spec: CylinderSpec
@@ -142,7 +142,7 @@ class FlowHistory:
     mark_times: np.ndarray
     mark_F: np.ndarray
     mark_max_u: np.ndarray
-    profiles: list[np.ndarray]
+    profiles: np.ndarray
     diag_t: np.ndarray
     diag_dt: np.ndarray
     diag_max_u: np.ndarray
@@ -152,24 +152,14 @@ class FlowHistory:
     njev: int
     nlu: int
     diag_err: np.ndarray = field(default_factory=lambda: np.empty(0))
-    _dists: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_marks(self) -> int:
         return int(self.mark_times.size)
 
     def dist(self, R: float) -> np.ndarray:
-        """dist_R of each stored profile, in mark order, as a read-only array
-        that later calls with the same R return without measuring again."""
-        if R not in self._dists:
-            d = np.array([dist_R(CylinderGraph(self.spec, self.z, u), R) for u in self.profiles])
-            d.flags.writeable = False
-            self._dists[R] = d
-        return self._dists[R]
-
-    def to_csv(self, path, R1: float, R2: float) -> None:
-        write_csv(path, ["t", "F", "dist_R1", "dist_R2", "max_abs_u"],
-                  [self.mark_times, self.mark_F, self.dist(R1), self.dist(R2), self.mark_max_u])
+        """dist_R of each stored profile, in mark order."""
+        return profile_dist(self.z, self.profiles, float(self.z[1] - self.z[0]), R)
 
 
 MARK_TOL = 1e-9  # a starting time this close to an integer counts as one
@@ -236,13 +226,12 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         raise PreconditionError(f"initial max|u| {start_max_u:.3e} exceeds the stop condition "
                                 f"max|u| > {controls.stop_max_abs_u}")
 
-    mark_times, mark_F, mark_mu, profiles = [], [], [], []
+    mark_times, mark_F, profiles = [], [], []
     diag_t, diag_dt, diag_mu = [], [], []
 
     def record_mark(t_mark: float, u_mark: np.ndarray) -> None:
         mark_times.append(t_mark)
         mark_F.append(graph_F(CylinderGraph(spec, z, u_mark)))
-        mark_mu.append(float(np.max(np.abs(u_mark))))
         profiles.append(u_mark.copy())
 
     def last_state() -> FlowState:
@@ -288,12 +277,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
             while next_mark <= t:
                 record_mark(next_mark, u if next_mark == t else interpolant(next_mark))
                 next_mark += 1.0
+    profiles = np.array(profiles)
     return FlowHistory(
         spec=spec,
         z=z,
         mark_times=np.asarray(mark_times),
         mark_F=np.asarray(mark_F),
-        mark_max_u=np.asarray(mark_mu),
+        mark_max_u=np.max(np.abs(profiles), axis=1),
         profiles=profiles,
         diag_t=np.asarray(diag_t, dtype=np.float64),
         diag_dt=np.asarray(diag_dt, dtype=np.float64),
@@ -348,7 +338,9 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
 
     A mark t is admissible when the marks t-1, t, t+1 all exist and the
     distance to the cylinder at radius R stays below eps at all three (the
-    desk-scale proxy for closeness throughout the window).
+    desk-scale proxy for closeness throughout the window).  Fewer than
+    MIN_WINDOWS admissible windows, or one whose F-gap exceeds ZERO_TOL while
+    F does not drop across it, raise InsufficientDataError.
     """
     if tau_grid is None:
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
@@ -361,16 +353,13 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     idx = np.asarray(idx)
     lhs = np.abs(hist.mark_F[idx] - F_cyl)
     drop = np.maximum(hist.mark_F[idx - 1] - hist.mark_F[idx + 1], 0.0)
-
-    def needed_C(tau: float) -> float:
-        vals = np.zeros_like(lhs)
-        live = lhs > ZERO_TOL
-        with np.errstate(divide="ignore"):
-            vals[live] = lhs[live] ** (1.0 + tau) / np.where(drop[live] > 0, drop[live], np.nan)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        return float(np.max(vals, initial=0.0))
-
-    needs = np.array([needed_C(tau) for tau in tau_grid])
+    live = lhs > ZERO_TOL
+    stalled = np.flatnonzero(live & (drop == 0.0))
+    if stalled.size:
+        raise InsufficientDataError(f"the window at t={hist.mark_times[idx[stalled[0]]]:g} has "
+                                    "a gap but no area drop, so no finite C certifies it")
+    # needed C per tau (rows) and live window (columns); a tau's C is its row's max
+    needs = np.max(lhs[live] ** (1.0 + tau_grid[:, None]) / drop[live], axis=1, initial=0.0)
     feasible = np.flatnonzero(needs <= max_C)
     if feasible.size:
         pick = int(feasible[0])

@@ -1,17 +1,20 @@
+import contextlib
 import dataclasses
 import inspect
+import io
 import itertools
 import json
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcert import acceptance, cli, errors, gradientflow, harness, mcf, sequences
@@ -33,6 +36,12 @@ R1 = 6
 R2 = 5
 seed = 42
 """
+
+# every name that seq-check and mcf --fit --close write under --out
+OUT_NAMES = ("run.log", "report.json", "bound.json", "history.csv", "diagnostics.csv",
+             "profiles", "fit.json", "close.json", "manifest.json", "timings.json")
+OUT_WRITES = {"seq-check": {"run.log", "report.json", "bound.json"},
+              "mcf": set(OUT_NAMES) - {"report.json", "bound.json"}}
 
 
 class TestConfigParsing:
@@ -451,6 +460,37 @@ class TestCliExitCodes:
                             printed.err)
         assert taken.read_text() == "keep me\n"
 
+    @example(command="mcf", tree={"run.log": "dir"})
+    @example(command="seq-check", tree={"report.json": "dir"})
+    @example(command="mcf", tree={"profiles": "file"})
+    @settings(max_examples=50, deadline=None)
+    @given(command=st.sampled_from(["seq-check", "mcf"]),
+           tree=st.dictionaries(st.sampled_from(OUT_NAMES), st.sampled_from(["file", "dir"])))
+    def test_taken_out_name_is_64_with_one_line(self, command, tree):
+        # a name the command writes that holds a directory (or, for profiles,
+        # a file) ends the run with one stderr line and no temp file left
+        with tempfile.TemporaryDirectory() as root:
+            out = Path(root) / "o"
+            out.mkdir()
+            for name, kind in tree.items():
+                (out / name).mkdir() if kind == "dir" else (out / name).write_text("taken\n")
+            cfgfile = Path(root) / "run.cfg"
+            cfgfile.write_text(COARSE_CFG)
+            argv = {"seq-check": ["seq-check", "--geometric"],
+                    "mcf": ["mcf", "--config", str(cfgfile), "--fit", "--close"]}[command]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(["--out", str(out), "--quiet", *argv])
+            leftovers = [path.name for path in out.rglob("*.tmp*")]
+        taken = any(name in OUT_WRITES[command] and (kind == "file") == (name == "profiles")
+                    for name, kind in tree.items())
+        assert code == (64 if taken else 0)
+        assert stdout.getvalue() == "" and leftovers == []
+        if taken:
+            assert re.fullmatch(r"flowcert: error: cannot use --out [^\n]*\n", stderr.getvalue())
+        else:
+            assert stderr.getvalue() == ""
+
     @pytest.mark.parametrize("n", [sequences.MAX_SEQUENCE_STEPS + 1, 10**11])
     @pytest.mark.parametrize("kind", ["--geometric", "--extremal"])
     def test_sequence_length_cap_is_64(self, tmp_path, capsys, kind, n):
@@ -512,18 +552,33 @@ class TestCliExitCodes:
         assert "evolve: 309 steps, nfev 620, njev 1, nlu 56, dt min/median/max " in log
         assert "(dt_max 0.002)" in log
 
-    def test_fit_and_close_measure_each_distance_once(self, tmp_path, monkeypatch):
-        # history.csv, the fit and the closeness experiment share one dist_R
-        # per mark and radius: 9 marks at R1 and 9 at R2
+    def test_each_distance_read_measures_every_mark_at_once(self, tmp_path, monkeypatch):
+        # history.csv reads R1 and R2, the fit R1, and the closeness experiment
+        # R1 for hypothesis (1) and for its fit: one pass over all 9 marks each
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(COARSE_CFG)
         calls = []
-        real = mcf.dist_R
-        monkeypatch.setattr(mcf, "dist_R", lambda g, R: calls.append(R) or real(g, R))
+        real = mcf.profile_dist
+        monkeypatch.setattr(mcf, "profile_dist",
+                            lambda z, du, h, R: calls.append((R, du.shape)) or real(z, du, h, R))
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--config", str(cfgfile),
                          "--fit", "--close"])
         assert code == 0
-        assert sorted(calls) == [5.0] * 9 + [6.0] * 9
+        assert sorted(calls) == [(5.0, (9, 401))] + [(6.0, (9, 401))] * 4
+
+    def test_history_csv_holds_the_mark_arrays(self, tmp_path):
+        # on the bundled sweep.cfg, every column bit for bit
+        out = tmp_path / "o"
+        assert cli.main(["--out", str(out), "--quiet", "mcf", "--config",
+                         str(Path(mcf.__file__).parent / "configs" / "sweep.cfg")]) == 0
+        cfg = harness.load_bundled_config("sweep.cfg")
+        hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+        lines = (out / "history.csv").read_text().splitlines()
+        assert lines[0] == "t,F,dist_R1,dist_R2,max_abs_u"
+        columns = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        expected = [hist.mark_times, hist.mark_F, hist.dist(cfg.R1), hist.dist(cfg.R2),
+                    hist.mark_max_u]
+        assert [col.tobytes() for col in columns] == [arr.tobytes() for arr in expected]
 
     def test_blowup_returns_3(self, tmp_path):
         cfgfile = tmp_path / "blow.cfg"

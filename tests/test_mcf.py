@@ -519,9 +519,11 @@ class TestEvolve:
         assert loose.diag_t.size < tight.diag_t.size and loose.n_rhs < tight.n_rhs
         assert tight.diag_t.size < 3.0 / 1e-3 / 10  # far fewer than steps of dt_max
 
-    def test_mark_max_u_is_each_profiles_sup(self):
-        cfg = coarse_config(t2=3)
-        hist = mcf.evolve(cfg.initial_state(), 3.0, cfg.controls())
+    def test_mark_max_u_is_each_profiles_sup(self, sweep_run):
+        # the profiles are one float64 array with a row per mark
+        _, hist = sweep_run
+        assert hist.profiles.shape == (hist.n_marks, hist.z.size) == (10, 801)
+        assert hist.profiles.dtype == np.float64
         assert hist.mark_max_u.tolist() == [float(np.max(np.abs(p))) for p in hist.profiles]
         assert hist.mark_max_u[-1] == hist.diag_max_u[-1]  # the last step lands on t_end
 
@@ -556,17 +558,12 @@ class TestEvolve:
         with pytest.raises(InvalidInputError, match="MAX_STEPS"):
             mcf.evolve(mcf.FlowState(g, 0.0), 1e9, mcf.FlowControls())
 
-    def test_history_csv(self, tmp_path):
-        cfg = coarse_config(t2=3)
-        hist = mcf.evolve(cfg.initial_state(), t_end=3.0, controls=cfg.controls())
-        path = tmp_path / "history.csv"
-        hist.to_csv(path, 6.0, 5.0)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,F,dist_R1,dist_R2,max_abs_u"
-        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        assert np.array_equal(rows[:, 2], hist.dist(6.0))
-        assert np.array_equal(rows[:, 3], hist.dist(5.0))
-        assert np.all(hist.dist(6.0) >= hist.dist(5.0))  # the wider window sees more
+
+@pytest.fixture(scope="module")
+def sweep_run():
+    """The bundled sweep.cfg run: marks 0..9 on 801 grid points."""
+    cfg = harness.load_bundled_config("sweep.cfg")
+    return cfg, mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
 
 
 SWEEP_GATE = 5e-8  # max |u - u_ref| over the marks of sweep.cfg at a = 0.02
@@ -636,6 +633,12 @@ class TestLojasiewiczFit:
         with pytest.raises(InsufficientDataError):
             mcf.lojasiewicz_fit(hist, R=6.0, eps=0.5)
 
+    def test_stalled_window_is_insufficient_data(self, coarse_run):
+        cfg, hist = stalled(coarse_run)
+        no_drop = "^the window at t=3 has a gap but no area drop"
+        with pytest.raises(InsufficientDataError, match=no_drop):
+            mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1)
+
     def test_window_admissibility_respects_eps(self):
         cfg = coarse_config(amplitude=0.01, t2=8)
         hist = mcf.evolve(cfg.initial_state(), t_end=8.0, controls=cfg.controls())
@@ -698,20 +701,22 @@ class TestCloseExperiment:
         rep1 = mcf.close_experiment(cfg, hist=hist)
         assert harness.jsonable(evolve_and_close(cfg)) == harness.jsonable(rep1)
 
-    def test_measures_each_distance_once(self, monkeypatch):
-        # hypothesis (1), the report's fit and a later fit on the same history
-        # read one dist_R per stored profile between them
-        cfg = coarse_config(amplitude=0.01, t2=9)
-        hist = mcf.evolve(cfg.initial_state(), t_end=float(cfg.t2), controls=cfg.controls())
-        calls = []
-        real = mcf.dist_R
-        monkeypatch.setattr(mcf, "dist_R", lambda g, R: calls.append(R) or real(g, R))
+    def test_distances_are_dist_R_of_each_profile(self, sweep_run):
+        # one pass over the marks gives the bits of one dist_R per profile, and
+        # the report's fit equals a later fit on the same history
+        cfg, hist = sweep_run
+        for R in (cfg.R1, cfg.R2):
+            per_profile = [dist_R(CylinderGraph(hist.spec, hist.z, u), R) for u in hist.profiles]
+            assert hist.dist(R).tobytes() == np.array(per_profile).tobytes()
+        assert np.all(hist.dist(cfg.R1) >= hist.dist(cfg.R2))  # the wider window sees more
         rep = mcf.close_experiment(cfg, hist)
         fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=mcf.TAU_GRID)
-        assert calls == [cfg.R1] * hist.n_marks
-        assert harness.jsonable(rep.fit) == harness.jsonable(fit)
-        with pytest.raises(ValueError):
-            hist.dist(cfg.R1)[0] = 0.0  # read-only: no caller can alter the next one's view
+        assert rep.fit is not None and harness.jsonable(rep.fit) == harness.jsonable(fit)
+
+    def test_stalled_window_leaves_the_run_uncertified(self, coarse_run):
+        rep = mcf.close_experiment(*stalled(coarse_run))
+        assert rep.fit is None and not rep.certified and math.isnan(rep.bound_value)
+        assert rep.failure_reason.startswith("decay fit unavailable: the window at t=3 ")
 
 
 SHIFT = 199_990  # far enough out that a relative float search picks the wrong mark
@@ -728,6 +733,15 @@ def shifted(cfg, hist, shift):
     return (dataclasses.replace(cfg, t1=cfg.t1 + shift, t2=cfg.t2 + shift),
             dataclasses.replace(hist, mark_times=hist.mark_times + shift,
                                 t_final=hist.t_final + shift))
+
+
+def stalled(run):
+    """run with F at mark 4 set to F at mark 2: the window at t = 3 keeps its
+    F-gap, but F does not drop across it."""
+    cfg, hist = run
+    mark_F = hist.mark_F.copy()
+    mark_F[4] = mark_F[2]
+    return cfg, dataclasses.replace(hist, mark_F=mark_F)
 
 
 @pytest.fixture(scope="module")

@@ -215,7 +215,7 @@ def crit_cylinder_area() -> CheckResult:
     errs = {}
     for k, ref in refs.items():
         g = CylinderGraph.zero(CylinderSpec(k), R_dom=20.0, h=0.01)
-        errs[k] = abs(graph_F(g) - ref)
+        errs[k] = abs(graph_F(g.spec, g.z, g.u) - ref)
     ok = all(e <= 1e-6 for e in errs.values())
     return CheckResult(6, NAMES[6], ok,
                        f"k=1 err {errs[1]:.2e}, k=2 err {errs[2]:.2e} (tol 1e-6)")

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, acceptance, harness
 from . import gradientflow as gf
 from . import mcf, sequences
-from .cylinder import CylinderGraph, profile_to_csv, write_csv
+from .cylinder import profile_to_csv, write_csv
 from .errors import FlowcertError, InsufficientDataError, InvalidInputError
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def _write_history(hist: mcf.FlowHistory, cfg: mcf.RunConfig, out: Path) -> None
     profdir = out / "profiles"
     profdir.mkdir(parents=True, exist_ok=True)
     for t, u in zip(hist.mark_times, hist.profiles):
-        profile_to_csv(CylinderGraph(hist.spec, hist.z, u), profdir / f"profile_t{int(t):04d}.csv")
+        profile_to_csv(hist.z, u, profdir / f"profile_t{int(t):04d}.csv")
 
 
 def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:

@@ -4,7 +4,8 @@ The reference surface is the round cylinder S^k_sqrt(2k) x R embedded in
 R^(n+1) with n = k + 1 (one flat direction, so profiles depend on a single
 axial coordinate z).  Hypersurfaces are represented by the radial offset
 u(z): the surface radius is r(z) = sqrt(2k) + u(z) on a uniform grid over
-[-R_dom, R_dom], pinned to the cylinder (u = 0) at both ends.
+[-R_dom, R_dom], pinned to the cylinder (u = 0) at both ends.  The measures
+take the grid z and profile rows, and measure every row of a stack at once.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ class CylinderGraph:
     def R_dom(self) -> float:
         return float(self.z[-1])
 
-    @property
-    def r(self) -> np.ndarray:
-        return self.spec.radius + self.u
-
     @classmethod
     def from_profile(cls, spec: CylinderSpec, R_dom: float, h: float, fn) -> "CylinderGraph":
         """Sample u = fn(z) on uniform_grid(R_dom, h)."""
@@ -137,9 +134,12 @@ def _flat_tail(spec: CylinderSpec, R_dom: float, center: float = 0.0, scale: flo
     return sphere * axial
 
 
-def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> float:
-    """Gaussian area of the rotational graph, optionally translated along the
-    axis by `center` and dilated by `scale` about the origin.
+def graph_F(spec: CylinderSpec, z: np.ndarray, u: np.ndarray, center: float = 0.0,
+            scale: float = 1.0):
+    """Gaussian area of the rotational graph r = sqrt(2k) + u over the grid z,
+    optionally translated along the axis by `center` and dilated by `scale`
+    about the origin; over the last axis, so a stack of profiles on one grid
+    gives one area per row (an np.float64 for a single row).
 
     The gridded part uses the trapezoid rule (spectrally accurate here: the
     integrand is smooth and the weight decays like e^(-z^2/4)); the profile
@@ -147,48 +147,44 @@ def graph_F(g: CylinderGraph, center: float = 0.0, scale: float = 1.0) -> float:
     Beyond the grid the surface is the pinned flat cylinder, so the tail is the
     closed-form flat-cylinder remainder.
     """
-    spec, z, h = g.spec, g.z, g.h
-    r = g.r
+    h = z[1] - z[0]
+    r = spec.radius + u
     if np.any(r <= 0.0):
         raise PreconditionError("profile reaches r <= 0")
-    r_z = np.gradient(r, h)
+    r_z = np.gradient(r, h, axis=-1)
     w = z * scale + center
     rad = r * scale
     integrand = rad**spec.k * np.sqrt(1.0 + r_z**2) * np.exp(-(rad**2 + w**2) / 4.0)
     norm = (4.0 * math.pi) ** (-spec.n / 2.0) * sphere_area(spec.k)
-    interior = norm * scale * float(np.trapezoid(integrand, dx=h))
-    return interior + _flat_tail(spec, g.R_dom, center=center, scale=scale)
+    interior = norm * scale * np.trapezoid(integrand, dx=h, axis=-1)
+    return interior + _flat_tail(spec, float(z[-1]), center=center, scale=scale)
 
 
-def profile_dist(z: np.ndarray, du: np.ndarray, h: float, R: float) -> np.ndarray:
-    """Discrete C^2 distance of the offset du on the window |z| <= R: the max of
-    sup|du|, sup|du_z| and sup|du_zz|, the derivatives by central differences,
-    over the last axis: one call measures every row of a 2-d du."""
+def dist_R(z: np.ndarray, u: np.ndarray, R: float):
+    """Distance to the cylinder on the window |z| <= R, the discrete C^2 norm:
+    the max of sup|u|, sup|u_z| and sup|u_zz|, the derivatives by central
+    differences; over the last axis, so a stack of profiles on one grid gives
+    one distance per row (an np.float64 for a single row)."""
+    h = z[1] - z[0]
     R_dom = float(z[-1])
     if R > R_dom - 2.0 * h + 1e-12:
         raise PreconditionError(f"need R <= R_dom - 2h = {R_dom - 2.0 * h}, got R={R}")
     if R <= 0:
         raise PreconditionError(f"need R > 0, got R={R}")
-    d1 = (du[..., 2:] - du[..., :-2]) / (2.0 * h)
-    d2 = (du[..., 2:] - 2.0 * du[..., 1:-1] + du[..., :-2]) / h**2
+    d1 = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    d2 = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / h**2
     win = window(z, R)
     if not win.any():
         raise PreconditionError(f"no grid point within |z| <= {R} (spacing h={h})")
     win_int = win[1:-1]
-    return np.max([np.max(np.abs(du[..., win]), axis=-1), np.max(np.abs(d1[..., win_int]), axis=-1),
+    return np.max([np.max(np.abs(u[..., win]), axis=-1), np.max(np.abs(d1[..., win_int]), axis=-1),
                    np.max(np.abs(d2[..., win_int]), axis=-1)], axis=0)
 
 
-def dist_R(g: CylinderGraph, R: float) -> float:
-    """Distance from the graph to the cylinder on |z| <= R (discrete C^2 norm)."""
-    return float(profile_dist(g.z, g.u, g.h, R))
-
-
-def graph_distance(g1: CylinderGraph, g2: CylinderGraph, R: float) -> float:
-    """Distance between two graphs over the same grid: C^2 norm of u1 - u2."""
-    if g1.z.shape != g2.z.shape or not np.array_equal(g1.z, g2.z):
-        raise InvalidInputError("graphs must share one grid")
-    return float(profile_dist(g1.z, g1.u - g2.u, g1.h, R))
+def graph_distance(z: np.ndarray, u1: np.ndarray, u2: np.ndarray, R: float):
+    """Distance between profiles on the grid z: dist_R of u1 - u2, broadcast
+    over leading axes (a stack of rows against one row measures each)."""
+    return dist_R(z, u1 - u2, R)
 
 
 def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
@@ -196,12 +192,12 @@ def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
     axial translations and dilations (identity included gives >= graph_F)."""
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     scales = np.atleast_1d(np.asarray(scales, dtype=float))
-    if np.any(scales <= 0.0):
-        raise InvalidInputError("scales must be positive")
+    if not (np.isfinite(centers).all() and np.isfinite(scales).all() and np.all(scales > 0.0)):
+        raise InvalidInputError("centers must be finite and scales finite and positive")
     best = -math.inf
     for c in scales:
         for z0 in centers:
-            best = max(best, graph_F(g, center=float(z0), scale=float(c)))
+            best = max(best, graph_F(g.spec, g.z, g.u, center=float(z0), scale=float(c)))
     return best
 
 
@@ -216,14 +212,23 @@ def write_csv(path, header: list[str], columns) -> None:
         writer.writerows(zip(*cells))
 
 
-def profile_to_csv(g: CylinderGraph, path) -> None:
-    write_csv(path, ["z", "u"], [g.z, g.u])
+def profile_to_csv(z: np.ndarray, u: np.ndarray, path) -> None:
+    write_csv(path, ["z", "u"], [z, u])
 
 
 def profile_from_csv(spec: CylinderSpec, path) -> CylinderGraph:
+    """Read what profile_to_csv wrote: the header 'z,u', then one row per node."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["z", "u"]:
         raise InvalidInputError(f"{path}: expected header 'z,u'")
-    data = np.asarray([[float(a), float(b)] for a, b in rows[1:]], dtype=float)
+    data = []
+    for line, row in enumerate(rows[1:] or [[]], start=2):  # no rows: line 2 is empty
+        try:
+            z, u = row
+            data.append((float(z), float(u)))
+        except ValueError:
+            raise InvalidInputError(f"{path}, line {line}: expected two numbers 'z,u', "
+                                    f"got {','.join(row)!r}") from None
+    data = np.asarray(data)
     return CylinderGraph(spec, data[:, 0], data[:, 1])

@@ -36,7 +36,7 @@ from scipy import sparse
 from scipy.integrate import BDF
 
 from . import sequences
-from .cylinder import (CylinderGraph, CylinderSpec, graph_distance, graph_F, profile_dist,
+from .cylinder import (CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F,
                        uniform_grid, window)
 from .errors import IntegrationError, InsufficientDataError, InvalidInputError, PreconditionError
 
@@ -124,10 +124,10 @@ class FlowControls:
 class FlowHistory:
     """Unit-mark record of one run plus per-step diagnostics.
 
-    The profiles (one row per mark), the Gaussian area F and max |u| are
-    stored at every integer time: mark_times are the consecutive integers from
-    the run's start, so the mark at time t is entry t - mark_times[0] of every
-    mark array.  dist(R) measures the distance to the cylinder of every stored
+    The profiles (one row per mark, both ends pinned to 0), the Gaussian area
+    F and max |u| are stored at every integer time: mark_times are the
+    consecutive integers from the run's start, so the mark at time t is entry
+    t - mark_times[0] of every mark array.  dist(R) measures the distance to the cylinder of every stored
     profile in one pass, at whatever radius the caller asks.  Diagnostics at
     every accepted step, float64 arrays: the time after it, dt and max |u|
     after it; diag_err stays empty (see FlowControls.cfl).  n_rhs, njev and
@@ -159,7 +159,7 @@ class FlowHistory:
 
     def dist(self, R: float) -> np.ndarray:
         """dist_R of each stored profile, in mark order."""
-        return profile_dist(self.z, self.profiles, float(self.z[1] - self.z[0]), R)
+        return dist_R(self.z, self.profiles, R)
 
 
 MARK_TOL = 1e-9  # a starting time this close to an integer counts as one
@@ -226,13 +226,8 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         raise PreconditionError(f"initial max|u| {start_max_u:.3e} exceeds the stop condition "
                                 f"max|u| > {controls.stop_max_abs_u}")
 
-    mark_times, mark_F, profiles = [], [], []
+    mark_times, profiles = [t], [u]
     diag_t, diag_dt, diag_mu = [], [], []
-
-    def record_mark(t_mark: float, u_mark: np.ndarray) -> None:
-        mark_times.append(t_mark)
-        mark_F.append(graph_F(CylinderGraph(spec, z, u_mark)))
-        profiles.append(u_mark.copy())
 
     def last_state() -> FlowState:
         return FlowState(CylinderGraph(spec, z, u), t)  # copies u
@@ -247,7 +242,6 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
 
     band = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(u.size, u.size))
     solver = BDF(rhs, t, u, t_end, rtol=rtol, atol=atol, jac_sparsity=band)
-    record_mark(t, u)
     stop_reason = "completed"
     while solver.status == "running" and stop_reason == "completed":
         if len(diag_t) >= budget:
@@ -275,14 +269,16 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         if next_mark <= t:
             interpolant = solver.dense_output()
             while next_mark <= t:
-                record_mark(next_mark, u if next_mark == t else interpolant(next_mark))
+                mark_times.append(next_mark)
+                profiles.append(u if next_mark == t else interpolant(next_mark))
                 next_mark += 1.0
     profiles = np.array(profiles)
+    profiles[:, [0, -1]] = 0.0  # pinned, as the solver leaves rounding at the ends
     return FlowHistory(
         spec=spec,
         z=z,
         mark_times=np.asarray(mark_times),
-        mark_F=np.asarray(mark_F),
+        mark_F=graph_F(spec, z, profiles),
         mark_max_u=np.max(np.abs(profiles), axis=1),
         profiles=profiles,
         diag_t=np.asarray(diag_t, dtype=np.float64),
@@ -346,11 +342,10 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
     ok = hist.dist(R) < eps
     F_cyl = hist.spec.F_value
-    idx = [i for i in range(1, hist.n_marks - 1) if ok[i - 1] and ok[i] and ok[i + 1]]
-    if len(idx) < MIN_WINDOWS:
+    idx = 1 + np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:])
+    if idx.size < MIN_WINDOWS:
         raise InsufficientDataError(
-            f"only {len(idx)} admissible unit-mark windows; need >= {MIN_WINDOWS}")
-    idx = np.asarray(idx)
+            f"only {idx.size} admissible unit-mark windows; need >= {MIN_WINDOWS}")
     lhs = np.abs(hist.mark_F[idx] - F_cyl)
     drop = np.maximum(hist.mark_F[idx - 1] - hist.mark_F[idx + 1], 0.0)
     live = lhs > ZERO_TOL
@@ -556,21 +551,18 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     # measured distances to the reference state at t1 + 1; a run that stopped
     # before it has no distances and already carries its early-stop failure
     dist_times = hist.mark_times[k + 1:]
-    graphs = [CylinderGraph(hist.spec, hist.z, u) for u in hist.profiles[k + 1:]]
-    dist_vals = np.array([graph_distance(g, graphs[0], cfg.R2) for g in graphs])
-    if not graphs:
-        certified = False
+    after = hist.profiles[k + 1:]
+    dist_vals = graph_distance(hist.z, after, after[:1], cfg.R2)
+    certified = certified and dist_vals.size > 0
     max_dist = float(np.max(dist_vals, initial=0.0))
 
-    # promotion constant: largest measured distance per unit of certificate sum
+    # promotion constant: largest measured distance per unit of certificate
+    # sum, at t1 + 1 + j the sum over the drops with both marks at or before it
     sqrt_drops = np.sqrt(np.abs(np.diff(series)))
     partial = np.concatenate([[0.0], np.cumsum(sqrt_drops)])
-    ctilde = 1.0
-    for j, d in enumerate(dist_vals):
-        # the drops with both marks at or before t1 + 1 + j
-        S = partial[min(j // 2, partial.size - 1)]
-        if S > 1e-300:
-            ctilde = max(ctilde, d / S)
+    S = partial[np.minimum(np.arange(dist_vals.size) // 2, partial.size - 1)]
+    live = S > 1e-300
+    ctilde = float(np.max(dist_vals[live] / S[live], initial=1.0))
 
     if consts is not None and not math.isnan(dF1):
         bound_value = ctilde * (consts.cap(abs(dF1)) + consts.cap(abs(dF2)))

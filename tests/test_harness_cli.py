@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcert import acceptance, cli, errors, gradientflow, harness, mcf, sequences
+from flowcert import acceptance, cli, cylinder, errors, gradientflow, harness, mcf, sequences
 from flowcert.errors import FlowcertError, IntegrationError, InvalidInputError
 
 COARSE_CFG = """\
@@ -554,17 +554,23 @@ class TestCliExitCodes:
 
     def test_each_distance_read_measures_every_mark_at_once(self, tmp_path, monkeypatch):
         # history.csv reads R1 and R2, the fit R1, and the closeness experiment
-        # R1 for hypothesis (1) and for its fit: one pass over all 9 marks each
+        # R1 for hypothesis (1) and for its fit: one pass over all 9 marks each;
+        # the closeness experiment's R2 distances to the mark at t1 + 1 are one
+        # pass over the 8 marks from it on
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(COARSE_CFG)
         calls = []
-        real = mcf.profile_dist
-        monkeypatch.setattr(mcf, "profile_dist",
-                            lambda z, du, h, R: calls.append((R, du.shape)) or real(z, du, h, R))
+        real = cylinder.dist_R
+
+        def counted(z, u, R):
+            calls.append((R, u.shape))
+            return real(z, u, R)
+        monkeypatch.setattr(cylinder, "dist_R", counted)
+        monkeypatch.setattr(mcf, "dist_R", counted)
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--config", str(cfgfile),
                          "--fit", "--close"])
         assert code == 0
-        assert sorted(calls) == [(5.0, (9, 401))] + [(6.0, (9, 401))] * 4
+        assert sorted(calls) == [(5.0, (8, 401)), (5.0, (9, 401))] + [(6.0, (9, 401))] * 4
 
     def test_history_csv_holds_the_mark_arrays(self, tmp_path):
         # on the bundled sweep.cfg, every column bit for bit

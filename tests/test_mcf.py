@@ -9,7 +9,8 @@ import scipy.linalg
 
 from flowcert import harness, mcf
 from flowcert import sequences as sq
-from flowcert.cylinder import CylinderGraph, CylinderSpec, cylinder_F, dist_R, graph_F
+from flowcert.cylinder import (CylinderGraph, CylinderSpec, cylinder_F, dist_R, graph_distance,
+                               graph_F)
 from flowcert.errors import (IntegrationError, InsufficientDataError, InvalidInputError,
                              PreconditionError)
 
@@ -224,7 +225,7 @@ class TestStep:
     def test_area_does_not_increase(self):
         g = smooth_graph(0.02)
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 2.0, mcf.FlowControls())
-        assert hist.mark_F[0] == graph_F(g)
+        assert hist.mark_F[0] == graph_F(g.spec, g.z, g.u)
         assert np.all(np.diff(hist.mark_F) <= 1e-8)
 
     def test_interpolated_marks_match_a_run_ending_there(self):
@@ -527,11 +528,22 @@ class TestEvolve:
         assert hist.mark_max_u.tolist() == [float(np.max(np.abs(p))) for p in hist.profiles]
         assert hist.mark_max_u[-1] == hist.diag_max_u[-1]  # the last step lands on t_end
 
-    def test_fit_config_counts(self):
+    def test_mark_F_is_graph_F_of_each_row(self, sweep_run):
+        # one graph_F over the stacked marks gives the bits of one call per row
+        _, hist = sweep_run
+        per_row = [graph_F(hist.spec, hist.z, p) for p in hist.profiles]
+        assert hist.mark_F.tobytes() == np.array(per_row).tobytes()
+
+    def test_profiles_are_pinned_at_both_ends(self, fit_run):
+        # the solver leaves rounding at z = -R_dom (3.75e-49 at t = 1 on
+        # fit.cfg); every stored row holds +0.0 at both ends
+        _, hist = fit_run
+        assert hist.profiles[:, [0, -1]].tobytes() == np.zeros((hist.n_marks, 2)).tobytes()
+
+    def test_fit_config_counts(self, fit_run):
         # 272 steps where steps of dt_max would be 8,000; the Jacobian is
         # estimated once and refactored as the step and order change
-        cfg = harness.load_bundled_config("fit.cfg")
-        hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+        cfg, hist = fit_run
         assert hist.diag_t.size == 272
         assert (hist.n_rhs, hist.njev, hist.nlu) == (546, 1, 50)
         assert hist.diag_dt.max() > 90 * cfg.dt_max
@@ -557,6 +569,13 @@ class TestEvolve:
         g = CylinderGraph.zero(SPEC1, 0.5, 0.05)
         with pytest.raises(InvalidInputError, match="MAX_STEPS"):
             mcf.evolve(mcf.FlowState(g, 0.0), 1e9, mcf.FlowControls())
+
+
+@pytest.fixture(scope="module")
+def fit_run():
+    """The bundled fit.cfg run: marks 0..8 on 801 grid points."""
+    cfg = harness.load_bundled_config("fit.cfg")
+    return cfg, mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
 
 
 @pytest.fixture(scope="module")
@@ -645,6 +664,18 @@ class TestLojasiewiczFit:
         with pytest.raises(InsufficientDataError):
             mcf.lojasiewicz_fit(hist, R=6.0, eps=1e-9)
 
+    def test_windows_are_the_marks_whose_neighbours_are_close_too(self, coarse_run, monkeypatch):
+        # the mark 4 far from the cylinder rules out the windows at 3, 4 and
+        # 5, as the loop over the marks says
+        _, hist = coarse_run
+        far = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(mcf.FlowHistory, "dist", lambda self, R: far)
+        ok = far < 0.5
+        loop = [hist.mark_times[i] for i in range(1, hist.n_marks - 1)
+                if ok[i - 1] and ok[i] and ok[i + 1]]
+        fit = mcf.lojasiewicz_fit(hist, R=6.0, eps=0.5)
+        assert fit.window_times.tolist() == loop == [1.0, 2.0, 6.0, 7.0, 8.0]
+
 
 class TestCloseExperiment:
     def test_zero_data_trivial_bound(self):
@@ -706,12 +737,29 @@ class TestCloseExperiment:
         # the report's fit equals a later fit on the same history
         cfg, hist = sweep_run
         for R in (cfg.R1, cfg.R2):
-            per_profile = [dist_R(CylinderGraph(hist.spec, hist.z, u), R) for u in hist.profiles]
+            per_profile = [dist_R(hist.z, u, R) for u in hist.profiles]
             assert hist.dist(R).tobytes() == np.array(per_profile).tobytes()
         assert np.all(hist.dist(cfg.R1) >= hist.dist(cfg.R2))  # the wider window sees more
         rep = mcf.close_experiment(cfg, hist)
         fit = mcf.lojasiewicz_fit(hist, R=cfg.R1, eps=cfg.eps1, tau_grid=mcf.TAU_GRID)
         assert rep.fit is not None and harness.jsonable(rep.fit) == harness.jsonable(fit)
+
+    def test_distances_and_promotion_constant_match_their_loops(self, sweep_run):
+        # one graph_distance over the marks from t1 + 1 and one masked max
+        # give the bits of the per-mark loops they replace
+        cfg, hist = sweep_run
+        rep = mcf.close_experiment(cfg, hist)
+        after = hist.profiles[cfg.t1 + 1:]
+        dists = [graph_distance(hist.z, u, after[0], cfg.R2) for u in after]
+        assert rep.dist_values.tobytes() == np.array(dists).tobytes()
+        series = hist.mark_F[cfg.t1 + 1::2] - hist.spec.F_value
+        partial = np.concatenate([[0.0], np.cumsum(np.sqrt(np.abs(np.diff(series))))])
+        ctilde = 1.0
+        for j, d in enumerate(dists):
+            S = partial[min(j // 2, partial.size - 1)]
+            if S > 1e-300:
+                ctilde = max(ctilde, d / S)
+        assert rep.promotion_constant == ctilde > 1.0
 
     def test_stalled_window_leaves_the_run_uncertified(self, coarse_run):
         rep = mcf.close_experiment(*stalled(coarse_run))
@@ -871,7 +919,7 @@ class TestRunConfig:
     def test_window_without_grid_node_is_refused_as_dist_R_would(self, h, R):
         graph = CylinderGraph.zero(SPEC1, R_dom=20.0, h=h)
         try:
-            dist_R(graph, R)
+            dist_R(graph.z, graph.u, R)
             empty = False
         except PreconditionError:
             empty = True

@@ -27,6 +27,10 @@ each bundled MCF run is evolved once and no criterion evolves its own.
 And every class in errors.py is raised or caught by name in src/flowcert: a
 class that is only ever a base, or that no code raises, is a name with no
 behaviour of its own.
+
+And inside a run a profile is a row on the run's grid: mcf.py builds a
+CylinderGraph only for the initial state and for an error's last state, and
+cli.py builds none, so no mark is re-validated as a graph object.
 """
 
 import argparse
@@ -267,3 +271,28 @@ def test_every_error_class_is_raised_or_caught():
     used = set().union(*(_raised_or_caught(ast.parse(path.read_text()))
                          for path in sorted(PACKAGE.glob("*.py"))))
     assert sorted(classes - used) == []
+
+
+def _graph_builders(path) -> list:
+    """Dotted scopes (`Class.method`, `function.nested`) of every call in the
+    module that builds a CylinderGraph: `CylinderGraph(...)` or one of its
+    class methods."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        elif isinstance(node, ast.Call):
+            func = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+            if getattr(func, "id", None) == "CylinderGraph":
+                found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return sorted(found)
+
+
+def test_graphs_are_built_only_at_the_edges():
+    assert _graph_builders(PACKAGE / "mcf.py") == ["RunConfig.initial_state", "evolve.last_state"]
+    assert _graph_builders(PACKAGE / "cli.py") == []

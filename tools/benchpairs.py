@@ -14,7 +14,10 @@ BENCHMARK.json sets:
 - the claimed workload, CLAIM_PAIRS alternating pairs, and every other
   workload OTHER_PAIRS pairs (`--trace 0`; pair i runs the parent first when
   i is even);
-- TRACED_RUNS alternating `--trace 1` runs per side and workload;
+- TRACED_RUNS alternating `--trace 1` runs per side and workload, of which
+  the TRACED_KEYS metrics are kept: evolve's steps and times, the per-run
+  measurement counts (`cylinder.graph_F.calls`, `cylinder.dist_R.calls`,
+  `mcf.lojasiewicz_fit.calls`) and the tracer's overhead;
 - per MCF run of each MCF workload, the steps, right-hand-side calls
   (FlowHistory.n_rhs), the solver's Jacobian and LU counts (njev, nlu)
   and a SHA-256 of the run's mark and per-step arrays, from in-process
@@ -43,7 +46,8 @@ CLAIM_PAIRS = 10
 OTHER_PAIRS = 5
 TRACED_RUNS = 3
 TRACED_KEYS = ("mcf.evolve.steps", "mcf.evolve.us_per_step", "mcf.evolve.s",
-               "cylinder.dist_R.calls", "mcf.lojasiewicz_fit.calls", "trace.overhead_s")
+               "cylinder.graph_F.calls", "cylinder.dist_R.calls", "mcf.lojasiewicz_fit.calls",
+               "trace.overhead_s")
 
 # one in-process pass of each MCF workload: per run, the counters, a digest
 # of every FlowHistory array and the seconds evolve took

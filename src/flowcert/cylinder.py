@@ -192,8 +192,10 @@ def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
     axial translations and dilations (identity included gives >= graph_F)."""
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     scales = np.atleast_1d(np.asarray(scales, dtype=float))
-    if not (np.isfinite(centers).all() and np.isfinite(scales).all() and np.all(scales > 0.0)):
-        raise InvalidInputError("centers must be finite and scales finite and positive")
+    if not (centers.size and scales.size and np.isfinite(centers).all()
+            and np.isfinite(scales).all() and np.all(scales > 0.0)):
+        raise InvalidInputError("need at least one center and one scale; centers must be "
+                                "finite and scales finite and positive")
     best = -math.inf
     for c in scales:
         for z0 in centers:
@@ -217,7 +219,9 @@ def profile_to_csv(z: np.ndarray, u: np.ndarray, path) -> None:
 
 
 def profile_from_csv(spec: CylinderSpec, path) -> CylinderGraph:
-    """Read what profile_to_csv wrote: the header 'z,u', then one row per node."""
+    """Read what profile_to_csv wrote: the header 'z,u', then one row per node.
+    Every refusal names the file: a malformed row, a grid the profile cannot
+    live on (InvalidInputError) or a profile reaching r <= 0 (PreconditionError)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["z", "u"]:
@@ -231,4 +235,7 @@ def profile_from_csv(spec: CylinderSpec, path) -> CylinderGraph:
             raise InvalidInputError(f"{path}, line {line}: expected two numbers 'z,u', "
                                     f"got {','.join(row)!r}") from None
     data = np.asarray(data)
-    return CylinderGraph(spec, data[:, 0], data[:, 1])
+    try:
+        return CylinderGraph(spec, data[:, 0], data[:, 1])
+    except (InvalidInputError, PreconditionError) as exc:  # a short or uneven grid, r <= 0
+        raise type(exc)(f"{path}: {exc}") from None

@@ -40,35 +40,16 @@ from .cylinder import (CylinderGraph, CylinderSpec, dist_R, graph_distance, grap
                        uniform_grid, window)
 from .errors import IntegrationError, InsufficientDataError, InvalidInputError, PreconditionError
 
-PROFILE_KINDS = ("zero", "gauss", "balanced_gauss", "random")
-
-
-def initial_profile(kind: str, amplitude: float, z: np.ndarray,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Initial offsets u(z) for the bundled profile families.
-
-    balanced_gauss subtracts the Gaussian-weighted mean component
-    (coefficient sqrt(3/5)), which removes the constant-mode overlap that
-    otherwise dominates the early drift away from the cylinder.
-    """
-    z = np.asarray(z, dtype=float)
-    if kind == "zero":
-        return np.zeros_like(z)
-    if kind == "gauss":
-        return amplitude * np.exp(-(z**2))
-    if kind == "balanced_gauss":
-        return amplitude * (np.exp(-(z**2)) - math.sqrt(3.0 / 5.0) * np.exp(-(z**2) / 2.0))
-    if kind == "random":
-        if rng is None:
-            raise InvalidInputError("random profile needs an rng")
-        u = np.zeros_like(z)
-        for _ in range(4):
-            a = amplitude * rng.uniform(-1.0, 1.0)
-            c = rng.uniform(-3.0, 3.0)
-            w = rng.uniform(0.8, 2.5)
-            u += a * np.exp(-((z - c) ** 2) / w**2)
-        return u
-    raise InvalidInputError(f"unknown profile kind '{kind}' (known: {', '.join(PROFILE_KINDS)})")
+# initial offsets u = PROFILES[kind](amplitude, z) of the bundled profile
+# families.  balanced_gauss subtracts the Gaussian-weighted mean component
+# (coefficient sqrt(3/5)), which removes the constant-mode overlap that
+# otherwise dominates the early drift away from the cylinder.
+PROFILES = {
+    "zero": lambda amplitude, z: np.zeros_like(z),
+    "gauss": lambda amplitude, z: amplitude * np.exp(-(z**2)),
+    "balanced_gauss": lambda amplitude, z: amplitude * (
+        np.exp(-(z**2)) - math.sqrt(3.0 / 5.0) * np.exp(-(z**2) / 2.0)),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,8 +380,9 @@ class RunConfig:
     seed: int = 1234
 
     def __post_init__(self):
-        if self.profile_kind not in PROFILE_KINDS:
-            raise InvalidInputError(f"unknown profile_kind '{self.profile_kind}'")
+        if self.profile_kind not in PROFILES:
+            raise InvalidInputError(f"unknown profile_kind '{self.profile_kind}' "
+                                    f"(known: {', '.join(PROFILES)})")
         for name in ("h", "R_dom", "dt_max", "eps1", "eps2", "R1", "R2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -430,11 +412,9 @@ class RunConfig:
         return FlowControls(dt_max=self.dt_max)
 
     def initial_state(self) -> FlowState:
-        spec = CylinderSpec(self.k)
-        rng = np.random.default_rng(self.seed)
         graph = CylinderGraph.from_profile(
-            spec, self.R_dom, self.h,
-            lambda z: initial_profile(self.profile_kind, self.amplitude, z, rng))
+            CylinderSpec(self.k), self.R_dom, self.h,
+            lambda z: PROFILES[self.profile_kind](self.amplitude, z))
         return FlowState(graph=graph, t=0.0)
 
 
@@ -486,8 +466,9 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     where Ctilde is the promotion constant fitted on this run as the largest
     ratio of measured distance to the running certificate partial sum.
 
-    The fit is lojasiewicz_fit at (R1, eps1) over TAU_GRID, which reads the
-    R1 distances hypothesis (1) measured.  A hypothesis violation is
+    The fit is lojasiewicz_fit at (R1, eps1) over TAU_GRID, which measures
+    the R1 distances of every mark again (one more hist.dist(R1) pass, the
+    same bits hypothesis (1) reads).  A hypothesis violation is
     reported, not raised; a history that starts after t1 is refused.
     """
     spec = CylinderSpec(cfg.k)

@@ -427,9 +427,13 @@ def parse_sequence_text(text: str) -> MonotoneSequence:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad JSON array: {exc}") from exc
+        # bool is an int subclass and numpy parses numeric strings, so test each type
+        bad = [x for x in data if type(x) not in (int, float)]
+        if bad:
+            raise InvalidInputError(f"JSON input must be an array of numbers: got {json.dumps(bad[0])}")
         try:
             vals = np.asarray(data, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, beyond float
+        except OverflowError as exc:  # an integer beyond the float range
             raise InvalidInputError(f"JSON input must be an array of numbers: {exc}") from exc
         return MonotoneSequence(vals)
     try:

@@ -216,11 +216,12 @@ class TestEntropyEstimate:
         assert est >= area(g) - 1e-14
 
     def test_rejects_bad_scales(self):
-        # a non-finite centre or scale is refused, not turned into a bound of
-        # -inf or skipped
+        # a non-finite centre or scale, or an empty grid of either, is
+        # refused, not turned into a bound of -inf or skipped
         g = bump_graph()
         for centers, scales in [([0.0], [0.0]), ([0.0], [math.nan]), ([0.0], [math.inf]),
-                                ([math.nan], [1.0]), ([0.0, math.nan], [1.0])]:
+                                ([math.nan], [1.0]), ([0.0, math.nan], [1.0]),
+                                ([], [1.0]), ([0.0], []), ([], [])]:
             with pytest.raises(InvalidInputError):
                 cyl.estimate_entropy(g, centers=centers, scales=scales)
 
@@ -245,6 +246,22 @@ def test_profile_csv_refuses_malformed_rows(tmp_path, text, line):
     path.write_text(text)
     with pytest.raises(InvalidInputError, match=re.escape(f"{path}, line {line}: ")):
         cyl.profile_from_csv(SPEC1, path)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("z,u\n-1,0\n0,0\n1,0\n", InvalidInputError),
+    ("z,u\n0,0\n0.1,0\n0.3,0\n0.4,0\n0.5,0\n", InvalidInputError),
+    ("z,u\n0,0\n0.1,nan\n0.2,0\n0.3,0\n0.4,0\n", InvalidInputError),
+    ("z,u\n0,0\n0.1,-2\n0.2,0\n0.3,0\n0.4,0\n", PreconditionError),
+], ids=["three-rows", "non-uniform", "non-finite", "r-below-zero"])
+def test_profile_csv_refusal_of_its_grid_names_the_file(tmp_path, text, error):
+    # well-formed rows that no graph can hold keep their class and exit
+    # code, and the message starts with the file
+    path = tmp_path / "profile.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as exc:
+        cyl.profile_from_csv(SPEC1, path)
+    assert type(exc.value) is error
 
 
 def test_write_csv_cells_are_float_reprs_with_crlf(tmp_path):

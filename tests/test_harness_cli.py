@@ -85,7 +85,7 @@ class TestConfigParsing:
 _CONFIG_KEYS = [f.name for f in dataclasses.fields(mcf.RunConfig)] + ["wibble"]
 _CONFIG_VALUES = st.one_of(
     st.floats().map(repr), st.floats(1e-3, 20.0).map(repr), st.integers().map(str),
-    st.integers(0, 12).map(str), st.sampled_from(mcf.PROFILE_KINDS), st.text())
+    st.integers(0, 12).map(str), st.sampled_from(list(mcf.PROFILES)), st.text())
 
 
 class TestConfigProperty:
@@ -172,6 +172,17 @@ class TestCliExitCodes:
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet",
                          "mcf", "--config", str(bad)])
         assert code == 64
+
+    def test_unknown_profile_kind_is_64_naming_the_kinds(self, tmp_path, capsys):
+        # random was a kind that only tests started from
+        cfgfile = tmp_path / "random.cfg"
+        cfgfile.write_text(COARSE_CFG + "profile_kind = random\n")
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert printed.out == ("error: unknown profile_kind 'random' "
+                               "(known: zero, gauss, balanced_gauss)\n")
+        assert printed.err == ""
 
     # cfl, step_tol, stop_max_abs_u, max_C, tau_grid_lo and tau_grid_hi were
     # config keys once; a config that still sets one is refused as naming an
@@ -419,16 +430,19 @@ class TestCliExitCodes:
                          "seq-check", "--file", str(seq), "--tau", "0.5"])
         assert code in (0, 2)  # parses; exit depends on the checked inequality
 
+    # numpy would read numeric strings and true as numbers, and null as NaN
     @pytest.mark.parametrize("payload", ['["a", 0.5]', '[[1, 0.5], [0.2]]',
                                          pytest.param("[1" + "0" * 400 + ", 0.5]",
-                                                      id="int-beyond-float")])
+                                                      id="int-beyond-float"),
+                                         '["0.5", "0.25"]', '[true, 0.5]', '[null]'])
     def test_bad_json_array_is_64(self, tmp_path, capsys, payload):
         seq = tmp_path / "seq.json"
         seq.write_text(payload)
         code = cli.main(["--out", str(tmp_path / "o"), "seq-check", "--file", str(seq)])
         assert code == 64
         printed = capsys.readouterr()
-        assert "error:" in printed.out and "Traceback" not in printed.out + printed.err
+        assert "error: JSON input must be an array of numbers" in printed.out
+        assert "Traceback" not in printed.out + printed.err
 
     def test_empty_file_name_is_64(self, tmp_path, capsys):
         # an empty --file is a path that cannot be read, not a request for

@@ -95,11 +95,23 @@ def kernel_rhs(g):
     return mcf._kernel(g.z, g.h, g.spec.radius)(g.u)
 
 
+def random_bumps(amplitude, z, rng):
+    """An asymmetric start profile: four Gaussians with amplitude
+    amplitude * U(-1, 1), centre U(-3, 3) and width U(0.8, 2.5), drawn in
+    that order from rng."""
+    u = np.zeros_like(z)
+    for _ in range(4):
+        a = amplitude * rng.uniform(-1.0, 1.0)
+        c = rng.uniform(-3.0, 3.0)
+        w = rng.uniform(0.8, 2.5)
+        u += a * np.exp(-((z - c) ** 2) / w**2)
+    return u
+
+
 def random_graphs(n_points, count=2, R_dom=20.0, seed=7):
     rng = np.random.default_rng(seed)
     h = 2.0 * R_dom / (n_points - 1)
-    return [CylinderGraph.from_profile(SPEC1, R_dom, h,
-                                       lambda z: mcf.initial_profile("random", 0.05, z, rng))
+    return [CylinderGraph.from_profile(SPEC1, R_dom, h, lambda z: random_bumps(0.05, z, rng))
             for _ in range(count)]
 
 
@@ -270,8 +282,9 @@ class TestStep:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_flow_commutes_with_reflection(self, seed):
         # the run from u(-z) is the mirror image of the run from u(z)
-        cfg = coarse_config(profile_kind="random", amplitude=0.05, t2=3, seed=seed)
-        g = cfg.initial_state().graph
+        cfg = coarse_config(t2=3)
+        g = CylinderGraph.from_profile(SPEC1, cfg.R_dom, cfg.h,
+                                       lambda z: random_bumps(0.05, z, np.random.default_rng(seed)))
         mirrored = CylinderGraph(g.spec, g.z, g.u[::-1].copy())
         hist = mcf.evolve(mcf.FlowState(g, 0.0), 3.0, cfg.controls())
         mirror = mcf.evolve(mcf.FlowState(mirrored, 0.0), 3.0, cfg.controls())
@@ -941,18 +954,19 @@ class TestRunConfig:
             mcf.RunConfig(t1=0.5, t2=8)  # type: ignore[arg-type]
 
     def test_profile_kinds_build(self):
-        assert mcf.PROFILE_KINDS == ("zero", "gauss", "balanced_gauss", "random")
+        assert list(mcf.PROFILES) == ["zero", "gauss", "balanced_gauss"]
         z = np.linspace(-20.0, 20.0, 401)
-        rng = np.random.default_rng(0)
-        for kind in mcf.PROFILE_KINDS:
-            u = mcf.initial_profile(kind, 0.01, z, rng)
-            assert u.shape == z.shape
-        with pytest.raises(InvalidInputError):
-            mcf.initial_profile("nope", 0.01, z, rng)
+        for kind, build in mcf.PROFILES.items():
+            u = build(0.01, z)
+            assert u.shape == z.shape and u.dtype == np.float64
+            g = coarse_config(profile_kind=kind).initial_state().graph
+            assert g.u[1:-1].tobytes() == build(0.01, g.z)[1:-1].tobytes()  # ends pinned
+        with pytest.raises(InvalidInputError, match="known: zero, gauss, balanced_gauss"):
+            coarse_config(profile_kind="nope")
 
     def test_balanced_profile_has_no_gaussian_mean(self):
         z = np.linspace(-20.0, 20.0, 4001)
-        u = mcf.initial_profile("balanced_gauss", 1.0, z, None)
+        u = mcf.PROFILES["balanced_gauss"](1.0, z)
         weight = np.exp(-(z**2) / 4.0)
         mean = np.trapezoid(u * weight, z) / np.trapezoid(weight, z)
         assert abs(mean) < 1e-12

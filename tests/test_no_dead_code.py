@@ -12,7 +12,9 @@ properties are serialised by harness.jsonable, so all three are exempt.  Paper
 API that only tests call today stays on PAPER_API.
 
 Likewise every run-config key is set by at least one bundled config: a key
-that no shipped run sets is a constant with a parser in front of it.  And
+that no shipped run sets is a constant with a parser in front of it.  So is
+every profile kind in mcf.PROFILES named by one: a kind that no shipped run
+starts from is a start profile only tests read, and belongs with them.  And
 every FlowControls field is passed by some FlowControls(...) call in
 src/flowcert or perfbench: a field that no caller passes is a constant of the
 scheme with a constructor in front of it.
@@ -198,13 +200,22 @@ def test_paper_api_still_defined():
     assert PAPER_API <= defined
 
 
-def test_every_config_key_is_set_by_a_bundled_config():
-    keys = {f.name for f in dataclasses.fields(mcf.RunConfig)}
+def _bundled_configs() -> list:
+    """The parsed key = value dict of each bundled config."""
     configs = sorted((PACKAGE / "configs").glob("*.cfg"))
     assert configs
-    set_somewhere = set().union(*(harness.parse_config_text(path.read_text(), str(path))
-                                  for path in configs))
+    return [harness.parse_config_text(path.read_text(), str(path)) for path in configs]
+
+
+def test_every_config_key_is_set_by_a_bundled_config():
+    keys = {f.name for f in dataclasses.fields(mcf.RunConfig)}
+    set_somewhere = set().union(*_bundled_configs())
     assert sorted(keys - set_somewhere) == []
+
+
+def test_every_profile_kind_is_named_by_a_bundled_config():
+    named = {config.get("profile_kind") for config in _bundled_configs()}
+    assert sorted(set(mcf.PROFILES) - named) == []
 
 
 def test_every_flow_control_is_passed_by_a_caller():

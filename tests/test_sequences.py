@@ -496,5 +496,10 @@ def test_parse_sequence_text_formats():
         sq.parse_sequence_text("")
     with pytest.raises(InvalidInputError):
         sq.parse_sequence_text("[1.0, oops]")
+    assert np.array_equal(sq.parse_sequence_text("[1, 0.5]").values, [1.0, 0.5])  # JSON ints
+    # entries numpy would read as numbers (strings, true) or as NaN (null)
+    for text in ('["0.5", "0.25"]', "[true, 0.5]", "[null]"):
+        with pytest.raises(InvalidInputError, match="JSON input must be an array of numbers"):
+            sq.parse_sequence_text(text)
     with pytest.raises(InvalidInputError):
         sq.parse_sequence_text("not a number\n")

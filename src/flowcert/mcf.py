@@ -14,10 +14,10 @@ the discrete scheme to the last bit.
 
 Discretization is method-of-lines: second-order central differences in z on a
 uniform grid with the profile pinned to the cylinder at both ends, stepped in
-time by scipy's variable-order BDF (see evolve).  dt_max is not a step cap but
-sets the solver's relative tolerance, as the local error of a second-order
-step of dt_max scales.  With frhs(0) == 0 every Newton iterate from the zero
-profile is zero, so the zero profile stays zero.
+time by scipy's BDF on LAPACK tridiagonal factorisations (see evolve).  dt_max
+is not a step cap but sets the solver's relative tolerance, as the local error
+of a second-order step of dt_max scales.  With frhs(0) == 0 every Newton iterate
+from the zero profile is zero, so the zero profile stays zero.
 
 Gaussian area is sampled at unit time marks; those marks feed the empirical
 decay-exponent fit and, at every second mark, the discrete summability
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.integrate import BDF
 
 from . import sequences
@@ -78,6 +78,15 @@ def _kernel(z: np.ndarray, h: float, s: float):
     return frhs
 
 
+def _tridiagonal_lu(A, last_state) -> list:
+    """gttrf's LU of tridiagonal A; a zero pivot raises IntegrationError carrying last_state()."""
+    *factors, info = linalg.lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+    if info > 0:
+        raise IntegrationError(f"singular Newton matrix (zero pivot in row {info}) after "
+                               f"t={(state := last_state()).t}", last_state=state)
+    return factors
+
+
 @dataclass
 class FlowControls:
     """evolve's one setting, dt_max, and the constants of its scheme.
@@ -115,7 +124,7 @@ class FlowHistory:
     nlu are the solver's nfev, njev and nlu: right-hand sides evaluated for
     its steps, numerical Jacobians (each a few right-hand sides more, one per
     column group of the band and a retry for columns whose difference came
-    out too small) and LU factorisations.
+    out too small) and LAPACK tridiagonal factorisations of the Newton matrix.
     """
 
     spec: CylinderSpec
@@ -157,29 +166,30 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
 
     The method of lines is stiff (its fastest mode decays at about 4/h^2), so
     each step is one step of the variable-order BDF of Shampine & Reichelt
-    (1997), scipy.integrate.BDF, with its numerical Jacobian grouped over the
-    tridiagonal band.  controls.dt_max is not a step cap: the solver sets
-    every step to meet controls.tolerances(), whose rtol scales with dt_max^2
-    as a second-order step's local error does.  The profile at each integer
-    time a step crosses comes from that step's interpolant (the step's own end
-    when it lands on the integer, as the last step does on t_end).
+    (1997), scipy.integrate.BDF, its numerical Jacobian grouped over the
+    tridiagonal band and its Newton matrix solved by LAPACK tridiagonal
+    factorisations (_tridiagonal_lu).  controls.dt_max is not a step cap: the
+    solver sets every step to meet controls.tolerances(), whose rtol scales with
+    dt_max^2 as a second-order step's local error does.  The profile at each
+    integer time a step crosses comes from that step's interpolant (the step's
+    own end when it lands on the integer, as the last step does on t_end).
 
     Starting time must be an integer.  A start whose max |u| already exceeds
     controls.stop_max_abs_u is refused with PreconditionError: the run would
     stop after its first step, and the slopes and area of such a profile may
     overflow.  After each accepted step the run raises PreconditionError if
     r <= 0 anywhere, and stops after the first step with max |u| above
-    stop_max_abs_u.  A failed step or a non-finite right-hand side raises
-    IntegrationError carrying the last accepted state, and so does a run that
-    takes more than STARTUP_STEPS steps plus one per dt_max of flow time: a
-    tolerance of a second-order step of dt_max needs far fewer, so steps that
-    short mean the solver, not the flow, is in trouble.  So does an accepted
-    step shorter than MIN_STEP_ULPS ulp of max(1, t), other than the last one,
-    which scipy clips onto t_end: scipy's own floor (10 ulp of t) does not bind
-    near t = 0, where a collapsing run would otherwise spend its whole budget.
-    A dt_max whose rtol is below RTOL_MIN or overflows, and a run that spans
-    more than MAX_STEPS steps of dt_max, are refused up front with
-    InvalidInputError.
+    stop_max_abs_u.  A failed step, a non-finite right-hand side or a singular
+    Newton matrix raises IntegrationError carrying the last accepted state, and
+    so does a run that takes more than STARTUP_STEPS steps plus one per dt_max
+    of flow time: a tolerance of a second-order step of dt_max needs far fewer,
+    so steps that short mean the solver, not the flow, is in trouble.  So does
+    an accepted step shorter than MIN_STEP_ULPS ulp of max(1, t), other than
+    the last one, which scipy clips onto t_end: scipy's own floor (10 ulp of t)
+    does not bind near t = 0, where a collapsing run would otherwise spend its
+    whole budget.  A dt_max whose rtol is below RTOL_MIN or overflows, and a
+    run that spans more than MAX_STEPS steps of dt_max, are refused up front
+    with InvalidInputError.
     """
     if abs(state.t - round(state.t)) > MARK_TOL:
         raise InvalidInputError("evolve expects an integer starting time")
@@ -223,6 +233,12 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
 
     band = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(u.size, u.size))
     solver = BDF(rhs, t, u, t_end, rtol=rtol, atol=atol, jac_sparsity=band)
+
+    def lu(A):  # counts nlu as scipy's own lu does
+        solver.nlu += 1
+        return _tridiagonal_lu(A, last_state)
+    solver.lu = lu
+    solver.solve_lu = lambda factors, b: linalg.lapack.dgttrs(*factors, b, overwrite_b=True)[0]
     stop_reason = "completed"
     while solver.status == "running" and stop_reason == "completed":
         if len(diag_t) >= budget:

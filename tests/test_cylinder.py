@@ -225,6 +225,13 @@ class TestEntropyEstimate:
             with pytest.raises(InvalidInputError):
                 cyl.estimate_entropy(g, centers=centers, scales=scales)
 
+    @pytest.mark.parametrize("centers, scales", [([[0.0, 1.0]], [1.0]), ([0.0], [[1.0]]),
+                                                 ([[0.0], [1.0]], [[1.0, 2.0]])])
+    def test_rejects_grids_of_more_than_one_axis(self, centers, scales):
+        # a nested list is refused as a usage error, not a TypeError from float()
+        with pytest.raises(InvalidInputError, match="1-d"):
+            cyl.estimate_entropy(cyl.CylinderGraph.zero(SPEC1, 20.0, 0.1), centers, scales)
+
 
 def test_profile_csv_roundtrip(tmp_path):
     g = bump_graph(0.02, h=0.25)

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.bdf
 import scipy.linalg
+from scipy import sparse
+from scipy.integrate import BDF
 
 from flowcert import harness, mcf
 from flowcert import sequences as sq
@@ -596,6 +599,106 @@ def sweep_run():
     """The bundled sweep.cfg run: marks 0..9 on 801 grid points."""
     cfg = harness.load_bundled_config("sweep.cfg")
     return cfg, mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+
+
+def coarse_bundled(name):
+    """A bundled config at h = 0.1 and 8 dt_max, as the fault table runs it."""
+    cfg = harness.load_bundled_config(name)
+    return dataclasses.replace(cfg, h=0.1, dt_max=8.0 * cfg.dt_max)
+
+
+def superlu_reference(cfg):
+    """cfg's run by plain scipy.integrate.BDF, whose Newton matrix goes to
+    SuperLU: the accepted step times, the profiles at the unit marks (from the
+    interpolant of the step that reaches each) and the solver's (nfev, njev,
+    nlu)."""
+    g = cfg.initial_state().graph
+    frhs = mcf._kernel(g.z, g.h, g.spec.radius)
+    rtol, atol = cfg.controls().tolerances()
+    band = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(g.u.size, g.u.size))
+    solver = BDF(lambda t, w: frhs(w), 0.0, g.u.copy(), float(cfg.t2), rtol=rtol, atol=atol,
+                 jac_sparsity=band)
+    times, marks = [], [g.u]
+    while solver.status == "running":
+        solver.step()
+        times.append(solver.t)
+        while len(marks) <= solver.t:
+            marks.append(solver.dense_output()(float(len(marks))))
+    return np.array(times), np.array(marks), (solver.nfev, solver.njev, solver.nlu)
+
+
+class TestTridiagonalNewtonSolve:
+    @pytest.mark.parametrize("name", ["fit.cfg", "sweep.cfg"])
+    def test_matches_scipys_superlu_run(self, name):
+        # the LAPACK factorisation takes the same steps as SuperLU's: equal
+        # counts, step times within 1e-7 (the error estimate is a difference
+        # of nearly equal profiles, so rounding moves dt in its 8th digit)
+        # and mark profiles within 1e-13
+        cfg = coarse_bundled(name)
+        hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+        times, marks, counts = superlu_reference(cfg)
+        assert (hist.n_rhs, hist.njev, hist.nlu) == counts
+        assert hist.diag_t.shape == times.shape
+        assert np.max(np.abs(hist.diag_t - times)) < 1e-7
+        assert hist.profiles.shape == marks.shape
+        assert np.max(np.abs(hist.profiles - marks)) < 1e-13
+
+    def test_evolve_never_calls_superlu(self, monkeypatch):
+        # with scipy's splu refusing, the run completes, and every
+        # factorisation nlu counts is one gttrf call
+        def refuse(_):
+            raise AssertionError("evolve called SuperLU")
+
+        gttrf = scipy.linalg.lapack.dgttrf
+        calls = itertools.count()
+
+        def counted(*args):
+            next(calls)
+            return gttrf(*args)
+
+        monkeypatch.setattr(scipy.integrate._ivp.bdf, "splu", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", counted)
+        cfg = coarse_config(t2=3)
+        hist = mcf.evolve(cfg.initial_state(), 3.0, cfg.controls())
+        assert hist.stop_reason == "completed" and hist.t_final == 3.0
+        assert hist.nlu > 0 and next(calls) == hist.nlu
+
+    def test_factors_solve_the_tridiagonal_system(self):
+        rng = np.random.default_rng(3)
+        n = 9
+        A = sparse.diags([rng.uniform(-1, 1, n - 1), rng.uniform(3, 4, n),
+                          rng.uniform(-1, 1, n - 1)], [-1, 0, 1], format="csc")
+        b = rng.uniform(-1, 1, n)
+        x = scipy.linalg.lapack.dgttrs(*mcf._tridiagonal_lu(A, None), b)[0]
+        assert np.max(np.abs(A @ x - b)) < 1e-14
+
+    def test_zero_pivot_raises_with_the_last_state(self):
+        # the middle column is zero, so gttrf meets a zero pivot in row 3
+        state = mcf.FlowState(smooth_graph(), 1.0)
+        A = sparse.diags([[1.0, 1.0, 0.0, 1.0], [2.0, 2.0, 0.0, 2.0, 2.0], [1.0, 0.0, 1.0, 1.0]],
+                         [-1, 0, 1], format="csc")
+        with pytest.raises(IntegrationError, match=r"zero pivot in row 3\) after t=1\.0") as exc:
+            mcf._tridiagonal_lu(A, lambda: state)
+        assert exc.value.last_state is state and exc.value.exit_code == 3
+
+    def test_singular_newton_matrix_ends_the_run_with_the_last_accepted_state(self, monkeypatch):
+        # from the 6th factorisation on gttrf sees an all-zero first column
+        # (a singular Newton matrix); the run stops with a step of the clean run
+        cfg = coarse_config(t2=2)
+        clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        gttrf = scipy.linalg.lapack.dgttrf
+        calls = itertools.count()
+
+        def singular_after_five(dl, d, du):
+            if next(calls) >= 5:
+                dl, d = np.zeros_like(dl), np.zeros_like(d)
+            return gttrf(dl, d, du)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", singular_after_five)
+        with pytest.raises(IntegrationError, match="singular Newton matrix") as exc:
+            mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
+        assert exc.value.last_state.t in clean.diag_t.tolist()
+        assert np.all(np.isfinite(exc.value.last_state.graph.u))
 
 
 SWEEP_GATE = 5e-8  # max |u - u_ref| over the marks of sweep.cfg at a = 0.02

@@ -190,7 +190,10 @@ def graph_distance(z: np.ndarray, u1: np.ndarray, u2: np.ndarray, R: float):
 def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
     """Lower bound for the entropy: max Gaussian area over the supplied grid of
     axial translations and dilations (identity included gives >= graph_F)."""
-    centers, scales = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (centers, scales))
+    try:
+        centers, scales = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (centers, scales))
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged
+        raise InvalidInputError(f"centers and scales must be lists of numbers: {exc}") from None
     if not (centers.ndim == scales.ndim == 1 and centers.size and scales.size
             and np.isfinite(centers).all() and np.isfinite(scales).all() and np.all(scales > 0.0)):
         raise InvalidInputError("need 1-d lists of at least one center and one scale; centers "

@@ -120,23 +120,23 @@ class Trajectory:
 def _interpolant_arrays(sol, m: int) -> tuple[np.ndarray, ...]:
     """The RK45 dense output of `sol`, a run of m stacked lanes, as arrays:
     step start times and widths, one row per solver step, and per lane its
-    coefficients Q, (m, n_steps, dim, 4), and start states, (m, n_steps, dim),
-    laid out once so that each lane's block is contiguous.  The one place that
-    reads scipy's interpolant internals."""
+    coefficients Q, (m, 4, dim, n_steps), and start states, (m, dim, n_steps),
+    laid out once so that each is a contiguous (dim, n_steps) row per lane and
+    coefficient.  The one place that reads scipy's interpolant internals."""
     pieces = sol.sol.interpolants
     t_old = np.array([piece.t_old for piece in pieces])
     width = np.array([piece.h for piece in pieces])
     Q = np.stack([piece.Q for piece in pieces]).reshape(width.size, m, -1, 4)
     y_old = np.stack([piece.y_old for piece in pieces]).reshape(width.size, m, -1)
-    return (t_old, width, np.ascontiguousarray(Q.swapaxes(0, 1)),
-            np.ascontiguousarray(y_old.swapaxes(0, 1)))
+    return (t_old, width, np.ascontiguousarray(Q.transpose(1, 3, 2, 0)),
+            np.ascontiguousarray(y_old.transpose(1, 2, 0)))
 
 
 def _lane_dense(bounds: np.ndarray, t_old: np.ndarray, width: np.ndarray,
                 Q: np.ndarray, y_old: np.ndarray, speed: float) -> Callable:
     """Dense output of one lane at flow times t (solver times t / speed),
     shape (dim, len(t)) like `OdeSolution`; Q and y_old are the lane's own
-    (n_steps, dim, 4) and (n_steps, dim) blocks.
+    (4, dim, n_steps) and (dim, n_steps) blocks.
 
     Each time picks its step as `OdeSolution` does (at a step boundary, the
     step that ends there): one searchsorted over the interior boundaries
@@ -144,23 +144,21 @@ def _lane_dense(bounds: np.ndarray, t_old: np.ndarray, width: np.ndarray,
     and one after the last step reads the last.  The step polynomial
     y_old + h (Q_1 x + Q_2 x^2 + Q_3 x^3 + Q_4 x^4), x the fraction of the
     step, is summed in k order over the running-product powers x^k = x^(k-1) x
-    (as np.cumprod forms them), with every per-step array read by `take`.
+    (as np.cumprod forms them), each row gathered by `take` along its steps.
     """
 
     def dense(t):
         s = np.asarray(t, dtype=float) / speed
         step = np.searchsorted(bounds, s)
         h = width.take(step)
-        x = ((s - t_old.take(step)) / h)[:, None]
-        coef = Q.take(step, axis=0)
-        power = x
-        out = coef[..., 0] * power
-        for k in range(1, coef.shape[-1]):
+        power = x = (s - t_old.take(step)) / h
+        out = Q[0].take(step, axis=1) * power
+        for k in range(1, Q.shape[0]):
             power = power * x
-            out += coef[..., k] * power
-        out *= h[:, None]
-        out += y_old.take(step, axis=0)
-        return out.T
+            out += Q[k].take(step, axis=1) * power
+        out *= h
+        out += y_old.take(step, axis=1)
+        return out
 
     return dense
 
@@ -203,8 +201,8 @@ def integrate(problem: GradientProblem, x0, t_end,
     at a time, so each lane stops at its own exit or raises its own
     IntegrationError.  The recorded F-values of every lane are checked to be
     non-increasing up to 10*tol.  The shared interpolant is laid out once
-    per batch, lane by lane, and each Trajectory's `dense` reads only its own
-    lane's contiguous block.
+    per batch, lane by lane and coefficient-major, and each Trajectory's
+    `dense` reads only its own lane's rows.
     """
     x0 = np.asarray(x0, dtype=float)
     lanes = np.atleast_2d(x0)
@@ -383,7 +381,7 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
     if abs(dF1) >= epsilon or abs(dF2) >= epsilon:
         raise PreconditionError("endpoint |F - F0| must be below epsilon")
 
-    consts = sequences.constructive_bound(1.0, problem.tau)
+    consts = sequences._constructive_bound_cached(1.0, float(problem.tau))  # (1, tau) checked above
     bound_value = consts.cap(abs(dF1)) + consts.cap(abs(dF2))
 
     # The part above F0 is read at marks anchored at t1 up to t_split, the part

@@ -257,6 +257,23 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
 NEWTON_MAX_ITER = 50
 
 
+def _successors(x: float, C: float, tau: float):
+    """Yield extremal_step's root for x, then for each root yielded in turn."""
+    p, t = 1.0 + tau, x
+    while True:
+        for _ in range(NEWTON_MAX_ITER):
+            t_tau = t**tau
+            nxt = t - (t * t_tau + C * (t - x)) / (p * t_tau + C)
+            if nxt >= t:
+                break
+            t = nxt
+        else:
+            raise NumericError(f"root solve did not settle in {NEWTON_MAX_ITER} Newton steps "
+                               f"for C={C}, tau={tau}")
+        yield t
+        x = t
+
+
 def extremal_step(x, C: float, tau: float):
     """Unique positive root t of t^(1+tau) + C t = C x (the zero-slack successor).
 
@@ -267,31 +284,26 @@ def extremal_step(x, C: float, tau: float):
     (by convexity a tangent meets zero at or right of the root) and falls
     monotonically onto it, so it needs no bracket or safeguard.  It stops as
     soon as no entry decreases any more: the iterate has reached the root to
-    rounding.  An array freezes each converged entry and advances the rest.
-    A NaN never stops the iteration, and NumericError is raised after
-    NEWTON_MAX_ITER steps.  Floats stay in Python float arithmetic, which is
-    much cheaper than a numpy call per step on a long chain.
+    rounding.  A float takes the first root of `_successors`, in Python float
+    arithmetic, much cheaper than a numpy call per step on a long chain; an
+    array freezes each converged entry and advances the rest.  A NaN never
+    stops the iteration, and NumericError is raised after NEWTON_MAX_ITER steps.
     """
-    array = isinstance(x, np.ndarray)
-    if array:
-        if not np.all((x > 0.0) & (x < math.inf)):
-            raise InvalidInputError("need finite x > 0 in every entry")
-    elif not 0.0 < x < math.inf:
-        raise InvalidInputError(f"need finite x > 0, got {x}")
+    if not isinstance(x, np.ndarray):
+        if not 0.0 < x < math.inf:
+            raise InvalidInputError(f"need finite x > 0, got {x}")
+        return next(_successors(x, C, tau))
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise InvalidInputError("need finite x > 0 in every entry")
     p = 1.0 + tau
     t = x
     for _ in range(NEWTON_MAX_ITER):
         t_tau = t**tau
         nxt = t - (t * t_tau + C * (t - x)) / (p * t_tau + C)
-        if array:
-            stay = nxt >= t
-            if stay.all():
-                return t
-            t = np.where(stay, t, nxt)
-        else:
-            if nxt >= t:
-                return t
-            t = nxt
+        stay = nxt >= t
+        if stay.all():
+            return t
+        t = np.where(stay, t, nxt)
     raise NumericError(f"root solve did not settle in {NEWTON_MAX_ITER} Newton steps "
                        f"for C={C}, tau={tau}")
 
@@ -303,20 +315,17 @@ def extremal_sequence(C: float, tau: float, x1: float, n_steps: int) -> Monotone
     """Sequence saturating the drop law with equality at every step.
 
     Starting from x1, each successor solves x_{j+1}^(1+tau) = C (x_j - x_{j+1})
-    exactly.  n_steps counts root solves, so the result has n_steps + 1 entries.
-    tau = 1 is allowed here (the step map stays monotone); the certificate
-    routines themselves require tau < 1.
+    exactly, read from `_successors`.  n_steps counts root solves, so the
+    result has n_steps + 1 entries.  tau = 1 is allowed here (the step map
+    stays monotone); the certificate routines themselves require tau < 1.
     """
     _require_params(C, tau, inclusive=True)
     if not 0.0 < x1 <= 1.0:
         raise InvalidInputError(f"need 0 < x1 <= 1, got {x1}")
     if not 1 <= n_steps <= MAX_SEQUENCE_STEPS:
         raise InvalidInputError(f"need 1 <= n_steps <= {MAX_SEQUENCE_STEPS}, got {n_steps}")
-    out = np.empty(n_steps + 1)
-    x = out[0] = float(x1)
-    for j in range(1, n_steps + 1):
-        x = out[j] = extremal_step(x, C, tau)
-    return MonotoneSequence(out)
+    roots = np.fromiter(_successors(float(x1), C, tau), float, count=n_steps)
+    return MonotoneSequence(np.concatenate(([float(x1)], roots)))
 
 
 @lru_cache(maxsize=256)

@@ -123,16 +123,17 @@ def test_negative_seed_is_refused_before_any_criterion_runs(monkeypatch, tmp_pat
 def test_extremal_chains_are_built_once_and_read_only(monkeypatch):
     """Criteria 2 and 3 and the release gates of constructive_bound share one
     chain per cell: 10^4 root solves per cell in all, and no caller can
-    change a chain."""
-    real = sequences.extremal_step
+    change a chain.  Every chain root is one yielded by the scalar Newton
+    generator; the random batches solve whole columns by the array path."""
+    real = sequences._successors
     scalar_solves = []
 
     def counting(x, C, tau):
-        if not isinstance(x, np.ndarray):  # the random batches solve whole columns
+        for root in real(x, C, tau):
             scalar_solves.append((C, tau))
-        return real(x, C, tau)
+            yield root
 
-    monkeypatch.setattr(sequences, "extremal_step", counting)
+    monkeypatch.setattr(sequences, "_successors", counting)
     sequences._chain_store.cache_clear()
     sequences._constructive_bound_cached.cache_clear()
     assert acceptance.crit_iterated_gap().passed

@@ -232,6 +232,17 @@ class TestEntropyEstimate:
         with pytest.raises(InvalidInputError, match="1-d"):
             cyl.estimate_entropy(cyl.CylinderGraph.zero(SPEC1, 20.0, 0.1), centers, scales)
 
+    @pytest.mark.parametrize("centers, scales", [(["a"], [1.0]), ([0.0], ["a"]),
+                                                 ([[0.0], [1.0, 2.0]], [1.0]),
+                                                 ([0.0], [[1.0], [1.0, 2.0]])],
+                             ids=["string-center", "string-scale", "ragged-centers",
+                                  "ragged-scales"])
+    def test_rejects_non_numeric_and_ragged_grids(self, centers, scales):
+        # refused as a usage error (exit 64), not numpy's bare ValueError
+        with pytest.raises(InvalidInputError, match="lists of numbers") as info:
+            cyl.estimate_entropy(cyl.CylinderGraph.zero(SPEC1, 20.0, 0.1), centers, scales)
+        assert info.value.exit_code == 64
+
 
 def test_profile_csv_roundtrip(tmp_path):
     g = bump_graph(0.02, h=0.25)

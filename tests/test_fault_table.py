@@ -93,6 +93,17 @@ def one_newton_step_short(real):
     return step
 
 
+def successors_one_newton_step_short(real):
+    """_successors yielding, root after root, one_newton_step_short's root of
+    the entry before: the extremal chains built on the short step."""
+    def successors(x, C, tau):
+        step = one_newton_step_short(real)
+        while True:
+            x = step(x, C, tau)
+            yield x
+    return successors
+
+
 FAULTS = [
     Fault("no fault", [], set()),
     Fault("sphere_area x (1 + 1e-4)",
@@ -102,7 +113,7 @@ FAULTS = [
     Fault("iterated-gap margin -1",
           [(sequences, "iterated_gap_margin", lambda real: lambda seq, C, tau: -1.0)], {2}),
     Fault("certificate c / 20",
-          [(sequences, "constructive_bound", result_with(c=lambda c: c / 20.0))], {3}),
+          [(sequences, "_constructive_bound_cached", result_with(c=lambda c: c / 20.0))], {3}),
     Fault("certify_part reports a violation",
           [(sequences, "certify_part", result_with(hypothesis_ok=lambda ok: False))], {4, 10}),
     Fault("gradient x (1 + 1e-5)", [(gradientflow, "builtin_problems", lambda real: lambda: [
@@ -129,9 +140,10 @@ FAULTS = [
     Fault("graph_distance x 100", [(mcf, "graph_distance", times(100.0))], set(),
           why="Ctilde is fitted on the distances it then bounds; item 1's fixed-constant gate"),
     Fault("extremal_step one Newton step short",
-          [(sequences, "extremal_step", one_newton_step_short)], {3, 4, 10}, {3, 4, 10}),
+          [(sequences, "extremal_step", one_newton_step_short),
+           (sequences, "_successors", successors_one_newton_step_short)], {3, 4, 10}, {3, 4, 10}),
     Fault("certificate alpha + 0.05",
-          [(sequences, "constructive_bound", result_with(alpha=lambda a: a + 0.05))], set(),
+          [(sequences, "_constructive_bound_cached", result_with(alpha=lambda a: a + 0.05))], set(),
           why="the paper's cap keeps 10x of slack on criterion 3's data; item 3's sharp cap"),
 ]
 

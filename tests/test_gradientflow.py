@@ -126,6 +126,18 @@ class TestBuiltins:
         with pytest.raises(InvalidInputError):
             gf.problem_by_name("nope")
 
+    @pytest.mark.parametrize("problem", gf.builtin_problems(), ids=lambda p: p.name)
+    def test_batches_read_the_same_bits_in_either_memory_order(self, problem):
+        # Trajectory.at hands F the transposed (F-ordered) view of the dense
+        # (dim, n) rows; `x ** power @ coef` must not depend on that order
+        rng = np.random.default_rng(17)
+        rows = rng.uniform(-1.0, 1.0, (problem.dim, 513)) * 10.0 ** rng.uniform(-6, 0, 513)
+        f_ordered = (problem.ball_radius * rows).T
+        c_ordered = np.ascontiguousarray(f_ordered)
+        assert f_ordered.flags.f_contiguous and c_ordered.flags.c_contiguous
+        assert same_bits(problem.F(f_ordered), problem.F(c_ordered))
+        assert same_bits(problem.grad(f_ordered), problem.grad(c_ordered))
+
     @pytest.mark.parametrize("name", CLOSED_FORMS)
     def test_row_is_its_closed_form(self, name):
         terms, grad, tau, radius = CLOSED_FORMS[name]

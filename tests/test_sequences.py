@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from flowcert import harness
+from flowcert import acceptance, harness
 from flowcert import sequences as sq
 from flowcert.errors import InvalidInputError, NumericError
 
@@ -369,6 +369,24 @@ class TestExtremalStep:
     def test_nonpositive_x_rejected(self, x):
         with pytest.raises(InvalidInputError):
             sq.extremal_step(x, 1.0, 0.5)
+
+    @pytest.mark.parametrize("C, tau", [*acceptance.CELLS, (1.0, 2.0 / 3.0)])
+    def test_sequence_is_iterated_scalar_steps(self, C, tau):
+        # chains and the scalar root solve share one Newton generator: same bits
+        steps = [1.0]
+        for _ in range(2000):
+            steps.append(sq.extremal_step(steps[-1], C, tau))
+        chain = sq.extremal_sequence(C, tau, 1.0, 2000).values
+        assert np.array_equal(chain.view(np.uint64), np.array(steps).view(np.uint64))
+
+    def test_nan_never_settles(self):
+        # no NaN iterate stops Newton: the step cap turns it into NumericError
+        with pytest.raises(NumericError):
+            next(sq._successors(math.nan, 1.0, 0.5))
+        with pytest.raises(NumericError):
+            sq.extremal_step(0.5, math.nan, 0.5)
+        with pytest.raises(NumericError):
+            sq.extremal_step(np.array([0.5]), math.nan, 0.5)
 
     def test_unsettled_iteration_raises(self):
         # far outside the certificate's x <= 1, Newton from t = x shrinks t by

@@ -17,14 +17,19 @@ BENCHMARK.json sets:
 - TRACED_RUNS alternating `--trace 1` runs per side and workload, of which
   the TRACED_KEYS metrics are kept: evolve's steps and times, the per-run
   measurement counts (`cylinder.graph_F.calls`, `cylinder.dist_R.calls`,
-  `mcf.lojasiewicz_fit.calls`) and the tracer's overhead;
+  `mcf.lojasiewicz_fit.calls`), certs' layers (criteria 2 and 4, the
+  length bound and the integrator under criterion 4, the chain builder and
+  the calls of the wrapped root solve) and the tracer's overhead;
 - per MCF run of each MCF workload, the steps, right-hand-side calls
   (FlowHistory.n_rhs), the solver's Jacobian and LU counts (njev, nlu)
   and a SHA-256 of the run's mark and per-step arrays, from in-process
   passes, TRACED_RUNS alternating per side, with the median of the run's
-  evolve seconds over those passes.
+  evolve seconds over those passes;
+- each certs criterion's measured string per side, from TRACED_RUNS
+  in-process passes at their own seeds, and whether the two sides read the
+  same.
 
-Seeds count up from --seed-base, one block of 100 per part (800 seeds in
+Seeds count up from --seed-base, one block of 100 per part (900 seeds in
 all), so no two parts share a seed; a new comparison names a block no
 earlier record used.  The claim is met when the change wins at least 9 of 10
 pairs (in that proportion), the gap between the medians exceeds the parent's
@@ -47,7 +52,9 @@ OTHER_PAIRS = 5
 TRACED_RUNS = 3
 TRACED_KEYS = ("mcf.evolve.steps", "mcf.evolve.us_per_step", "mcf.evolve.s",
                "cylinder.graph_F.calls", "cylinder.dist_R.calls", "mcf.lojasiewicz_fit.calls",
-               "trace.overhead_s")
+               "gradientflow.effective_bound.s", "gradientflow.integrate.s",
+               "sequences.extremal_sequence.s", "sequences.extremal_step.calls",
+               "acceptance.crit_2.s", "acceptance.crit_4.s", "trace.overhead_s")
 
 # one in-process pass of each MCF workload: per run, the counters, a digest
 # of every FlowHistory array and the seconds evolve took
@@ -69,6 +76,24 @@ for name in ("mcf-stiff", "mcf-certify"):
             "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label]}
 print(json.dumps(out))
 """
+
+# one in-process pass of certs: each criterion's measured string
+CERTS_MEASURED = r"""
+import json, sys
+import workloads
+w = workloads.Certs(int(sys.argv[1]))
+w.run()
+print(json.dumps({label: res.measured for label, res in w.results.items()}))
+"""
+
+
+def in_process(root: str, script: str, seed: int) -> dict:
+    """Run script in a fresh interpreter on root's src and perfbench; its JSON output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(seed)], cwd=root, env=env,
+                          check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout)
 
 
 def export(rev: str, dest: str) -> str:
@@ -173,12 +198,7 @@ def main(argv=None) -> int:
     passes = {name: [] for name in roots}
     for i in range(TRACED_RUNS):
         for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            root = roots[name]
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
-            proc = subprocess.run([sys.executable, "-c", RUN_COUNTS, str(seed)], cwd=root,
-                                  env=env, check=True, stdout=subprocess.PIPE, text=True)
-            passes[name].append(json.loads(proc.stdout))
+            passes[name].append(in_process(roots[name], RUN_COUNTS, seed))
     counts = {}
     for name, runs in passes.items():
         counts[name] = runs[0]
@@ -187,6 +207,11 @@ def main(argv=None) -> int:
             run.update(evolve_s=statistics.median(times), evolve_s_runs=times)
     same = {label: counts["parent"][label]["history_sha256"]
             == counts["change"][label]["history_sha256"] for label in counts["parent"]}
+
+    measured_seeds = list(range(base + 800, base + 800 + TRACED_RUNS))
+    measured = {name: [in_process(root, CERTS_MEASURED, s) for s in measured_seeds]
+                for name, root in roots.items()}
+    measured["identical"] = measured["parent"] == measured["change"]
 
     claim = summary[args.claim]["wall_s"]
     gap = claim["parent_median"] - claim["change_median"]
@@ -211,6 +236,7 @@ def main(argv=None) -> int:
         "summary": summary,
         "traced": traced,
         "runs": {"seed": seed, "counts": counts, "history_identical": same},
+        "certs_measured": {"seeds": measured_seeds, **measured},
         "src_tree": tree,
     }
     with open(args.out, "w") as fh:

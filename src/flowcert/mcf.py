@@ -14,7 +14,7 @@ the discrete scheme to the last bit.
 
 Discretization is method-of-lines: second-order central differences in z on a
 uniform grid with the profile pinned to the cylinder at both ends, stepped in
-time by scipy's BDF on LAPACK tridiagonal factorisations (see evolve).  dt_max
+time by scipy's BDF with an analytic tridiagonal Jacobian (see evolve).  dt_max
 is not a step cap but sets the solver's relative tolerance, as the local error
 of a second-order step of dt_max scales.  With frhs(0) == 0 every Newton iterate
 from the zero profile is zero, so the zero profile stays zero.
@@ -78,9 +78,30 @@ def _kernel(z: np.ndarray, h: float, s: float):
     return frhs
 
 
+def _jacobian(z: np.ndarray, h: float, s: float):
+    """d frhs/dw for _kernel's frhs: fjac(w) is a (3, N) array of its sub, main and super
+    diagonals, each entry in the column of the w it differentiates by; pinned rows are 0."""
+    drift = z[1:-1] / (4.0 * h)  # the advection term's weight on each neighbour
+    inv2h, invh2 = 1.0 / (2.0 * h), 1.0 / (h * h)
+
+    def fjac(w: np.ndarray) -> np.ndarray:
+        a, b, c = w[2:], w[:-2], w[1:-1]
+        w_z = (a - b) * inv2h
+        q = 1.0 / (1.0 + w_z * w_z)
+        slope = 2.0 * w_z * (a - 2.0 * c + b) * invh2 * q * q * inv2h  # w_zz times -dq/da
+        J = np.zeros((3, w.size))
+        J[0, :-2] = invh2 * q + slope + drift
+        J[1, 1:-1] = -2.0 * invh2 * q + 0.5 + 0.5 * s * s / ((s + c) * (s + c))
+        J[2, 2:] = invh2 * q - slope - drift
+        return J
+
+    return fjac
+
+
 def _tridiagonal_lu(A, last_state) -> list:
-    """gttrf's LU of tridiagonal A; a zero pivot raises IntegrationError carrying last_state()."""
-    *factors, info = linalg.lapack.dgttrf(A.diagonal(-1), A.diagonal(), A.diagonal(1))
+    """gttrf's LU of the tridiagonal A, given as (3, N) diagonals laid out as
+    _jacobian's; a zero pivot raises IntegrationError carrying last_state()."""
+    *factors, info = linalg.lapack.dgttrf(A[0, :-1], A[1], A[2, 1:])
     if info > 0:
         raise IntegrationError(f"singular Newton matrix (zero pivot in row {info}) after "
                                f"t={(state := last_state()).t}", last_state=state)
@@ -117,14 +138,13 @@ class FlowHistory:
     The profiles (one row per mark, both ends pinned to 0), the Gaussian area
     F and max |u| are stored at every integer time: mark_times are the
     consecutive integers from the run's start, so the mark at time t is entry
-    t - mark_times[0] of every mark array.  dist(R) measures the distance to the cylinder of every stored
-    profile in one pass, at whatever radius the caller asks.  Diagnostics at
-    every accepted step, float64 arrays: the time after it, dt and max |u|
-    after it; diag_err stays empty (see FlowControls.cfl).  n_rhs, njev and
-    nlu are the solver's nfev, njev and nlu: right-hand sides evaluated for
-    its steps, numerical Jacobians (each a few right-hand sides more, one per
-    column group of the band and a retry for columns whose difference came
-    out too small) and LAPACK tridiagonal factorisations of the Newton matrix.
+    t - mark_times[0] of every mark array.  dist(R) measures the distance to
+    the cylinder of every stored profile in one pass, at whatever radius the
+    caller asks.  Diagnostics at every accepted step, float64 arrays: the
+    time after it, dt and max |u| after it; diag_err stays empty (see
+    FlowControls.cfl).  n_rhs, njev and nlu are the solver's nfev, njev and
+    nlu: every kernel call of the run, analytic Jacobians (which call no
+    kernel) and LAPACK tridiagonal factorisations of the Newton matrix.
     """
 
     spec: CylinderSpec
@@ -166,13 +186,13 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
 
     The method of lines is stiff (its fastest mode decays at about 4/h^2), so
     each step is one step of the variable-order BDF of Shampine & Reichelt
-    (1997), scipy.integrate.BDF, its numerical Jacobian grouped over the
-    tridiagonal band and its Newton matrix solved by LAPACK tridiagonal
-    factorisations (_tridiagonal_lu).  controls.dt_max is not a step cap: the
-    solver sets every step to meet controls.tolerances(), whose rtol scales with
-    dt_max^2 as a second-order step's local error does.  The profile at each
-    integer time a step crosses comes from that step's interpolant (the step's
-    own end when it lands on the integer, as the last step does on t_end).
+    (1997), scipy.integrate.BDF, with the analytic Jacobian of _jacobian, so
+    its Newton matrix I - cJ is three diagonals, which LAPACK factors
+    (_tridiagonal_lu).  controls.dt_max is not a step cap: the solver sets
+    every step to meet controls.tolerances(), whose rtol scales with dt_max^2
+    as a second-order step's local error does.  The profile at each integer
+    time a step crosses comes from that step's interpolant (the step's own
+    end when it lands on the integer, as the last step does on t_end).
 
     Starting time must be an integer.  A start whose max |u| already exceeds
     controls.stop_max_abs_u is refused with PreconditionError: the run would
@@ -223,21 +243,26 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     def last_state() -> FlowState:
         return FlowState(CylinderGraph(spec, z, u), t)  # copies u
 
-    frhs = _kernel(z, state.graph.h, s)
+    frhs, fjac = _kernel(z, state.graph.h, s), _jacobian(z, state.graph.h, s)
 
     def rhs(_, w: np.ndarray) -> np.ndarray:
         out = frhs(w)
-        if not np.isfinite(out).all():  # before the solver factors a non-finite Jacobian
+        if not np.isfinite(out).all():  # scipy would take it for a Newton failure
             raise IntegrationError(f"non-finite right-hand side after t={t}", last_state=last_state())
         return out
 
-    band = sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(u.size, u.size))
-    solver = BDF(rhs, t, u, t_end, rtol=rtol, atol=atol, jac_sparsity=band)
+    # a constant jac keeps scipy's setup from estimating one; I and J become diagonals
+    solver = BDF(rhs, t, u, t_end, rtol=rtol, atol=atol, jac=sparse.csc_array((u.size, u.size)))
+
+    def jac(_, w):  # counts njev as scipy's own jac does
+        solver.njev += 1
+        return fjac(w)
 
     def lu(A):  # counts nlu as scipy's own lu does
         solver.nlu += 1
         return _tridiagonal_lu(A, last_state)
-    solver.lu = lu
+    solver.jac, solver.lu = jac, lu
+    solver.J, solver.I = jac(t, u), np.outer([0.0, 1.0, 0.0], np.ones(u.size))
     solver.solve_lu = lambda factors, b: linalg.lapack.dgttrs(*factors, b, overwrite_b=True)[0]
     stop_reason = "completed"
     while solver.status == "running" and stop_reason == "completed":

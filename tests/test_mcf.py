@@ -98,6 +98,25 @@ def kernel_rhs(g):
     return mcf._kernel(g.z, g.h, g.spec.radius)(g.u)
 
 
+def tridiagonal(diagonals):
+    """The N x N matrix of (3, N) diagonals laid out as mcf._jacobian's: row 0
+    holds the sub diagonal in columns 0 .. N-2, row 2 the super diagonal in
+    columns 1 .. N-1, each entry in the column it multiplies."""
+    return (np.diag(diagonals[0, :-1], -1) + np.diag(diagonals[1])
+            + np.diag(diagonals[2, 1:], 1))
+
+
+def central_differences(frhs, w, step):
+    """d frhs/dw at w, column by column from central differences."""
+    J = np.empty((w.size, w.size))
+    e = np.zeros(w.size)
+    for i in range(w.size):
+        e[i] = step
+        J[:, i] = (frhs(w + e) - frhs(w - e)) / (2.0 * step)
+        e[i] = 0.0
+    return J
+
+
 def random_bumps(amplitude, z, rng):
     """An asymmetric start profile: four Gaussians with amplitude
     amplitude * U(-1, 1), centre U(-3, 3) and width U(0.8, 2.5), drawn in
@@ -189,17 +208,7 @@ class TestKernelLinearisation:
         central differences; the cubic term of the diffusion part moves the
         entries by about eps^2/h^4, 1e-14 here."""
         g = CylinderGraph.zero(CylinderSpec(k), R_dom, h)
-        frhs = mcf._kernel(g.z, g.h, g.spec.radius)
-        w = np.zeros(g.z.size)
-        J = np.empty((g.z.size - 2, g.z.size - 2))
-        for i in range(1, g.z.size - 1):
-            w[i] = eps
-            plus = frhs(w)
-            w[i] = -eps
-            minus = frhs(w)
-            w[i] = 0.0
-            J[:, i - 1] = (plus[1:-1] - minus[1:-1]) / (2.0 * eps)
-        return J
+        return central_differences(mcf._kernel(g.z, g.h, g.spec.radius), g.u, eps)[1:-1, 1:-1]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_top_eigenvalues_are_the_hermite_modes(self, k):
@@ -210,8 +219,13 @@ class TestKernelLinearisation:
         # the grid operator has the same top eigenvalues up to the far ends.
         # A tridiagonal matrix whose off-diagonal pairs have positive products
         # is similar to the symmetric one with their geometric means, which a
-        # symmetric solver handles without the nonsymmetric one's e^(z^2/8) scaling
-        top = self.spectrum(self.jacobian(k))[::-1][:5]
+        # symmetric solver handles without the nonsymmetric one's e^(z^2/8) scaling.
+        # The spectrum is mcf._jacobian's at u = 0, checked against the
+        # central differences of the kernel first (2.8e-14 apart)
+        g = CylinderGraph.zero(CylinderSpec(k), 20.0, 0.1)
+        J = tridiagonal(mcf._jacobian(g.z, g.h, g.spec.radius)(g.u))[1:-1, 1:-1]
+        assert np.max(np.abs(J - self.jacobian(k))) < 1e-12
+        top = self.spectrum(J)[::-1][:5]
         assert np.max(np.abs(top - [1.0, 0.5, 0.0, -0.5, -1.0])) < 1e-8
 
     @staticmethod
@@ -223,6 +237,41 @@ class TestKernelLinearisation:
         assert np.array_equal(np.tril(J, -2), np.zeros_like(J))
         assert np.all(lower * upper > 0.0)
         return scipy.linalg.eigvalsh_tridiagonal(np.diag(J).copy(), np.sqrt(lower * upper))
+
+
+def jacobian_test_profile(name, k, n_points):
+    """A start profile on R_dom = 20 with n_points nodes: four random bumps
+    of amplitude 0.3, or a bundled config's start at radius sqrt(2k)."""
+    h = 40.0 / (n_points - 1)
+    if name == "bumps":
+        rng = np.random.default_rng(11)
+        return CylinderGraph.from_profile(CylinderSpec(k), 20.0, h,
+                                          lambda z: random_bumps(0.3, z, rng))
+    cfg = dataclasses.replace(harness.load_bundled_config(name), k=k, h=h)
+    return cfg.initial_state().graph
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("name", ["bumps", "fit.cfg", "sweep.cfg", "blowup.cfg", "zero.cfg"])
+    @pytest.mark.parametrize("n_points", [801, 2001])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_central_differences_of_the_kernel(self, k, n_points, name):
+        # every entry of the dense difference quotient, the ones outside the
+        # band included, agrees with the three diagonals.  The quotient's
+        # rounding, about eps max|w| / (h^2 step), sets the error: 5.3e-10 of
+        # the largest entry on the bumps, 3e-11 or less on the bundled starts
+        g = jacobian_test_profile(name, k, n_points)
+        s = g.spec.radius
+        J = mcf._jacobian(g.z, g.h, s)(g.u)
+        assert J.shape == (3, n_points)
+        error = central_differences(mcf._kernel(g.z, g.h, s), g.u, 1e-7)
+        rows = np.arange(n_points)
+        error[rows[1:], rows[:-1]] -= J[0, :-1]
+        error[rows, rows] -= J[1]
+        error[rows[:-1], rows[1:]] -= J[2, 1:]
+        assert np.max(np.abs(error)) < 1e-8 * np.max(np.abs(J))
+        # the pinned rows and the two slots outside the matrix are exactly 0
+        assert not J[[1, 2, 0, 1, 0, 2], [0, 1, -2, -1, -1, 0]].any()
 
 
 class TestStep:
@@ -453,8 +502,8 @@ class TestEvolve:
             mcf.evolve(mcf.FlowState(smooth_graph(), 0.5), 2.0, mcf.FlowControls())
 
     def test_counts_are_the_solvers(self, monkeypatch):
-        # n_rhs, njev and nlu are BDF's nfev, njev and nlu; each numerical
-        # Jacobian evaluates the kernel a few times more, outside n_rhs
+        # n_rhs, njev and nlu are BDF's nfev, njev and nlu; the Jacobian is
+        # analytic, so n_rhs counts every kernel call of the run
         calls = itertools.count()
         real = mcf._kernel
 
@@ -470,15 +519,15 @@ class TestEvolve:
         cfg = coarse_config()
         hist = mcf.evolve(cfg.initial_state(), 8.0, cfg.controls())
         assert hist.diag_t.size == 309 and (hist.n_rhs, hist.njev, hist.nlu) == (620, 1, 56)
-        assert hist.n_rhs < next(calls) <= hist.n_rhs + 8 * hist.njev
+        assert next(calls) == hist.n_rhs
 
     def test_non_finite_stage_raises_with_the_last_accepted_state(self, monkeypatch):
         # the kernel turns NaN on its 101st call: the run stops inside the
-        # step after t = 0.154 with that step's start, a step of the clean run
+        # step after t = 0.177 with that step's start, a step of the clean run
         cfg = coarse_config(t2=2)
         clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         monkeypatch.setattr(mcf, "_kernel", kernel_nan_after(100))
-        with pytest.raises(IntegrationError, match=r"non-finite right-hand side after t=0\.154") as exc:
+        with pytest.raises(IntegrationError, match=r"non-finite right-hand side after t=0\.177") as exc:
             mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
         state = exc.value.last_state
         assert state.t in clean.diag_t.tolist()
@@ -486,12 +535,12 @@ class TestEvolve:
         assert not np.array_equal(state.graph.u, cfg.initial_state().graph.u)
 
     def test_failed_step_raises_with_the_last_accepted_state(self, monkeypatch):
-        # a right-hand side that flips sign from call to call from its 201st
+        # a right-hand side that flips sign from call to call from its 195th
         # on has no flow to follow: the solver halves its step below the
-        # spacing of floats near t and fails
+        # spacing of floats near t and fails inside the step after t = 0.716
         cfg = coarse_config(t2=2)
         clean = mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
-        monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=200))
+        monkeypatch.setattr(mcf, "_kernel", kernel_chatter(after=194))
         failed = r"step failed after t=0\.716.*less than spacing"
         with pytest.raises(IntegrationError, match=failed) as exc:
             mcf.evolve(cfg.initial_state(), 2.0, cfg.controls())
@@ -630,10 +679,11 @@ def superlu_reference(cfg):
 class TestTridiagonalNewtonSolve:
     @pytest.mark.parametrize("name", ["fit.cfg", "sweep.cfg"])
     def test_matches_scipys_superlu_run(self, name):
-        # the LAPACK factorisation takes the same steps as SuperLU's: equal
-        # counts, step times within 1e-7 (the error estimate is a difference
-        # of nearly equal profiles, so rounding moves dt in its 8th digit)
-        # and mark profiles within 1e-13
+        # the analytic Jacobian and LAPACK factorisation take the same steps
+        # as scipy's numerical Jacobian and SuperLU: equal counts, step times
+        # within 1e-7 (the error estimate is a difference of nearly equal
+        # profiles, so rounding moves dt in its 8th digit) and mark profiles
+        # within 1e-13
         cfg = coarse_bundled(name)
         hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
         times, marks, counts = superlu_reference(cfg)
@@ -644,10 +694,10 @@ class TestTridiagonalNewtonSolve:
         assert np.max(np.abs(hist.profiles - marks)) < 1e-13
 
     def test_evolve_never_calls_superlu(self, monkeypatch):
-        # with scipy's splu refusing, the run completes, and every
-        # factorisation nlu counts is one gttrf call
-        def refuse(_):
-            raise AssertionError("evolve called SuperLU")
+        # with scipy's splu and its numerical Jacobian refusing, the run
+        # completes, and every factorisation nlu counts is one gttrf call
+        def refuse(*_):
+            raise AssertionError("evolve called SuperLU or num_jac")
 
         gttrf = scipy.linalg.lapack.dgttrf
         calls = itertools.count()
@@ -657,6 +707,7 @@ class TestTridiagonalNewtonSolve:
             return gttrf(*args)
 
         monkeypatch.setattr(scipy.integrate._ivp.bdf, "splu", refuse)
+        monkeypatch.setattr(scipy.integrate._ivp.bdf, "num_jac", refuse)
         monkeypatch.setattr(scipy.linalg.lapack, "dgttrf", counted)
         cfg = coarse_config(t2=3)
         hist = mcf.evolve(cfg.initial_state(), 3.0, cfg.controls())
@@ -666,17 +717,21 @@ class TestTridiagonalNewtonSolve:
     def test_factors_solve_the_tridiagonal_system(self):
         rng = np.random.default_rng(3)
         n = 9
-        A = sparse.diags([rng.uniform(-1, 1, n - 1), rng.uniform(3, 4, n),
-                          rng.uniform(-1, 1, n - 1)], [-1, 0, 1], format="csc")
+        A = np.zeros((3, n))
+        A[0, :-1] = rng.uniform(-1, 1, n - 1)
+        A[1] = rng.uniform(3, 4, n)
+        A[2, 1:] = rng.uniform(-1, 1, n - 1)
         b = rng.uniform(-1, 1, n)
         x = scipy.linalg.lapack.dgttrs(*mcf._tridiagonal_lu(A, None), b)[0]
-        assert np.max(np.abs(A @ x - b)) < 1e-14
+        assert np.max(np.abs(tridiagonal(A) @ x - b)) < 1e-14
 
     def test_zero_pivot_raises_with_the_last_state(self):
-        # the middle column is zero, so gttrf meets a zero pivot in row 3
+        # the middle column is zero (so is the middle column of its
+        # diagonals), so gttrf meets a zero pivot in row 3
         state = mcf.FlowState(smooth_graph(), 1.0)
-        A = sparse.diags([[1.0, 1.0, 0.0, 1.0], [2.0, 2.0, 0.0, 2.0, 2.0], [1.0, 0.0, 1.0, 1.0]],
-                         [-1, 0, 1], format="csc")
+        A = np.array([[1.0, 1.0, 0.0, 1.0, 0.0],
+                      [2.0, 2.0, 0.0, 2.0, 2.0],
+                      [0.0, 1.0, 0.0, 1.0, 1.0]])
         with pytest.raises(IntegrationError, match=r"zero pivot in row 3\) after t=1\.0") as exc:
             mcf._tridiagonal_lu(A, lambda: state)
         assert exc.value.last_state is state and exc.value.exit_code == 3

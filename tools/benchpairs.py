@@ -24,7 +24,9 @@ BENCHMARK.json sets:
   (FlowHistory.n_rhs), the solver's Jacobian and LU counts (njev, nlu)
   and a SHA-256 of the run's mark and per-step arrays, from in-process
   passes, TRACED_RUNS alternating per side, with the median of the run's
-  evolve seconds over those passes;
+  evolve seconds over those passes, and the largest |difference| between
+  the sides' mark profiles and between their mark areas, so a change that
+  moves bits by rounding shows by how much;
 - each certs criterion's measured string per side, from TRACED_RUNS
   in-process passes at their own seeds, and whether the two sides read the
   same.
@@ -44,6 +46,8 @@ import statistics
 import subprocess
 import sys
 
+import numpy as np
+
 WORKLOADS = ("mcf-stiff", "mcf-certify", "certs")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 AA_PAIRS = 5
@@ -55,6 +59,7 @@ TRACED_KEYS = ("mcf.evolve.steps", "mcf.evolve.us_per_step", "mcf.evolve.s",
                "gradientflow.effective_bound.s", "gradientflow.integrate.s",
                "sequences.extremal_sequence.s", "sequences.extremal_step.calls",
                "acceptance.crit_2.s", "acceptance.crit_4.s", "trace.overhead_s")
+MARK_ARRAYS = ("profiles", "mark_F")  # the arrays whose largest difference is recorded
 
 # one in-process pass of each MCF workload: per run, the counters, a digest
 # of every FlowHistory array and the seconds evolve took
@@ -73,7 +78,8 @@ for name in ("mcf-stiff", "mcf-certify"):
             digest.update(np.ascontiguousarray(arr).tobytes())
         out[f"{name}/{label}"] = {
             "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs, "njev": hist.njev, "nlu": hist.nlu,
-            "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label]}
+            "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label],
+            "profiles": hist.profiles.tolist(), "mark_F": hist.mark_F.tolist()}
 print(json.dumps(out))
 """
 
@@ -111,6 +117,12 @@ def perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def max_abs_delta(a: list, b: list):
+    """Largest |a - b| over two runs' mark arrays; None when their shapes differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b), initial=0.0)) if a.shape == b.shape else None
 
 
 def quartiles(xs: list) -> tuple:
@@ -199,14 +211,18 @@ def main(argv=None) -> int:
     for i in range(TRACED_RUNS):
         for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             passes[name].append(in_process(roots[name], RUN_COUNTS, seed))
-    counts = {}
+    counts, marks = {}, {}
     for name, runs in passes.items():
         counts[name] = runs[0]
+        marks[name] = {label: {key: run.pop(key) for key in MARK_ARRAYS}
+                       for label, run in runs[0].items()}
         for label, run in counts[name].items():
             times = [r[label]["evolve_s"] for r in runs]
             run.update(evolve_s=statistics.median(times), evolve_s_runs=times)
     same = {label: counts["parent"][label]["history_sha256"]
             == counts["change"][label]["history_sha256"] for label in counts["parent"]}
+    delta = {label: {key: max_abs_delta(marks["parent"][label][key], marks["change"][label][key])
+                     for key in MARK_ARRAYS} for label in counts["parent"]}
 
     measured_seeds = list(range(base + 800, base + 800 + TRACED_RUNS))
     measured = {name: [in_process(root, CERTS_MEASURED, s) for s in measured_seeds]
@@ -235,7 +251,8 @@ def main(argv=None) -> int:
                   and failed["change"]["ratio"] <= failed["parent"]["ratio"]},
         "summary": summary,
         "traced": traced,
-        "runs": {"seed": seed, "counts": counts, "history_identical": same},
+        "runs": {"seed": seed, "counts": counts, "history_identical": same,
+                 "max_abs_delta": delta},
         "certs_measured": {"seeds": measured_seeds, **measured},
         "src_tree": tree,
     }

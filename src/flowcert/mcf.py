@@ -62,17 +62,28 @@ def _kernel(z: np.ndarray, h: float, s: float):
     """Right-hand side on one grid: frhs(w) is the time derivative of w, zero
     on the two pinned end rows.  The radial term is u (2s + u) / (2 (s + u)),
     so frhs(0) == 0 exactly.  No geometry check happens here: evolve
-    validates accepted profiles, and blowups surface as non-finite values."""
+    validates accepted profiles, and blowups surface as non-finite values.
+    frhs runs the expression's 17 operations in order, one ufunc each, into
+    three scratch rows allocated here once, so its bits are the out-of-place
+    expression's; it returns a fresh row per call, as scipy's BDF keeps f(t0)
+    while it calls frhs again and callers add into the row they get back."""
     zhalf = 0.5 * z[1:-1]
     inv2h = 1.0 / (2.0 * h)
     invh2 = 1.0 / (h * h)
+    w_z, w_zz, term = np.empty((3, z.size - 2))
 
     def frhs(w: np.ndarray) -> np.ndarray:
+        # w_zz / (1 + w_z*w_z) + c*(2s + c) / (2(s + c)) - zhalf*w_z, left to right
         a, b, c = w[2:], w[:-2], w[1:-1]
-        w_z = (a - b) * inv2h
-        w_zz = (a - 2.0 * c + b) * invh2
         out = np.zeros_like(w)
-        out[1:-1] = w_zz / (1.0 + w_z * w_z) + c * (2.0 * s + c) / (2.0 * (s + c)) - zhalf * w_z
+        inner = out[1:-1]
+        np.multiply(np.subtract(a, b, out=w_z), inv2h, out=w_z)
+        np.multiply(c, 2.0, out=w_zz)
+        np.multiply(np.add(np.subtract(a, w_zz, out=w_zz), b, out=w_zz), invh2, out=w_zz)
+        np.divide(w_zz, np.add(np.multiply(w_z, w_z, out=term), 1.0, out=term), out=w_zz)
+        np.multiply(c, np.add(c, 2.0 * s, out=term), out=term)
+        np.divide(term, np.multiply(np.add(c, s, out=inner), 2.0, out=inner), out=term)
+        np.subtract(np.add(w_zz, term, out=w_zz), np.multiply(zhalf, w_z, out=w_z), out=inner)
         return out
 
     return frhs
@@ -271,17 +282,17 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
                                    f"(last dt {diag_dt[-1]:.3e}, dt_max {controls.dt_max:g})",
                                    last_state=last_state())
         message = solver.step()
-        if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
+        y_min, y_max = float(solver.y.min()), float(solver.y.max())  # a NaN reaches both
+        if solver.status == "failed" or not (math.isfinite(y_min) and math.isfinite(y_max)):
             raise IntegrationError(f"step failed after t={t}: {message or 'non-finite profile'}",
                                    last_state=last_state())
-        y_min = float(solver.y.min())
         if y_min <= -s:
             raise PreconditionError(f"flow left the graph regime at t={solver.t}: r <= 0")
         t_old, t, u = t, solver.t, solver.y
-        if t - t_old < MIN_STEP_ULPS * np.spacing(max(1.0, t)) and t < t_end:
+        if t - t_old < MIN_STEP_ULPS * math.ulp(max(1.0, t)) and t < t_end:
             raise IntegrationError(f"step collapsed to {t - t_old:.3e} at t={t:.3e} "
                                    f"(dt_max {controls.dt_max:g})", last_state=last_state())
-        max_u = abs(max(float(u.max()), -y_min))  # abs() turns a -0.0 into +0.0
+        max_u = abs(max(y_max, -y_min))  # abs() turns a -0.0 into +0.0
         diag_t.append(t)
         diag_dt.append(t - t_old)
         diag_mu.append(max_u)

@@ -59,6 +59,20 @@ def test_manifest_matches_golden(suite, tmp_path):
     assert (tmp_path / "manifest.json").read_bytes() == GOLDEN.read_bytes()
 
 
+def test_bundled_runs_work():
+    # (steps, n_rhs, njev, nlu) of each bundled run at full resolution; the
+    # n_rhs add up to README's 3,913 right-hand sides
+    runs, counts = acceptance.BundledRuns(), {}
+    for name in acceptance.RUNS:
+        _, hist = runs[name]
+        counts[name] = (hist.diag_t.size, hist.n_rhs, hist.njev, hist.nlu)
+    assert counts == {"zero": (15, 17, 1, 8), "fit": (272, 546, 1, 50),
+                      "fit_h_refined": (271, 544, 1, 50), "fit_dt_refined": (292, 586, 1, 54),
+                      "sweep_0.02": (385, 782, 3, 71), "sweep_0.01": (366, 742, 1, 66),
+                      "sweep_0.005": (347, 696, 1, 63)}
+    assert sum(n_rhs for _, n_rhs, _, _ in counts.values()) == 3913
+
+
 def test_verify_all_cli_is_byte_deterministic(tmp_path):
     """Criterion 11, end to end: same seed, two concurrent processes, identical
     manifests, both equal to the seed-7 golden file (regenerated as the

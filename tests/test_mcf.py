@@ -156,6 +156,35 @@ class TestKernelBits:
         s = CylinderSpec(k).radius
         assert mcf._kernel(g.z, g.h, s)(g.u).tobytes() == reference_kernel(g.z, g.h, s)(g.u).tobytes()
 
+    def test_each_call_returns_a_fresh_row(self):
+        # scipy's BDF keeps f(t0) while it calls the kernel again, and fault
+        # rows add into the row they get back: only the scratch is shared
+        g1, g2 = random_graphs(801)
+        frhs = mcf._kernel(g1.z, g1.h, SPEC1.radius)
+        ref = reference_kernel(g1.z, g1.h, SPEC1.radius)
+        first = frhs(g1.u)
+        second = frhs(g2.u)
+        assert second is not first and not np.shares_memory(first, second)
+        second[1:-1] += 1.0
+        assert first.tobytes() == ref(g1.u).tobytes()
+
+    def test_kernels_on_one_grid_keep_their_own_scratch(self):
+        g1, g2 = random_graphs(801)
+        ref = reference_kernel(g1.z, g1.h, SPEC1.radius)
+        kernels = [mcf._kernel(g1.z, g1.h, SPEC1.radius) for _ in range(2)]
+        outs = [(w, frhs(w)) for w in (g1.u, g2.u, g2.u, g1.u) for frhs in kernels]
+        for w, out in outs:
+            assert out.tobytes() == ref(w).tobytes()
+
+    @pytest.mark.parametrize("n_points", [801, 2001])
+    def test_zero_row_maps_to_positive_zeros(self, n_points):
+        # +0.0 in every entry, so the cylinder is an exact fixed point of the
+        # scheme, while the scratch still holds the terms of a nonzero row
+        (g,) = random_graphs(n_points, count=1)
+        frhs = mcf._kernel(g.z, g.h, SPEC1.radius)
+        frhs(g.u)
+        assert frhs(np.zeros(n_points)).tobytes() == np.zeros(n_points).tobytes()
+
 
 class TestRhs:
     def test_cylinder_is_exact_fixed_point(self):

@@ -29,7 +29,10 @@ BENCHMARK.json sets:
   moves bits by rounding shows by how much;
 - each certs criterion's measured string per side, from TRACED_RUNS
   in-process passes at their own seeds, and whether the two sides read the
-  same.
+  same;
+- the right-hand-side kernel's µs per call, `mcf._kernel(z, h, s)(u)` on
+  fit.cfg's start at N = 801 and N = 2001 (the timeit minimum), from
+  TRACED_RUNS alternating in-process passes per side, with their medians.
 
 Seeds count up from --seed-base, one block of 100 per part (900 seeds in
 all), so no two parts share a seed; a new comparison names a block no
@@ -80,6 +83,21 @@ for name in ("mcf-stiff", "mcf-certify"):
             "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs, "njev": hist.njev, "nlu": hist.nlu,
             "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label],
             "profiles": hist.profiles.tolist(), "mark_F": hist.mark_F.tolist()}
+print(json.dumps(out))
+"""
+
+# one in-process pass of the kernel timing: N -> µs per call on fit.cfg's
+# start, with h set to give N grid points
+KERNEL_US = r"""
+import dataclasses, json, timeit
+from flowcert import harness, mcf
+cfg = harness.load_bundled_config("fit.cfg")
+out = {}
+for n in (801, 2001):
+    g = dataclasses.replace(cfg, h=2.0 * cfg.R_dom / (n - 1)).initial_state().graph
+    assert g.z.size == n
+    frhs = mcf._kernel(g.z, g.h, g.spec.radius)
+    out[str(n)] = min(timeit.repeat(lambda: frhs(g.u), number=1000, repeat=7)) * 1e3
 print(json.dumps(out))
 """
 
@@ -224,6 +242,14 @@ def main(argv=None) -> int:
     delta = {label: {key: max_abs_delta(marks["parent"][label][key], marks["change"][label][key])
                      for key in MARK_ARRAYS} for label in counts["parent"]}
 
+    kernel = {name: [] for name in roots}
+    for i in range(TRACED_RUNS):
+        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            kernel[name].append(in_process(roots[name], KERNEL_US, 0))
+    kernel_us = {name: {n: {"median": statistics.median(r[n] for r in runs),
+                            "runs": [r[n] for r in runs]} for n in runs[0]}
+                 for name, runs in kernel.items()}
+
     measured_seeds = list(range(base + 800, base + 800 + TRACED_RUNS))
     measured = {name: [in_process(root, CERTS_MEASURED, s) for s in measured_seeds]
                 for name, root in roots.items()}
@@ -254,6 +280,7 @@ def main(argv=None) -> int:
         "runs": {"seed": seed, "counts": counts, "history_identical": same,
                  "max_abs_delta": delta},
         "certs_measured": {"seeds": measured_seeds, **measured},
+        "kernel_us_per_call": kernel_us,
         "src_tree": tree,
     }
     with open(args.out, "w") as fh:

@@ -47,18 +47,15 @@ class CylinderSpec:
 
     @property
     def F_value(self) -> float:
-        return cylinder_F(self)
+        """Closed-form Gaussian area of the round cylinder.
 
-
-def cylinder_F(spec: CylinderSpec) -> float:
-    """Closed-form Gaussian area of the round cylinder.
-
-    The sphere factor contributes (4 pi)^(-k/2) w_k (2k)^(k/2) e^(-k/2) and the
-    flat direction integrates to exactly 1 under its (4 pi)^(-1/2) share of the
-    normalization.
-    """
-    k = spec.k
-    return (4.0 * math.pi) ** (-k / 2.0) * sphere_area(k) * (2.0 * k) ** (k / 2.0) * math.exp(-k / 2.0)
+        The sphere factor contributes (4 pi)^(-k/2) w_k (2k)^(k/2) e^(-k/2) and
+        the flat direction integrates to exactly 1 under its (4 pi)^(-1/2) share
+        of the normalization.
+        """
+        k = self.k
+        return ((4.0 * math.pi) ** (-k / 2.0) * sphere_area(k) * (2.0 * k) ** (k / 2.0)
+                * math.exp(-k / 2.0))
 
 
 def uniform_grid(R_dom: float, h: float) -> np.ndarray:

@@ -249,7 +249,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
                                 f"max|u| > {controls.stop_max_abs_u}")
 
     mark_times, profiles = [t], [u]
-    diag_t, diag_dt, diag_mu = [], [], []
+    diag_t, diag_mu = [], []
 
     def last_state() -> FlowState:
         return FlowState(CylinderGraph(spec, z, u), t)  # copies u
@@ -279,7 +279,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     while solver.status == "running" and stop_reason == "completed":
         if len(diag_t) >= budget:
             raise IntegrationError(f"gave up at t={t} after {budget} steps "
-                                   f"(last dt {diag_dt[-1]:.3e}, dt_max {controls.dt_max:g})",
+                                   f"(last dt {t - t_old:.3e}, dt_max {controls.dt_max:g})",
                                    last_state=last_state())
         message = solver.step()
         y_min, y_max = float(solver.y.min()), float(solver.y.max())  # a NaN reaches both
@@ -294,7 +294,6 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
                                    f"(dt_max {controls.dt_max:g})", last_state=last_state())
         max_u = abs(max(y_max, -y_min))  # abs() turns a -0.0 into +0.0
         diag_t.append(t)
-        diag_dt.append(t - t_old)
         diag_mu.append(max_u)
         if max_u > controls.stop_max_abs_u:
             stop_reason = "max_abs_u"
@@ -315,7 +314,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         mark_max_u=np.max(np.abs(profiles), axis=1),
         profiles=profiles,
         diag_t=np.asarray(diag_t, dtype=np.float64),
-        diag_dt=np.asarray(diag_dt, dtype=np.float64),
+        diag_dt=np.diff(diag_t, prepend=mark_times[0]),
         diag_max_u=np.asarray(diag_mu, dtype=np.float64),
         stop_reason=stop_reason,
         t_final=float(t),
@@ -523,8 +522,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     same bits hypothesis (1) reads).  A hypothesis violation is
     reported, not raised; a history that starts after t1 is refused.
     """
-    spec = CylinderSpec(cfg.k)
-    F_cyl = spec.F_value
+    F_cyl = hist.spec.F_value
     k = cfg.t1 - int(hist.mark_times[0])  # the mark at t1 + j is entry k + j
     if k < 0:
         raise InvalidInputError(f"history starts at t={hist.mark_times[0]}, after t1={cfg.t1}")

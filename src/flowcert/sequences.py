@@ -277,22 +277,18 @@ def _successors(x: float, C: float, tau: float):
 def extremal_step(x, C: float, tau: float):
     """Unique positive root t of t^(1+tau) + C t = C x (the zero-slack successor).
 
-    x is a float or an array of them (one root per entry).  The map
+    x is an array of floats, one root per entry.  The map
     f(t) = t^(1+tau) + C (t - x) is strictly increasing and convex on t > 0,
     with f(0) = -C x < 0 and f(x) = x^(1+tau) > 0, so the root is unique and
     lies in (0, x).  Newton's method started at t = x stays above the root
     (by convexity a tangent meets zero at or right of the root) and falls
     monotonically onto it, so it needs no bracket or safeguard.  It stops as
     soon as no entry decreases any more: the iterate has reached the root to
-    rounding.  A float takes the first root of `_successors`, in Python float
-    arithmetic, much cheaper than a numpy call per step on a long chain; an
-    array freezes each converged entry and advances the rest.  A NaN never
-    stops the iteration, and NumericError is raised after NEWTON_MAX_ITER steps.
+    rounding; each converged entry is frozen while the rest advance.  A NaN
+    never stops the iteration, and NumericError is raised after
+    NEWTON_MAX_ITER steps.
     """
-    if not isinstance(x, np.ndarray):
-        if not 0.0 < x < math.inf:
-            raise InvalidInputError(f"need finite x > 0, got {x}")
-        return next(_successors(x, C, tau))
+    x = np.asarray(x, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
         raise InvalidInputError("need finite x > 0 in every entry")
     p = 1.0 + tau

@@ -29,11 +29,11 @@ def flat_area(spec, R_dom, h):
 
 class TestClosedForm:
     def test_reference_values(self):
-        assert cyl.cylinder_F(cyl.CylinderSpec(1)) == pytest.approx(
+        assert cyl.CylinderSpec(1).F_value == pytest.approx(
             math.sqrt(2.0 * math.pi) * math.exp(-0.5), abs=1e-12)
-        assert cyl.cylinder_F(cyl.CylinderSpec(2)) == pytest.approx(4.0 / math.e, abs=1e-12)
-        assert cyl.cylinder_F(cyl.CylinderSpec(1)) == pytest.approx(1.52035, abs=1e-5)
-        assert cyl.cylinder_F(cyl.CylinderSpec(2)) == pytest.approx(1.47152, abs=1e-5)
+        assert cyl.CylinderSpec(2).F_value == pytest.approx(4.0 / math.e, abs=1e-12)
+        assert cyl.CylinderSpec(1).F_value == pytest.approx(1.52035, abs=1e-5)
+        assert cyl.CylinderSpec(2).F_value == pytest.approx(1.47152, abs=1e-5)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_against_independent_quadrature(self, k):
@@ -42,7 +42,7 @@ class TestClosedForm:
         val, _ = quad(lambda z: (2 * k) ** (k / 2) * math.exp(-(2 * k + z * z) / 4.0),
                       -np.inf, np.inf)
         oracle = (4 * math.pi) ** (-(k + 1) / 2) * cyl.sphere_area(k) * val
-        assert cyl.cylinder_F(spec) == pytest.approx(oracle, abs=1e-10)
+        assert spec.F_value == pytest.approx(oracle, abs=1e-10)
 
     def test_sphere_area(self):
         assert cyl.sphere_area(1) == pytest.approx(2.0 * math.pi, abs=1e-14)
@@ -53,11 +53,11 @@ class TestGraphArea:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zero_profile_matches_closed_form(self, k):
         spec = cyl.CylinderSpec(k)
-        assert flat_area(spec, R_dom=20.0, h=0.02) == pytest.approx(cyl.cylinder_F(spec), abs=1e-8)
+        assert flat_area(spec, R_dom=20.0, h=0.02) == pytest.approx(spec.F_value, abs=1e-8)
 
     def test_short_domain_adds_the_flat_tail(self):
         # on [-3, 3] the tail beyond the grid is 0.0515 of F = 1.5203
-        assert flat_area(SPEC1, R_dom=3.0, h=0.01) == pytest.approx(cyl.cylinder_F(SPEC1), abs=1e-5)
+        assert flat_area(SPEC1, R_dom=3.0, h=0.01) == pytest.approx(SPEC1.F_value, abs=1e-5)
 
     def test_k1_fine_grid(self):
         F = flat_area(SPEC1, R_dom=20.0, h=0.01)
@@ -73,7 +73,7 @@ class TestGraphArea:
     def test_small_bump_raises_area_only_slightly(self):
         g = bump_graph(0.01, h=0.02)
         F_bump = area(g)
-        assert F_bump > cyl.cylinder_F(SPEC1) - 1e-3
+        assert F_bump > SPEC1.F_value - 1e-3
         g2 = bump_graph(0.01, h=0.01)
         assert area(g2) == pytest.approx(F_bump, abs=1e-6)
 
@@ -206,7 +206,7 @@ class TestEntropyEstimate:
         g = cyl.CylinderGraph.zero(SPEC1, 20.0, 0.02)
         est = cyl.estimate_entropy(g, centers=np.linspace(-1, 1, 5),
                                    scales=np.linspace(0.9, 1.1, 5))
-        F_cyl = cyl.cylinder_F(SPEC1)
+        F_cyl = SPEC1.F_value
         assert est >= F_cyl - 1e-9
         assert est <= F_cyl + 1e-9
 

@@ -78,14 +78,9 @@ def one_newton_step_short(real):
     """extremal_step returning, per entry, the Newton iterate before the last
     one that moved: one step short of the root, and above it."""
     def step(x, C, tau):
-        prev = t = x
+        prev = t = x = np.asarray(x, dtype=float)
         while True:
             nxt = t - (t * t**tau + C * (t - x)) / ((1.0 + tau) * t**tau + C)
-            if not isinstance(x, np.ndarray):  # floats stay floats, as in extremal_step
-                if nxt >= t:
-                    return prev
-                prev, t = t, nxt
-                continue
             moved = nxt < t
             if not moved.any():
                 return prev

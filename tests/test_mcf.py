@@ -12,8 +12,7 @@ from scipy.integrate import BDF
 
 from flowcert import harness, mcf
 from flowcert import sequences as sq
-from flowcert.cylinder import (CylinderGraph, CylinderSpec, cylinder_F, dist_R, graph_distance,
-                               graph_F)
+from flowcert.cylinder import CylinderGraph, CylinderSpec, dist_R, graph_distance, graph_F
 from flowcert.errors import (IntegrationError, InsufficientDataError, InvalidInputError,
                              PreconditionError)
 
@@ -394,7 +393,7 @@ class TestEvolve:
     def test_zero_data_constant_area(self):
         cfg = coarse_config(amplitude=0.0, profile_kind="zero", t2=10)
         hist = mcf.evolve(cfg.initial_state(), t_end=10.0, controls=cfg.controls())
-        F_cyl = cylinder_F(SPEC1)
+        F_cyl = SPEC1.F_value
         assert np.max(np.abs(hist.mark_F - F_cyl)) <= 1e-8
         assert np.max(hist.mark_max_u) == 0.0
         assert hist.stop_reason == "completed"
@@ -424,7 +423,7 @@ class TestEvolve:
     def test_small_bump_area_decreases_toward_limit(self):
         cfg = coarse_config(amplitude=0.01, t2=6)
         hist = mcf.evolve(cfg.initial_state(), t_end=6.0, controls=cfg.controls())
-        F_cyl = cylinder_F(SPEC1)
+        F_cyl = SPEC1.F_value
         assert np.all(np.diff(hist.mark_F) < 0.0)  # strictly decreasing
         gaps = np.abs(hist.mark_F - F_cyl)
         positive = hist.mark_F - F_cyl > 0

@@ -1,15 +1,16 @@
-"""Every function, method and constant in src/flowcert has a reader outside the tests.
+"""Every function, method and constant in src/flowcert and tools is read outside the tests.
 
-A module-level function, a method or a module-level UPPER_CASE constant counts
-as used when its name is read somewhere in src/flowcert, perfbench or tools
-outside its own definition or assignment: as a name (not shadowed by a local
-of the same name), as an attribute, or as a string (perfbench's tracer looks
-functions up by name).  The package's __init__.py binds only __version__:
-every caller imports a submodule.  Dunder methods run implicitly, a method
-that overrides a method of a builtin or standard-library base class is
-called by that base (argparse calls ArgumentParser.error), and
-properties are serialised by harness.jsonable, so all three are exempt.  Paper
-API that only tests call today stays on PAPER_API.
+A module-level function, a method or a module-level UPPER_CASE constant of
+src/flowcert or tools counts as used when its name is read somewhere in
+src/flowcert, perfbench or tools outside its own definition or assignment:
+as a name (not shadowed by a local of the same name), as an attribute, or as
+a string (perfbench's tracer looks functions up by name).  The package's
+__init__.py binds only __version__: every caller imports a submodule.
+Dunder methods run implicitly, a method that overrides a method of a builtin
+or standard-library base class is called by that base (argparse calls
+ArgumentParser.error), and properties are serialised by harness.jsonable, so
+all three are exempt.  Paper API that only tests call today stays on
+PAPER_API.
 
 Likewise every run-config key is set by at least one bundled config: a key
 that no shipped run sets is a constant with a parser in front of it.  So is
@@ -146,15 +147,16 @@ def _uses(tree):
     return out
 
 
-def unreferenced(package=PACKAGE, readers=(ROOT / "perfbench", ROOT / "tools")):
-    """Qualified names of the definitions that nothing live reads.  A read
-    from inside a dead definition does not count, so a helper whose only
-    caller is dead code, or a constant only dead code reads, is reported too."""
-    paths = sorted(package.glob("*.py")) + [p for d in readers for p in sorted(d.glob("*.py"))]
+def unreferenced(sources=(PACKAGE, ROOT / "tools"), readers=(ROOT / "perfbench",)):
+    """Qualified names of the definitions in the sources' modules that nothing
+    live in the sources or readers reads.  A read from inside a dead
+    definition does not count, so a helper whose only caller is dead code, or
+    a constant only dead code reads, is reported too."""
+    paths = [p for d in (*sources, *readers) for p in sorted(d.glob("*.py"))]
     trees = {path: ast.parse(path.read_text()) for path in paths}
     uses = [use for tree in trees.values() for use in _uses(tree)]
     candidates = {node: (name, f"{path.stem}.{name}") for path, tree in trees.items()
-                  if path.parent == package
+                  if path.parent in sources
                   for name, node in _definitions(tree) if name not in PAPER_API}
     dead: set = set()
     changed = True
@@ -184,8 +186,20 @@ def test_a_constant_only_dead_code_reads_is_reported(tmp_path):
         "def _dead():\n    return GRID\n"
         "def live():\n    return WIDTH\n")
     (tmp_path / "caller.py").write_text("import mod\nmod.live()\n")
-    assert unreferenced(package, readers=(tmp_path,)) == [
+    assert unreferenced((package,), readers=(tmp_path,)) == [
         "mod.GRID", "mod.LEFT", "mod.SPAN", "mod._dead"]
+
+
+def test_a_tool_constant_left_behind_is_reported(tmp_path):
+    """A script's key list that its main no longer reads is dead, although
+    the script runs main from its `__main__` guard."""
+    tools = tmp_path / "tools"
+    tools.mkdir()
+    (tools / "bench.py").write_text(
+        "import sys\nPAIRS = 5\nKEYS = ('wall_s',)\n"
+        "def main():\n    return PAIRS\n"
+        "if __name__ == '__main__':\n    sys.exit(main())\n")
+    assert unreferenced((tools,), readers=()) == ["bench.KEYS"]
 
 
 def test_package_root_binds_only_the_version():

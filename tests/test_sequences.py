@@ -359,7 +359,7 @@ class TestExtremalStep:
     @pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
     @pytest.mark.parametrize("tau", [0.34, 0.5, 0.9, 1.0])
     def test_array_path_matches_float_path(self, C, tau):
-        # numpy's array pow and libm's pow may differ by an ulp
+        # a batch against one call per entry: SIMD pow may differ by an ulp
         roots = sq.extremal_step(np.array(self.XS), C, tau)
         np.testing.assert_array_max_ulp(
             roots, np.array([sq.extremal_step(x, C, tau) for x in self.XS]), maxulp=2)
@@ -372,7 +372,7 @@ class TestExtremalStep:
 
     @pytest.mark.parametrize("C, tau", [*acceptance.CELLS, (1.0, 2.0 / 3.0)])
     def test_sequence_is_iterated_scalar_steps(self, C, tau):
-        # chains and the scalar root solve share one Newton generator: same bits
+        # chains iterate in Python floats, the root solve in numpy: same bits
         steps = [1.0]
         for _ in range(2000):
             steps.append(sq.extremal_step(steps[-1], C, tau))

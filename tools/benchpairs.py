@@ -5,34 +5,30 @@
 
 Run it from the root of a git checkout.  Each side is exported with
 `git archive` into its own directory under DIR (the parent twice, for the
-A/A control), and every measurement is `perfbench/run.py` run from the root
-of that export, one run at a time, for the `run_seconds` that the parent's
-BENCHMARK.json sets:
+A/A control).  Every per-side loop goes through `alternate`, one process at
+a time: round i runs the parent first when i is even, the change when odd.
 
-- A/A control: the parent against its byte-identical copy on the claimed
-  workload, AA_PAIRS pairs;
-- the claimed workload, CLAIM_PAIRS alternating pairs, and every other
-  workload OTHER_PAIRS pairs (`--trace 0`; pair i runs the parent first when
-  i is even);
-- TRACED_RUNS alternating `--trace 1` runs per side and workload, of which
-  the TRACED_KEYS metrics are kept: evolve's steps and times, the per-run
-  measurement counts (`cylinder.graph_F.calls`, `cylinder.dist_R.calls`,
-  `mcf.lojasiewicz_fit.calls`), certs' layers (criteria 2 and 4, the
-  length bound and the integrator under criterion 4, the chain builder and
-  the calls of the wrapped root solve) and the tracer's overhead;
-- per MCF run of each MCF workload, the steps, right-hand-side calls
-  (FlowHistory.n_rhs), the solver's Jacobian and LU counts (njev, nlu)
-  and a SHA-256 of the run's mark and per-step arrays, from in-process
-  passes, TRACED_RUNS alternating per side, with the median of the run's
-  evolve seconds over those passes, and the largest |difference| between
-  the sides' mark profiles and between their mark areas, so a change that
-  moves bits by rounding shows by how much;
-- each certs criterion's measured string per side, from TRACED_RUNS
-  in-process passes at their own seeds, and whether the two sides read the
-  same;
-- the right-hand-side kernel's µs per call, `mcf._kernel(z, h, s)(u)` on
-  fit.cfg's start at N = 801 and N = 2001 (the timeit minimum), from
-  TRACED_RUNS alternating in-process passes per side, with their medians.
+- `perfbench/run.py` from the root of each export, for the `run_seconds`
+  of the parent's BENCHMARK.json:
+  - A/A control: the parent against its byte-identical copy on the claimed
+    workload, AA_PAIRS pairs;
+  - the claimed workload, CLAIM_PAIRS pairs, and every other workload
+    OTHER_PAIRS pairs (`--trace 0`), compared end to end;
+  - TRACED_RUNS `--trace 1` runs per side and workload, of which every
+    per-layer metric and the tracer's overhead are kept.
+- TRACED_RUNS in-process passes per side, each a fresh interpreter on that
+  side's src and perfbench running PASS:
+  - mcf-stiff and mcf-certify at one fixed seed.  Per MCF run the record
+    keeps the first pass's steps, right-hand-side calls (FlowHistory.n_rhs),
+    Jacobian and LU counts (njev, nlu) and SHA-256 of the mark and per-step
+    arrays, evolve's seconds over all passes, and the largest |difference|
+    between the sides' mark profiles and mark areas, so a change that moves
+    bits by rounding shows by how much;
+  - certs at the round's own seed: each criterion's measured string, and
+    whether the two sides read the same;
+  - after the workloads, the right-hand-side kernel's µs per call,
+    `mcf._kernel(z, h, s)(u)` on fit.cfg's start at N = 801 and N = 2001
+    (the timeit minimum).
 
 Seeds count up from --seed-base, one block of 100 per part (900 seeds in
 all), so no two parts share a seed; a new comparison names a block no
@@ -57,65 +53,47 @@ AA_PAIRS = 5
 CLAIM_PAIRS = 10
 OTHER_PAIRS = 5
 TRACED_RUNS = 3
-TRACED_KEYS = ("mcf.evolve.steps", "mcf.evolve.us_per_step", "mcf.evolve.s",
-               "cylinder.graph_F.calls", "cylinder.dist_R.calls", "mcf.lojasiewicz_fit.calls",
-               "gradientflow.effective_bound.s", "gradientflow.integrate.s",
-               "sequences.extremal_sequence.s", "sequences.extremal_step.calls",
-               "acceptance.crit_2.s", "acceptance.crit_4.s", "trace.overhead_s")
 MARK_ARRAYS = ("profiles", "mark_F")  # the arrays whose largest difference is recorded
 
-# one in-process pass of each MCF workload: per run, the counters, a digest
-# of every FlowHistory array and the seconds evolve took
-RUN_COUNTS = r"""
-import hashlib, json, sys
+# one in-process pass (argv: the MCF seed, the certs seed), as the docstring
+# lists it; h is set to give the kernel N grid points
+PASS = r"""
+import dataclasses, hashlib, json, sys, timeit
 import numpy as np
 import workloads
-out = {}
+from flowcert import harness, mcf
+mcf_seed, certs_seed = map(int, sys.argv[1:])
+out = {"runs": {}, "kernel_us": {}}
 for name in ("mcf-stiff", "mcf-certify"):
-    w = workloads.WORKLOADS[name](int(sys.argv[1]))
+    w = workloads.WORKLOADS[name](mcf_seed)
     w.run()
     for label, hist in w.hists.items():
         digest = hashlib.sha256()
         for arr in [hist.mark_times, hist.mark_F, hist.mark_max_u, *hist.profiles,
                     hist.diag_t, hist.diag_dt, hist.diag_max_u]:
             digest.update(np.ascontiguousarray(arr).tobytes())
-        out[f"{name}/{label}"] = {
+        out["runs"][f"{name}/{label}"] = {
             "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs, "njev": hist.njev, "nlu": hist.nlu,
             "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label],
             "profiles": hist.profiles.tolist(), "mark_F": hist.mark_F.tolist()}
-print(json.dumps(out))
-"""
-
-# one in-process pass of the kernel timing: N -> µs per call on fit.cfg's
-# start, with h set to give N grid points
-KERNEL_US = r"""
-import dataclasses, json, timeit
-from flowcert import harness, mcf
+w = workloads.Certs(certs_seed)
+w.run()
+out["certs"] = {label: res.measured for label, res in w.results.items()}
 cfg = harness.load_bundled_config("fit.cfg")
-out = {}
 for n in (801, 2001):
     g = dataclasses.replace(cfg, h=2.0 * cfg.R_dom / (n - 1)).initial_state().graph
     assert g.z.size == n
     frhs = mcf._kernel(g.z, g.h, g.spec.radius)
-    out[str(n)] = min(timeit.repeat(lambda: frhs(g.u), number=1000, repeat=7)) * 1e3
+    out["kernel_us"][str(n)] = min(timeit.repeat(lambda: frhs(g.u), number=1000, repeat=7)) * 1e3
 print(json.dumps(out))
 """
 
-# one in-process pass of certs: each criterion's measured string
-CERTS_MEASURED = r"""
-import json, sys
-import workloads
-w = workloads.Certs(int(sys.argv[1]))
-w.run()
-print(json.dumps({label: res.measured for label, res in w.results.items()}))
-"""
 
-
-def in_process(root: str, script: str, seed: int) -> dict:
-    """Run script in a fresh interpreter on root's src and perfbench; its JSON output."""
+def in_process(root: str, *seeds: int) -> dict:
+    """Run PASS in a fresh interpreter on root's src and perfbench; its JSON output."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", script, str(seed)], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", PASS, *map(str, seeds)], cwd=root, env=env,
                           check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(proc.stdout)
 
@@ -135,6 +113,25 @@ def perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "failed": result["failed"], "attempted": result["attempted"]}
+
+
+def alternate(roots: dict, seeds: list, run) -> tuple:
+    """run(root, seed) for every root once per seed, the roots in their order
+    for even rounds and reversed for odd ones; the results per root's name,
+    and the name that went first in each round."""
+    names = list(roots)
+    runs = {name: [] for name in names}
+    first = []
+    for i, seed in enumerate(seeds):
+        order = names if i % 2 == 0 else names[::-1]
+        first.append(order[0])
+        for name in order:
+            runs[name].append(run(roots[name], seed))
+    return runs, first
+
+
+def medians(xs: list) -> dict:
+    return {"median": statistics.median(xs), "runs": xs}
 
 
 def max_abs_delta(a: list, b: list):
@@ -174,15 +171,9 @@ def compare(a: list, b: list, seeds: list, first: list, names=("parent", "change
 
 def pairs(roots: dict, workload: str, seeds: list, seconds: float) -> dict:
     """Alternating pairs of the two roots on one workload, compared."""
-    names = list(roots)
-    runs = {name: [] for name in names}
-    first = []
-    for i, seed in enumerate(seeds):
-        order = names if i % 2 == 0 else names[::-1]
-        first.append(order[0])
-        for name in order:
-            runs[name].append(perfbench(roots[name], workload, seed, seconds, 0))
-    return compare(runs[names[0]], runs[names[1]], seeds, first, names)
+    runs, first = alternate(roots, seeds,
+                            lambda root, seed: perfbench(root, workload, seed, seconds, 0))
+    return compare(*runs.values(), seeds, first, list(roots))
 
 
 def main(argv=None) -> int:
@@ -202,10 +193,9 @@ def main(argv=None) -> int:
     with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
         seconds = float(json.load(fh)["run_seconds"])
     base = args.seed_base
-    summary = {}
-    summary[f"aa_{args.claim}"] = pairs({"parent": roots["parent"], "parent_copy": copy},
-                                        args.claim, list(range(base, base + AA_PAIRS)),
-                                        seconds)
+    summary = {f"aa_{args.claim}": pairs({"parent": roots["parent"], "parent_copy": copy},
+                                         args.claim, list(range(base, base + AA_PAIRS)),
+                                         seconds)}
     for k, workload in enumerate(WORKLOADS, 1):
         n = CLAIM_PAIRS if workload == args.claim else OTHER_PAIRS
         summary[workload] = pairs(roots, workload,
@@ -214,45 +204,30 @@ def main(argv=None) -> int:
     traced = {}
     for k, workload in enumerate(WORKLOADS, 4):
         seeds = list(range(base + 100 * k, base + 100 * k + TRACED_RUNS))
-        runs = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds):
-            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[name].append(perfbench(roots[name], workload, seed, seconds, 1))
+        runs, _ = alternate(roots, seeds,
+                            lambda root, seed: perfbench(root, workload, seed, seconds, 1))
         traced[workload] = {"seeds": seeds, **{
-            key: {name: {"median": statistics.median(r["metrics"][key] for r in rs),
-                         "runs": [r["metrics"][key] for r in rs]}
-                  for name, rs in runs.items()}
-            for key in TRACED_KEYS if key in runs["parent"][0]["metrics"]}}
+            key: {name: medians([r["metrics"][key] for r in rs]) for name, rs in runs.items()}
+            for key in runs["parent"][0]["metrics"]}}
 
     seed = base + 700
-    passes = {name: [] for name in roots}
-    for i in range(TRACED_RUNS):
-        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            passes[name].append(in_process(roots[name], RUN_COUNTS, seed))
+    measured_seeds = list(range(base + 800, base + 800 + TRACED_RUNS))
+    passes, _ = alternate(roots, measured_seeds, lambda root, s: in_process(root, seed, s))
     counts, marks = {}, {}
     for name, runs in passes.items():
-        counts[name] = runs[0]
+        counts[name] = runs[0]["runs"]
         marks[name] = {label: {key: run.pop(key) for key in MARK_ARRAYS}
-                       for label, run in runs[0].items()}
+                       for label, run in counts[name].items()}
         for label, run in counts[name].items():
-            times = [r[label]["evolve_s"] for r in runs]
-            run.update(evolve_s=statistics.median(times), evolve_s_runs=times)
+            times = medians([r["runs"][label]["evolve_s"] for r in runs])
+            run.update(evolve_s=times["median"], evolve_s_runs=times["runs"])
     same = {label: counts["parent"][label]["history_sha256"]
             == counts["change"][label]["history_sha256"] for label in counts["parent"]}
     delta = {label: {key: max_abs_delta(marks["parent"][label][key], marks["change"][label][key])
                      for key in MARK_ARRAYS} for label in counts["parent"]}
-
-    kernel = {name: [] for name in roots}
-    for i in range(TRACED_RUNS):
-        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            kernel[name].append(in_process(roots[name], KERNEL_US, 0))
-    kernel_us = {name: {n: {"median": statistics.median(r[n] for r in runs),
-                            "runs": [r[n] for r in runs]} for n in runs[0]}
-                 for name, runs in kernel.items()}
-
-    measured_seeds = list(range(base + 800, base + 800 + TRACED_RUNS))
-    measured = {name: [in_process(root, CERTS_MEASURED, s) for s in measured_seeds]
-                for name, root in roots.items()}
+    kernel_us = {name: {n: medians([r["kernel_us"][n] for r in runs])
+                        for n in runs[0]["kernel_us"]} for name, runs in passes.items()}
+    measured = {name: [r["certs"] for r in runs] for name, runs in passes.items()}
     measured["identical"] = measured["parent"] == measured["change"]
 
     claim = summary[args.claim]["wall_s"]

@@ -9,7 +9,6 @@ enters the manifest, so manifests are byte-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -124,8 +123,8 @@ def crit_summability_bound(seed: int) -> CheckResult:
         caps = consts.cap(vals[:, 0])
         worst_ratio = max(worst_ratio, float(np.max(sums / caps)))
         ok = ok and bool(np.all(sums <= caps))
-        worst = sequences.extremal_chain(C, tau, n_steps=10_000)
-        ok = ok and worst.sqrt_diff_sum() <= consts.cap(1.0)
+        worst = sequences.certify_part(sequences.extremal_chain(C, tau, n_steps=10_000).values, consts)
+        ok = ok and worst.hypothesis_ok and worst.cap_ok
     geo = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float))
     geo_rep = sequences.check_hypothesis(geo, C=1.0, tau=0.5)
     geo_ok = geo_rep.ok and abs(geo_rep.sqrt_diff_sum - GEOMETRIC_SUM) <= 1e-5
@@ -226,7 +225,7 @@ def crit_stationarity(runs: BundledRuns) -> CheckResult:
     cfg, hist = runs["zero"]
     sup_u = float(np.max(hist.diag_max_u, initial=0.0))
     sup_u = max(sup_u, float(np.max(hist.mark_max_u)))
-    F_dev = float(np.max(np.abs(hist.mark_F - hist.spec.F_value)))
+    F_dev = float(np.max(np.abs(hist.gaps)))
     ok = (sup_u < mcf.STATIONARY_TOL and F_dev <= mcf.STATIONARY_TOL
           and hist.stop_reason == "completed")
     return CheckResult(7, NAMES[7], ok,
@@ -288,14 +287,13 @@ def crit_close_trend(runs: BundledRuns) -> CheckResult:
 
 
 def crit_determinism(seed: int) -> CheckResult:
-    """Identical seed reproduces identical report bytes (in-process check; the
-    CLI-level double run is exercised by the test suite)."""
+    """Identical seed reproduces the report text harness.write_json writes (in-process
+    check; the CLI-level double run is exercised by the test suite)."""
 
-    def build() -> bytes:
+    def build() -> str:
         rng = np.random.default_rng(seed + 4)
         seq = sequences.random_admissible_sequence(1.0, 0.5, rng, n_steps=30)
-        rep = sequences.check_hypothesis(seq, 1.0, 0.5)
-        return json.dumps(harness.jsonable(rep), sort_keys=True).encode()
+        return harness.json_text(sequences.check_hypothesis(seq, 1.0, 0.5))
 
     same = build() == build()
     return CheckResult(11, NAMES[11], same,

@@ -286,10 +286,7 @@ def sqrt_segment_sum(traj: Trajectory) -> float:
     if span < 1.0:
         warnings.warn("trajectory spans less than one time unit; empty sum", stacklevel=2)
         return 0.0
-    n_marks = min(int(math.floor(span)), MAX_MARKS - 1)
-    marks = traj.t_start + np.arange(n_marks + 1, dtype=float)
-    pts = traj.at(marks)
-    F_vals = np.asarray(traj.problem.F(pts), dtype=float)
+    pts, F_vals, _ = _mark_values(traj, traj.t_start, traj.t_end, "start")
     drops = F_vals[:-1] - F_vals[1:]
     if np.min(drops, initial=0.0) < -10.0 * CHORD_TOL:
         raise NumericError("F increased across a unit mark; data is not a descent flow")
@@ -335,8 +332,8 @@ class EffectiveBoundReport:
 
 
 def _mark_values(traj: Trajectory, t_from: float, t_to: float,
-                 anchor: str) -> tuple[np.ndarray, bool]:
-    """F-values at unit marks in [t_from, t_to], anchored at one end.
+                 anchor: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Points and F-values at unit marks in [t_from, t_to], anchored at one end.
 
     anchor='start': marks t_from, t_from+1, ...; anchor='end': marks ...,
     t_to-1, t_to.  Returned in increasing time order, at most MAX_MARKS of
@@ -349,7 +346,8 @@ def _mark_values(traj: Trajectory, t_from: float, t_to: float,
         marks = t_from + np.arange(n + 1, dtype=float)
     else:
         marks = t_to - np.arange(n, -1, -1, dtype=float)
-    return np.asarray(traj.problem.F(traj.at(marks)), dtype=float), truncated
+    pts = traj.at(marks)
+    return pts, np.asarray(traj.problem.F(pts), dtype=float), truncated
 
 
 def effective_bound(problem: GradientProblem, traj: Trajectory,
@@ -403,10 +401,10 @@ def effective_bound(problem: GradientProblem, traj: Trajectory,
         case_tag, t_split, level = "crossing", crossing_time, F0
     sides = []  # (gap series to certify, leftover F-drop at t_split, marks, truncated)
     if case_tag != "below":
-        vals, cut = _mark_values(traj, t1, t_split, "start")
+        _, vals, cut = _mark_values(traj, t1, t_split, "start")
         sides.append((vals - F0, float(vals[-1]) - level, vals.size, cut))
     if case_tag != "above":
-        vals, cut = _mark_values(traj, t_split, t2, "end")
+        _, vals, cut = _mark_values(traj, t_split, t2, "end")
         sides.append(((F0 - vals)[::-1], level - float(vals[0]), vals.size, cut))
     gaps, leftovers, sizes, cuts = zip(*sides)
     parts = [sequences.certify_part(g, consts) for g in gaps]

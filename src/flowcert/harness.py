@@ -1,9 +1,9 @@
 """Run configs, atomic report writing, and the deterministic run manifest.
 
-Config files are flat `key = value` text with `#` comments.  Reports are JSON
-(sorted keys, fixed layout) and time series are CSV; manifest files carry no
-wall-clock data, so identical configs and seeds reproduce them byte for byte.
-Wall-clock timing goes to sidecar files instead: the run log and timings.json.
+Config files are flat `key = value` text with `#` comments, each key set once.
+Reports are JSON in json_text's one layout (sorted keys, indent 2) and time
+series are CSV; manifests carry no wall-clock data, so identical configs and
+seeds reproduce them byte for byte; timing goes to the run log and timings.json.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .mcf import RunConfig
 
 
 def parse_config_text(text: str, source: str = "<string>") -> dict:
-    """Parse flat key = value lines with # comments into a dict typed like RunConfig."""
+    """Parse flat key = value lines (# comments; each key once) into a dict typed like RunConfig."""
     out: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -38,6 +39,8 @@ def parse_config_text(text: str, source: str = "<string>") -> dict:
         key, val = key.strip(), val.strip()
         if key not in types:
             raise InvalidInputError(f"{source}:{lineno}: unknown key '{key}'")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise InvalidInputError(f"{source}:{lineno}: '{key}' is already set on line {set_on[key]}")
         try:
             out[key] = {"int": int, "str": str, "float": float}[types[key]](val)
         except ValueError as exc:
@@ -110,8 +113,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def json_text(obj) -> str:
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(obj))
 
 
 def manifest_dict(command: str, seed: int, config: dict, checks: list[dict]) -> dict:

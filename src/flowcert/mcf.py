@@ -178,6 +178,11 @@ class FlowHistory:
     def n_marks(self) -> int:
         return int(self.mark_times.size)
 
+    @property
+    def gaps(self) -> np.ndarray:
+        """The F-gap F(t) - F_cyl of every mark, as every reader of a run's gaps takes it."""
+        return self.mark_F - self.spec.F_value
+
     def dist(self, R: float) -> np.ndarray:
         """dist_R of each stored profile, in mark order."""
         return dist_R(self.z, self.profiles, R)
@@ -373,12 +378,11 @@ def lojasiewicz_fit(hist: FlowHistory, R: float, eps: float,
     if tau_grid is None:
         tau_grid = np.round(np.arange(0.05, 1.0, 0.01), 10)
     ok = hist.dist(R) < eps
-    F_cyl = hist.spec.F_value
     idx = 1 + np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:])
     if idx.size < MIN_WINDOWS:
         raise InsufficientDataError(
             f"only {idx.size} admissible unit-mark windows; need >= {MIN_WINDOWS}")
-    lhs = np.abs(hist.mark_F[idx] - F_cyl)
+    lhs = np.abs(hist.gaps[idx])
     drop = np.maximum(hist.mark_F[idx - 1] - hist.mark_F[idx + 1], 0.0)
     live = lhs > ZERO_TOL
     stalled = np.flatnonzero(live & (drop == 0.0))
@@ -522,7 +526,6 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     same bits hypothesis (1) reads).  A hypothesis violation is
     reported, not raised; a history that starts after t1 is refused.
     """
-    F_cyl = hist.spec.F_value
     k = cfg.t1 - int(hist.mark_times[0])  # the mark at t1 + j is entry k + j
     if k < 0:
         raise InvalidInputError(f"history starts at t={hist.mark_times[0]}, after t1={cfg.t1}")
@@ -538,8 +541,8 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     # hypothesis (2): endpoint F-gaps (requires the run to reach t2 at all).
     # Gaps below the quadrature resolution are snapped to zero so that a flat
     # run yields an exactly-zero bound instead of noise raised to a small power.
-    dF1 = float(hist.mark_F[k] - F_cyl) if k < hist.n_marks else math.nan
-    dF2 = float(hist.mark_F[-1] - F_cyl)
+    dF1 = float(hist.gaps[k]) if k < hist.n_marks else math.nan
+    dF2 = float(hist.gaps[-1])
     if abs(dF1) <= ZERO_TOL:
         dF1 = 0.0
     if abs(dF2) <= ZERO_TOL:
@@ -559,7 +562,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     # positive prefix and the negative suffix reindexed backwards with its sign
     # flipped; entries at or below ZERO_TOL drop out, and certify_part's running
     # minimum irons out the rounding-level rises the guard lets through
-    series = hist.mark_F[k + 1::2] - F_cyl
+    series = hist.gaps[k + 1::2]
     if np.any(np.diff(series) > 1e-9 * max(1.0, float(np.max(np.abs(series), initial=0.0)))):
         raise InvalidInputError("series must be non-increasing")
     pos = series[series > ZERO_TOL]
@@ -613,7 +616,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
         t1=cfg.t1,
         t2_requested=cfg.t2,
         t2_actual=t2_actual,
-        F_cyl=F_cyl,
+        F_cyl=hist.spec.F_value,
         delta_F1=dF1,
         delta_F2=dF2,
         case_tag=case_tag,

@@ -110,11 +110,15 @@ FAULTS = [
     Fault("certificate c / 20",
           [(sequences, "_constructive_bound_cached", result_with(c=lambda c: c / 20.0))], {3}),
     Fault("certify_part reports a violation",
-          [(sequences, "certify_part", result_with(hypothesis_ok=lambda ok: False))], {4, 10}),
+          [(sequences, "certify_part", result_with(hypothesis_ok=lambda ok: False))], {3, 4, 10}),
     Fault("gradient x (1 + 1e-5)", [(gradientflow, "builtin_problems", lambda real: lambda: [
         dataclasses.replace(p, grad=lambda x, g=p.grad: g(x) * (1.0 + 1e-5)) for p in real()])], {5}),
     Fault("call counter in check_hypothesis", [(sequences, "check_hypothesis", result_with(
         sqrt_diff_sum=lambda v, calls=itertools.count(): v + next(calls)))], {3, 11}),
+    Fault("call counter in harness.json_text", [(harness, "json_text", lambda real: (
+        lambda obj, calls=itertools.count(): real(obj) + str(next(calls))))], {11}),
+    Fault("FlowHistory.gaps + 1e-6", [(mcf.FlowHistory, "gaps", lambda real: property(
+        lambda self: real.fget(self) + 1e-6))], {7, 9}),
     Fault("RHS + 1e-6", [(mcf, "_kernel", kernel_plus(lambda *args: 1e-6))], {7, 10}),
     Fault("reaction x 3", [(mcf, "_kernel", kernel_plus(reaction, 2.0))], {8, 9, 10}, {9}),
     Fault("reaction sign-flipped", [(mcf, "_kernel", kernel_plus(reaction, -2.0))], {9},

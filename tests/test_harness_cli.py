@@ -37,6 +37,15 @@ R2 = 5
 seed = 42
 """
 
+
+def coarse_cfg(overrides: str) -> str:
+    """COARSE_CFG with the override lines appended and the base lines of the
+    keys they set dropped, so that no key is set twice."""
+    keys = {line.partition("=")[0].strip() for line in overrides.splitlines()}
+    return "".join(line for line in COARSE_CFG.splitlines(keepends=True)
+                   if line.partition("=")[0].strip() not in keys) + overrides
+
+
 # every name that seq-check and mcf --fit --close write under --out
 OUT_NAMES = ("run.log", "report.json", "bound.json", "history.csv", "diagnostics.csv",
              "profiles", "fit.json", "close.json", "manifest.json", "timings.json")
@@ -94,7 +103,7 @@ class TestConfigProperty:
     def test_any_override_builds_or_maps_to_exit_3_or_64(self, overrides):
         # overrides of a valid config reach initial_state often; whatever the
         # text, the outcome is a state or a package error with a documented exit
-        text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
+        text = coarse_cfg("".join(f"{key} = {value}\n" for key, value in overrides))
         try:
             harness._config_from_text(text, "<property>").initial_state()
         except FlowcertError as exc:
@@ -105,7 +114,7 @@ class TestConfigProperty:
     def test_any_override_evolves_or_maps_to_exit_3_or_64(self, overrides):
         # the same overrides, then a short evolve: t_end is dt_max, at most
         # one time unit
-        text = COARSE_CFG + "".join(f"{key} = {value}\n" for key, value in overrides)
+        text = coarse_cfg("".join(f"{key} = {value}\n" for key, value in overrides))
         try:
             cfg = harness._config_from_text(text, "<property>")
             hist = mcf.evolve(cfg.initial_state(), min(cfg.dt_max, 1.0), cfg.controls())
@@ -117,7 +126,7 @@ class TestConfigProperty:
         # t2 = 10^9 spans 5 x 10^11 steps of dt_max = 2e-3, beyond MAX_STEPS:
         # the run is refused before the solver starts
         cfgfile = tmp_path / "long.cfg"
-        cfgfile.write_text(COARSE_CFG + "t2 = 1000000000\n")
+        cfgfile.write_text(coarse_cfg("t2 = 1000000000\n"))
         start = time.perf_counter()
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 64
@@ -173,10 +182,23 @@ class TestCliExitCodes:
                          "mcf", "--config", str(bad)])
         assert code == 64
 
+    def test_key_set_twice_is_64_naming_both_lines(self, tmp_path, capsys):
+        # fit.cfg sets h on line 5 and t2 on line 10: a second line setting
+        # either is refused, rather than the later line winning silently
+        cfgfile = tmp_path / "twice.cfg"
+        cfgfile.write_text((Path(mcf.__file__).parent / "configs" / "fit.cfg").read_text()
+                           + "h = 0.1\nt2 = 3\n")
+        code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
+        assert code == 64
+        printed = capsys.readouterr()
+        assert printed.out == f"error: {cfgfile}:16: 'h' is already set on line 5\n"
+        assert printed.err == ""
+        assert not (tmp_path / "o" / "history.csv").exists()
+
     def test_unknown_profile_kind_is_64_naming_the_kinds(self, tmp_path, capsys):
         # random was a kind that only tests started from
         cfgfile = tmp_path / "random.cfg"
-        cfgfile.write_text(COARSE_CFG + "profile_kind = random\n")
+        cfgfile.write_text(coarse_cfg("profile_kind = random\n"))
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 64
         printed = capsys.readouterr()
@@ -197,7 +219,7 @@ class TestCliExitCodes:
     ])
     def test_bad_config_value_is_64(self, tmp_path, capsys, key, value):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(COARSE_CFG + f"{key} = {value}\n")  # the later line wins
+        cfgfile.write_text(coarse_cfg(f"{key} = {value}\n"))
         start = time.perf_counter()
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 64
@@ -213,7 +235,7 @@ class TestCliExitCodes:
         # floor of 10 ulp of t does not stop them, and the run stops at its
         # first step shorter than 10 ulp of 1
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(COARSE_CFG + "t2 = 2\namplitude = 0.05\ndt_max = 0.02\n")
+        cfgfile.write_text(coarse_cfg("t2 = 2\namplitude = 0.05\ndt_max = 0.02\n"))
         assert cli.main(["--out", str(tmp_path / "ok"), "--quiet", "mcf",
                          "--config", str(cfgfile)]) == 0
         real = mcf._kernel
@@ -242,7 +264,7 @@ class TestCliExitCodes:
         # evolve refuses a start beyond its stop condition max|u| > 1 before
         # it evaluates anything of the profile, so numpy never warns
         cfgfile = tmp_path / "huge.cfg"
-        cfgfile.write_text(COARSE_CFG + "amplitude = 1e200\nprofile_kind = gauss\nt2 = 2\n")
+        cfgfile.write_text(coarse_cfg("amplitude = 1e200\nprofile_kind = gauss\nt2 = 2\n"))
         proc = subprocess.run([sys.executable, "-W", "error", "-m", "flowcert", "--out",
                                str(tmp_path / "o"), "mcf", "--config", str(cfgfile)],
                               capture_output=True, text=True, timeout=300)
@@ -254,7 +276,7 @@ class TestCliExitCodes:
     def test_geometry_error_is_3(self, tmp_path):
         # balanced_gauss dips to -3a/20 = -1.5 < -sqrt(2) at a = 10: r <= 0
         cfgfile = tmp_path / "dip.cfg"
-        cfgfile.write_text(COARSE_CFG + "amplitude = 10.0\n")
+        cfgfile.write_text(coarse_cfg("amplitude = 10.0\n"))
         code = cli.main(["--out", str(tmp_path / "o"), "--quiet", "mcf", "--config", str(cfgfile)])
         assert code == 3
         assert "r <= 0" in (tmp_path / "o" / "run.log").read_text()
@@ -267,7 +289,7 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(mcf, "evolve", no_evolve)
         cfgfile = tmp_path / "wide.cfg"
-        cfgfile.write_text(COARSE_CFG + "h = 3.0\ndt_max = 1.0\nR2 = 1.0\n")
+        cfgfile.write_text(coarse_cfg("h = 3.0\ndt_max = 1.0\nR2 = 1.0\n"))
         code = cli.main(["--out", str(tmp_path / "o"), "mcf", "--config", str(cfgfile)])
         assert code == 64
         printed = capsys.readouterr()
@@ -332,7 +354,7 @@ class TestCliExitCodes:
         # t2 = 3 leaves two unit-mark windows, fewer than the fit needs: the
         # run completes, the fit is unavailable and its check fails
         cfgfile = tmp_path / "short.cfg"
-        cfgfile.write_text(COARSE_CFG + "t2 = 3\n")
+        cfgfile.write_text(coarse_cfg("t2 = 3\n"))
         out = tmp_path / "o"
         code = cli.main(["--out", str(out), "mcf", "--fit", "--config", str(cfgfile)])
         assert code == 3

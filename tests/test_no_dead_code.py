@@ -34,6 +34,10 @@ behaviour of its own.
 And inside a run a profile is a row on the run's grid: mcf.py builds a
 CylinderGraph only for the initial state and for an error's last state, and
 cli.py builds none, so no mark is re-validated as a graph object.
+
+And each reading the criteria share has one owner: in src/flowcert only
+FlowHistory.gaps subtracts the cylinder area from mark_F, and acceptance.py
+imports no json, so criterion 11 compares the text harness.write_json writes.
 """
 
 import argparse
@@ -321,3 +325,60 @@ def _graph_builders(path) -> list:
 def test_graphs_are_built_only_at_the_edges():
     assert _graph_builders(PACKAGE / "mcf.py") == ["RunConfig.initial_state", "evolve.last_state"]
     assert _graph_builders(PACKAGE / "cli.py") == []
+
+
+def _gap_spellings(path) -> list:
+    """Dotted scopes of every subtraction from `mark_F` of the cylinder area:
+    an operand that reads `F_value`, or a name bound in the same scope to an
+    expression that reads it."""
+    found = []
+
+    def reads(node, attr, names=frozenset()):
+        return any(getattr(sub, "attr", None) == attr or getattr(sub, "id", None) in names
+                   for sub in ast.walk(node))
+
+    def visit(node, scope, area_names):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+            area_names = area_names | {target.id for sub in ast.walk(node)
+                                       if isinstance(sub, ast.Assign) and reads(sub.value, "F_value")
+                                       for target in sub.targets if isinstance(target, ast.Name)}
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+                and reads(node.left, "mark_F") and reads(node.right, "F_value", area_names):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, area_names)
+
+    visit(ast.parse(path.read_text()), [], frozenset())
+    return found
+
+
+def test_only_flow_history_gaps_subtracts_the_cylinder_area():
+    """Every F-gap in src/flowcert is read through FlowHistory.gaps, so a
+    change to how a gap is computed changes one property body."""
+    found = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _gap_spellings(path)]
+    assert found == ["mcf.FlowHistory.gaps"]
+
+
+def test_a_gap_spelled_through_a_local_is_reported(tmp_path):
+    """A gap spelled inline, or through a local bound to the cylinder area, is
+    found; a drop between two marks is not a gap."""
+    path = tmp_path / "mod.py"
+    path.write_text("def fit(hist, idx):\n    F_cyl = hist.spec.F_value\n"
+                    "    drop = hist.mark_F[idx - 1] - hist.mark_F[idx + 1]\n"
+                    "    return abs(hist.mark_F[idx] - F_cyl), drop\n"
+                    "def stationary(hist):\n    return hist.mark_F - hist.spec.F_value\n")
+    assert _gap_spellings(path) == ["fit", "stationary"]
+
+
+def test_acceptance_serialises_no_report_itself():
+    """Criterion 11 compares harness.json_text, the text write_json writes:
+    acceptance.py imports no json and calls no dumps of its own."""
+    tree = ast.parse((PACKAGE / "acceptance.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "json" not in imported
+    assert "dumps" not in {getattr(node, "attr", None) for node in ast.walk(tree)}

@@ -158,7 +158,7 @@ def _classifier_sample(problem: gf.GradientProblem, rng: np.random.Generator, in
 
 def crit_model_flow(seed: int) -> CheckResult:
     """Length oracle, pointwise decay envelope, and the three-way classifier
-    on 100 starts per problem, integrated as one batch per problem."""
+    on 100 starts per problem, integrated and certified as one batch per problem."""
     quartic = gf.problem_by_name("quartic1d")
     traj = gf.integrate(quartic, [0.2], t_end=2e12, tol=1e-10)
     len_err = abs(traj.length - 0.2)
@@ -171,8 +171,7 @@ def crit_model_flow(seed: int) -> CheckResult:
     for problem in gf.builtin_problems():
         starts, horizons = zip(*(_classifier_sample(problem, rng, i) for i in range(100)))
         runs = gf.integrate(problem, np.array(starts), t_end=np.array(horizons), tol=1e-9)
-        for run in runs:
-            report = gf.effective_bound(problem, run, epsilon=0.5)
+        for report in gf.effective_bound(problem, runs, epsilon=0.5):
             total += 1
             certified += int(report.holds)
             cases[report.case_tag] += 1
@@ -238,8 +237,8 @@ def crit_monotone_F(runs: BundledRuns) -> CheckResult:
     n_runs = 0
     for name in RUNS:
         _, hist = runs[name]
-        if hist.mark_F.size >= 2:
-            worst = max(worst, float(np.max(np.diff(hist.mark_F))))
+        if hist.n_marks >= 2:
+            worst = max(worst, hist.max_rise)
             n_runs += 1
     ok = n_runs > 0 and worst <= mcf.MONOTONE_TOL
     return CheckResult(8, NAMES[8], ok,

@@ -106,7 +106,7 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
     if report.ok:
         consts = sequences.constructive_bound(args.C, args.tau)
         cap = consts.cap(float(seq.values[0]))
-        bound_ok = report.sqrt_diff_sum <= cap
+        bound_ok = sequences.certify_part(seq.values, consts).cap_ok
         payload = harness.jsonable(consts)
         payload.update({"x1": float(seq.values[0]), "cap": cap,
                         "sqrt_diff_sum": report.sqrt_diff_sum, "bound_ok": bound_ok})
@@ -171,7 +171,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
             f"{np.median(hist.diag_dt):.3g}/{hist.diag_dt.max():.3g} (dt_max {cfg.dt_max:g})")
     checks = [{"name": "run-completed", "passed": hist.stop_reason == "completed",
                "measured": f"stop_reason={hist.stop_reason}, t_final={hist.t_final}"}]
-    max_rise = float(np.max(np.diff(hist.mark_F))) if hist.mark_F.size >= 2 else 0.0
+    max_rise = hist.max_rise if hist.n_marks >= 2 else 0.0
     checks.append({"name": "area-monotone", "passed": max_rise <= mcf.MONOTONE_TOL,
                    "measured": f"max unit-mark increase {max_rise:.3e}"})
     code = EXIT_OK

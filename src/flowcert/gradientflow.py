@@ -46,7 +46,7 @@ OVERSHOOT = 2.0  # stage coordinates are clamped to this multiple of the ball ra
 class GradientProblem:
     """Scalar field with analytic gradient and a stated decay exponent.
 
-    F and grad accept a point of shape (dim,) or a batch of shape (m, dim);
+    F and grad accept a point of shape (dim,) or points of shape (..., dim);
     batching follows from writing both to broadcast over the last axis.
     """
 
@@ -117,50 +117,58 @@ class Trajectory:
         return np.asarray(self.problem.F(self.at(t)), dtype=float)
 
 
-def _interpolant_arrays(sol, m: int) -> tuple[np.ndarray, ...]:
-    """The RK45 dense output of `sol`, a run of m stacked lanes, as arrays:
-    step start times and widths, one row per solver step, and per lane its
-    coefficients Q, (m, 4, dim, n_steps), and start states, (m, dim, n_steps),
-    laid out once so that each is a contiguous (dim, n_steps) row per lane and
-    coefficient.  The one place that reads scipy's interpolant internals."""
-    pieces = sol.sol.interpolants
-    t_old = np.array([piece.t_old for piece in pieces])
-    width = np.array([piece.h for piece in pieces])
-    Q = np.stack([piece.Q for piece in pieces]).reshape(width.size, m, -1, 4)
-    y_old = np.stack([piece.y_old for piece in pieces]).reshape(width.size, m, -1)
-    return (t_old, width, np.ascontiguousarray(Q.transpose(1, 3, 2, 0)),
-            np.ascontiguousarray(y_old.transpose(1, 2, 0)))
+class _Interpolant:
+    """The RK45 dense output of `sol`, a run of m stacked lanes, laid out once:
+    interior step boundaries `bounds` = step_t[1:-1], step start times and
+    widths, and per lane coefficients Q, (m, dim, 4, n_steps), and start
+    states, (m, dim, n_steps), each a contiguous n_steps row per lane,
+    coordinate and coefficient, stacked in place.  The one place that reads
+    scipy's interpolant internals."""
 
+    def __init__(self, sol, m: int):
+        pieces = sol.sol.interpolants
+        self.bounds = sol.t[1:-1]
+        self.t_old = np.array([piece.t_old for piece in pieces])
+        self.width = np.array([piece.h for piece in pieces])
+        self.Q = np.stack([piece.Q for piece in pieces], axis=-1).reshape(m, -1, 4, len(pieces))
+        self.y_old = np.stack([piece.y_old for piece in pieces], axis=-1).reshape(m, -1, len(pieces))
 
-def _lane_dense(bounds: np.ndarray, t_old: np.ndarray, width: np.ndarray,
-                Q: np.ndarray, y_old: np.ndarray, speed: float) -> Callable:
-    """Dense output of one lane at flow times t (solver times t / speed),
-    shape (dim, len(t)) like `OdeSolution`; Q and y_old are the lane's own
-    (4, dim, n_steps) and (dim, n_steps) blocks.
+    def sorted_steps(self, s: np.ndarray) -> np.ndarray:
+        """searchsorted(bounds, s) for non-decreasing s, from one search of the
+        boundaries into s."""
+        ends = np.searchsorted(s, self.bounds, side="right")
+        return np.repeat(np.arange(ends.size + 1), np.diff(ends, prepend=0, append=s.size))
 
-    Each time picks its step as `OdeSolution` does (at a step boundary, the
-    step that ends there): one searchsorted over the interior boundaries
-    `bounds` = step_t[1:-1], so a time before the first step reads the first
-    and one after the last step reads the last.  The step polynomial
-    y_old + h (Q_1 x + Q_2 x^2 + Q_3 x^3 + Q_4 x^4), x the fraction of the
-    step, is summed in k order over the running-product powers x^k = x^(k-1) x
-    (as np.cumprod forms them), each row gathered by `take` along its steps.
-    """
-
-    def dense(t):
-        s = np.asarray(t, dtype=float) / speed
-        step = np.searchsorted(bounds, s)
-        h = width.take(step)
-        power = x = (s - t_old.take(step)) / h
-        out = Q[0].take(step, axis=1) * power
-        for k in range(1, Q.shape[0]):
+    def read(self, lanes, s: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """Points of `lanes` (index list or slice) at solver times s in steps
+        `step`, (lanes, dim, len(s)): y_old + h (Q_1 x + ... + Q_4 x^4), x the
+        step fraction, summed in k order over the running products x^k =
+        x^(k-1) x (as np.cumprod forms them), each row gathered by `take`."""
+        Q = self.Q[lanes]
+        h = self.width.take(step)
+        power = x = (s - self.t_old.take(step)) / h
+        out = Q[:, :, 0].take(step, axis=-1) * power
+        for k in range(1, Q.shape[2]):
             power = power * x
-            out += Q[k].take(step, axis=1) * power
+            out += Q[:, :, k].take(step, axis=-1) * power
         out *= h
-        out += y_old.take(step, axis=1)
+        out += self.y_old[lanes].take(step, axis=-1)
         return out
 
-    return dense
+
+@dataclass(frozen=True, eq=False)
+class _LaneDense:
+    """Dense output of one lane at flow times t (solver times t / speed),
+    (dim, len(t)), each time in the step `OdeSolution` picks for it."""
+
+    interp: _Interpolant
+    lane: int
+    speed: float
+
+    def __call__(self, t) -> np.ndarray:
+        s = np.asarray(t, dtype=float) / self.speed
+        return self.interp.read(slice(self.lane, self.lane + 1), s,
+                                np.searchsorted(self.interp.bounds, s))[0]
 
 
 def integrate(problem: GradientProblem, x0, t_end,
@@ -190,19 +198,21 @@ def integrate(problem: GradientProblem, x0, t_end,
     the solver would run at the floor while the descent check used tol.
 
     The run stops early, with a flag, if the flow exits the problem's
-    validity ball: the event is the largest |y_i|^2 - r^2.  A step that
-    overshoots the exit may place stages far outside the ball, where F and
-    its gradient can overflow (saddle2d's flow blows up 1/8 of a time unit
-    after it leaves the unit ball).  Every stage coordinate is therefore
-    clamped to [-OVERSHOOT r, OVERSHOOT r] before the gradient is taken: the
-    right-hand side is bounded and continuous, and the flow's own inside that
-    box, which holds the ball and so wherever the recorded flow runs.  A
-    batch whose run ends at an exit or a stall is integrated again one lane
-    at a time, so each lane stops at its own exit or raises its own
-    IntegrationError.  The recorded F-values of every lane are checked to be
-    non-increasing up to 10*tol.  The shared interpolant is laid out once
-    per batch, lane by lane and coefficient-major, and each Trajectory's
-    `dense` reads only its own lane's rows.
+    validity ball: the event is the largest |y_i|^2 - r^2.  solve_ivp tests
+    events at step ends only, so a run goes without one and reads it off its
+    stored step ends by solve_ivp's rule, g <= 0 <= g_new: the same steps.  A
+    run that shows an exit, or a batch that stalls, is integrated again one
+    lane at a time with the event, so each lane stops at its own exit or
+    raises its own IntegrationError.
+    A step that overshoots the exit may place stages far outside the ball,
+    where F and its gradient can overflow (saddle2d's flow blows up 1/8 of a
+    time unit after it leaves the unit ball).  Every stage coordinate is
+    therefore clamped to [-OVERSHOOT r, OVERSHOOT r] before the gradient is
+    taken: the right-hand side is bounded and continuous, and the flow's own
+    inside that box, which holds the ball and so wherever the recorded flow
+    runs.  Times, points, F-values and step lengths are whole-batch arrays,
+    the F-values checked to be non-increasing up to 10*tol, and the shared
+    interpolant is laid out once per batch; each Trajectory holds its rows.
     """
     x0 = np.asarray(x0, dtype=float)
     lanes = np.atleast_2d(x0)
@@ -213,17 +223,25 @@ def integrate(problem: GradientProblem, x0, t_end,
     if (np.any(np.abs(lanes) > problem.ball_radius)
             or np.any(np.linalg.norm(lanes, axis=1) > problem.ball_radius)):
         raise PreconditionError("x0 lies outside the validity ball")
-    m, dim = lanes.shape
+    m = lanes.shape[0]
     try:
         horizons = np.broadcast_to(np.asarray(t_end, dtype=float), (m,))
     except ValueError:
         raise InvalidInputError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
     if not (0 < tol <= MAX_TOL and np.all((0 < horizons) & (horizons <= MAX_T_END))):
         raise InvalidInputError(f"need 0 < t_end <= {MAX_T_END:g} and 0 < tol <= {MAX_TOL:g}")
+    if tol / math.sqrt(m) < RK45_MIN_RTOL:
+        raise InvalidInputError(f"tol {tol:g} is below RK45's floor "
+                                f"{RK45_MIN_RTOL * math.sqrt(m):.3g} for {m} lane(s)")
+    runs = _run(problem, lanes, horizons, tol, with_exit=False)
+    return runs[0] if x0.ndim < 2 else runs
+
+
+def _run(problem: GradientProblem, lanes: np.ndarray, horizons: np.ndarray, tol: float,
+         with_exit: bool) -> list[Trajectory]:
+    """integrate's stacked run; the one-lane reruns give solve_ivp the exit event."""
+    m, dim = lanes.shape
     root_m = math.sqrt(m)
-    if tol / root_m < RK45_MIN_RTOL:
-        raise InvalidInputError(f"tol {tol:g} is below RK45's floor {RK45_MIN_RTOL * root_m:.3g} "
-                                f"for {m} lane(s)")
     s_end = float(np.max(horizons))
     speed = horizons / s_end
     neg_speed = -speed[:, None]
@@ -233,43 +251,38 @@ def integrate(problem: GradientProblem, x0, t_end,
         y = np.minimum(np.maximum(y.reshape(m, dim), -reach), reach)
         return (neg_speed * np.asarray(problem.grad(y), dtype=float)).ravel()
 
+    def ball_gap(y):  # y of shape (m, dim), or (m, steps, dim) for every stored step
+        return np.max(np.einsum("...j,...j->...", y, y), axis=0) - problem.ball_radius**2
+
     def exit_ball(s, y):
-        y = y.reshape(m, dim)
-        return float(np.max(np.einsum("ij,ij->i", y, y)) - problem.ball_radius**2)
+        return float(ball_gap(y.reshape(m, dim)))
 
     exit_ball.terminal = True
     exit_ball.direction = 1.0
 
     sol = solve_ivp(rhs, (0.0, s_end), lanes.ravel(), method="RK45", rtol=tol / root_m,
-                    atol=tol * 1e-3 / root_m, dense_output=True, events=exit_ball)
-    if sol.status != 0 and m > 1:
-        return [integrate(problem, lane, horizon, tol) for lane, horizon in zip(lanes, horizons)]
+                    atol=tol * 1e-3 / root_m, dense_output=True,
+                    events=exit_ball if with_exit else None)
+    points = np.ascontiguousarray(sol.y.reshape(m, dim, -1).transpose(0, 2, 1))
+    if not with_exit:
+        gap = ball_gap(points)
+        if np.any((gap[:-1] <= 0.0) & (gap[1:] >= 0.0)) or (sol.status == -1 and m > 1):
+            return [_run(problem, lane[None], horizon[None], tol, with_exit=True)[0]
+                    for lane, horizon in zip(lanes, horizons)]
     if sol.status == -1:
         raise IntegrationError(f"integration stalled at t={sol.t[-1]}: {sol.message}",
                                last_state=(float(sol.t[-1]), sol.y[:, -1].copy()))
-    t_old, width, Q, y_old = _interpolant_arrays(sol, m)
-    bounds = sol.t[1:-1]
-    runs = []
-    for i in range(m):
-        rows = slice(i * dim, (i + 1) * dim)
-        times = speed[i] * sol.t
-        if sol.status == 0:
-            times[-1] = horizons[i]
-        pts = sol.y[rows].T.copy()
-        F_vals = np.asarray(problem.F(pts), dtype=float)
-        if np.max(np.diff(F_vals), initial=-np.inf) > 10.0 * tol:
-            raise NumericError("F increased beyond tolerance along the flow; tighten tol")
-        steps = np.linalg.norm(np.diff(pts, axis=0), axis=1) if len(pts) > 1 else np.zeros(0)
-        runs.append(Trajectory(
-            times=times,
-            points=pts,
-            F_values=F_vals,
-            step_lengths=steps,
-            problem=problem,
-            exited_ball=sol.status == 1,
-            dense=_lane_dense(bounds, t_old, width, Q[i], y_old[i], speed[i]),
-        ))
-    return runs[0] if x0.ndim < 2 else runs
+    interp = _Interpolant(sol, m)
+    times = speed[:, None] * sol.t
+    if sol.status == 0:
+        times[:, -1] = horizons
+    F_vals = np.asarray(problem.F(points), dtype=float)
+    if np.max(np.diff(F_vals, axis=1), initial=-np.inf) > 10.0 * tol:
+        raise NumericError("F increased beyond tolerance along the flow; tighten tol")
+    steps = np.linalg.norm(np.diff(points, axis=1), axis=2)
+    return [Trajectory(times=times[i], points=points[i], F_values=F_vals[i],
+                       step_lengths=steps[i], problem=problem, exited_ball=sol.status == 1,
+                       dense=_LaneDense(interp, i, speed[i])) for i in range(m)]
 
 
 def sqrt_segment_sum(traj: Trajectory) -> float:
@@ -286,7 +299,8 @@ def sqrt_segment_sum(traj: Trajectory) -> float:
     if span < 1.0:
         warnings.warn("trajectory spans less than one time unit; empty sum", stacklevel=2)
         return 0.0
-    pts, F_vals, _ = _mark_values(traj, traj.t_start, traj.t_end, "start")
+    pts = traj.at(_unit_marks(traj.t_start, traj.t_end, "start")[0])
+    F_vals = np.asarray(traj.problem.F(pts), dtype=float)
     drops = F_vals[:-1] - F_vals[1:]
     if np.min(drops, initial=0.0) < -10.0 * CHORD_TOL:
         raise NumericError("F increased across a unit mark; data is not a descent flow")
@@ -331,102 +345,128 @@ class EffectiveBoundReport:
     marks_truncated: bool = False
 
 
-def _mark_values(traj: Trajectory, t_from: float, t_to: float,
-                 anchor: str) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Points and F-values at unit marks in [t_from, t_to], anchored at one end.
-
-    anchor='start': marks t_from, t_from+1, ...; anchor='end': marks ...,
-    t_to-1, t_to.  Returned in increasing time order, at most MAX_MARKS of
-    them; the flag says whether the cap cut marks off.
-    """
-    span = t_to - t_from
-    n = min(int(math.floor(span)), MAX_MARKS - 1)
-    truncated = n < int(math.floor(span))
+def _unit_marks(t_from: float, t_to: float, anchor: str) -> tuple[np.ndarray, bool]:
+    """Unit marks in [t_from, t_to], increasing, at most MAX_MARKS of them, and
+    whether that cap cut marks off.  anchor='start': marks t_from, t_from+1,
+    ...; anchor='end': marks ..., t_to-1, t_to."""
+    span = int(math.floor(t_to - t_from))
+    n = min(span, MAX_MARKS - 1)
     if anchor == "start":
-        marks = t_from + np.arange(n + 1, dtype=float)
+        return t_from + np.arange(n + 1, dtype=float), n < span
+    return t_to - np.arange(n, -1, -1, dtype=float), n < span
+
+
+def _block_F(lanes: list[Trajectory], marks: np.ndarray) -> np.ndarray:
+    """F at increasing times `marks` on lanes of one interpolant and speed (or
+    one other Trajectory), (lanes, marks): one step lookup, one dense read into
+    (lanes, dim, marks) and one F call, each value the bits of Trajectory.F_at."""
+    dense = lanes[0].dense
+    if isinstance(dense, _LaneDense):
+        s = marks / dense.speed
+        pts = dense.interp.read([lane.dense.lane for lane in lanes], s,
+                                dense.interp.sorted_steps(s))
     else:
-        marks = t_to - np.arange(n, -1, -1, dtype=float)
-    pts = traj.at(marks)
-    return pts, np.asarray(traj.problem.F(pts), dtype=float), truncated
+        pts = np.asarray(dense(marks), dtype=float)[None]
+    return np.asarray(lanes[0].problem.F(pts.transpose(0, 2, 1)), dtype=float)
 
 
-def effective_bound(problem: GradientProblem, traj: Trajectory,
-                    epsilon: float) -> EffectiveBoundReport:
-    """Endpoint-controlled bound for the length of a flow segment.
+def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory],
+                    epsilon: float) -> EffectiveBoundReport | list[EffectiveBoundReport]:
+    """Endpoint-controlled bound for the length of each flow segment of a batch.
 
-    Both endpoints must lie in the ball of radius 1/4 with |F - F0| < epsilon.
-    The segment is classified by where F sits relative to the critical value
-    F0: `above` (never below at the far end), `below` (already at or below at
-    the start), or `crossing` (splits where F meets F0, found by Brent's
-    method on [t1, t2] to CROSSING_TOL).  The unit-mark F-sequences of each
-    piece feed the discrete summability certificate with C = 1 and the
-    problem's tau, and the report states whether
+    runs is one Trajectory, which returns a report, or a list of them (such
+    as a batch from integrate), which returns a list; one Trajectory is the
+    batch of one.  Both endpoints of each segment must lie in the ball of
+    radius 1/4 with |F - F0| < epsilon.  A segment is classified by where F
+    sits relative to the critical value F0: `above` (never below at the far
+    end), `below` (already at or below at the start), or `crossing` (splits
+    where F meets F0, found by Brent's method on [t1, t2] to CROSSING_TOL,
+    one search per segment).  The unit-mark F-sequences of each piece feed
+    the discrete summability certificate with C = 1 and the problem's tau,
+    one sequences.certify_part call per piece, and each report states whether
 
         length <= c |F(t1) - F0|^alpha + c |F0 - F(t2)|^alpha
 
     and the same for the sqrt-drop sum, with (c, alpha) the certificate pair.
+    Pieces of lanes that share a batch interpolant, a speed and the same unit
+    marks are read as one block.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError(f"need epsilon in (0, 1), got {epsilon}")
     if not 1.0 / 3.0 < problem.tau < 1.0:
         raise InvalidInputError("certificate needs tau in (1/3, 1)")
+    batch = [runs] if isinstance(runs, Trajectory) else list(runs)
     F0 = problem.F0
-    p1, p2 = traj.points[0], traj.points[-1]
-    if np.linalg.norm(p1) > SMALL_BALL or np.linalg.norm(p2) > SMALL_BALL:
-        raise PreconditionError("segment endpoints must lie in the ball of radius 1/4")
-    dF1 = float(traj.F_values[0]) - F0
-    dF2 = float(traj.F_values[-1]) - F0
-    if abs(dF1) >= epsilon or abs(dF2) >= epsilon:
-        raise PreconditionError("endpoint |F - F0| must be below epsilon")
-
     consts = sequences._constructive_bound_cached(1.0, float(problem.tau))  # (1, tau) checked above
-    bound_value = consts.cap(abs(dF1)) + consts.cap(abs(dF2))
 
     # The part above F0 is read at marks anchored at t1 up to t_split, the part
     # below at marks anchored at t2 back to t_split.  The leftover sub-unit
     # segments next to t_split still obey the per-segment chord bound, so
     # their sqrt-drops down to (or up from) `level`, the F-value at t_split,
     # join the reported sum.
-    t1, t2 = traj.t_start, traj.t_end
-    crossing_time = None
-    if dF2 >= 0.0:
-        case_tag, t_split, level = "above", t2, float(traj.F_values[-1])
-    elif dF1 <= 0.0:
-        case_tag, t_split, level = "below", t1, float(traj.F_values[0])
-    else:
-        try:
-            crossing_time = brentq(lambda t: float(traj.F_at(t)) - F0, t1, t2, xtol=CROSSING_TOL)
-        except (ValueError, RuntimeError) as exc:  # no sign change, or no convergence
-            raise NumericError(f"crossing search on [{t1}, {t2}] failed: {exc}") from None
-        case_tag, t_split, level = "crossing", crossing_time, F0
-    sides = []  # (gap series to certify, leftover F-drop at t_split, marks, truncated)
-    if case_tag != "below":
-        _, vals, cut = _mark_values(traj, t1, t_split, "start")
-        sides.append((vals - F0, float(vals[-1]) - level, vals.size, cut))
-    if case_tag != "above":
-        _, vals, cut = _mark_values(traj, t_split, t2, "end")
-        sides.append(((F0 - vals)[::-1], level - float(vals[0]), vals.size, cut))
-    gaps, leftovers, sizes, cuts = zip(*sides)
-    parts = [sequences.certify_part(g, consts) for g in gaps]
-    sqrt_sum = sum(p.sqrt_diff_sum for p in parts) + sum(math.sqrt(max(d, 0.0)) for d in leftovers)
-    hypothesis_ok = all(p.hypothesis_ok for p in parts)
-    length = traj.length
-    holds = (hypothesis_ok and length <= bound_value + sequences.CAP_SLACK
-             and sqrt_sum <= bound_value + sequences.CAP_SLACK)
-    return EffectiveBoundReport(
-        case_tag=case_tag,
-        length=length,
-        sqrt_sum=sqrt_sum,
-        bound_value=bound_value,
-        holds=holds,
-        c=consts.c,
-        alpha=consts.alpha,
-        delta_F1=dF1,
-        delta_F2=dF2,
-        crossing_time=crossing_time,
-        n_marks=sum(sizes),
-        marks_truncated=any(cuts),
-    )
+    cases, blocks = [], {}
+    for lane, traj in enumerate(batch):
+        p1, p2 = traj.points[0], traj.points[-1]
+        if np.linalg.norm(p1) > SMALL_BALL or np.linalg.norm(p2) > SMALL_BALL:
+            raise PreconditionError("segment endpoints must lie in the ball of radius 1/4")
+        dF1 = float(traj.F_values[0]) - F0
+        dF2 = float(traj.F_values[-1]) - F0
+        if abs(dF1) >= epsilon or abs(dF2) >= epsilon:
+            raise PreconditionError("endpoint |F - F0| must be below epsilon")
+        t1, t2 = traj.t_start, traj.t_end
+        crossing_time = None
+        if dF2 >= 0.0:
+            case_tag, t_split, level = "above", t2, float(traj.F_values[-1])
+        elif dF1 <= 0.0:
+            case_tag, t_split, level = "below", t1, float(traj.F_values[0])
+        else:
+            try:
+                crossing_time = brentq(lambda t: float(traj.F_at(t)) - F0, t1, t2,
+                                       xtol=CROSSING_TOL)
+            except (ValueError, RuntimeError) as exc:  # no sign change, or no convergence
+                raise NumericError(f"crossing search on [{t1}, {t2}] failed: {exc}") from None
+            case_tag, t_split, level = "crossing", crossing_time, F0
+        cases.append((case_tag, level, crossing_time, dF1, dF2))
+        for anchor, t_from, t_to in (("start", t1, t_split), ("end", t_split, t2)):
+            if case_tag != {"start": "below", "end": "above"}[anchor]:
+                dense = traj.dense
+                reader = (dense.interp, dense.speed) if isinstance(dense, _LaneDense) else traj
+                blocks.setdefault((reader, t_from, t_to, anchor), []).append(lane)
+
+    pieces = [{} for _ in batch]  # anchor -> (certificate, leftover F-drop at t_split, marks, truncated)
+    for (_, t_from, t_to, anchor), members in blocks.items():
+        marks, cut = _unit_marks(t_from, t_to, anchor)
+        for lane, vals in zip(members, _block_F([batch[lane] for lane in members], marks)):
+            level = cases[lane][1]
+            gaps, leftover = ((vals - F0, float(vals[-1]) - level) if anchor == "start"
+                              else ((F0 - vals)[::-1], level - float(vals[0])))
+            pieces[lane][anchor] = (sequences.certify_part(gaps, consts), leftover, marks.size, cut)
+
+    reports = []
+    for traj, (case_tag, _, crossing_time, dF1, dF2), sides in zip(batch, cases, pieces):
+        parts, leftovers, sizes, cuts = zip(*(sides[a] for a in ("start", "end") if a in sides))
+        sqrt_sum = (sum(p.sqrt_diff_sum for p in parts)
+                    + sum(math.sqrt(max(d, 0.0)) for d in leftovers))
+        bound_value = consts.cap(abs(dF1)) + consts.cap(abs(dF2))
+        length = traj.length
+        holds = (all(p.hypothesis_ok for p in parts)
+                 and length <= bound_value + sequences.CAP_SLACK
+                 and sqrt_sum <= bound_value + sequences.CAP_SLACK)
+        reports.append(EffectiveBoundReport(
+            case_tag=case_tag,
+            length=length,
+            sqrt_sum=sqrt_sum,
+            bound_value=bound_value,
+            holds=holds,
+            c=consts.c,
+            alpha=consts.alpha,
+            delta_F1=dF1,
+            delta_F2=dF2,
+            crossing_time=crossing_time,
+            n_marks=sum(sizes),
+            marks_truncated=any(cuts),
+        ))
+    return reports[0] if isinstance(runs, Trajectory) else reports
 
 
 def _monomial_sum(name: str, coef, power, tau: float, ball_radius: float) -> GradientProblem:

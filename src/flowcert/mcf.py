@@ -183,6 +183,13 @@ class FlowHistory:
         """The F-gap F(t) - F_cyl of every mark, as every reader of a run's gaps takes it."""
         return self.mark_F - self.spec.F_value
 
+    @property
+    def max_rise(self) -> float:
+        """The largest area increase from one mark to the next, -inf with fewer
+        than two marks: what the area-monotone check of `flowcert mcf` and
+        criterion 8 read."""
+        return float(np.max(np.diff(self.mark_F), initial=-np.inf))
+
     def dist(self, R: float) -> np.ndarray:
         """dist_R of each stored profile, in mark order."""
         return dist_R(self.z, self.profiles, R)

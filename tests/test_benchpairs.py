@@ -51,9 +51,11 @@ def test_compare_counts_wins_iqr_and_failures():
     assert out["first_in_pair"] == ["parent", "change", "parent", "change", "parent"]
 
 
-def _record(tmp_path, monkeypatch, change_losses=()):
+def _record(tmp_path, monkeypatch, change_losses=(), reports_differ=False):
     """main's record with every process faked; the change wins every claimed
-    pair but those in change_losses.  Also returns the calls the fakes saw."""
+    pair but those in change_losses, and with reports_differ its first pass
+    hashes other reports than the parent's.  Also returns the calls the fakes
+    saw."""
     calls = {"perfbench": [], "in_process": []}
 
     def export(rev, dest):
@@ -80,6 +82,7 @@ def _record(tmp_path, monkeypatch, change_losses=()):
                                  "profiles": [[0.0, 0.0]], "mark_F": [1.5]}
                          for label in RUN_LABELS},
                 "certs": {"crit_1": f"seed {certs_seed}"},
+                "reports_sha256": f"{certs_seed}-{'cd' if reports_differ and n == 2 else 'ab'}",
                 "kernel_us": {"801": 15.0 + n, "2001": 22.0 + n}}
 
     monkeypatch.setattr(bp, "export", export)
@@ -105,7 +108,7 @@ def test_claim_needs_nine_of_ten_wins(tmp_path, monkeypatch, losses, met):
 def test_main_writes_the_record(tmp_path, monkeypatch):
     record, calls = _record(tmp_path, monkeypatch)
     assert list(record) == ["what", "claim", "summary", "traced", "runs", "certs_measured",
-                            "kernel_us_per_call", "src_tree"]
+                            "certs_reports_sha256", "kernel_us_per_call", "src_tree"]
     assert list(record["summary"]) == ["aa_mcf-certify", *bp.WORKLOADS]
     assert record["src_tree"] == {"parent": "p0:src-tree", "change": "c1:src-tree"}
 
@@ -141,6 +144,10 @@ def test_main_writes_the_record(tmp_path, monkeypatch):
     assert set(kernel["parent"]["801"]) == {"median", "runs"}
     assert len(kernel["change"]["2001"]["runs"]) == bp.TRACED_RUNS
     assert record["certs_measured"]["identical"] is True
+    seeds = record["certs_measured"]["seeds"]
+    assert record["certs_reports_sha256"] == {
+        "seeds": seeds, "parent": [f"{s}-ab" for s in seeds],
+        "change": [f"{s}-ab" for s in seeds], "identical": True}
 
     # the traced pass keeps every metric perfbench emits, per side
     traced = record["traced"]["certs"]
@@ -148,3 +155,9 @@ def test_main_writes_the_record(tmp_path, monkeypatch):
                             "trace.overhead_s"]
     assert traced["mcf.evolve.steps"]["change"] == {"median": 288,
                                                    "runs": [288] * bp.TRACED_RUNS}
+
+
+def test_reports_that_differ_are_not_identical(tmp_path, monkeypatch):
+    record = _record(tmp_path, monkeypatch, reports_differ=True)[0]["certs_reports_sha256"]
+    assert record["identical"] is False
+    assert record["change"][0].endswith("-cd") and record["parent"][0].endswith("-ab")

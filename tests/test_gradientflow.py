@@ -101,6 +101,37 @@ def reference_run(problem, x0, t_end, tol):
                      rtol=tol, atol=tol * 1e-3, dense_output=True, events=exit_ball)
 
 
+def stacked_reference(problem, starts, horizons, tol):
+    """integrate's stacked run with the exit event carried by solve_ivp, as
+    integrate ran it before the event moved to the stored step ends: each
+    lane's times and points, and the run's status."""
+    m, dim = starts.shape
+    speed = horizons / np.max(horizons)
+    reach = gf.OVERSHOOT * problem.ball_radius
+
+    def rhs(s, y):
+        y = np.minimum(np.maximum(y.reshape(m, dim), -reach), reach)
+        return (-speed[:, None] * np.asarray(problem.grad(y), dtype=float)).ravel()
+
+    def exit_ball(s, y):
+        y = y.reshape(m, dim)
+        return float(np.max(np.einsum("ij,ij->i", y, y)) - problem.ball_radius**2)
+
+    exit_ball.terminal = True
+    exit_ball.direction = 1.0
+    root_m = np.sqrt(m)
+    sol = solve_ivp(rhs, (0.0, float(np.max(horizons))), starts.ravel(), method="RK45",
+                    rtol=tol / root_m, atol=tol * 1e-3 / root_m, dense_output=True,
+                    events=exit_ball)
+    lanes = []
+    for i in range(m):
+        times = speed[i] * sol.t
+        if sol.status == 0:
+            times[-1] = horizons[i]
+        lanes.append((times, sol.y[i * dim:(i + 1) * dim].T))
+    return lanes, sol.status
+
+
 class TestBuiltins:
     def test_catalog(self):
         names = {p.name for p in gf.builtin_problems()}
@@ -315,6 +346,8 @@ class TestBatchedIntegrate:
             assert np.max(np.abs(run.at(ts)[:, 0] - quartic_exact(x0, ts))) < 1e-6
 
     def test_exiting_lane_is_settled_alone(self):
+        # each lane, the exiting one too, ends where a run of that lane alone
+        # with the exit event on solve_ivp ends, bit for bit
         t_cross = saddle_crossing_time(0.15, 1e-3)
         starts = np.array([[0.15, 1e-3], [0.0, 0.3], [0.0, 0.01]])
         horizons = np.array([1.3 * t_cross, 50.0, 60.0])
@@ -326,6 +359,32 @@ class TestBatchedIntegrate:
             solo = gf.integrate(SADDLE, x0, t_end, tol=1e-9)
             assert np.array_equal(run.times, solo.times)
             assert np.array_equal(run.points, solo.points)
+            ((times, points),), status = stacked_reference(SADDLE, x0[None], t_end[None], 1e-9)
+            assert run.exited_ball == (status == 1)
+            assert same_bits(run.times, times) and same_bits(run.points, points)
+
+    @pytest.mark.parametrize("seed", [1234, 7])
+    def test_criterion_4_batches_are_the_event_carrying_run(self, seed):
+        # no lane of criterion 4 exits, so with the exit event read off the
+        # stored step ends each batch is the event-carrying stacked run, bit for bit
+        for problem, starts, horizons in criterion_4_batches(seed):
+            runs = gf.integrate(problem, starts, horizons, tol=1e-9)
+            lanes, status = stacked_reference(problem, starts, horizons, 1e-9)
+            assert status == 0
+            for run, (times, points) in zip(runs, lanes):
+                assert not run.exited_ball
+                assert same_bits(run.times, times) and same_bits(run.points, points)
+
+    def test_sorted_steps_are_the_searchsorted_steps(self):
+        # criterion 4's unit marks, every step boundary (each twice), and
+        # times before the first and after the last step
+        run = criterion_4_saddle_runs(1234)[1]
+        interp = run.dense.interp
+        s = np.sort(np.concatenate([
+            np.arange(51.0), interp.bounds, interp.bounds, [-1.0, 0.0, 1e9],
+            np.random.default_rng(4).uniform(0.0, interp.bounds[-1], 500)]))
+        assert np.array_equal(interp.sorted_steps(s), np.searchsorted(interp.bounds, s))
+        assert interp.sorted_steps(s[:0]).size == 0
 
     def test_lane_view_matches_stacked_interpolant(self, monkeypatch):
         sols = []
@@ -374,11 +433,11 @@ class TestBatchedIntegrate:
         runs = criterion_4_saddle_runs(1234)
         (sol,) = sols
         dim, m = SADDLE.dim, len(runs)
-        t_old, width, Q, y_old = gf._interpolant_arrays(sol, m)
+        interp = gf._Interpolant(sol, m)
         rng = np.random.default_rng(5)
         for i, run in enumerate(runs):
             rows = slice(i * dim, (i + 1) * dim)
-            assert Q[i].flags.c_contiguous and y_old[i].flags.c_contiguous
+            assert interp.Q[i].flags.c_contiguous and interp.y_old[i].flags.c_contiguous
             speed = run.t_end / max(r.t_end for r in runs)
             n = min(int(run.t_end), gf.MAX_MARKS - 1)
             t = np.concatenate([
@@ -508,13 +567,22 @@ def scalar_bisection(traj, F0, t_lo, t_hi):
     return 0.5 * (t_lo + t_hi)
 
 
+def criterion_4_batches(seed):
+    """Criterion 4's five batches at a seed, (problem, starts, horizons) as it
+    draws them: the problems draw in turn from one stream."""
+    rng = np.random.default_rng(seed + 2)
+    batches = []
+    for problem in gf.builtin_problems():
+        starts, horizons = zip(*(acceptance._classifier_sample(problem, rng, i) for i in range(100)))
+        batches.append((problem, np.array(starts), np.array(horizons)))
+    return batches
+
+
 def criterion_4_saddle_runs(seed):
     """Criterion 4's saddle lanes at a seed, integrated as it integrates them."""
-    rng = np.random.default_rng(seed + 2)
-    for problem in gf.builtin_problems():  # earlier problems draw from the same stream
-        samples = [acceptance._classifier_sample(problem, rng, i) for i in range(100)]
-    starts, horizons = zip(*samples)
-    return gf.integrate(SADDLE, np.array(starts), t_end=np.array(horizons), tol=1e-9)
+    (starts, horizons), = [(starts, horizons) for problem, starts, horizons
+                           in criterion_4_batches(seed) if problem.name == "saddle2d"]
+    return gf.integrate(SADDLE, starts, t_end=horizons, tol=1e-9)
 
 
 def saddle_crossing_lanes(seed):
@@ -553,6 +621,17 @@ def test_crossing_search_refuses_a_dense_output_that_does_not_straddle():
     stuck = dataclasses.replace(run, dense=lambda t: np.repeat(start, np.size(t), axis=1))
     with pytest.raises(NumericError, match="crossing search"):
         gf.effective_bound(SADDLE, stuck, epsilon=0.5)
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_a_batch_reports_what_its_lanes_report_one_by_one(seed):
+    """On criterion 4's five batches, one effective_bound call per batch gives
+    the reports of one call per lane, every float equal."""
+    for problem, starts, horizons in criterion_4_batches(seed):
+        runs = gf.integrate(problem, starts, horizons, tol=1e-9)
+        reports = gf.effective_bound(problem, runs, epsilon=0.5)
+        assert reports == [gf.effective_bound(problem, run, epsilon=0.5) for run in runs]
+        assert all(report.holds for report in reports)
 
 
 class TestEffectiveBound:

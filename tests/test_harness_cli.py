@@ -430,7 +430,25 @@ class TestCliExitCodes:
         assert bound["bound_ok"] is False
         assert bound["sqrt_diff_sum"] > bound["cap"]
 
-    def test_geometric_passes_with_reference_sum(self, tmp_path):
+    def test_sum_within_cap_slack_above_the_cap_is_0(self, tmp_path, monkeypatch):
+        # seq-check's verdict is certify_part's, CAP_SLACK included: c set so
+        # that the geometric sum exceeds its cap by half the slack
+        real = sequences.constructive_bound
+        total = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float)).sqrt_diff_sum()
+
+        def tight(C, tau):
+            consts = real(C, tau)
+            return dataclasses.replace(
+                consts, c=(total - 0.5 * sequences.CAP_SLACK) / 0.5**consts.alpha)
+
+        monkeypatch.setattr(sequences, "constructive_bound", tight)
+        code = cli.main(["--out", str(tmp_path), "--quiet", "seq-check",
+                         "--geometric", "--C", "1", "--tau", "0.5", "--n", "40"])
+        bound = json.loads((tmp_path / "bound.json").read_text())
+        assert 0.0 < bound["sqrt_diff_sum"] - bound["cap"] <= sequences.CAP_SLACK
+        assert bound["bound_ok"] is True
+        assert code == 0
+
         code = cli.main(["--out", str(tmp_path), "--quiet", "seq-check",
                          "--geometric", "--C", "1", "--tau", "0.5", "--n", "40"])
         assert code == 0

@@ -36,7 +36,8 @@ CylinderGraph only for the initial state and for an error's last state, and
 cli.py builds none, so no mark is re-validated as a graph object.
 
 And each reading the criteria share has one owner: in src/flowcert only
-FlowHistory.gaps subtracts the cylinder area from mark_F, and acceptance.py
+FlowHistory.gaps subtracts the cylinder area from mark_F, only
+FlowHistory.max_rise differences consecutive marks' areas, and acceptance.py
 imports no json, so criterion 11 compares the text harness.write_json writes.
 """
 
@@ -382,3 +383,49 @@ def test_acceptance_serialises_no_report_itself():
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert "json" not in imported
     assert "dumps" not in {getattr(node, "attr", None) for node in ast.walk(tree)}
+
+
+def _rise_spellings(path) -> list:
+    """Dotted scopes of every difference of consecutive marks' areas: a `diff`
+    call on `mark_F`, or one slice of `mark_F` minus another."""
+    found = []
+
+    def is_mark_slice(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)
+                and getattr(node.value, "attr", None) == "mark_F")
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        elif isinstance(node, ast.Call) and "diff" in (getattr(node.func, "attr", None),
+                                                        getattr(node.func, "id", None)):
+            if any(getattr(sub, "attr", None) == "mark_F" for arg in node.args
+                   for sub in ast.walk(arg)):
+                found.append(".".join(scope))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+                and is_mark_slice(node.left) and is_mark_slice(node.right):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_only_flow_history_max_rise_differences_the_mark_areas():
+    """The unit-mark area rise that `flowcert mcf`'s area-monotone check and
+    criterion 8 read is FlowHistory.max_rise, so the two cannot drift apart."""
+    found = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _rise_spellings(path)]
+    assert found == ["mcf.FlowHistory.max_rise"]
+
+
+def test_a_rise_spelled_by_diff_or_slices_is_reported(tmp_path):
+    """An np.diff of mark_F, or a slice of it minus another, is a rise; a
+    drop between two indexed marks is not."""
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\n"
+                    "def monotone(hist):\n    return np.max(np.diff(hist.mark_F))\n"
+                    "def rises(hist):\n    return hist.mark_F[1:] - hist.mark_F[:-1]\n"
+                    "def drop(hist, idx):\n    return hist.mark_F[idx - 1] - hist.mark_F[idx + 1]\n")
+    assert _rise_spellings(path) == ["monotone", "rises"]

@@ -25,6 +25,8 @@ a time: round i runs the parent first when i is even, the change when odd.
     between the sides' mark profiles and mark areas, so a change that moves
     bits by rounding shows by how much;
   - certs at the round's own seed: each criterion's measured string, and
+    the SHA-256 of the repr of every report gradientflow.effective_bound
+    returns (one report per call, or a list of them per batch call), and
     whether the two sides read the same;
   - after the workloads, the right-hand-side kernel's µs per call,
     `mcf._kernel(z, h, s)(u)` on fit.cfg's start at N = 801 and N = 2001
@@ -61,7 +63,7 @@ PASS = r"""
 import dataclasses, hashlib, json, sys, timeit
 import numpy as np
 import workloads
-from flowcert import harness, mcf
+from flowcert import gradientflow, harness, mcf
 mcf_seed, certs_seed = map(int, sys.argv[1:])
 out = {"runs": {}, "kernel_us": {}}
 for name in ("mcf-stiff", "mcf-certify"):
@@ -76,9 +78,18 @@ for name in ("mcf-stiff", "mcf-certify"):
             "steps": int(hist.diag_t.size), "n_rhs": hist.n_rhs, "njev": hist.njev, "nlu": hist.nlu,
             "history_sha256": digest.hexdigest(), "evolve_s": w.seconds[label],
             "profiles": hist.profiles.tolist(), "mark_F": hist.mark_F.tolist()}
+reports, bound = hashlib.sha256(), gradientflow.effective_bound
+def hashed_bound(*args, **kwargs):
+    got = bound(*args, **kwargs)
+    for report in got if isinstance(got, list) else [got]:
+        reports.update(repr(report).encode())
+    return got
+gradientflow.effective_bound = hashed_bound
 w = workloads.Certs(certs_seed)
 w.run()
+gradientflow.effective_bound = bound
 out["certs"] = {label: res.measured for label, res in w.results.items()}
+out["reports_sha256"] = reports.hexdigest()
 cfg = harness.load_bundled_config("fit.cfg")
 for n in (801, 2001):
     g = dataclasses.replace(cfg, h=2.0 * cfg.R_dom / (n - 1)).initial_state().graph
@@ -229,6 +240,8 @@ def main(argv=None) -> int:
                         for n in runs[0]["kernel_us"]} for name, runs in passes.items()}
     measured = {name: [r["certs"] for r in runs] for name, runs in passes.items()}
     measured["identical"] = measured["parent"] == measured["change"]
+    reports = {name: [r["reports_sha256"] for r in runs] for name, runs in passes.items()}
+    reports["identical"] = reports["parent"] == reports["change"]
 
     claim = summary[args.claim]["wall_s"]
     gap = claim["parent_median"] - claim["change_median"]
@@ -255,6 +268,7 @@ def main(argv=None) -> int:
         "runs": {"seed": seed, "counts": counts, "history_identical": same,
                  "max_abs_delta": delta},
         "certs_measured": {"seeds": measured_seeds, **measured},
+        "certs_reports_sha256": {"seeds": measured_seeds, **reports},
         "kernel_us_per_call": kernel_us,
         "src_tree": tree,
     }

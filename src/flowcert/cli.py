@@ -105,15 +105,14 @@ def _cmd_seq_check(args, out: Path, log: harness.RunLog) -> int:
     code = EXIT_OK
     if report.ok:
         consts = sequences.constructive_bound(args.C, args.tau)
-        cap = consts.cap(float(seq.values[0]))
-        bound_ok = sequences.certify_part(seq.values, consts).cap_ok
+        part = sequences.certify_part(seq.values, consts)
         payload = harness.jsonable(consts)
-        payload.update({"x1": float(seq.values[0]), "cap": cap,
-                        "sqrt_diff_sum": report.sqrt_diff_sum, "bound_ok": bound_ok})
+        payload.update({"x1": part.x1, "cap": part.cap,
+                        "sqrt_diff_sum": part.sqrt_diff_sum, "bound_ok": part.cap_ok})
         harness.write_json(out / "bound.json", payload)
-        log.say(f"hypothesis: pass; sqrt_diff_sum={report.sqrt_diff_sum:.6f} "
-                f"<= cap={cap:.6f}: {bound_ok}")
-        if not bound_ok:
+        log.say(f"hypothesis: pass; sqrt_diff_sum={part.sqrt_diff_sum:.6f} "
+                f"<= cap={part.cap:.6f}: {part.cap_ok}")
+        if not part.cap_ok:
             code = EXIT_CERT
     else:
         log.say(f"hypothesis: violation at step {report.first_violation} "

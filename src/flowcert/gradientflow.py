@@ -134,16 +134,15 @@ class _Interpolant:
         self.y_old = np.stack([piece.y_old for piece in pieces], axis=-1).reshape(m, -1, len(pieces))
 
     def sorted_steps(self, s: np.ndarray) -> np.ndarray:
-        """searchsorted(bounds, s) for non-decreasing s, from one search of the
-        boundaries into s."""
+        """searchsorted(bounds, s) for non-decreasing s, by one search of bounds into s."""
         ends = np.searchsorted(s, self.bounds, side="right")
         return np.repeat(np.arange(ends.size + 1), np.diff(ends, prepend=0, append=s.size))
 
     def read(self, lanes, s: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Points of `lanes` (index list or slice) at solver times s in steps
-        `step`, (lanes, dim, len(s)): y_old + h (Q_1 x + ... + Q_4 x^4), x the
-        step fraction, summed in k order over the running products x^k =
-        x^(k-1) x (as np.cumprod forms them), each row gathered by `take`."""
+        """Points of `lanes` (a slice; an index list copies its rows) at solver
+        times s in steps `step`, (lanes, dim, len(s)): y_old + h (Q_1 x + ... +
+        Q_4 x^4), x the step fraction, summed in k order over the running
+        products x^k = x^(k-1) x (as np.cumprod forms them), rows by `take`."""
         Q = self.Q[lanes]
         h = self.width.take(step)
         power = x = (s - self.t_old.take(step)) / h
@@ -198,12 +197,15 @@ def integrate(problem: GradientProblem, x0, t_end,
     the solver would run at the floor while the descent check used tol.
 
     The run stops early, with a flag, if the flow exits the problem's
-    validity ball: the event is the largest |y_i|^2 - r^2.  solve_ivp tests
-    events at step ends only, so a run goes without one and reads it off its
-    stored step ends by solve_ivp's rule, g <= 0 <= g_new: the same steps.  A
-    run that shows an exit, or a batch that stalls, is integrated again one
-    lane at a time with the event, so each lane stops at its own exit or
-    raises its own IntegrationError.
+    validity ball: the event is the largest |y_i|^2 - r^2.  A single lane
+    carries the event on solve_ivp, which stops at the exit.  A batch of
+    several lanes runs without it and reads the event off its stored step
+    ends by solve_ivp's rule, g <= 0 <= g_new (solve_ivp tests events at step
+    ends only, so these are the same steps), which spares the per-step event
+    call on batches that stay inside.  A batch that shows an exit, or stalls,
+    is integrated again one lane at a time, so each lane stops at its own
+    exit or raises its own IntegrationError; such a batch has then run to
+    its horizon instead of to the first exit before the reruns.
     A step that overshoots the exit may place stages far outside the ball,
     where F and its gradient can overflow (saddle2d's flow blows up 1/8 of a
     time unit after it leaves the unit ball).  Every stage coordinate is
@@ -223,25 +225,17 @@ def integrate(problem: GradientProblem, x0, t_end,
     if (np.any(np.abs(lanes) > problem.ball_radius)
             or np.any(np.linalg.norm(lanes, axis=1) > problem.ball_radius)):
         raise PreconditionError("x0 lies outside the validity ball")
-    m = lanes.shape[0]
+    m, dim = lanes.shape
     try:
         horizons = np.broadcast_to(np.asarray(t_end, dtype=float), (m,))
     except ValueError:
         raise InvalidInputError(f"t_end must be a scalar or hold one horizon per lane ({m})") from None
     if not (0 < tol <= MAX_TOL and np.all((0 < horizons) & (horizons <= MAX_T_END))):
         raise InvalidInputError(f"need 0 < t_end <= {MAX_T_END:g} and 0 < tol <= {MAX_TOL:g}")
-    if tol / math.sqrt(m) < RK45_MIN_RTOL:
-        raise InvalidInputError(f"tol {tol:g} is below RK45's floor "
-                                f"{RK45_MIN_RTOL * math.sqrt(m):.3g} for {m} lane(s)")
-    runs = _run(problem, lanes, horizons, tol, with_exit=False)
-    return runs[0] if x0.ndim < 2 else runs
-
-
-def _run(problem: GradientProblem, lanes: np.ndarray, horizons: np.ndarray, tol: float,
-         with_exit: bool) -> list[Trajectory]:
-    """integrate's stacked run; the one-lane reruns give solve_ivp the exit event."""
-    m, dim = lanes.shape
     root_m = math.sqrt(m)
+    if tol / root_m < RK45_MIN_RTOL:
+        raise InvalidInputError(f"tol {tol:g} is below RK45's floor {RK45_MIN_RTOL * root_m:.3g} "
+                                f"for {m} lane(s)")
     s_end = float(np.max(horizons))
     speed = horizons / s_end
     neg_speed = -speed[:, None]
@@ -262,13 +256,12 @@ def _run(problem: GradientProblem, lanes: np.ndarray, horizons: np.ndarray, tol:
 
     sol = solve_ivp(rhs, (0.0, s_end), lanes.ravel(), method="RK45", rtol=tol / root_m,
                     atol=tol * 1e-3 / root_m, dense_output=True,
-                    events=exit_ball if with_exit else None)
+                    events=exit_ball if m == 1 else None)
     points = np.ascontiguousarray(sol.y.reshape(m, dim, -1).transpose(0, 2, 1))
-    if not with_exit:
+    if m > 1:
         gap = ball_gap(points)
-        if np.any((gap[:-1] <= 0.0) & (gap[1:] >= 0.0)) or (sol.status == -1 and m > 1):
-            return [_run(problem, lane[None], horizon[None], tol, with_exit=True)[0]
-                    for lane, horizon in zip(lanes, horizons)]
+        if np.any((gap[:-1] <= 0.0) & (gap[1:] >= 0.0)) or sol.status == -1:
+            return [integrate(problem, lane, horizon, tol) for lane, horizon in zip(lanes, horizons)]
     if sol.status == -1:
         raise IntegrationError(f"integration stalled at t={sol.t[-1]}: {sol.message}",
                                last_state=(float(sol.t[-1]), sol.y[:, -1].copy()))
@@ -280,9 +273,10 @@ def _run(problem: GradientProblem, lanes: np.ndarray, horizons: np.ndarray, tol:
     if np.max(np.diff(F_vals, axis=1), initial=-np.inf) > 10.0 * tol:
         raise NumericError("F increased beyond tolerance along the flow; tighten tol")
     steps = np.linalg.norm(np.diff(points, axis=1), axis=2)
-    return [Trajectory(times=times[i], points=points[i], F_values=F_vals[i],
+    runs = [Trajectory(times=times[i], points=points[i], F_values=F_vals[i],
                        step_lengths=steps[i], problem=problem, exited_ball=sol.status == 1,
                        dense=_LaneDense(interp, i, speed[i])) for i in range(m)]
+    return runs[0] if x0.ndim < 2 else runs
 
 
 def sqrt_segment_sum(traj: Trajectory) -> float:
@@ -299,8 +293,7 @@ def sqrt_segment_sum(traj: Trajectory) -> float:
     if span < 1.0:
         warnings.warn("trajectory spans less than one time unit; empty sum", stacklevel=2)
         return 0.0
-    pts = traj.at(_unit_marks(traj.t_start, traj.t_end, "start")[0])
-    F_vals = np.asarray(traj.problem.F(pts), dtype=float)
+    (pts,), (F_vals,) = _mark_values([traj], _unit_marks(traj.t_start, traj.t_end, "start")[0])
     drops = F_vals[:-1] - F_vals[1:]
     if np.min(drops, initial=0.0) < -10.0 * CHORD_TOL:
         raise NumericError("F increased across a unit mark; data is not a descent flow")
@@ -356,18 +349,24 @@ def _unit_marks(t_from: float, t_to: float, anchor: str) -> tuple[np.ndarray, bo
     return t_to - np.arange(n, -1, -1, dtype=float), n < span
 
 
-def _block_F(lanes: list[Trajectory], marks: np.ndarray) -> np.ndarray:
-    """F at increasing times `marks` on lanes of one interpolant and speed (or
-    one other Trajectory), (lanes, marks): one step lookup, one dense read into
-    (lanes, dim, marks) and one F call, each value the bits of Trajectory.F_at."""
+def _mark_values(lanes: list[Trajectory], marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points, (lanes, marks, dim), and F-values, (lanes, marks), at increasing
+    times `marks` on lanes of one interpolant and speed (or one other
+    Trajectory): one step lookup, one dense read and one F call, each value
+    the bits of Trajectory.at and Trajectory.F_at.  Lanes at evenly spaced
+    rows are read through a slice, so no lane's coefficients are copied."""
     dense = lanes[0].dense
     if isinstance(dense, _LaneDense):
+        rows = [lane.dense.lane for lane in lanes]
+        stride = rows[-1] - rows[-2] if len(rows) > 1 else 1
+        if stride > 0 and rows == list(range(rows[0], rows[-1] + 1, stride)):
+            rows = slice(rows[0], rows[-1] + 1, stride)
         s = marks / dense.speed
-        pts = dense.interp.read([lane.dense.lane for lane in lanes], s,
-                                dense.interp.sorted_steps(s))
+        pts = dense.interp.read(rows, s, dense.interp.sorted_steps(s))
     else:
         pts = np.asarray(dense(marks), dtype=float)[None]
-    return np.asarray(lanes[0].problem.F(pts.transpose(0, 2, 1)), dtype=float)
+    pts = pts.transpose(0, 2, 1)
+    return pts, np.asarray(lanes[0].problem.F(pts), dtype=float)
 
 
 def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory],
@@ -436,7 +435,8 @@ def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory
     pieces = [{} for _ in batch]  # anchor -> (certificate, leftover F-drop at t_split, marks, truncated)
     for (_, t_from, t_to, anchor), members in blocks.items():
         marks, cut = _unit_marks(t_from, t_to, anchor)
-        for lane, vals in zip(members, _block_F([batch[lane] for lane in members], marks)):
+        _, F_vals = _mark_values([batch[lane] for lane in members], marks)
+        for lane, vals in zip(members, F_vals):
             level = cases[lane][1]
             gaps, leftover = ((vals - F0, float(vals[-1]) - level) if anchor == "start"
                               else ((F0 - vals)[::-1], level - float(vals[0])))

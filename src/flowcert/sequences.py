@@ -141,8 +141,8 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisR
 
 def _drop_law(x: np.ndarray, C: float, tau: float) -> HypothesisReport:
     """The comparison of check_hypothesis on values x that are already known
-    to be finite, positive, non-increasing and at most 1, with admissible
-    (C, tau)."""
+    to be finite, positive, non-increasing and at most 1 + REL_TOL, with
+    admissible (C, tau)."""
     diffs = x[:-1] - x[1:]
     lhs = x[1:] ** (1.0 + tau)
     rhs = C * diffs
@@ -231,11 +231,12 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
 
     Entries at or below POSITIVE_FLOOR (and NaNs) are dropped, and a running
     minimum irons out sub-tolerance integrator noise (real descent data is
-    already non-increasing).  Fewer than two entries certify trivially; x1 > 1
-    (+inf included) lies outside the certificate's domain and fails with cap 0.
-    What is left is finite, positive, non-increasing and at most 1, and consts
-    holds constants constructive_bound validated, so the drop law is checked
-    without validating either again.
+    already non-increasing).  Fewer than two entries certify trivially; x1
+    above 1 + REL_TOL, the rounding slack check_hypothesis allows (+inf
+    included), lies outside the certificate's domain and fails with cap 0.
+    What is left is finite, positive, non-increasing and at most 1 + REL_TOL,
+    and consts holds constants constructive_bound validated, so the drop law
+    is checked without validating either again.
     """
     vals = np.asarray(values, dtype=float)
     vals = np.minimum.accumulate(vals[vals > POSITIVE_FLOOR])
@@ -243,7 +244,7 @@ def certify_part(values, consts: CertificateConstants) -> PartCertificate:
     x1 = float(vals[0]) if n else 0.0
     if n < 2:
         return PartCertificate(n, x1, True, None, 0.0, 0.0, True)
-    if x1 > 1.0:
+    if x1 > 1.0 + REL_TOL:
         return PartCertificate(n, x1, False, None, 0.0, 0.0, False)
     rep = _drop_law(vals, consts.C, consts.tau)
     cap = consts.cap(x1)

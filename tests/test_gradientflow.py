@@ -363,6 +363,17 @@ class TestBatchedIntegrate:
             assert run.exited_ball == (status == 1)
             assert same_bits(run.times, times) and same_bits(run.points, points)
 
+    def test_an_exiting_lane_alone_is_integrated_once(self, monkeypatch):
+        # one lane carries the event and stops at the exit; a batch runs
+        # without it, and one that shows an exit is rerun lane by lane
+        sols = recorded_solves(monkeypatch)
+        run = gf.integrate(SADDLE, [0.0, 0.3], 50.0, tol=1e-9)
+        assert run.exited_ball and len(sols) == 1 and sols[0].status == 1
+        sols.clear()
+        gf.integrate(SADDLE, np.array([[0.0, 0.3], [0.0, 0.01]]), 50.0, tol=1e-9)
+        assert [sol.t_events is None for sol in sols] == [True, False, False]
+        assert [sol.status for sol in sols] == [0, 1, 0]
+
     @pytest.mark.parametrize("seed", [1234, 7])
     def test_criterion_4_batches_are_the_event_carrying_run(self, seed):
         # no lane of criterion 4 exits, so with the exit event read off the
@@ -624,14 +635,30 @@ def test_crossing_search_refuses_a_dense_output_that_does_not_straddle():
 
 
 @pytest.mark.parametrize("seed", [1234, 7])
-def test_a_batch_reports_what_its_lanes_report_one_by_one(seed):
+def test_a_batch_reports_what_its_lanes_report_one_by_one(seed, monkeypatch):
     """On criterion 4's five batches, one effective_bound call per batch gives
-    the reports of one call per lane, every float equal."""
+    the reports of one call per lane, every float equal; every read takes its
+    lanes as a slice, which copies no coefficients.  The lanes shuffled, read
+    by index lists, give the shuffled reports."""
+    real_read, lane_args = gf._Interpolant.read, []
+
+    def recording_read(self, lanes, s, step):
+        lane_args.append(lanes)
+        return real_read(self, lanes, s, step)
+
+    monkeypatch.setattr(gf._Interpolant, "read", recording_read)
+    order = np.random.default_rng(seed).permutation(100)
     for problem, starts, horizons in criterion_4_batches(seed):
         runs = gf.integrate(problem, starts, horizons, tol=1e-9)
+        lane_args.clear()
         reports = gf.effective_bound(problem, runs, epsilon=0.5)
+        assert lane_args and all(isinstance(lanes, slice) for lanes in lane_args)
         assert reports == [gf.effective_bound(problem, run, epsilon=0.5) for run in runs]
         assert all(report.holds for report in reports)
+        lane_args.clear()
+        shuffled = gf.effective_bound(problem, [runs[i] for i in order], epsilon=0.5)
+        assert shuffled == [reports[i] for i in order]
+        assert any(isinstance(lanes, list) for lanes in lane_args)
 
 
 class TestEffectiveBound:

@@ -449,6 +449,23 @@ class TestCliExitCodes:
         assert bound["bound_ok"] is True
         assert code == 0
 
+    def test_x1_within_rel_tol_above_one_certifies(self, tmp_path):
+        # check_hypothesis takes x1 up to 1 + REL_TOL, and so does the verdict:
+        # bound.json's cap, sum and bound_ok are one certificate's
+        seq = tmp_path / "rounded.txt"
+        seq.write_text("1.0000000000005\n0.5\n0.25\n")
+        code = cli.main(["--out", str(tmp_path / "o"), "--quiet",
+                         "seq-check", "--file", str(seq)])
+        bound = json.loads((tmp_path / "o" / "bound.json").read_text())
+        consts = sequences.constructive_bound(1.0, 0.5)
+        assert bound["x1"] == 1.0000000000005
+        assert bound["cap"] == consts.cap(1.0000000000005)
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["ok"] is True and bound["sqrt_diff_sum"] == report["sqrt_diff_sum"]
+        assert bound["sqrt_diff_sum"] <= bound["cap"] and bound["bound_ok"] is True
+        assert code == 0
+
+    def test_geometric_passes_with_reference_sum(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "--quiet", "seq-check",
                          "--geometric", "--C", "1", "--tau", "0.5", "--n", "40"])
         assert code == 0

@@ -173,6 +173,16 @@ class TestCertifyPart:
         part = sq.certify_part(np.array([2.0, 1.0, 0.5]), self.CONSTS)
         assert (part.hypothesis_ok, part.cap, part.cap_ok, part.x1) == (False, 0.0, False, 2.0)
 
+    def test_x1_within_rel_tol_above_one_is_in_domain(self):
+        # the domain check_hypothesis allows: x1 up to 1 + REL_TOL
+        values = np.array([1.0 + 0.5 * sq.REL_TOL, 0.5, 0.25])
+        rep = sq.check_hypothesis(sq.MonotoneSequence(values), 1.0, 0.5)
+        part = sq.certify_part(values, self.CONSTS)
+        assert part == sq.PartCertificate(n=3, x1=values[0], hypothesis_ok=True,
+                                          first_violation=None, sqrt_diff_sum=rep.sqrt_diff_sum,
+                                          cap=self.CONSTS.cap(values[0]), cap_ok=True)
+        assert not sq.certify_part(np.array([1.0 + 2.0 * sq.REL_TOL, 0.5]), self.CONSTS).cap_ok
+
     @staticmethod
     def validated_part(values, consts):
         """The per-part certificate through the validating public path:
@@ -183,7 +193,7 @@ class TestCertifyPart:
         x1 = float(vals[0]) if n else 0.0
         if n < 2:
             return sq.PartCertificate(n, x1, True, None, 0.0, 0.0, True)
-        if x1 > 1.0:
+        if x1 > 1.0 + sq.REL_TOL:
             return sq.PartCertificate(n, x1, False, None, 0.0, 0.0, False)
         rep = sq.check_hypothesis(sq.MonotoneSequence(vals), consts.C, consts.tau)
         cap = consts.cap(x1)

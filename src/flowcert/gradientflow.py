@@ -392,11 +392,9 @@ def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError(f"need epsilon in (0, 1), got {epsilon}")
-    if not 1.0 / 3.0 < problem.tau < 1.0:
-        raise InvalidInputError("certificate needs tau in (1/3, 1)")
+    consts = sequences.constructive_bound(1.0, problem.tau)
     batch = [runs] if isinstance(runs, Trajectory) else list(runs)
     F0 = problem.F0
-    consts = sequences._constructive_bound_cached(1.0, float(problem.tau))  # (1, tau) checked above
 
     # The part above F0 is read at marks anchored at t1 up to t_split, the part
     # below at marks anchored at t2 back to t_split.  The leftover sub-unit
@@ -447,7 +445,7 @@ def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory
         parts, leftovers, sizes, cuts = zip(*(sides[a] for a in ("start", "end") if a in sides))
         sqrt_sum = (sum(p.sqrt_diff_sum for p in parts)
                     + sum(math.sqrt(max(d, 0.0)) for d in leftovers))
-        bound_value = consts.cap(abs(dF1)) + consts.cap(abs(dF2))
+        bound_value = consts.endpoint_bound(dF1, dF2)
         length = traj.length
         holds = (all(p.hypothesis_ok for p in parts)
                  and length <= bound_value + sequences.CAP_SLACK

@@ -510,6 +510,10 @@ class CloseReport:
     dist_times: np.ndarray
     dist_values: np.ndarray
 
+    def verdict(self) -> bool:
+        """Closeness verdict: hypotheses hold, certificate passes, bound holds."""
+        return self.hypotheses_ok and self.certified and self.bound_holds
+
 
 TAU_GRID = np.round(np.arange(0.35, 0.96, 0.01), 10)  # the closeness experiment's tau grid
 
@@ -606,7 +610,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     ctilde = float(np.max(dist_vals[live] / S[live], initial=1.0))
 
     if consts is not None and not math.isnan(dF1):
-        bound_value = ctilde * (consts.cap(abs(dF1)) + consts.cap(abs(dF2)))
+        bound_value = ctilde * consts.endpoint_bound(dF1, dF2)
     else:
         bound_value = math.nan
     bound_holds = (not math.isnan(bound_value)

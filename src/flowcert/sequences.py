@@ -65,12 +65,6 @@ class MonotoneSequence:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def diffs(self) -> np.ndarray:
-        return self.values[:-1] - self.values[1:]
-
-    def sqrt_diff_sum(self) -> float:
-        return float(np.sum(np.sqrt(self.diffs())))
-
 
 @dataclass(frozen=True, eq=False)
 class HypothesisReport:
@@ -111,6 +105,10 @@ class CertificateConstants:
     def cap(self, x1: float) -> float:
         """Certified upper bound c * x1^alpha for the square-root increment sum."""
         return self.c * x1**self.alpha
+
+    def endpoint_bound(self, dF1: float, dF2: float) -> float:
+        """The endpoint-controlled bound c |dF1|^alpha + c |dF2|^alpha."""
+        return self.cap(abs(dF1)) + self.cap(abs(dF2))
 
 
 def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisReport:

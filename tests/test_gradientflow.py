@@ -735,6 +735,14 @@ class TestEffectiveBound:
         with pytest.raises(PreconditionError):
             gf.effective_bound(QUARTIC, big, epsilon=0.9)
 
+    def test_tau_one_is_refused_with_exit_64(self):
+        # GradientProblem admits tau = 1, but the certificate pair needs tau < 1
+        flat = dataclasses.replace(QUARTIC, tau=1.0)
+        traj = gf.integrate(flat, [0.2], t_end=100.0)
+        with pytest.raises(InvalidInputError, match=r"need tau in \(1/3, 1\.0\), got tau=1\.0$") as exc:
+            gf.effective_bound(flat, traj, epsilon=0.5)
+        assert exc.value.exit_code == 64
+
 
 def test_trajectory_csv_columns_match_dimension():
     traj = gf.integrate(gf.problem_by_name("quartic2d"), [0.1, 0.1], t_end=5.0)

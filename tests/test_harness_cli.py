@@ -434,7 +434,8 @@ class TestCliExitCodes:
         # seq-check's verdict is certify_part's, CAP_SLACK included: c set so
         # that the geometric sum exceeds its cap by half the slack
         real = sequences.constructive_bound
-        total = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float)).sqrt_diff_sum()
+        geometric = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float))
+        total = sequences.check_hypothesis(geometric, 1.0, 0.5).sqrt_diff_sum
 
         def tight(C, tau):
             consts = real(C, tau)

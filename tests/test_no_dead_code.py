@@ -39,6 +39,9 @@ And each reading the criteria share has one owner: in src/flowcert only
 FlowHistory.gaps subtracts the cylinder area from mark_F, only
 FlowHistory.max_rise differences consecutive marks' areas, and acceptance.py
 imports no json, so criterion 11 compares the text harness.write_json writes.
+Likewise only CertificateConstants.endpoint_bound takes a cap of an absolute
+gap, only CloseReport.verdict conjoins the closeness flags, and only
+sequences.constructive_bound reads the private certificate cache.
 """
 
 import argparse
@@ -429,3 +432,71 @@ def test_a_rise_spelled_by_diff_or_slices_is_reported(tmp_path):
                     "def rises(hist):\n    return hist.mark_F[1:] - hist.mark_F[:-1]\n"
                     "def drop(hist, idx):\n    return hist.mark_F[idx - 1] - hist.mark_F[idx + 1]\n")
     assert _rise_spellings(path) == ["monotone", "rises"]
+
+
+def _spelled_in(path, spells) -> list:
+    """Dotted scopes of every node of the module for which spells(node) holds."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        elif spells(node):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def _names_read(node) -> set:
+    return {getattr(sub, "attr", getattr(sub, "id", None)) for sub in ast.walk(node)}
+
+
+def _cap_of_a_gap(node) -> bool:
+    """A `.cap(...)` call whose argument takes an `abs`: one half of the
+    endpoint-controlled bound."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "cap"
+            and any("abs" in _names_read(arg) for arg in node.args))
+
+
+def _closeness_conjunction(node) -> bool:
+    """An `and` that reads all three closeness flags."""
+    return (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And)
+            and {"hypotheses_ok", "certified", "bound_holds"} <= _names_read(node))
+
+
+def _private_cache_read(node) -> bool:
+    return "_constructive_bound_cached" in (getattr(node, "attr", None), getattr(node, "id", None))
+
+
+def _package_spellings(spells) -> list:
+    return sorted({f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                   for scope in _spelled_in(path, spells)})
+
+
+def test_each_certificate_decision_has_one_owner():
+    """The endpoint-controlled bound that criteria 4 and 10 read, the closeness
+    verdict that `flowcert mcf --close` and criterion 10 read, and the
+    (C, tau) validation in front of the certificate cache are each written once."""
+    assert _package_spellings(_cap_of_a_gap) == ["sequences.CertificateConstants.endpoint_bound"]
+    assert _package_spellings(_closeness_conjunction) == ["mcf.CloseReport.verdict"]
+    assert _package_spellings(_private_cache_read) == ["sequences.constructive_bound"]
+
+
+def test_a_second_spelling_of_a_certificate_decision_is_reported(tmp_path):
+    """Two caps of gaps, the three closeness flags conjoined and a read of the
+    private cache are found; a cap at a plain value, and two of the three
+    flags, are not."""
+    path = tmp_path / "mod.py"
+    path.write_text("from . import sequences\n"
+                    "def bound(consts, dF1, dF2):\n"
+                    "    return consts.cap(abs(dF1)) + consts.cap(abs(dF2)) + consts.cap(1.0)\n"
+                    "def ok(report):\n"
+                    "    return report.hypotheses_ok and report.certified and report.bound_holds\n"
+                    "def partial(report):\n    return report.certified and report.bound_holds\n"
+                    "def pair(tau):\n    return sequences._constructive_bound_cached(1.0, tau)\n")
+    assert _spelled_in(path, _cap_of_a_gap) == ["bound", "bound"]
+    assert _spelled_in(path, _closeness_conjunction) == ["ok"]
+    assert _spelled_in(path, _private_cache_read) == ["pair"]

@@ -127,7 +127,16 @@ class TestConstructiveBound:
         rng = np.random.default_rng(7)
         for _ in range(100):
             s = sq.random_admissible_sequence(10.0, 0.4, rng, n_steps=50)
-            assert s.sqrt_diff_sum() <= cb.cap(float(s.values[0]))
+            assert sq.check_hypothesis(s, 10.0, 0.4).sqrt_diff_sum <= cb.cap(float(s.values[0]))
+
+    @pytest.mark.parametrize("C,tau", [(1.0, 0.5), (10.0, 0.4)])
+    def test_endpoint_bound_is_the_two_caps_bit_for_bit(self, C, tau):
+        cb = sq.constructive_bound(C, tau)
+        gaps = [(0.3, 1e-5), (-0.3, 1e-5), (0.3, -2e-3), (-1e-9, -0.7), (0.0, -0.25), (0.0, 0.0)]
+        gaps += [tuple(pair) for pair in np.random.default_rng(5).uniform(-1.0, 1.0, (50, 2))]
+        for dF1, dF2 in gaps:
+            want = cb.cap(abs(dF1)) + cb.cap(abs(dF2))
+            assert cb.endpoint_bound(dF1, dF2).hex() == want.hex()
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
@@ -309,7 +318,7 @@ class TestExtremalSequence:
         rep = sq.check_hypothesis(s, C, tau)
         assert rep.ok
         lhs = s.values[1:] ** (1.0 + tau)
-        rhs = C * s.diffs()
+        rhs = C * (s.values[:-1] - s.values[1:])
         assert np.max(np.abs(lhs - rhs) / rhs) < 1e-10
 
     def test_iterated_gap_on_generated_data(self):
@@ -512,8 +521,9 @@ def test_truncation_keeps_admissibility_and_sum_monotone(seed, n_steps, keep):
     s = sq.random_admissible_sequence(1.0, 0.5, rng, n_steps=n_steps)
     keep = min(keep, len(s))
     t = sq.MonotoneSequence(s.values[:keep])
-    assert sq.check_hypothesis(t, 1.0, 0.5).ok
-    assert t.sqrt_diff_sum() <= s.sqrt_diff_sum() + 1e-15
+    rep = sq.check_hypothesis(t, 1.0, 0.5)
+    assert rep.ok
+    assert rep.sqrt_diff_sum <= sq.check_hypothesis(s, 1.0, 0.5).sqrt_diff_sum + 1e-15
 
 
 def test_parse_sequence_text_formats():

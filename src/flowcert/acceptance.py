@@ -122,7 +122,7 @@ def crit_summability_bound(seed: int) -> CheckResult:
         sums = np.sum(np.sqrt(vals[:, :-1] - vals[:, 1:]), axis=1)
         caps = consts.cap(vals[:, 0])
         worst_ratio = max(worst_ratio, float(np.max(sums / caps)))
-        ok = ok and bool(np.all(sums <= caps))
+        ok = ok and bool(np.all(sums <= caps + sequences.CAP_SLACK))
         worst = sequences.certify_part(sequences.extremal_chain(C, tau, n_steps=10_000).values, consts)
         ok = ok and worst.hypothesis_ok and worst.cap_ok
     geo = sequences.MonotoneSequence(2.0 ** -np.arange(1, 41, dtype=float))
@@ -226,7 +226,7 @@ def crit_stationarity(runs: BundledRuns) -> CheckResult:
     sup_u = max(sup_u, float(np.max(hist.mark_max_u)))
     F_dev = float(np.max(np.abs(hist.gaps)))
     ok = (sup_u < mcf.STATIONARY_TOL and F_dev <= mcf.STATIONARY_TOL
-          and hist.stop_reason == "completed")
+          and hist.reached(cfg.t2))
     return CheckResult(7, NAMES[7], ok,
                        f"sup|u| {sup_u:.2e}, max|F - F_cyl| {F_dev:.2e} over t in [0, {cfg.t2}]")
 

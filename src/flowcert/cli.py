@@ -168,14 +168,13 @@ def _cmd_mcf(args, out: Path, log: harness.RunLog) -> int:
     log.say(f"evolve: {hist.diag_t.size} steps, nfev {hist.n_rhs}, njev {hist.njev}, "
             f"nlu {hist.nlu}, dt min/median/max {hist.diag_dt.min():.3g}/"
             f"{np.median(hist.diag_dt):.3g}/{hist.diag_dt.max():.3g} (dt_max {cfg.dt_max:g})")
-    checks = [{"name": "run-completed", "passed": hist.stop_reason == "completed",
+    completed = hist.reached(cfg.t2)
+    checks = [{"name": "run-completed", "passed": completed,
                "measured": f"stop_reason={hist.stop_reason}, t_final={hist.t_final}"}]
     max_rise = hist.max_rise if hist.n_marks >= 2 else 0.0
     checks.append({"name": "area-monotone", "passed": max_rise <= mcf.MONOTONE_TOL,
                    "measured": f"max unit-mark increase {max_rise:.3e}"})
-    code = EXIT_OK
-    if hist.stop_reason != "completed":
-        code = EXIT_HYP
+    code = EXIT_OK if completed else EXIT_HYP
     if args.fit and code == EXIT_OK:
         start = time.perf_counter()
         try:

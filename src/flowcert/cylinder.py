@@ -203,10 +203,8 @@ def estimate_entropy(g: CylinderGraph, centers, scales) -> float:
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length numeric columns under a header row: str(int) per cell
-    of a column of integer dtype, repr(float) per cell of any other column."""
-    cells = [[str(int(v)) for v in col] if np.asarray(col).dtype.kind in "iu"
-             else [repr(float(v)) for v in col] for col in columns]
+    """Write equal-length numeric columns under a header row, repr(float) per cell."""
+    cells = [[repr(float(v)) for v in col] for col in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

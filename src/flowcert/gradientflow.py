@@ -75,8 +75,8 @@ class GradientProblem:
 class Trajectory:
     """Time-stamped polyline of a flow line with F-values and chordal increments.
 
-    `dense` evaluates the underlying interpolant at arbitrary times: given
-    times of shape (m,), it returns points of shape (dim, m).
+    The flow line is row `lane` of its batch's interpolant `interp`, which
+    runs on solver time s = t / speed.
     """
 
     times: np.ndarray
@@ -84,7 +84,9 @@ class Trajectory:
     F_values: np.ndarray
     step_lengths: np.ndarray
     problem: GradientProblem
-    dense: Callable
+    interp: _Interpolant
+    lane: int
+    speed: float
     exited_ball: bool = False
 
     def __post_init__(self):
@@ -108,10 +110,12 @@ class Trajectory:
         return float(np.sum(self.step_lengths))
 
     def at(self, t) -> np.ndarray:
-        """Point(s) on the trajectory at time(s) t, shape (dim,) or (m, dim)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.asarray(self.dense(t_arr), dtype=float).T
-        return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+        """Point(s) on the trajectory at time(s) t, shape (dim,) or (m, dim),
+        each time in the step `OdeSolution` picks for it."""
+        s = np.atleast_1d(np.asarray(t, dtype=float)) / self.speed
+        out = self.interp.read(slice(self.lane, self.lane + 1), s,
+                               np.searchsorted(self.interp.bounds, s))[0].T
+        return out[0] if np.ndim(t) == 0 else out
 
     def F_at(self, t) -> np.ndarray:
         return np.asarray(self.problem.F(self.at(t)), dtype=float)
@@ -153,21 +157,6 @@ class _Interpolant:
         out *= h
         out += self.y_old[lanes].take(step, axis=-1)
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class _LaneDense:
-    """Dense output of one lane at flow times t (solver times t / speed),
-    (dim, len(t)), each time in the step `OdeSolution` picks for it."""
-
-    interp: _Interpolant
-    lane: int
-    speed: float
-
-    def __call__(self, t) -> np.ndarray:
-        s = np.asarray(t, dtype=float) / self.speed
-        return self.interp.read(slice(self.lane, self.lane + 1), s,
-                                np.searchsorted(self.interp.bounds, s))[0]
 
 
 def integrate(problem: GradientProblem, x0, t_end,
@@ -274,8 +263,8 @@ def integrate(problem: GradientProblem, x0, t_end,
         raise NumericError("F increased beyond tolerance along the flow; tighten tol")
     steps = np.linalg.norm(np.diff(points, axis=1), axis=2)
     runs = [Trajectory(times=times[i], points=points[i], F_values=F_vals[i],
-                       step_lengths=steps[i], problem=problem, exited_ball=sol.status == 1,
-                       dense=_LaneDense(interp, i, speed[i])) for i in range(m)]
+                       step_lengths=steps[i], problem=problem, interp=interp, lane=i,
+                       speed=speed[i], exited_ball=sol.status == 1) for i in range(m)]
     return runs[0] if x0.ndim < 2 else runs
 
 
@@ -351,21 +340,16 @@ def _unit_marks(t_from: float, t_to: float, anchor: str) -> tuple[np.ndarray, bo
 
 def _mark_values(lanes: list[Trajectory], marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points, (lanes, marks, dim), and F-values, (lanes, marks), at increasing
-    times `marks` on lanes of one interpolant and speed (or one other
-    Trajectory): one step lookup, one dense read and one F call, each value
-    the bits of Trajectory.at and Trajectory.F_at.  Lanes at evenly spaced
-    rows are read through a slice, so no lane's coefficients are copied."""
-    dense = lanes[0].dense
-    if isinstance(dense, _LaneDense):
-        rows = [lane.dense.lane for lane in lanes]
-        stride = rows[-1] - rows[-2] if len(rows) > 1 else 1
-        if stride > 0 and rows == list(range(rows[0], rows[-1] + 1, stride)):
-            rows = slice(rows[0], rows[-1] + 1, stride)
-        s = marks / dense.speed
-        pts = dense.interp.read(rows, s, dense.interp.sorted_steps(s))
-    else:
-        pts = np.asarray(dense(marks), dtype=float)[None]
-    pts = pts.transpose(0, 2, 1)
+    times `marks` on lanes of one interpolant and speed: one step lookup, one
+    dense read and one F call, each value the bits of Trajectory.at and
+    Trajectory.F_at.  Lanes at evenly spaced rows are read through a slice,
+    so no lane's coefficients are copied."""
+    rows = [traj.lane for traj in lanes]
+    stride = rows[-1] - rows[-2] if len(rows) > 1 else 1
+    if stride > 0 and rows == list(range(rows[0], rows[-1] + 1, stride)):
+        rows = slice(rows[0], rows[-1] + 1, stride)
+    interp, s = lanes[0].interp, marks / lanes[0].speed
+    pts = interp.read(rows, s, interp.sorted_steps(s)).transpose(0, 2, 1)
     return pts, np.asarray(lanes[0].problem.F(pts), dtype=float)
 
 
@@ -426,12 +410,10 @@ def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory
         cases.append((case_tag, level, crossing_time, dF1, dF2))
         for anchor, t_from, t_to in (("start", t1, t_split), ("end", t_split, t2)):
             if case_tag != {"start": "below", "end": "above"}[anchor]:
-                dense = traj.dense
-                reader = (dense.interp, dense.speed) if isinstance(dense, _LaneDense) else traj
-                blocks.setdefault((reader, t_from, t_to, anchor), []).append(lane)
+                blocks.setdefault((traj.interp, traj.speed, t_from, t_to, anchor), []).append(lane)
 
     pieces = [{} for _ in batch]  # anchor -> (certificate, leftover F-drop at t_split, marks, truncated)
-    for (_, t_from, t_to, anchor), members in blocks.items():
+    for (_, _, t_from, t_to, anchor), members in blocks.items():
         marks, cut = _unit_marks(t_from, t_to, anchor)
         _, F_vals = _mark_values([batch[lane] for lane in members], marks)
         for lane, vals in zip(members, F_vals):

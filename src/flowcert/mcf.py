@@ -190,6 +190,10 @@ class FlowHistory:
         criterion 8 read."""
         return float(np.max(np.diff(self.mark_F), initial=-np.inf))
 
+    def reached(self, t: float) -> bool:
+        """Whether the run completed with no stop condition and got to time t."""
+        return self.stop_reason == "completed" and self.t_final >= t - MARK_TOL
+
     def dist(self, R: float) -> np.ndarray:
         """dist_R of each stored profile, in mark order."""
         return dist_R(self.z, self.profiles, R)
@@ -288,7 +292,7 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
     solver.J, solver.I = jac(t, u), np.outer([0.0, 1.0, 0.0], np.ones(u.size))
     solver.solve_lu = lambda factors, b: linalg.lapack.dgttrs(*factors, b, overwrite_b=True)[0]
     stop_reason = "completed"
-    while solver.status == "running" and stop_reason == "completed":
+    while solver.status == "running":
         if len(diag_t) >= budget:
             raise IntegrationError(f"gave up at t={t} after {budget} steps "
                                    f"(last dt {t - t_old:.3e}, dt_max {controls.dt_max:g})",
@@ -307,8 +311,6 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
         max_u = abs(max(y_max, -y_min))  # abs() turns a -0.0 into +0.0
         diag_t.append(t)
         diag_mu.append(max_u)
-        if max_u > controls.stop_max_abs_u:
-            stop_reason = "max_abs_u"
         next_mark = mark_times[-1] + 1.0
         if next_mark <= t:
             interpolant = solver.dense_output()
@@ -316,6 +318,9 @@ def evolve(state: FlowState, t_end: float, controls: FlowControls) -> FlowHistor
                 mark_times.append(next_mark)
                 profiles.append(u if next_mark == t else interpolant(next_mark))
                 next_mark += 1.0
+        if max_u > controls.stop_max_abs_u:
+            stop_reason = "max_abs_u"
+            break
     profiles = np.array(profiles)
     profiles[:, [0, -1]] = 0.0  # pinned, as the solver leaves rounding at the ends
     return FlowHistory(
@@ -540,7 +545,7 @@ def close_experiment(cfg: RunConfig, hist: FlowHistory) -> CloseReport:
     k = cfg.t1 - int(hist.mark_times[0])  # the mark at t1 + j is entry k + j
     if k < 0:
         raise InvalidInputError(f"history starts at t={hist.mark_times[0]}, after t1={cfg.t1}")
-    completed = hist.t_final >= cfg.t2 - 1e-9
+    completed = hist.reached(cfg.t2)
     t2_actual = float(hist.mark_times[-1])
     failure = None
 

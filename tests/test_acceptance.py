@@ -8,6 +8,7 @@ seed must produce byte-identical manifests.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,20 @@ def test_negative_seed_is_refused_before_any_criterion_runs(monkeypatch, tmp_pat
     printed = capsys.readouterr()
     assert printed.out == "error: need seed >= 0, got -1\n" and printed.err == ""
     assert ran == [] and not (tmp_path / "manifest.json").exists()
+
+
+def test_a_row_within_cap_slack_above_its_cap_passes_criterion_3(monkeypatch):
+    """Criterion 3's random half judges a row as certify_part judges a part:
+    a sum up to sequences.CAP_SLACK above its cap holds."""
+    def one_row_just_above_the_cap(C, tau, rng, n_seq, n_steps):
+        x0 = 0.5
+        cap = sequences.constructive_bound(C, tau).cap(x0)
+        row = np.array([[x0, x0 - (cap + 0.5 * sequences.CAP_SLACK) ** 2]])
+        assert cap < math.sqrt(row[0, 0] - row[0, 1]) <= cap + sequences.CAP_SLACK
+        return row
+
+    monkeypatch.setattr(sequences, "random_admissible_batch", one_row_just_above_the_cap)
+    assert acceptance.crit_summability_bound(SEED).passed
 
 
 def test_extremal_chains_are_built_once_and_read_only(monkeypatch):

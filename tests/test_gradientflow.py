@@ -81,6 +81,23 @@ def einsum_reads(sol, rows, speed, t):
     return width[step] * np.einsum("tdk,kt->dt", Q[step], powers) + y_old[step].T
 
 
+class FakeInterp:
+    """A stand-in for a batch interpolant with one lane: `read` returns
+    points(s), (dim, len(s)), as the lane's (1, dim, len(s)) rows, whatever
+    steps it is handed."""
+
+    bounds = np.empty(0)
+
+    def __init__(self, points):
+        self.points = points
+
+    def sorted_steps(self, s):
+        return np.zeros(np.size(s), dtype=np.intp)
+
+    def read(self, lanes, s, step):
+        return self.points(s)[None]
+
+
 def same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -207,7 +224,7 @@ class TestIntegrate:
         assert np.max(np.abs(traj.at(ts)[:, 0] - quartic_exact(0.2, ts))) < 1e-6
 
     def test_trajectory_needs_its_interpolant(self):
-        # Trajectory.at reads only `dense`; there is no polyline fallback
+        # Trajectory.at reads only its interpolant; there is no polyline fallback
         traj = gf.integrate(QUARTIC, [0.2], t_end=1.0)
         with pytest.raises(TypeError):
             gf.Trajectory(times=traj.times, points=traj.points, F_values=traj.F_values,
@@ -390,7 +407,7 @@ class TestBatchedIntegrate:
         # criterion 4's unit marks, every step boundary (each twice), and
         # times before the first and after the last step
         run = criterion_4_saddle_runs(1234)[1]
-        interp = run.dense.interp
+        interp = run.interp
         s = np.sort(np.concatenate([
             np.arange(51.0), interp.bounds, interp.bounds, [-1.0, 0.0, 1e9],
             np.random.default_rng(4).uniform(0.0, interp.bounds[-1], 500)]))
@@ -415,7 +432,7 @@ class TestBatchedIntegrate:
             speed = horizons[i] / horizons.max()
             t = speed * s
             want = sol.sol(t / speed)[2 * i:2 * i + 2]
-            got = run.dense(t)
+            got = run.at(t).T
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
             np.testing.assert_allclose(run.at(run.times), run.points, rtol=1e-13, atol=1e-16)
@@ -434,7 +451,7 @@ class TestBatchedIntegrate:
         for k in range(1, 4):
             poly = poly + coef[..., k] * powers[k][:, None]
         want = width[step][:, None] * poly + y_old[step]
-        assert same_bits(run.dense(t).T, want)
+        assert same_bits(run.at(t), want)
 
     def test_lane_reads_match_the_einsum_formula(self, monkeypatch):
         # criterion 4's saddle lanes at seed 1234: unit marks from both ends,
@@ -455,15 +472,15 @@ class TestBatchedIntegrate:
                 np.arange(n + 1, dtype=float), run.t_end - np.arange(n + 1, dtype=float),
                 run.times, speed * sol.t, rng.uniform(0.0, run.t_end, 200),
                 [-1.0, -1e-300, -0.0, 1.5 * run.t_end, np.nextafter(run.t_end, np.inf)]])
-            assert same_bits(run.dense(t), einsum_reads(sol, rows, speed, t))
+            assert same_bits(run.at(t).T, einsum_reads(sol, rows, speed, t))
 
     def test_one_at_a_time_reads_equal_batched_reads(self):
         run = gf.integrate(gf.problem_by_name("aniso2d"), [0.2, -0.3], t_end=40.0, tol=1e-9)
         t = np.concatenate([run.times, np.random.default_rng(9).uniform(-1.0, 41.0, 300)])
-        batched = run.dense(t)
-        single = np.column_stack([run.dense(np.array([ti])) for ti in t])
+        batched = run.at(t).T
+        single = np.column_stack([run.at(np.array([ti])).T for ti in t])
         assert same_bits(batched, single)
-        assert same_bits(run.dense(t[::-1]), batched[:, ::-1])
+        assert same_bits(run.at(t[::-1]).T, batched[:, ::-1])
 
     def test_batch_argument_validation(self):
         starts = np.array([[0.1], [0.2]])
@@ -625,11 +642,12 @@ def test_crossing_search_matches_scalar_bisection(monkeypatch, seed):
 
 
 def test_crossing_search_refuses_a_dense_output_that_does_not_straddle():
-    """Stored samples that cross F0 under a dense output that stays at the
+    """Stored samples that cross F0 under an interpolant that stays at the
     start point leave no sign change on [t1, t2]: NumericError."""
     run = gf.integrate(SADDLE, [0.15, 1e-3], t_end=1.3 * saddle_crossing_time(0.15, 1e-3))
     start = run.points[:1].T
-    stuck = dataclasses.replace(run, dense=lambda t: np.repeat(start, np.size(t), axis=1))
+    stuck = dataclasses.replace(
+        run, interp=FakeInterp(lambda s: np.repeat(start, np.size(s), axis=1)))
     with pytest.raises(NumericError, match="crossing search"):
         gf.effective_bound(SADDLE, stuck, epsilon=0.5)
 
@@ -709,7 +727,8 @@ class TestEffectiveBound:
             F_values=-traj.F_values[::-1],
             step_lengths=traj.step_lengths[::-1].copy(),
             problem=neg,
-            dense=lambda t: traj.dense(t0 + traj.times[-1] - np.asarray(t)))
+            interp=FakeInterp(lambda s: traj.at(t0 + traj.times[-1] - s).T),
+            lane=0, speed=1.0)
         fwd_rep = gf.effective_bound(SADDLE, traj, epsilon=0.5)
         rev_rep = gf.effective_bound(neg, rev, epsilon=0.5)
         assert fwd_rep.case_tag == "below"

@@ -1091,6 +1091,24 @@ class TestCloseMarks:
         # delta_F1 is measured only when the run reached t1
         assert math.isnan(rep.delta_F1) == (t1 > hist.t_final)
 
+    def test_stop_on_the_step_that_lands_on_t2_is_not_completed(self):
+        # at this amplitude max |u| passes 1 on the step that ends at t2 = 3:
+        # the run got to t2 but stopped, which the manifest reads as not completed
+        cfg = dataclasses.replace(harness.load_bundled_config("blowup.cfg"),
+                                  amplitude=0.14582655068167497, t2=3)
+        hist = mcf.evolve(cfg.initial_state(), float(cfg.t2), cfg.controls())
+        assert (hist.stop_reason, hist.t_final) == ("max_abs_u", 3.0)
+        rep = mcf.close_experiment(cfg, hist)
+        assert not (rep.completed or rep.endpoint_F_ok or rep.hypotheses_ok)
+        assert rep.failure_reason == "flow stopped early at t=3.0 (max_abs_u)"
+        assert not hist.reached(cfg.t2)
+
+    def test_a_completed_run_reached_its_end_and_no_later_time(self, coarse_run):
+        cfg, hist = coarse_run
+        assert hist.stop_reason == "completed"
+        assert hist.reached(cfg.t2) and hist.reached(cfg.t2 - 1)
+        assert not hist.reached(cfg.t2 + 1e-6)
+
 
 class TestFlowControls:
     def test_dt_max_is_the_only_field(self):

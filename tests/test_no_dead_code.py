@@ -40,8 +40,17 @@ FlowHistory.gaps subtracts the cylinder area from mark_F, only
 FlowHistory.max_rise differences consecutive marks' areas, and acceptance.py
 imports no json, so criterion 11 compares the text harness.write_json writes.
 Likewise only CertificateConstants.endpoint_bound takes a cap of an absolute
-gap, only CloseReport.verdict conjoins the closeness flags, and only
-sequences.constructive_bound reads the private certificate cache.
+gap, only CloseReport.verdict conjoins the closeness flags, only
+sequences.constructive_bound reads the private certificate cache, and only
+FlowHistory.reached compares a stop reason with "completed".
+
+And a model-flow lane is a row of its batch: gradientflow has no _LaneDense
+wrapper, Trajectory no `dense`, and its only isinstance tests the `runs`
+argument of effective_bound.
+
+Because reads are matched by name, a method or property that shares its name
+with a field of another dataclass counts as read wherever that field is read.
+Each such name is on SHARED_NAMES, with the code that reads the method.
 """
 
 import argparse
@@ -60,6 +69,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "flowcert"
 PAPER_API = {"estimate_entropy", "profile_from_csv", "sqrt_segment_sum"}
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+SHARED_NAMES = {  # name: the method and the field that share it; the method's readers
+    "cap",  # CertificateConstants.cap, PartCertificate.cap: endpoint_bound, certify_part
+    "length",  # Trajectory.length, EffectiveBoundReport.length: effective_bound, criterion 4
+    "n_marks",  # FlowHistory.n_marks, EffectiveBoundReport.n_marks: close_experiment, _cmd_mcf
+    "R_dom",  # CylinderGraph.R_dom, RunConfig.R_dom: perfbench's tracer (no reader in src/)
+    "h",  # CylinderGraph.h, RunConfig.h: evolve
+    "n",  # CylinderSpec.n, PartCertificate.n: graph_F, _flat_tail
+}
 
 
 def _stdlib_base_attributes(cls):
@@ -500,3 +517,98 @@ def test_a_second_spelling_of_a_certificate_decision_is_reported(tmp_path):
     assert _spelled_in(path, _cap_of_a_gap) == ["bound", "bound"]
     assert _spelled_in(path, _closeness_conjunction) == ["ok"]
     assert _spelled_in(path, _private_cache_read) == ["pair"]
+
+
+def _stop_reason_compared(node) -> bool:
+    """A comparison of a stop reason with "completed": whether a run completed."""
+    return (isinstance(node, ast.Compare) and "stop_reason" in _names_read(node)
+            and any(isinstance(sub, ast.Constant) and sub.value == "completed"
+                    for sub in ast.walk(node)))
+
+
+def test_run_completion_has_one_owner():
+    """`flowcert mcf`'s run-completed check, criterion 7 and close_experiment
+    all read FlowHistory.reached, so they cannot disagree on a run."""
+    assert _package_spellings(_stop_reason_compared) == ["mcf.FlowHistory.reached"]
+
+
+def test_a_second_completion_test_is_reported(tmp_path):
+    """A stop reason compared with "completed", on a history or a local, is
+    found; one compared with another reason is not."""
+    path = tmp_path / "mod.py"
+    path.write_text("def done(hist):\n    return hist.stop_reason == 'completed'\n"
+                    "def loop(stop_reason):\n    return stop_reason != 'completed'\n"
+                    "def why(hist):\n    return hist.stop_reason == 'max_abs_u'\n")
+    assert _spelled_in(path, _stop_reason_compared) == ["done", "loop"]
+
+
+def _fields_and_methods(cls) -> tuple[set, set]:
+    """Names of the class's annotated fields and of its non-dunder methods."""
+    fields = {item.target.id for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("__")}
+    return fields, methods
+
+
+def _lane_wrappers(path) -> list:
+    """What keeps a lane apart from its batch row in a module: a `dense` field
+    or method of Trajectory, and each isinstance call whose first argument is
+    not `runs`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and node.name == "Trajectory" \
+                and "dense" in set.union(*_fields_and_methods(node)):
+            found.append("Trajectory.dense")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and ast.unparse(node.args[0]) != "runs":
+            found.append(f"isinstance({ast.unparse(node.args[0])}, ...)")
+    return found
+
+
+def test_a_lane_is_a_row_of_its_batch():
+    assert _lane_wrappers(PACKAGE / "gradientflow.py") == []
+    assert [path.stem for path in PACKAGE.glob("*.py") if "_LaneDense" in path.read_text()] == []
+
+
+def test_a_lane_wrapper_is_reported(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Trajectory:\n    dense: object\n    lane: int\n"
+                    "def read(runs, dense):\n"
+                    "    return isinstance(runs, list) or isinstance(dense, tuple)\n")
+    assert _lane_wrappers(path) == ["Trajectory.dense", "isinstance(dense, ...)"]
+
+
+def shared_names(paths) -> list:
+    """Names that a method or property of one class shares with a field of
+    another class, a dataclass, of the modules."""
+    fields, methods = {}, {}
+    for path in paths:
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                own_fields, own_methods = _fields_and_methods(cls)
+                if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                    for name in own_fields:
+                        fields.setdefault(name, set()).add(cls.name)
+                for name in own_methods:
+                    methods.setdefault(name, set()).add(cls.name)
+    return sorted(name for name, owners in methods.items() if fields.get(name, set()) - owners)
+
+
+def test_no_method_hides_behind_a_field_of_its_name():
+    """The dead-code guard cannot tell a method from another dataclass's
+    field of the same name, so each such name is listed with its reader."""
+    assert shared_names(sorted(PACKAGE.glob("*.py"))) == sorted(SHARED_NAMES)
+
+
+def test_a_method_sharing_a_field_name_is_reported(tmp_path):
+    """A method named as another dataclass's field is found; a method named as
+    a field of its own class, or of a class that is no dataclass, is not."""
+    path = tmp_path / "mod.py"
+    path.write_text("from dataclasses import dataclass\n"
+                    "@dataclass(frozen=True)\nclass Report:\n    sqrt_diff_sum: float\n"
+                    "    size: int\n    def size(self):\n        return 0\n"
+                    "class Plain:\n    total: float\n"
+                    "class Sequence:\n    def sqrt_diff_sum(self):\n        return 0.0\n"
+                    "    def total(self):\n        return 0.0\n")
+    assert shared_names([path]) == ["sqrt_diff_sum"]

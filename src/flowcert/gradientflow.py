@@ -113,8 +113,8 @@ class Trajectory:
         """Point(s) on the trajectory at time(s) t, shape (dim,) or (m, dim),
         each time in the step `OdeSolution` picks for it."""
         s = np.atleast_1d(np.asarray(t, dtype=float)) / self.speed
-        out = self.interp.read(slice(self.lane, self.lane + 1), s,
-                               np.searchsorted(self.interp.bounds, s))[0].T
+        order = s.argsort()
+        out = self.interp.read(slice(self.lane, self.lane + 1), s[order])[0][:, order.argsort()].T
         return out[0] if np.ndim(t) == 0 else out
 
     def F_at(self, t) -> np.ndarray:
@@ -123,39 +123,43 @@ class Trajectory:
 
 class _Interpolant:
     """The RK45 dense output of `sol`, a run of m stacked lanes, laid out once:
-    interior step boundaries `bounds` = step_t[1:-1], step start times and
-    widths, and per lane coefficients Q, (m, dim, 4, n_steps), and start
-    states, (m, dim, n_steps), each a contiguous n_steps row per lane,
-    coordinate and coefficient, stacked in place.  The one place that reads
-    scipy's interpolant internals."""
+    step ends `ends` = step_t[1:] with the last one NaN, which sorts after
+    every time, step start times and widths, and per lane coefficients Q,
+    (m, dim, 4, n_steps), and start states, (m, dim, n_steps), each a
+    contiguous n_steps row per lane, coordinate and coefficient, stacked in
+    place.  The one place that reads scipy's interpolant internals."""
 
     def __init__(self, sol, m: int):
         pieces = sol.sol.interpolants
-        self.bounds = sol.t[1:-1]
+        self.ends = np.append(sol.t[1:-1], np.nan)
         self.t_old = np.array([piece.t_old for piece in pieces])
         self.width = np.array([piece.h for piece in pieces])
         self.Q = np.stack([piece.Q for piece in pieces], axis=-1).reshape(m, -1, 4, len(pieces))
         self.y_old = np.stack([piece.y_old for piece in pieces], axis=-1).reshape(m, -1, len(pieces))
 
-    def sorted_steps(self, s: np.ndarray) -> np.ndarray:
-        """searchsorted(bounds, s) for non-decreasing s, by one search of bounds into s."""
-        ends = np.searchsorted(s, self.bounds, side="right")
-        return np.repeat(np.arange(ends.size + 1), np.diff(ends, prepend=0, append=s.size))
-
-    def read(self, lanes, s: np.ndarray, step: np.ndarray) -> np.ndarray:
-        """Points of `lanes` (a slice; an index list copies its rows) at solver
-        times s in steps `step`, (lanes, dim, len(s)): y_old + h (Q_1 x + ... +
-        Q_4 x^4), x the step fraction, summed in k order over the running
-        products x^k = x^(k-1) x (as np.cumprod forms them), rows by `take`."""
-        Q = self.Q[lanes]
-        h = self.width.take(step)
-        power = x = (s - self.t_old.take(step)) / h
-        out = Q[:, :, 0].take(step, axis=-1) * power
-        for k in range(1, Q.shape[2]):
+    def read(self, lanes, s: np.ndarray) -> np.ndarray:
+        """Points of `lanes` (a slice; an index list copies its rows) at
+        non-decreasing solver times s, (lanes, dim, len(s)), each time in step
+        searchsorted(ends, s): y_old + h (Q_1 x + ... + Q_4 x^4), x the step
+        fraction, summed in k order over the running products x^k = x^(k-1) x
+        (as np.cumprod forms them).  Each step from s[0]'s to s[-1]'s is read
+        once and repeated over its run of times, counted by one search of
+        those steps' ends into s."""
+        first, last = self.ends.searchsorted(s[[0, -1]]) if s.size else (0, 0)
+        counts = s.searchsorted(self.ends[first:last + 1], side="right")
+        counts[1:] -= counts[:-1]
+        steps = slice(first, last + 1)
+        h = self.width[steps].repeat(counts)
+        power = x = (s - self.t_old[steps].repeat(counts)) / h
+        out = self.Q[lanes, :, 0, steps].repeat(counts, axis=-1)
+        out *= power
+        for k in range(1, self.Q.shape[2]):
             power = power * x
-            out += Q[:, :, k].take(step, axis=-1) * power
+            term = self.Q[lanes, :, k, steps].repeat(counts, axis=-1)
+            term *= power
+            out += term
         out *= h
-        out += self.y_old[lanes].take(step, axis=-1)
+        out += self.y_old[lanes, :, steps].repeat(counts, axis=-1)
         return out
 
 
@@ -340,16 +344,15 @@ def _unit_marks(t_from: float, t_to: float, anchor: str) -> tuple[np.ndarray, bo
 
 def _mark_values(lanes: list[Trajectory], marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points, (lanes, marks, dim), and F-values, (lanes, marks), at increasing
-    times `marks` on lanes of one interpolant and speed: one step lookup, one
-    dense read and one F call, each value the bits of Trajectory.at and
+    times `marks` on lanes of one interpolant and speed: one dense read and
+    one F call, each value the bits of Trajectory.at and
     Trajectory.F_at.  Lanes at evenly spaced rows are read through a slice,
     so no lane's coefficients are copied."""
     rows = [traj.lane for traj in lanes]
     stride = rows[-1] - rows[-2] if len(rows) > 1 else 1
     if stride > 0 and rows == list(range(rows[0], rows[-1] + 1, stride)):
         rows = slice(rows[0], rows[-1] + 1, stride)
-    interp, s = lanes[0].interp, marks / lanes[0].speed
-    pts = interp.read(rows, s, interp.sorted_steps(s)).transpose(0, 2, 1)
+    pts = lanes[0].interp.read(rows, marks / lanes[0].speed).transpose(0, 2, 1)
     return pts, np.asarray(lanes[0].problem.F(pts), dtype=float)
 
 
@@ -416,11 +419,12 @@ def effective_bound(problem: GradientProblem, runs: Trajectory | list[Trajectory
     for (_, _, t_from, t_to, anchor), members in blocks.items():
         marks, cut = _unit_marks(t_from, t_to, anchor)
         _, F_vals = _mark_values([batch[lane] for lane in members], marks)
-        for lane, vals in zip(members, F_vals):
-            level = cases[lane][1]
-            gaps, leftover = ((vals - F0, float(vals[-1]) - level) if anchor == "start"
-                              else ((F0 - vals)[::-1], level - float(vals[0])))
-            pieces[lane][anchor] = (sequences.certify_part(gaps, consts), leftover, marks.size, cut)
+        levels = np.array([cases[lane][1] for lane in members])
+        gaps, leftovers = ((F_vals - F0, F_vals[:, -1] - levels) if anchor == "start"
+                           else (F0 - F_vals[:, ::-1], levels - F_vals[:, 0]))
+        for lane, part, leftover in zip(members, sequences.certify_parts(gaps, consts),
+                                        leftovers.tolist()):
+            pieces[lane][anchor] = (part, leftover, marks.size, cut)
 
     reports = []
     for traj, (case_tag, _, crossing_time, dF1, dF2), sides in zip(batch, cases, pieces):

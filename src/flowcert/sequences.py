@@ -134,25 +134,26 @@ def check_hypothesis(seq: MonotoneSequence, C: float, tau: float) -> HypothesisR
     x = seq.values
     if x[0] > 1.0 + REL_TOL:
         raise InvalidInputError(f"certificate input needs x_1 <= 1, got x_1={x[0]}")
-    return _drop_law(x, C, tau)
+    (first,), (total,) = _drop_law(x[None], C, tau)
+    return HypothesisReport(C=C, tau=tau, first_violation=first, sqrt_diff_sum=total)
 
 
-def _drop_law(x: np.ndarray, C: float, tau: float) -> HypothesisReport:
-    """The comparison of check_hypothesis on values x that are already known
-    to be finite, positive, non-increasing and at most 1 + REL_TOL, with
-    admissible (C, tau)."""
-    diffs = x[:-1] - x[1:]
-    lhs = x[1:] ** (1.0 + tau)
+def _drop_law(x: np.ndarray, C: float, tau: float) -> tuple[list, list]:
+    """The comparison of check_hypothesis on each row of x, (rows, n), whose
+    values are already known to be finite, positive, non-increasing and at
+    most 1 + REL_TOL, with admissible (C, tau): per row the 1-based first
+    violating step (None if none) and the square-root increment sum.  The two
+    slacks are added only where the plain comparison fails: both are
+    non-negative and rounding is monotone, so the verdict is the same."""
+    diffs = x[:, :-1] - x[:, 1:]
+    lhs = x[:, 1:] ** (1.0 + tau)
     rhs = C * diffs
-    ok = lhs <= rhs + REL_TOL * np.maximum(lhs, rhs) + ROOT_ULPS * C * np.spacing(x[1:])
-    bad = np.flatnonzero(~ok)
-    first = int(bad[0]) + 1 if bad.size else None
-    return HypothesisReport(
-        C=C,
-        tau=tau,
-        first_violation=first,
-        sqrt_diff_sum=float(np.sum(np.sqrt(diffs))),
-    )
+    first = [None] * len(x)
+    ok = lhs <= rhs
+    if not ok.all():
+        ok = lhs <= rhs + REL_TOL * np.maximum(lhs, rhs) + ROOT_ULPS * C * np.spacing(x[:, 1:])
+        first = [int(j) + 1 if not row[j] else None for row, j in zip(ok, ok.argmin(axis=1))]
+    return first, np.sqrt(diffs).sum(axis=1).tolist()
 
 
 def tail_series_sum(C: float, delta: float) -> float:
@@ -225,29 +226,42 @@ class PartCertificate:
 
 def certify_part(values, consts: CertificateConstants) -> PartCertificate:
     """Check the drop law for (consts.C, consts.tau) on one positive part of a
-    gap series and compare its square-root increment sum with consts.cap(x1).
+    gap series and compare its square-root increment sum with consts.cap(x1):
+    certify_parts on values flattened to one row."""
+    return certify_parts(np.asarray(values, dtype=float).reshape(1, -1), consts)[0]
+
+
+def certify_parts(rows: np.ndarray, consts: CertificateConstants) -> list[PartCertificate]:
+    """certify_part on each row of a 2-d array, with one drop-law call.
 
     Entries at or below POSITIVE_FLOOR (and NaNs) are dropped, and a running
     minimum irons out sub-tolerance integrator noise (real descent data is
-    already non-increasing).  Fewer than two entries certify trivially; x1
-    above 1 + REL_TOL, the rounding slack check_hypothesis allows (+inf
-    included), lies outside the certificate's domain and fails with cap 0.
-    What is left is finite, positive, non-increasing and at most 1 + REL_TOL,
-    and consts holds constants constructive_bound validated, so the drop law
-    is checked without validating either again.
+    already non-increasing, and then it is skipped).  A block with a dropped
+    entry is certified row by row, each row a block of its own.  Fewer than
+    two entries certify trivially; x1 above 1 + REL_TOL, the rounding slack
+    check_hypothesis allows (+inf included), lies outside the certificate's
+    domain and fails with cap 0.  What is left is finite, positive,
+    non-increasing and at most 1 + REL_TOL, and consts holds constants
+    constructive_bound validated, so the drop law is checked without
+    validating either again.
     """
-    vals = np.asarray(values, dtype=float)
-    vals = np.minimum.accumulate(vals[vals > POSITIVE_FLOOR])
-    n = int(vals.size)
-    x1 = float(vals[0]) if n else 0.0
+    keep = rows > POSITIVE_FLOOR
+    if not keep.all():
+        return [certify_parts(row[kept][None], consts)[0] for row, kept in zip(rows, keep)]
+    if (rows[:, 1:] > rows[:, :-1]).any():
+        rows = np.minimum.accumulate(rows, axis=1)
+    n = rows.shape[1]
+    x1 = rows[:, 0].tolist() if n else [0.0] * len(rows)
     if n < 2:
-        return PartCertificate(n, x1, True, None, 0.0, 0.0, True)
-    if x1 > 1.0 + REL_TOL:
-        return PartCertificate(n, x1, False, None, 0.0, 0.0, False)
-    rep = _drop_law(vals, consts.C, consts.tau)
-    cap = consts.cap(x1)
-    return PartCertificate(n, x1, rep.ok, rep.first_violation, rep.sqrt_diff_sum,
-                           cap, rep.sqrt_diff_sum <= cap + CAP_SLACK)
+        return [PartCertificate(n, v, True, None, 0.0, 0.0, True) for v in x1]
+    inside = [v <= 1.0 + REL_TOL for v in x1]
+    found = zip(*_drop_law(rows if all(inside) else rows[inside], consts.C, consts.tau))
+    parts = []
+    for v, ok in zip(x1, inside):
+        j, total, cap = (*next(found), consts.cap(v)) if ok else (None, 0.0, 0.0)
+        parts.append(PartCertificate(n, v, ok and j is None, j, total, cap,
+                                     ok and total <= cap + CAP_SLACK))
+    return parts
 
 
 # Newton steps after which a root solve counts as failed.  For 0 < x <= 1, the

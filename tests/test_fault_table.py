@@ -109,8 +109,10 @@ FAULTS = [
           [(sequences, "iterated_gap_margin", lambda real: lambda seq, C, tau: -1.0)], {2}),
     Fault("certificate c / 20",
           [(sequences, "_constructive_bound_cached", result_with(c=lambda c: c / 20.0))], {3}),
-    Fault("certify_part reports a violation",
-          [(sequences, "certify_part", result_with(hypothesis_ok=lambda ok: False))], {3, 4, 10}),
+    Fault("certify_part reports a violation",  # certify_part is certify_parts on one row
+          [(sequences, "certify_parts", lambda real: lambda rows, consts: [
+              dataclasses.replace(part, hypothesis_ok=False) for part in real(rows, consts)])],
+          {3, 4, 10}),
     Fault("gradient x (1 + 1e-5)", [(gradientflow, "builtin_problems", lambda real: lambda: [
         dataclasses.replace(p, grad=lambda x, g=p.grad: g(x) * (1.0 + 1e-5)) for p in real()])], {5}),
     Fault("call counter in check_hypothesis", [(sequences, "check_hypothesis", result_with(

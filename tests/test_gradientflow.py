@@ -83,18 +83,12 @@ def einsum_reads(sol, rows, speed, t):
 
 class FakeInterp:
     """A stand-in for a batch interpolant with one lane: `read` returns
-    points(s), (dim, len(s)), as the lane's (1, dim, len(s)) rows, whatever
-    steps it is handed."""
-
-    bounds = np.empty(0)
+    points(s), (dim, len(s)), as the lane's (1, dim, len(s)) rows."""
 
     def __init__(self, points):
         self.points = points
 
-    def sorted_steps(self, s):
-        return np.zeros(np.size(s), dtype=np.intp)
-
-    def read(self, lanes, s, step):
+    def read(self, lanes, s):
         return self.points(s)[None]
 
 
@@ -403,16 +397,47 @@ class TestBatchedIntegrate:
                 assert not run.exited_ball
                 assert same_bits(run.times, times) and same_bits(run.points, points)
 
-    def test_sorted_steps_are_the_searchsorted_steps(self):
+    def test_step_runs_are_the_searchsorted_steps(self):
         # criterion 4's unit marks, every step boundary (each twice), and
-        # times before the first and after the last step
-        run = criterion_4_saddle_runs(1234)[1]
-        interp = run.interp
+        # times before the first and after the last step, read by step runs,
+        # are the per-time gathers of each time's searchsorted step
+        runs = criterion_4_saddle_runs(1234)
+        interp = runs[1].interp
+        bounds = interp.ends[:-1]
+        assert np.isnan(interp.ends[-1]) and same_bits(bounds, interp.t_old[1:])
         s = np.sort(np.concatenate([
-            np.arange(51.0), interp.bounds, interp.bounds, [-1.0, 0.0, 1e9],
-            np.random.default_rng(4).uniform(0.0, interp.bounds[-1], 500)]))
-        assert np.array_equal(interp.sorted_steps(s), np.searchsorted(interp.bounds, s))
-        assert interp.sorted_steps(s[:0]).size == 0
+            np.arange(51.0), bounds, bounds, [-1.0, 0.0, 1e9],
+            np.random.default_rng(4).uniform(0.0, bounds[-1], 500)]))
+        step = np.searchsorted(bounds, s)
+        for lanes in (slice(1, 100, 2), slice(7, 8), [3, 0, 3]):
+            Q = interp.Q[lanes]
+            power = x = (s - interp.t_old[step]) / interp.width[step]
+            want = Q[:, :, 0, step] * power
+            for k in range(1, 4):
+                power = power * x
+                want += Q[:, :, k, step] * power
+            want = want * interp.width[step] + interp.y_old[lanes][..., step]
+            assert same_bits(interp.read(lanes, s), want)
+            for piece in (slice(0, 1), slice(-1, None), slice(200, 203)):  # one step, or a few
+                assert same_bits(interp.read(lanes, s[piece]), want[..., piece])
+            assert interp.read(lanes, s[:0]).shape == (*Q.shape[:2], 0)
+
+    def test_block_reads_are_the_lane_reads(self):
+        # the below lanes share a speed: read as one block at times on step
+        # bounds, in the last step and past it, each lane's rows are the bits
+        # of its own Trajectory.at, and at() in shuffled order permutes them
+        runs = criterion_4_saddle_runs(1234)[1::2]
+        speed = runs[0].speed
+        assert all(run.speed == speed for run in runs)
+        ends = runs[0].interp.ends[:-1]
+        t = np.sort(np.concatenate([speed * ends, speed * np.nextafter(ends, np.inf),
+                                    np.linspace(speed * ends[-1], runs[0].t_end, 40),
+                                    [runs[0].t_end, 1.5 * runs[0].t_end]]))
+        pts, F_vals = gf._mark_values(runs, t)
+        order = np.random.default_rng(6).permutation(t.size)
+        for run, rows, F_row in zip(runs, pts, F_vals):
+            assert same_bits(rows, run.at(t)) and same_bits(F_row, run.F_at(t))
+            assert same_bits(run.at(t[order]), rows[order])
 
     def test_lane_view_matches_stacked_interpolant(self, monkeypatch):
         sols = []
@@ -660,9 +685,9 @@ def test_a_batch_reports_what_its_lanes_report_one_by_one(seed, monkeypatch):
     by index lists, give the shuffled reports."""
     real_read, lane_args = gf._Interpolant.read, []
 
-    def recording_read(self, lanes, s, step):
+    def recording_read(self, lanes, s):
         lane_args.append(lanes)
-        return real_read(self, lanes, s, step)
+        return real_read(self, lanes, s)
 
     monkeypatch.setattr(gf._Interpolant, "read", recording_read)
     order = np.random.default_rng(seed).permutation(100)

@@ -519,6 +519,47 @@ def test_a_second_spelling_of_a_certificate_decision_is_reported(tmp_path):
     assert _spelled_in(path, _private_cache_read) == ["pair"]
 
 
+def _drop_law_slack(node) -> bool:
+    """A read of ROOT_ULPS or a call of `spacing`: the rounding slack of the drop law."""
+    return ((isinstance(node, ast.Name) and node.id == "ROOT_ULPS"
+             and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Call)
+                and "spacing" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))))
+
+
+def _interpolant_read(node) -> bool:
+    """A read of a stacked interpolant array: an attribute Q, y_old, t_old or width."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr in {"Q", "y_old", "t_old", "width"})
+
+
+def test_the_drop_law_and_the_interpolant_read_have_one_owner():
+    """check_hypothesis, certify_part and criterion 4's blocks all compare
+    through sequences._drop_law, and Trajectory.at and the block reads all
+    evaluate through _Interpolant.read (__init__ lays the arrays out)."""
+    assert _package_spellings(_drop_law_slack) == ["sequences._drop_law"]
+    assert _package_spellings(_interpolant_read) == ["gradientflow._Interpolant.__init__",
+                                                     "gradientflow._Interpolant.read"]
+
+
+def test_a_second_drop_law_slack_or_interpolant_read_is_reported(tmp_path):
+    """A second spacing slack, and a second method or function that reads the
+    stacked arrays, are found; storing the arrays and a plain tolerance are not."""
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\nROOT_ULPS = 2.0\n"
+                    "def slack(x, C):\n    return ROOT_ULPS * C * np.spacing(x)\n"
+                    "def ulp(x):\n    return np.spacing(x)\n"
+                    "def near(x):\n    return abs(x) <= 1e-12\n"
+                    "class _Interpolant:\n"
+                    "    def __init__(self, Q):\n        self.Q = Q\n"
+                    "    def read(self, s):\n        return self.Q[0] * s\n"
+                    "    def read_one(self, t):\n        return self.y_old[:, 0] + t\n"
+                    "def evaluate(interp, k):\n    return interp.width[k]\n")
+    assert _spelled_in(path, _drop_law_slack) == ["slack", "slack", "ulp"]
+    assert _spelled_in(path, _interpolant_read) == ["_Interpolant.read", "_Interpolant.read_one",
+                                                    "evaluate"]
+
+
 def _stop_reason_compared(node) -> bool:
     """A comparison of a stop reason with "completed": whether a run completed."""
     return (isinstance(node, ast.Compare) and "stop_reason" in _names_read(node)

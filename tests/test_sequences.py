@@ -230,6 +230,47 @@ class TestCertifyPart:
         for values in parts:
             assert sq.certify_part(values, consts) == self.validated_part(values, consts), values
 
+    @staticmethod
+    def block_rows(C, tau, n, rng):
+        """Rows of length n, one of each kind: admissible, equality-saturating,
+        with an entry at or below POSITIVE_FLOOR, with a NaN, with
+        sub-tolerance rises, with zero drops, and with x1 just inside and just
+        outside 1 + REL_TOL and far outside it."""
+        if n == 0:
+            return [np.empty(0)] * 3
+        clean = sq.random_admissible_batch(C, tau, rng, n_seq=3, n_steps=max(n - 1, 1))[:, :n]
+        chain = sq.extremal_chain(C, tau, n_steps=max(n - 1, 1)).values[:n]
+        rows = [*clean, chain]
+        for fill in (1e-301, 0.0, -0.5, float("nan")):
+            row = clean[0].copy()
+            row[rng.integers(n)] = fill
+            rows.append(row)
+        rows.append(clean[1] * (1.0 + rng.uniform(-1e-9, 1e-9, n)))
+        rows.append(np.repeat(clean[2][::2], 2)[:n])  # every other drop zero
+        for x1 in (1.0 + 0.5 * sq.REL_TOL, 1.0 + 2.0 * sq.REL_TOL, 1.5, float("inf")):
+            rows.append(np.concatenate(([x1], chain[1:])))
+        return rows
+
+    @pytest.mark.parametrize("C,tau", [(1.0, 0.5), (3.0, 0.4), (10.0, 0.9)])
+    def test_a_block_certifies_each_row_as_its_part(self, C, tau):
+        """certify_parts on a block equals validated_part on each row, field for
+        field, with plain Python fields, whether the block is clean (no drop,
+        no running minimum), has rises, has rows of every kind but the dropped
+        entries, or has rows of every kind."""
+        consts = sq.constructive_bound(C, tau)
+        rng = np.random.default_rng(31)
+        for n in (0, 1, 2, 3, 60, 3000):
+            rows = self.block_rows(C, tau, n, rng)
+            for block in (rows[:3], rows[:3] + rows[8:9], rows[:4] + rows[8:], rows):
+                block = np.array(block)
+                parts = sq.certify_parts(block, consts)
+                assert parts == [self.validated_part(row, consts) for row in block], n
+                for part in parts:
+                    assert type(part.n) is int and type(part.x1) is float
+                    assert type(part.hypothesis_ok) is bool and type(part.cap_ok) is bool
+                    assert type(part.first_violation) in (int, type(None))
+                    assert type(part.sqrt_diff_sum) is float and type(part.cap) is float
+
     @pytest.mark.parametrize("values", [[1.0, float("nan")], [0.5, 0.6], [0.5, -0.1], [2.0, 1.0]])
     def test_malformed_parts_report_instead_of_raising(self, values):
         part = sq.certify_part(np.array(values), self.CONSTS)

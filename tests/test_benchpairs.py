@@ -82,6 +82,7 @@ def _record(tmp_path, monkeypatch, change_losses=(), reports_differ=False):
                                  "profiles": [[0.0, 0.0]], "mark_F": [1.5]}
                          for label in RUN_LABELS},
                 "certs": {"crit_1": f"seed {certs_seed}"},
+                "certs_seconds": {"crit_1": 0.01 * n, "crit_4": 0.2 + 0.01 * n},
                 "reports_sha256": f"{certs_seed}-{'cd' if reports_differ and n == 2 else 'ab'}",
                 "kernel_us": {"801": 15.0 + n, "2001": 22.0 + n}}
 
@@ -108,7 +109,8 @@ def test_claim_needs_nine_of_ten_wins(tmp_path, monkeypatch, losses, met):
 def test_main_writes_the_record(tmp_path, monkeypatch):
     record, calls = _record(tmp_path, monkeypatch)
     assert list(record) == ["what", "claim", "summary", "traced", "runs", "certs_measured",
-                            "certs_reports_sha256", "kernel_us_per_call", "src_tree"]
+                            "certs_reports_sha256", "certs_criterion_s", "kernel_us_per_call",
+                            "src_tree"]
     assert list(record["summary"]) == ["aa_mcf-certify", *bp.WORKLOADS]
     assert record["src_tree"] == {"parent": "p0:src-tree", "change": "c1:src-tree"}
 
@@ -148,6 +150,15 @@ def test_main_writes_the_record(tmp_path, monkeypatch):
     assert record["certs_reports_sha256"] == {
         "seeds": seeds, "parent": [f"{s}-ab" for s in seeds],
         "change": [f"{s}-ab" for s in seeds], "identical": True}
+
+    # each criterion's in-process seconds, per side: the median over its passes
+    criterion_s = record["certs_criterion_s"]
+    assert list(criterion_s) == ["seeds", "parent", "change"] and criterion_s["seeds"] == seeds
+    for side in ("parent", "change"):
+        passes = [n + 1 for n, (name, _, _) in enumerate(calls["in_process"]) if name == side]
+        assert list(criterion_s[side]) == ["crit_1", "crit_4"]
+        crit_4 = [0.2 + 0.01 * n for n in passes]
+        assert criterion_s[side]["crit_4"] == {"median": statistics.median(crit_4), "runs": crit_4}
 
     # the traced pass keeps every metric perfbench emits, per side
     traced = record["traced"]["certs"]

@@ -27,7 +27,10 @@ a time: round i runs the parent first when i is even, the change when odd.
   - certs at the round's own seed: each criterion's measured string, and
     the SHA-256 of the repr of every report gradientflow.effective_bound
     returns (one report per call, or a list of them per batch call), and
-    whether the two sides read the same;
+    whether the two sides read the same; and each criterion's seconds
+    (`workloads.Certs.seconds`), of which the record keeps the median over
+    the passes per criterion and side, so a criterion's layer has a time
+    from fresh interpreters and not only from the traced perfbench runs;
   - after the workloads, the right-hand-side kernel's µs per call,
     `mcf._kernel(z, h, s)(u)` on fit.cfg's start at N = 801 and N = 2001
     (the timeit minimum).
@@ -89,6 +92,7 @@ w = workloads.Certs(certs_seed)
 w.run()
 gradientflow.effective_bound = bound
 out["certs"] = {label: res.measured for label, res in w.results.items()}
+out["certs_seconds"] = w.seconds
 out["reports_sha256"] = reports.hexdigest()
 cfg = harness.load_bundled_config("fit.cfg")
 for n in (801, 2001):
@@ -241,6 +245,8 @@ def main(argv=None) -> int:
     measured = {name: [r["certs"] for r in runs] for name, runs in passes.items()}
     measured["identical"] = measured["parent"] == measured["change"]
     reports = {name: [r["reports_sha256"] for r in runs] for name, runs in passes.items()}
+    criterion_s = {name: {label: medians([r["certs_seconds"][label] for r in runs])
+                          for label in runs[0]["certs_seconds"]} for name, runs in passes.items()}
     reports["identical"] = reports["parent"] == reports["change"]
 
     claim = summary[args.claim]["wall_s"]
@@ -269,6 +275,7 @@ def main(argv=None) -> int:
                  "max_abs_delta": delta},
         "certs_measured": {"seeds": measured_seeds, **measured},
         "certs_reports_sha256": {"seeds": measured_seeds, **reports},
+        "certs_criterion_s": {"seeds": measured_seeds, **criterion_s},
         "kernel_us_per_call": kernel_us,
         "src_tree": tree,
     }

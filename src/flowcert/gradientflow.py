@@ -488,7 +488,7 @@ def builtin_problems() -> list[GradientProblem]:
     """
     rows = [  # name, coefficients, powers, tau, ball radius
         ("quartic1d", [1.0], [4], 0.5, 2.0),
-        ("sextic1d", [1.0], [6], 1.0 - 1.0 / 3.0, 2.0),
+        ("sextic1d", [1.0], [6], 2.0 / 3.0, 2.0),
         ("quartic2d", [1.0, 1.0], [4, 4], 0.5, 2.0),
         ("aniso2d", [1.0, 1.0], [4, 6], 2.0 / 3.0, 1.0),
         ("saddle2d", [1.0, -1.0], [4, 4], 0.5, 1.0),

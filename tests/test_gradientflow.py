@@ -15,11 +15,11 @@ SADDLE = gf.problem_by_name("saddle2d")
 SPOT_CHECK_SLACK = 1e-12  # absolute slack of the sampled decay inequality
 
 # Each bundled row written out: the terms of F, the gradient, tau and the
-# ball radius.  The taus are the stated bits: sextic1d's 1 - 1/3 is one ulp
-# above aniso2d's 2/3.
+# ball radius.  The taus are the stated bits: sextic1d and aniso2d both
+# state 2/3 as 2.0 / 3.0, one float, so they share one certificate pair.
 CLOSED_FORMS = {
     "quartic1d": (lambda x: [x**4], lambda x: [4 * x**3], 0.5, 2.0),
-    "sextic1d": (lambda x: [x**6], lambda x: [6 * x**5], 1.0 - 1.0 / 3.0, 2.0),
+    "sextic1d": (lambda x: [x**6], lambda x: [6 * x**5], 2.0 / 3.0, 2.0),
     "quartic2d": (lambda x, y: [x**4, y**4], lambda x, y: [4 * x**3, 4 * y**3], 0.5, 2.0),
     "aniso2d": (lambda x, y: [x**4, y**6], lambda x, y: [4 * x**3, 6 * y**5], 2.0 / 3.0, 1.0),
     "saddle2d": (lambda x, y: [x**4, -y**4], lambda x, y: [4 * x**3, -4 * y**3], 0.5, 1.0),

@@ -143,8 +143,11 @@ def _drop_law(x: np.ndarray, C: float, tau: float) -> tuple[list, list]:
     values are already known to be finite, positive, non-increasing and at
     most 1 + REL_TOL, with admissible (C, tau): per row the 1-based first
     violating step (None if none) and the square-root increment sum.  The two
-    slacks are added only where the plain comparison fails: both are
-    non-negative and rounding is monotone, so the verdict is the same."""
+    slacks are added only when the plain comparison fails somewhere in x:
+    both are non-negative and rounding is monotone, so the verdict is the
+    same.  They are then added everywhere, which on a chain that saturates
+    the law (half its steps fail the plain comparison) costs less than
+    gathering the failing steps."""
     diffs = x[:, :-1] - x[:, 1:]
     lhs = x[:, 1:] ** (1.0 + tau)
     rhs = C * diffs
